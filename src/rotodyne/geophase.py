@@ -6,10 +6,9 @@ Engines
     Kinematic mixed-state functional evaluated on a sampled path of the
     larger-eigenvalue eigenvector: phase of the endpoint overlap minus
     the accumulated connection integral. Works on any EigenPath; the
-    helper ``gp_tong_closed_form`` builds the path from the analytic
-    state, refining the sampling until the connection is stable, and
-    switches to a constant-memory streaming accumulation for very long
-    horizons.
+    helper ``gp_tong_closed_form`` evaluates the same functional on the
+    analytic state, sampling only the relaxation envelope, so its cost
+    does not grow with the cycle count.
 
 ``gp_exact_integral``
     Adaptive quadrature of the closed-form phase integrand; valid for
@@ -40,7 +39,7 @@ from .cavity import CavitySpec, dos, dos_derivative
 from .dynamics import EvolutionParams, closed_form_bloch
 from .errors import NumericsError
 from .kinematics import AtomParams, TrajectoryParams, derive_kinematics
-from .rates import RateSet, case2_rates, vacuum_coupling
+from .rates import RateSet, _general_warnings, case2_rates, vacuum_coupling
 
 __all__ = [
     "EigenPath",
@@ -58,11 +57,14 @@ __all__ = [
 
 DEGENERACY_FLOOR = 1e-14
 MIN_ADJACENT_OVERLAP = 0.99
-# largest dense path we are willing to materialize; longer horizons are
-# accumulated chunk by chunk at fixed per-cycle resolution
+# largest dense path we are willing to materialize
 MAX_DENSE_SAMPLES = 2_000_000
-STREAM_SAMPLES_PER_CYCLE = 32
-STREAM_CHUNK = 500_000
+# per-cycle resolution the closed-form path functional certifies
+SAMPLES_PER_CYCLE = 32
+# initial Simpson grid of the relaxation envelope, before doubling
+MIN_ENVELOPE_SEGMENTS = 32
+ENVELOPE_SEGMENTS_PER_RELAXATION = 8
+MAX_REFINEMENTS = 8
 # e^{4 a tau} saturates the phase integrand long before overflow
 SATURATION_EXPONENT = 300.0
 
@@ -149,11 +151,6 @@ def eigensystem(rho: np.ndarray) -> tuple[float, float, float, float]:
     return p_plus, p_minus, bloch_angle, azimuth
 
 
-def _branch_vector(bloch_angle: float, azimuth: float) -> np.ndarray:
-    half = bloch_angle / 2.0
-    return np.array([math.cos(half), math.sin(half) * np.exp(1j * azimuth)], dtype=complex)
-
-
 def _path_fields(p: EvolutionParams, taus: np.ndarray):
     """Vectorized spectral fields along the closed-form trajectory."""
     r1, r2, r3 = closed_form_bloch(p, taus)
@@ -196,7 +193,7 @@ def eigenpath_from_closed_form(
     if segments + 1 > MAX_DENSE_SAMPLES:
         raise ValueError(
             f"dense path of {segments + 1} samples exceeds {MAX_DENSE_SAMPLES}; "
-            "use gp_tong_closed_form, which streams long horizons"
+            "use gp_tong_closed_form, whose cost does not grow with the horizon"
         )
     taus = np.linspace(0.0, total_time, segments + 1)
     p_plus, bloch_angle, azimuth = _path_fields(p, taus)
@@ -268,59 +265,101 @@ def gp_tong(path: EigenPath, total_time: float | None = None) -> GPResult:
     )
 
 
-def _stream_tong(p: EvolutionParams, total_time: float, samples_per_cycle: int) -> GPResult:
-    """Chunked accumulation of the path functional on the analytic state.
+def _saturated_integrand(ratio: float) -> float:
+    """Limit of the phase integrand 1 - cos(angle) far beyond relaxation:
+    the state settles toward |g> (b/a > 0), |e> (b/a < 0) or, for b = 0,
+    the maximally mixed state."""
+    if ratio > 0.0:
+        return 2.0
+    if ratio < 0.0:
+        return 0.0
+    return 1.0
+
+
+def _envelope_connection(p: EvolutionParams, t_quad: float, segments: int):
+    """Composite Simpson of sin^2(angle/2) over [0, t_quad] on an even
+    number of panels; returns the integral and the sampled angles."""
+    taus = np.linspace(0.0, t_quad, segments + 1)
+    _, bloch_angle, _ = _path_fields(p, taus)
+    s2 = np.square(np.sin(bloch_angle / 2.0))
+    simpson = s2[0] + s2[-1] + 4.0 * s2[1::2].sum() + 2.0 * s2[2:-1:2].sum()
+    return (t_quad / segments / 3.0) * float(simpson), bloch_angle
+
+
+def gp_tong_closed_form(
+    p: EvolutionParams,
+    total_time: float,
+    samples_per_cycle: int = SAMPLES_PER_CYCLE,
+    refine_rel_tol: float = 1e-9,
+) -> GPResult:
+    """Evaluate the path functional on the analytic trajectory.
 
     In the canonical gauge of the analytic state the azimuth advances at
-    exactly omega_eff, so the connection integrand omega * sin^2(angle/2)
-    varies only on the slow relaxation envelope. Composite Simpson over
-    the sampled eigenpath therefore carries no per-cycle bias, unlike the
-    adjacent-overlap product form, whose second-order error would grow
-    linearly with the cycle count at fixed per-cycle resolution. On-axis
-    paths (sin theta0 = 0) never leave the pole and have zero connection.
+    exactly omega_eff, so the endpoint overlap is known in closed form
+    and the connection integrand omega * sin^2(angle/2) varies only on
+    the relaxation envelope (timescale 1/4a). The connection is
+    therefore composite Simpson on an envelope grid sized by 4 a T, never
+    by the cycle count; past SATURATION_EXPONENT the saturated remainder
+    is added analytically. The grid is doubled until the phase moves by
+    less than ``refine_rel_tol`` relative. ``samples_per_cycle`` is the
+    per-cycle resolution the adjacent-overlap check certifies: adjacent
+    canonical eigenvectors a cycle fraction 1/samples_per_cycle apart
+    overlap by |cos^2(angle/2) + sin^2(angle/2) e^{2 pi i / samples_per_cycle}|.
+    On-axis paths (sin theta0 = 0) never leave the pole and have zero
+    connection.
     """
-    cycles = p.omega_eff * total_time / math.tau
-    segments = max(int(math.ceil(cycles * samples_per_cycle)), 32)
-    segments += segments % 2  # composite Simpson needs an even count
-    dt = total_time / segments
+    if total_time < 0.0:
+        raise ValueError(f"total_time must be non-negative, got {total_time}")
+    if samples_per_cycle < 4:
+        raise ValueError("need at least 4 samples per cycle to unwrap the azimuth")
+    a4 = 4.0 * p.a_coeff
+    t_quad, tail = total_time, 0.0
+    if a4 * total_time > SATURATION_EXPONENT:
+        t_quad = SATURATION_EXPONENT / a4
+        # sin^2(angle/2) = (1 - cos(angle)) / 2
+        tail = _saturated_integrand(p.b_coeff / p.a_coeff) / 2.0 * (total_time - t_quad)
+    # Simpson needs an even panel count
+    pairs = math.ceil(ENVELOPE_SEGMENTS_PER_RELAXATION * a4 * t_quad / 2.0)
+    segments = max(MIN_ENVELOPE_SEGMENTS, 2 * pairs)
     on_axis = math.sin(p.theta0) == 0.0
-    simpson_scale = p.omega_eff * dt / 3.0
-    connection = 0.0
-    min_overlap = 1.0
-    start_angle = start_azimuth = None
-    prev_tail = None  # (bloch_angle, azimuth_unwrapped) of last sample
-    done = 0
-    while done < segments:
-        count = min(STREAM_CHUNK, segments - done)
-        taus = (done + np.arange(count + 1)) * dt
-        _, bloch_angle, azimuth = _path_fields(p, taus)
-        if prev_tail is None:
-            start_angle = float(bloch_angle[0])
-            start_azimuth = float(azimuth[0])
-        else:
-            # re-anchor the unwrapped azimuth to the previous chunk
-            azimuth += prev_tail[1] - azimuth[0]
-        products = _canonical_products(bloch_angle, azimuth)
-        min_overlap = min(min_overlap, float(np.abs(products).min()))
-        if not on_axis:
-            s2 = np.square(np.sin(bloch_angle / 2.0))
-            connection += simpson_scale * float(
-                s2[0] + s2[-1] + 4.0 * s2[1::2].sum() + 2.0 * s2[2:-1:2].sum()
+    _, ends, _ = _path_fields(p, np.array([0.0, total_time]))
+    half0, half1 = ends[0] / 2.0, ends[1] / 2.0
+    sweep = p.omega_eff * total_time
+    overlap = math.cos(half0) * math.cos(half1) + math.sin(half0) * math.sin(half1) * complex(
+        math.cos(sweep), math.sin(sweep)
+    )
+    endpoint_arg = math.atan2(overlap.imag, overlap.real)
+
+    def total_at(segments):
+        integral, bloch_angle = _envelope_connection(p, t_quad, segments)
+        connection = 0.0 if on_axis else p.omega_eff * (integral + tail)
+        return endpoint_arg - connection, bloch_angle
+
+    total, bloch_angle = total_at(segments)
+    refinements = 0
+    while True:
+        segments *= 2
+        refinements += 1
+        refined, bloch_angle = total_at(segments)
+        gap = abs(refined - total)
+        total = refined
+        if gap <= refine_rel_tol * max(abs(total), 1e-30):
+            break
+        if refinements >= MAX_REFINEMENTS:
+            raise NumericsError(
+                f"path functional did not converge: last refinement moved the "
+                f"phase by {gap:.3e} at {segments + 1} envelope samples"
             )
-        prev_tail = (float(bloch_angle[-1]), float(azimuth[-1]))
-        done += count
+    s2 = np.square(np.sin(bloch_angle / 2.0))
+    step = math.tau / samples_per_cycle
+    min_overlap = float(np.sqrt(1.0 - 2.0 * s2 * (1.0 - s2) * (1.0 - math.cos(step))).min())
     if min_overlap < MIN_ADJACENT_OVERLAP:
         raise NumericsError(
             f"insufficient sampling: adjacent eigenvector overlap {min_overlap:.4f} "
             f"below {MIN_ADJACENT_OVERLAP}"
         )
-    start = _branch_vector(start_angle, start_azimuth)
-    end = _branch_vector(*prev_tail)
-    overlap = complex(np.vdot(start, end))
-    total = float(np.angle(overlap)) - connection
-    cos_theta0 = math.cos(start_angle)
-    n_cycles = (prev_tail[1] - start_azimuth) / math.tau
-    unitary = -math.pi * n_cycles * (1.0 - cos_theta0)
+    n_cycles = sweep / math.tau
+    unitary = -math.pi * n_cycles * (1.0 - math.cos(ends[0]))
     return GPResult(
         engine="tong",
         n_cycles=n_cycles,
@@ -330,45 +369,11 @@ def _stream_tong(p: EvolutionParams, total_time: float, samples_per_cycle: int) 
         principal_value=_principal(total),
         diagnostics={
             "min_adjacent_overlap": min_overlap,
+            "refinements": refinements,
             "samples": segments + 1,
             "samples_per_cycle": samples_per_cycle,
         },
     )
-
-
-def gp_tong_closed_form(
-    p: EvolutionParams,
-    total_time: float,
-    samples_per_cycle: int = STREAM_SAMPLES_PER_CYCLE,
-    refine_rel_tol: float = 1e-9,
-) -> GPResult:
-    """Evaluate the path functional on the analytic trajectory.
-
-    The connection is accumulated chunk-wise in constant memory, so any
-    cycle count is admissible. Each evaluation is repeated at doubled
-    per-cycle resolution until the phase moves by less than
-    ``refine_rel_tol`` relative, which certifies convergence; Simpson
-    accumulation on the smooth envelope converges on the first doubling
-    in practice.
-    """
-    if total_time < 0.0:
-        raise ValueError(f"total_time must be non-negative, got {total_time}")
-    if samples_per_cycle < 4:
-        raise ValueError("need at least 4 samples per cycle to unwrap the azimuth")
-    spc = samples_per_cycle
-    result = _stream_tong(p, total_time, spc)
-    while True:
-        spc *= 2
-        refined = _stream_tong(p, total_time, spc)
-        gap = abs(refined.total - result.total)
-        result = refined
-        if gap <= refine_rel_tol * max(abs(refined.total), 1e-30):
-            return result
-        if spc >= 256 * samples_per_cycle:
-            raise NumericsError(
-                f"path functional did not converge: last refinement moved the "
-                f"phase by {gap:.3e} at {spc} samples per cycle"
-            )
 
 
 def _exact_integrand_tau(tau: float, a4: float, ratio: float, cos_t: float, sin2: float):
@@ -436,13 +441,7 @@ def gp_exact_integral(
         t_quad = total_time
         if horizon > SATURATION_EXPONENT:
             t_quad = SATURATION_EXPONENT / a4
-            if ratio > 0.0:
-                saturated = 2.0
-            elif ratio < 0.0:
-                saturated = 0.0
-            else:
-                saturated = 1.0
-            tail = saturated * (total_time - t_quad)
+            tail = _saturated_integrand(ratio) * (total_time - t_quad)
             horizon = SATURATION_EXPONENT
         if horizon <= 1.0:
             points = None
@@ -599,7 +598,7 @@ def gp_case1(
     unitary = -math.pi * n * (1.0 - cos_t)
     a_coeff = (eta / 4.0) * (carrier + slope + upper + lower)
     expansion, strict, warnings = _quasi_cycle_diagnostics(a_coeff, omega0, n)
-    warn = list(warnings)
+    warn = list(warnings + _general_warnings(kin))
     if traj.omega < 10.0 * kin.omega0_bar:
         warn.append("fast-rotation regime strained: omega < 10 * omega0_bar")
     total = unitary + nonunitary

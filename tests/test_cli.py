@@ -251,16 +251,18 @@ class TestGpCommand:
         assert total_q == pytest.approx(total_e, rel=1e-3)
 
     def test_tong_engine_tracks_exact_integral(self, capsys):
-        _, out_t, _ = run(
-            capsys, ["gp", "--scenario", "case2", "--engine", "tong", "-n", "5"]
-        )
-        _, out_e, _ = run(
-            capsys,
-            ["gp", "--scenario", "case2", "--engine", "exact-integral", "-n", "5"],
-        )
-        total_t = float(parse_kv(out_t)[1]["total_rad"])
-        total_e = float(parse_kv(out_e)[1]["total_rad"])
-        assert total_t == pytest.approx(total_e, rel=1e-6)
+        # without -n the scenario's default horizon applies: 10**7 cycles for case2
+        for cycles in (["-n", "5"], []):
+            _, out_t, _ = run(
+                capsys, ["gp", "--scenario", "case2", "--engine", "tong", *cycles]
+            )
+            _, out_e, _ = run(
+                capsys,
+                ["gp", "--scenario", "case2", "--engine", "exact-integral", *cycles],
+            )
+            total_t = float(parse_kv(out_t)[1]["total_rad"])
+            total_e = float(parse_kv(out_e)[1]["total_rad"])
+            assert total_t == pytest.approx(total_e, rel=1e-6)
 
     def test_json_format(self, capsys):
         code, out, _ = run(

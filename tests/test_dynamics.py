@@ -93,6 +93,11 @@ class TestOdeCrossCheck:
             traj = evolve_ode(p, horizon, rtol=1e-12)
             dist = trace_distance(closed_form_rho(p, horizon), traj.states[-1])
             worst = max(worst, dist)
+        # omega T and 4 a T both past 600, where scaling and squaring is weakest
+        p = EvolutionParams(a_coeff=0.2, b_coeff=-0.08, omega_eff=1.0, theta0=2.0)
+        traj = evolve_ode(p, 800.0, rtol=1e-12)
+        for t, rho in zip(traj.times, traj.states):
+            worst = max(worst, trace_distance(closed_form_rho(p, float(t)), rho))
         assert worst < 1e-9
 
     def test_sampled_trajectory_hits_requested_times(self):

@@ -180,12 +180,30 @@ class TestTongFunctional:
         assert err_fine < err_coarse / 16.0  # at least quadratic shrinkage
 
     def test_accumulation_spans_chunk_boundaries_seamlessly(self):
-        # 15624 cycles at 32/cycle fills one accumulation chunk, 15634 needs two
         p = EvolutionParams(1.0e-7, 0.5e-7, 1.0, 2.0)
         for n in (15624, 15634):
             got = gp_tong_closed_form(p, cycles_time(p, n))
             want = gp_exact_integral(p, cycles_time(p, n))
             assert got.total == pytest.approx(want.total, rel=1e-9)
+
+    def test_envelope_grid_is_independent_of_cycle_count(self):
+        for traj, atom, cavity, rate_fn in (FAST + (case1_rates,), SLOW + (case2_rates,)):
+            p = EvolutionParams.from_rates(rate_fn(traj, atom, cavity), atom.theta0, atom.omega0)
+            short = gp_tong_closed_form(p, cycles_time(p, 10**3))
+            long = gp_tong_closed_form(p, cycles_time(p, 10**7))
+            assert long.diagnostics["samples"] == short.diagnostics["samples"]
+            want = gp_exact_integral(p, cycles_time(p, 10**7))
+            assert long.total == pytest.approx(want.total, rel=1e-9)
+
+    def test_matches_dense_adjacent_overlap_form(self):
+        # a fractional cycle count keeps the endpoint overlap term nonzero
+        p = EvolutionParams(0.02, 0.012, 10.0, 1.9)
+        horizon = cycles_time(p, 3.4)
+        dense = gp_tong(eigenpath_from_closed_form(p, horizon, samples_per_cycle=4096))
+        got = gp_tong_closed_form(p, horizon)
+        assert got.total == pytest.approx(dense.total, rel=1e-6)
+        assert got.n_cycles == pytest.approx(dense.n_cycles, rel=1e-12)
+        assert got.diagnostics["refinements"] >= 1
 
     def test_undersampled_path_rejected(self):
         p = EvolutionParams(0.0, 0.0, 50.0, math.pi / 2)
@@ -335,6 +353,15 @@ class TestSplitEngines:
         assert direct.noninertial_part == pytest.approx(assembled.noninertial_part, rel=1e-14)
         assert direct.inertial_part == pytest.approx(assembled.inertial_part, rel=1e-14)
         assert direct.total == pytest.approx(assembled.total, rel=1e-14)
+
+    def test_fast_rotation_engine_carries_rate_warnings(self):
+        traj, atom, cavity = FAST
+        fast_orbit = replace(traj, radius=3000.0 * traj.radius)  # zeta ~ 2.5e-3
+        rate_warnings = case1_rates(fast_orbit, atom, cavity).warnings
+        assert any("zeta" in w for w in rate_warnings)
+        got = gp_case1(fast_orbit, atom, cavity, n=10.0)
+        assert set(rate_warnings) <= set(got.warnings)
+        assert gp_case1(*FAST, n=10.0).validity == "ok"
 
     def test_slow_rotation_engine_matches_split_of_its_rates(self):
         direct = gp_case2(*SLOW, n=1.0e7)
