@@ -63,6 +63,7 @@ from .rates import (
 )
 from .scenarios import (
     DEFAULT_DIPOLE,
+    ENGINES,
     Scenario,
     SweepTable,
     build_grid,
@@ -89,6 +90,7 @@ __all__ = [
     "AtomParams",
     "CavitySpec",
     "DEFAULT_DIPOLE",
+    "ENGINES",
     "EigenPath",
     "EvolutionParams",
     "GPResult",

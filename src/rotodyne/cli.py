@@ -15,22 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-from .dynamics import EvolutionParams
 from .errors import NumericsError
-from .geophase import (
-    GPResult,
-    gp_case1,
-    gp_case2,
-    gp_exact_integral,
-    gp_split,
-    gp_tong_closed_form,
-)
 from .scenarios import (
+    ENGINES,
     Scenario,
     build_grid,
     default_anchors,
@@ -53,8 +44,6 @@ from .scenarios import (
 )
 
 __all__ = ["main"]
-
-GP_ENGINES = ("tong", "exact-integral", "quasi-cycle", "case1", "case2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,32 +189,12 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _gp_result(scn: Scenario, engine: str, n: int) -> GPResult:
-    if engine == "case1":
-        return gp_case1(scn.trajectory, scn.atom, scn.cavity, n)
-    if engine == "case2":
-        return gp_case2(scn.trajectory, scn.atom, scn.cavity, n)
-    rates = scenario_rates(scn)
-    if engine == "quasi-cycle":
-        return gp_split(rates, n, scn.atom.theta0, scn.atom.omega0)
-    params = EvolutionParams.from_rates(rates, scn.atom.theta0, scn.atom.omega0)
-    horizon = math.tau * n / scn.atom.omega0
-    if engine == "exact-integral":
-        return gp_exact_integral(params, horizon, n_cycles=float(n))
-    return gp_tong_closed_form(params, horizon)
-
-
-def _default_engine(scn: Scenario) -> str:
-    return scn.family if scn.family in ("case1", "case2") else "quasi-cycle"
-
-
 def _cmd_gp(args) -> int:
     scn = _resolve_scenario(args)
-    engine = args.engine or _default_engine(scn)
     n = args.cycles if args.cycles is not None else scn.n_default
     if n < 1:
         raise ValueError(f"cycle count must be at least 1, got {n}")
-    res = _gp_result(scn, engine, n)
+    res = scenario_gp(scn, n, args.engine)
     payload = {
         "scenario": scn.name,
         "engine": res.engine,
@@ -298,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gp = sub.add_parser("gp", help="geometric phase after n precession cycles")
     _add_scenario_args(p_gp)
-    p_gp.add_argument("--engine", choices=GP_ENGINES, help="default: scenario family")
+    p_gp.add_argument("--engine", choices=tuple(ENGINES), help="default: scenario family")
     p_gp.add_argument("-n", "--cycles", type=int, help="default: scenario n_default")
     p_gp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_gp.set_defaults(func=_cmd_gp)

@@ -18,10 +18,10 @@ Engines
     Leading-order closed form for n quasi-cycles: the pure-precession
     solid-angle term plus a correction linear in the dissipator pair.
 
-``gp_case1`` / ``gp_case2``
-    Regime-expanded quasi-cycle corrections written directly in terms of
-    the cavity density of states, split into inertial and non-inertial
-    contributions.
+``gp_split``
+    The quasi-cycle correction of a RateSet, split into inertial and
+    non-inertial contributions. ``gp_case1`` / ``gp_case2`` apply it to
+    the regime-expanded fast- and slow-rotation rates.
 
 All phases are reported as continuous (unwrapped) accumulations with the
 principal value in [-pi, pi] recorded alongside.
@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .cavity import CavitySpec, dos, dos_derivative
+from .cavity import CavitySpec
 from .dynamics import EvolutionParams, closed_form_bloch
 from .errors import NumericsError
-from .kinematics import AtomParams, TrajectoryParams, derive_kinematics
-from .rates import RateSet, _general_warnings, case2_rates, vacuum_coupling
+from .kinematics import AtomParams, TrajectoryParams
+from .rates import RateSet, case1_rates, case2_rates
 
 __all__ = [
     "EigenPath",
@@ -57,6 +57,8 @@ __all__ = [
 
 DEGENERACY_FLOOR = 1e-14
 MIN_ADJACENT_OVERLAP = 0.99
+# below this the endpoint overlap's arg, and with it the phase, is set by rounding
+MIN_ENDPOINT_AMPLITUDE = 1e-6
 # largest dense path we are willing to materialize
 MAX_DENSE_SAMPLES = 2_000_000
 # per-cycle resolution the closed-form path functional certifies
@@ -124,44 +126,47 @@ def _principal(value: float) -> float:
     return math.remainder(value, math.tau)
 
 
+def _endpoint_warnings(amplitude: float) -> tuple[str, ...]:
+    if amplitude < MIN_ENDPOINT_AMPLITUDE:
+        return (
+            f"endpoint amplitude {amplitude:.3e} below {MIN_ENDPOINT_AMPLITUDE:g}: "
+            "the phase is set by rounding",
+        )
+    return ()
+
+
+def _bloch_spectrum(r1, r2, r3):
+    """Dominant eigenvalue, its eigenvector's polar angle from the |e> pole,
+    and the azimuth atan2(r2, r1) for Bloch components given as scalars
+    or arrays. The polar angle uses the numerically stable two-argument
+    arctangent. Raises NumericsError where the Bloch length is <= 1e-14,
+    where the eigenbasis is undefined.
+    """
+    lam = np.hypot(np.hypot(r1, r2), r3)
+    shortest = float(np.min(lam))
+    if shortest <= DEGENERACY_FLOOR:
+        raise NumericsError(
+            f"degenerate state: Bloch length {shortest:.2e} <= {DEGENERACY_FLOOR:g}"
+        )
+    p_plus = (1.0 + lam) / 2.0
+    bloch_angle = 2.0 * np.arctan2(np.sqrt(np.maximum(lam - r3, 0.0)), np.sqrt(lam + r3))
+    return p_plus, bloch_angle, np.arctan2(r2, r1)
+
+
 def eigensystem(rho: np.ndarray) -> tuple[float, float, float, float]:
     """Spectral data (p_plus, p_minus, bloch_angle, azimuth) of a 2x2 state.
 
-    Uses closed-form Bloch expressions with the numerically stable
-    two-argument arctangent for the polar angle. Raises NumericsError
-    when the state is degenerate (Bloch length <= 1e-14), where the
-    eigenbasis is undefined.
+    Raises NumericsError when the state is degenerate (Bloch length
+    <= 1e-14), where the eigenbasis is undefined.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     herm = 0.5 * (rho + rho.conj().T)
-    r1 = 2.0 * herm[0, 1].real
-    r2 = 2.0 * herm[1, 0].imag
-    r3 = (herm[0, 0] - herm[1, 1]).real
-    lam = math.hypot(math.hypot(r1, r2), r3)
-    if lam <= DEGENERACY_FLOOR:
-        raise NumericsError(
-            f"degenerate state: Bloch length {lam:.2e} <= {DEGENERACY_FLOOR:g}"
-        )
-    p_plus = (1.0 + lam) / 2.0
-    p_minus = (1.0 - lam) / 2.0
-    bloch_angle = 2.0 * math.atan2(math.sqrt(max(lam - r3, 0.0)), math.sqrt(lam + r3))
-    azimuth = math.atan2(r2, r1)
-    return p_plus, p_minus, bloch_angle, azimuth
-
-
-def _path_fields(p: EvolutionParams, taus: np.ndarray):
-    """Vectorized spectral fields along the closed-form trajectory."""
-    r1, r2, r3 = closed_form_bloch(p, taus)
-    r_perp = np.hypot(r1, r2)
-    lam = np.hypot(r_perp, r3)
-    if float(lam.min()) <= DEGENERACY_FLOOR:
-        raise NumericsError("trajectory passes through a degenerate state")
-    p_plus = (1.0 + lam) / 2.0
-    bloch_angle = 2.0 * np.arctan2(np.sqrt(np.maximum(lam - r3, 0.0)), np.sqrt(lam + r3))
-    azimuth = np.unwrap(np.arctan2(r2, r1))
-    return p_plus, bloch_angle, azimuth
+    p_plus, bloch_angle, azimuth = _bloch_spectrum(
+        2.0 * herm[0, 1].real, 2.0 * herm[1, 0].imag, (herm[0, 0] - herm[1, 1]).real
+    )
+    return float(p_plus), float(1.0 - p_plus), float(bloch_angle), float(azimuth)
 
 
 def _canonical_products(bloch_angle: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
@@ -196,7 +201,8 @@ def eigenpath_from_closed_form(
             "use gp_tong_closed_form, whose cost does not grow with the horizon"
         )
     taus = np.linspace(0.0, total_time, segments + 1)
-    p_plus, bloch_angle, azimuth = _path_fields(p, taus)
+    p_plus, bloch_angle, azimuth = _bloch_spectrum(*closed_form_bloch(p, taus))
+    azimuth = np.unwrap(azimuth)
     increments = np.angle(_canonical_products(bloch_angle, azimuth))
     phases = 1j * np.concatenate(([0.0], np.cumsum(increments)))
     half = bloch_angle / 2.0
@@ -257,6 +263,7 @@ def gp_tong(path: EigenPath, total_time: float | None = None) -> GPResult:
         unitary_part=unitary,
         nonunitary_part=total - unitary,
         principal_value=_principal(total),
+        warnings=_endpoint_warnings(amplitude),
         diagnostics={
             "min_adjacent_overlap": min_overlap,
             "endpoint_amplitude": amplitude,
@@ -280,7 +287,7 @@ def _envelope_connection(p: EvolutionParams, t_quad: float, segments: int):
     """Composite Simpson of sin^2(angle/2) over [0, t_quad] on an even
     number of panels; returns the integral and the sampled angles."""
     taus = np.linspace(0.0, t_quad, segments + 1)
-    _, bloch_angle, _ = _path_fields(p, taus)
+    _, bloch_angle, _ = _bloch_spectrum(*closed_form_bloch(p, taus))
     s2 = np.square(np.sin(bloch_angle / 2.0))
     simpson = s2[0] + s2[-1] + 4.0 * s2[1::2].sum() + 2.0 * s2[2:-1:2].sum()
     return (t_quad / segments / 3.0) * float(simpson), bloch_angle
@@ -322,13 +329,14 @@ def gp_tong_closed_form(
     pairs = math.ceil(ENVELOPE_SEGMENTS_PER_RELAXATION * a4 * t_quad / 2.0)
     segments = max(MIN_ENVELOPE_SEGMENTS, 2 * pairs)
     on_axis = math.sin(p.theta0) == 0.0
-    _, ends, _ = _path_fields(p, np.array([0.0, total_time]))
+    p_ends, ends, _ = _bloch_spectrum(*closed_form_bloch(p, np.array([0.0, total_time])))
     half0, half1 = ends[0] / 2.0, ends[1] / 2.0
     sweep = p.omega_eff * total_time
     overlap = math.cos(half0) * math.cos(half1) + math.sin(half0) * math.sin(half1) * complex(
         math.cos(sweep), math.sin(sweep)
     )
     endpoint_arg = math.atan2(overlap.imag, overlap.real)
+    amplitude = math.sqrt(float(p_ends[0]) * float(p_ends[1])) * abs(overlap)
 
     def total_at(segments):
         integral, bloch_angle = _envelope_connection(p, t_quad, segments)
@@ -367,7 +375,9 @@ def gp_tong_closed_form(
         unitary_part=unitary,
         nonunitary_part=total - unitary,
         principal_value=_principal(total),
+        warnings=_endpoint_warnings(amplitude),
         diagnostics={
+            "endpoint_amplitude": amplitude,
             "min_adjacent_overlap": min_overlap,
             "refinements": refinements,
             "samples": segments + 1,
@@ -380,11 +390,6 @@ def _exact_integrand_tau(tau: float, a4: float, ratio: float, cos_t: float, sin2
     e4 = math.exp(a4 * tau)
     g = ratio - ratio * e4 + cos_t
     return 1.0 - g / math.sqrt(e4 * sin2 + g * g)
-
-
-def _exact_integrand_u(u: float, ratio: float, cos_t: float, sin2: float, a4: float):
-    g = ratio - ratio * u + cos_t
-    return (1.0 - g / math.sqrt(u * sin2 + g * g)) / (a4 * u)
 
 
 def _quad_checked(func, lo, hi, args, points=None) -> float:
@@ -409,9 +414,10 @@ def gp_exact_integral(
 ) -> GPResult:
     """Geometric phase from adaptive quadrature of the closed-form integrand.
 
-    Valid for any horizon. The integration variable switches to
-    u = e^{4 a tau} once 4 a T exceeds 1; horizons far beyond relaxation
-    use the saturated integrand value analytically for the remainder.
+    Valid for any horizon. The integrand is integrated in tau, with a
+    breakpoint where g = ratio (1 - e^{4 a tau}) + cos theta changes sign;
+    horizons far beyond relaxation use the saturated integrand value
+    analytically for the remainder.
     On-axis initial states (sin theta = 0) are evaluated in closed form.
     """
     if total_time < 0.0:
@@ -436,28 +442,19 @@ def gp_exact_integral(
         else:  # ground: g starts negative, may rise (ratio < 0)
             integral = 2.0 * (min(total_time, tau_c) if tau_c is not None else total_time)
     else:
-        horizon = a4 * total_time
         tail = 0.0
         t_quad = total_time
-        if horizon > SATURATION_EXPONENT:
+        if a4 * total_time > SATURATION_EXPONENT:
             t_quad = SATURATION_EXPONENT / a4
             tail = _saturated_integrand(ratio) * (total_time - t_quad)
-            horizon = SATURATION_EXPONENT
-        if horizon <= 1.0:
-            points = None
-            if 1.0 < u_knee < math.inf:
-                tau_c = math.log(u_knee) / a4
-                if 0.0 < tau_c < t_quad:
-                    points = [tau_c]
-            integral = _quad_checked(
-                _exact_integrand_tau, 0.0, t_quad, (a4, ratio, cos_t, sin2), points
-            ) + tail
-        else:
-            u_top = math.exp(horizon)
-            points = [u_knee] if 1.0 < u_knee < u_top else None
-            integral = _quad_checked(
-                _exact_integrand_u, 1.0, u_top, (ratio, cos_t, sin2, a4), points
-            ) + tail
+        points = None
+        if 1.0 < u_knee < math.inf:
+            tau_c = math.log(u_knee) / a4
+            if 0.0 < tau_c < t_quad:
+                points = [tau_c]
+        integral = _quad_checked(
+            _exact_integrand_tau, 0.0, t_quad, (a4, ratio, cos_t, sin2), points
+        ) + tail
 
     total = -(omega / 2.0) * integral
     if n_cycles is None:
@@ -474,15 +471,42 @@ def gp_exact_integral(
     )
 
 
-def _quasi_cycle_diagnostics(a_coeff: float, omega0: float, n: float):
+def _quasi_cycle_result(
+    engine: str,
+    n: float,
+    theta: float,
+    omega0: float,
+    a_coeff: float,
+    nonunitary: float,
+    inertial: float | None = None,
+    noninertial: float | None = None,
+    warnings: tuple[str, ...] = (),
+) -> GPResult:
+    """Assemble a quasi-cycle result around its non-unitary correction:
+    the pure-precession term, the expansion parameter pi*n*a/omega0 (with
+    a warning past 0.1) and the strict relaxation bound 8 times it."""
+    unitary = -math.pi * n * (1.0 - math.cos(theta))
     expansion = math.pi * n * a_coeff / omega0
-    strict = 8.0 * math.pi * n * a_coeff / omega0
-    warnings = ()
     if expansion >= 0.1:
         warnings = (
             f"quasi-cycle expansion parameter pi*n*a/omega0 = {expansion:.3e} >= 0.1",
-        )
-    return expansion, strict, warnings
+        ) + warnings
+    total = unitary + nonunitary
+    return GPResult(
+        engine=engine,
+        n_cycles=float(n),
+        total=total,
+        unitary_part=unitary,
+        nonunitary_part=nonunitary,
+        principal_value=_principal(total),
+        inertial_part=inertial,
+        noninertial_part=noninertial,
+        warnings=warnings,
+        diagnostics={
+            "pi_n_a_over_omega0": expansion,
+            "relaxation_bound_8pi_n_a_over_omega0": 8.0 * expansion,
+        },
+    )
 
 
 def gp_quasi_cycle(p: EvolutionParams, n: float) -> GPResult:
@@ -496,36 +520,17 @@ def gp_quasi_cycle(p: EvolutionParams, n: float) -> GPResult:
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     theta = p.theta0
-    unitary = -math.pi * n * (1.0 - math.cos(theta))
     correction = (
         -(2.0 * math.pi ** 2 * n ** 2 / p.omega_eff)
         * (2.0 * p.b_coeff + p.a_coeff * math.cos(theta))
         * math.sin(theta) ** 2
     )
-    expansion, strict, warnings = _quasi_cycle_diagnostics(p.a_coeff, p.omega_eff, n)
-    total = unitary + correction
-    return GPResult(
-        engine="quasi-cycle",
-        n_cycles=float(n),
-        total=total,
-        unitary_part=unitary,
-        nonunitary_part=correction,
-        principal_value=_principal(total),
-        warnings=warnings,
-        diagnostics={
-            "pi_n_a_over_omega0": expansion,
-            "relaxation_bound_8pi_n_a_over_omega0": strict,
-        },
-    )
+    return _quasi_cycle_result("quasi-cycle", n, theta, p.omega_eff, p.a_coeff, correction)
 
 
-def gp_split(rates: RateSet, n: float, theta: float, omega0: float) -> GPResult:
-    """Quasi-cycle phase with the non-unitary correction decomposed into
-    inertial and non-inertial parts (linearity of the correction in the
-    rate pair makes the decomposition exact).
-
-    Requires a RateSet whose split fields are populated.
-    """
+def _split_result(
+    engine: str, rates: RateSet, n: float, theta: float, omega0: float
+) -> GPResult:
     if rates.gamma_down_inertial is None or rates.gamma_down_ni is None:
         raise ValueError("RateSet carries no inertial/non-inertial decomposition")
     if n <= 0:
@@ -543,119 +548,51 @@ def gp_split(rates: RateSet, n: float, theta: float, omega0: float) -> GPResult:
 
     inertial = correction(rates.gamma_down_inertial, gu_in)
     noninertial = correction(rates.gamma_down_ni, gu_ni)
-    nonunitary = inertial + noninertial
-    unitary = -math.pi * n * (1.0 - math.cos(theta))
-    expansion, strict, warnings = _quasi_cycle_diagnostics(rates.a_coeff, omega0, n)
-    total = unitary + nonunitary
-    return GPResult(
-        engine="quasi-cycle",
-        n_cycles=float(n),
-        total=total,
-        unitary_part=unitary,
-        nonunitary_part=nonunitary,
-        principal_value=_principal(total),
-        inertial_part=inertial,
-        noninertial_part=noninertial,
-        warnings=warnings + rates.warnings,
-        diagnostics={
-            "pi_n_a_over_omega0": expansion,
-            "relaxation_bound_8pi_n_a_over_omega0": strict,
-        },
+    return _quasi_cycle_result(
+        engine,
+        n,
+        theta,
+        omega0,
+        rates.a_coeff,
+        inertial + noninertial,
+        inertial,
+        noninertial,
+        rates.warnings,
     )
+
+
+def gp_split(rates: RateSet, n: float, theta: float, omega0: float) -> GPResult:
+    """Quasi-cycle phase with the non-unitary correction decomposed into
+    inertial and non-inertial parts (linearity of the correction in the
+    rate pair makes the decomposition exact).
+
+    Requires a RateSet whose split fields are populated.
+    """
+    return _split_result("quasi-cycle", rates, n, theta, omega0)
 
 
 def gp_case1(
     traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec, n: float
 ) -> GPResult:
-    """Fast-rotation quasi-cycle phase written directly in cavity terms.
+    """Fast-rotation quasi-cycle phase: ``gp_split`` of ``case1_rates``,
+    labelled ``case1``.
 
-    The non-unitary correction groups the carrier and upper sideband
-    with weight (2 + cos theta) and the lower sideband with weight
-    -(2 - cos theta); the inertial part keeps only the unexpanded
-    carrier term.
+    The rates put the carrier at the unshifted gap into the inertial part
+    and the dos-derivative carrier correction and both rotational
+    sidebands into the non-inertial part.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    kin = derive_kinematics(traj, atom)
-    eta = vacuum_coupling(atom, cavity)
-    omega0 = atom.omega0
-    theta = atom.theta0
-    zeta_rot = kin.zeta
-    cos_t = math.cos(theta)
-    sin2 = math.sin(theta) ** 2
-    scale = -(2.0 * math.pi ** 2 * n ** 2 / omega0) * (eta / 4.0) * sin2
-
-    carrier = dos(cavity, omega0) * omega0
-    slope = -(zeta_rot / 2.0) * omega0 ** 2 * dos_derivative(cavity, omega0)
-    upper = 0.45 * zeta_rot * kin.omega_plus * dos(cavity, kin.omega_plus)
-    lower = 0.45 * zeta_rot * max(kin.omega_minus, 0.0) * dos(cavity, kin.omega_minus)
-
-    inertial = scale * carrier * (2.0 + cos_t)
-    noninertial = scale * (
-        slope * (2.0 + cos_t) + upper * (2.0 + cos_t) - lower * (2.0 - cos_t)
-    )
-    nonunitary = inertial + noninertial
-    unitary = -math.pi * n * (1.0 - cos_t)
-    a_coeff = (eta / 4.0) * (carrier + slope + upper + lower)
-    expansion, strict, warnings = _quasi_cycle_diagnostics(a_coeff, omega0, n)
-    warn = list(warnings + _general_warnings(kin))
-    if traj.omega < 10.0 * kin.omega0_bar:
-        warn.append("fast-rotation regime strained: omega < 10 * omega0_bar")
-    total = unitary + nonunitary
-    return GPResult(
-        engine="case1",
-        n_cycles=float(n),
-        total=total,
-        unitary_part=unitary,
-        nonunitary_part=nonunitary,
-        principal_value=_principal(total),
-        inertial_part=inertial,
-        noninertial_part=noninertial,
-        warnings=tuple(warn),
-        diagnostics={
-            "pi_n_a_over_omega0": expansion,
-            "relaxation_bound_8pi_n_a_over_omega0": strict,
-        },
-    )
+    rates = case1_rates(traj, atom, cavity)
+    return _split_result("case1", rates, n, atom.theta0, atom.omega0)
 
 
 def gp_case2(
     traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec, n: float
 ) -> GPResult:
-    """Slow-rotation quasi-cycle phase.
+    """Slow-rotation quasi-cycle phase: ``gp_split`` of ``case2_rates``,
+    labelled ``case2``.
 
     With no upward channel the correction collapses to
-    -(pi^2 n^2 / 2 omega0) * gamma_down * (2 + cos theta) sin^2 theta,
-    evaluated per rate term to keep the inertial/non-inertial split.
+    -(pi^2 n^2 / 2 omega0) * gamma_down * (2 + cos theta) sin^2 theta.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
     rates = case2_rates(traj, atom, cavity)
-    omega0 = atom.omega0
-    theta = atom.theta0
-    scale = (
-        -(math.pi ** 2 * n ** 2 / (2.0 * omega0))
-        * (2.0 + math.cos(theta))
-        * math.sin(theta) ** 2
-    )
-    inertial = scale * rates.gamma_down_inertial
-    noninertial = scale * rates.gamma_down_ni
-    nonunitary = inertial + noninertial
-    unitary = -math.pi * n * (1.0 - math.cos(theta))
-    expansion, strict, warnings = _quasi_cycle_diagnostics(rates.a_coeff, omega0, n)
-    total = unitary + nonunitary
-    return GPResult(
-        engine="case2",
-        n_cycles=float(n),
-        total=total,
-        unitary_part=unitary,
-        nonunitary_part=nonunitary,
-        principal_value=_principal(total),
-        inertial_part=inertial,
-        noninertial_part=noninertial,
-        warnings=warnings + rates.warnings,
-        diagnostics={
-            "pi_n_a_over_omega0": expansion,
-            "relaxation_bound_8pi_n_a_over_omega0": strict,
-        },
-    )
+    return _split_result("case2", rates, n, atom.theta0, atom.omega0)

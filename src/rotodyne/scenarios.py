@@ -36,12 +36,21 @@ import numpy as np
 
 from ._version import __version__
 from .cavity import CavitySpec
-from .geophase import GPResult, gp_case1, gp_case2, gp_split
+from .dynamics import EvolutionParams
+from .geophase import (
+    GPResult,
+    gp_case1,
+    gp_case2,
+    gp_exact_integral,
+    gp_split,
+    gp_tong_closed_form,
+)
 from .kinematics import AtomParams, TrajectoryParams, derive_kinematics
 from .rates import RateSet, case1_rates, case2_rates, general_rates
 
 __all__ = [
     "DEFAULT_DIPOLE",
+    "ENGINES",
     "Scenario",
     "SweepTable",
     "preset",
@@ -414,14 +423,38 @@ def default_n_grid(n_max: int, points: int = 25) -> np.ndarray:
     return np.unique(np.round(raw).astype(np.int64))
 
 
-def scenario_gp(scenario: Scenario, n: int) -> GPResult:
-    """Quasi-cycle geometric phase with the scenario's formula family."""
-    if scenario.family == "case1":
-        return gp_case1(scenario.trajectory, scenario.atom, scenario.cavity, n)
-    if scenario.family == "case2":
-        return gp_case2(scenario.trajectory, scenario.atom, scenario.cavity, n)
-    rates = general_rates(scenario.trajectory, scenario.atom, scenario.cavity)
-    return gp_split(rates, n, scenario.atom.theta0, scenario.atom.omega0)
+def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:
+    """Generator of the scenario's rates and the horizon of n cycles."""
+    params = EvolutionParams.from_rates(
+        scenario_rates(scenario), scenario.atom.theta0, scenario.atom.omega0
+    )
+    return params, math.tau * n / scenario.atom.omega0
+
+
+# engine name -> fn(scenario, n) -> GPResult
+ENGINES = {
+    "tong": lambda s, n: gp_tong_closed_form(*_evolution(s, n)),
+    "exact-integral": lambda s, n: gp_exact_integral(*_evolution(s, n), n_cycles=float(n)),
+    "quasi-cycle": lambda s, n: gp_split(scenario_rates(s), n, s.atom.theta0, s.atom.omega0),
+    "case1": lambda s, n: gp_case1(s.trajectory, s.atom, s.cavity, n),
+    "case2": lambda s, n: gp_case2(s.trajectory, s.atom, s.cavity, n),
+}
+
+
+def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResult:
+    """Geometric phase of the scenario after n cycles from a named engine
+    in ``ENGINES``.
+
+    By default the engine is the scenario's own family (``case1`` or
+    ``case2``), and ``quasi-cycle`` on the scenario's rates for the
+    ``general`` family. Every engine other than the two case engines
+    evaluates the scenario's family rates.
+    """
+    if engine is None:
+        engine = "quasi-cycle" if scenario.family == "general" else scenario.family
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; available: {', '.join(ENGINES)}")
+    return ENGINES[engine](scenario, n)
 
 
 def gp_vs_n(scenario: Scenario, n_values=None) -> SweepTable:

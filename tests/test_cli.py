@@ -13,9 +13,11 @@ import pytest
 
 import rotodyne.cli as cli
 from rotodyne import (
+    ENGINES,
     NumericsError,
     derive_kinematics,
     preset,
+    scenario_gp,
     scenario_rates,
     scenario_to_dict,
 )
@@ -72,6 +74,26 @@ def parse_kv(text):
         keys.append(key)
         values[key] = value
     return keys, values
+
+
+def gp_mapping_text(scn, res):
+    """The key,value text ``rotodyne gp`` prints for one GPResult."""
+    items = [
+        ("scenario", scn.name),
+        ("engine", res.engine),
+        ("n_cycles", res.n_cycles),
+        ("total_rad", res.total),
+        ("principal_value_rad", res.principal_value),
+        ("unitary_rad", res.unitary_part),
+        ("nonunitary_rad", res.nonunitary_part),
+    ]
+    if res.inertial_part is not None:
+        items += [("inertial_rad", res.inertial_part), ("noninertial_rad", res.noninertial_part)]
+    items += sorted(res.diagnostics.items())
+    items.append(("validity", res.validity))
+    return "".join(
+        f"{k},{v:.16e}\n" if isinstance(v, float) else f"{k},{v}\n" for k, v in items
+    )
 
 
 class TestUsageErrors:
@@ -155,10 +177,10 @@ class TestBadInput:
 
 class TestNumericsExit:
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
-        def boom(scn, engine, n):
+        def boom(scn, n, engine):
             raise NumericsError("synthetic convergence failure")
 
-        monkeypatch.setattr(cli, "_gp_result", boom)
+        monkeypatch.setattr(cli, "scenario_gp", boom)
         code, _, err = run(capsys, ["gp", "--scenario", "case1", "-n", "10"])
         assert code == 2
         assert "numerical failure" in err
@@ -230,6 +252,19 @@ class TestGpCommand:
         assert keys == GP_KEYS_QUASI
         assert values["engine"] == "quasi-cycle"
         assert values["validity"] == "ok"
+
+    def test_engine_choices_are_the_registry(self, capsys):
+        gp_parser = cli.build_parser()._subparsers._group_actions[0].choices["gp"]
+        engine = next(a for a in gp_parser._actions if a.dest == "engine")
+        assert tuple(engine.choices) == tuple(ENGINES)
+        for name in ("case1", "case2"):
+            scn = preset(name)
+            for key in ENGINES:
+                code, out, _ = run(
+                    capsys, ["gp", "--scenario", name, "--engine", key, "-n", "1000"]
+                )
+                assert code == 0
+                assert out == gp_mapping_text(scn, scenario_gp(scn, 1000, key))
 
     def test_default_engine_is_scenario_family(self, capsys):
         code, out, _ = run(capsys, ["gp", "--scenario", "case2", "-n", "50"])

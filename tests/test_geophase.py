@@ -1,7 +1,7 @@
 """Phase engines: eigenpath construction, path functional, integral, quasi-cycle."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,8 @@ from rotodyne import (
     gp_tong_closed_form,
     initial_state,
     lab_rates_general,
+    preset,
+    scenario_gp,
 )
 
 FAST = (
@@ -43,6 +45,12 @@ SLOW = (
 
 def unitary_reference(n, theta):
     return -math.pi * n * (1.0 - math.cos(theta))
+
+
+def fields_except_engine(res):
+    fields = asdict(res)
+    del fields["engine"]
+    return fields
 
 
 def cycles_time(p, n):
@@ -205,6 +213,19 @@ class TestTongFunctional:
         assert got.n_cycles == pytest.approx(dense.n_cycles, rel=1e-12)
         assert got.diagnostics["refinements"] >= 1
 
+    def test_vanishing_endpoint_overlap_is_flagged(self):
+        # at half-integer n with theta0 = pi/2 the endpoint eigenvectors are
+        # nearly orthogonal and the arg of their overlap is rounding noise
+        for name in ("case1", "case2"):
+            scn = preset(name)
+            flagged = scenario_gp(scn, 12345.5, "tong")
+            assert flagged.diagnostics["endpoint_amplitude"] < 1e-6
+            assert "endpoint amplitude" in flagged.validity
+            for n in (12345.4999, 12345):
+                res = scenario_gp(scn, n, "tong")
+                assert res.diagnostics["endpoint_amplitude"] > 1e-6
+                assert res.validity == "ok"
+
     def test_undersampled_path_rejected(self):
         p = EvolutionParams(0.0, 0.0, 50.0, math.pi / 2)
         path = eigenpath_from_closed_form(p, cycles_time(p, 2), samples_per_cycle=4)
@@ -292,6 +313,16 @@ class TestExactIntegral:
         with pytest.raises(ValueError):
             gp_exact_integral(EvolutionParams(0.1, 0.0, 10.0, 1.0), -1.0)
 
+    def test_matches_high_precision_references_past_relaxation(self):
+        # 30-digit mpmath quadratures of the same integrand
+        for args, horizon, want in (
+            ((0.1, -0.05, 1.0, 2.0), 1000.0, -2.20543513735568),
+            ((0.001, -0.0009, 1.0, 3.0), 1.0e5, -186.144343600364),
+            ((0.2, -0.2, 1.0, 2.9), 6.0 * math.pi, -0.857325290499116),
+        ):
+            got = gp_exact_integral(EvolutionParams(*args), horizon)
+            assert got.total == pytest.approx(want, rel=1e-9)
+
 
 class TestQuasiCycle:
     def test_unitary_part_is_exact_at_zero_coupling(self):
@@ -350,9 +381,7 @@ class TestSplitEngines:
     def test_fast_rotation_engine_matches_split_of_its_rates(self):
         direct = gp_case1(*FAST, n=1.0e5)
         assembled = gp_split(case1_rates(*FAST), 1.0e5, math.pi / 2, 1.0e7)
-        assert direct.noninertial_part == pytest.approx(assembled.noninertial_part, rel=1e-14)
-        assert direct.inertial_part == pytest.approx(assembled.inertial_part, rel=1e-14)
-        assert direct.total == pytest.approx(assembled.total, rel=1e-14)
+        assert fields_except_engine(direct) == fields_except_engine(assembled)
 
     def test_fast_rotation_engine_carries_rate_warnings(self):
         traj, atom, cavity = FAST
@@ -366,8 +395,7 @@ class TestSplitEngines:
     def test_slow_rotation_engine_matches_split_of_its_rates(self):
         direct = gp_case2(*SLOW, n=1.0e7)
         assembled = gp_split(case2_rates(*SLOW), 1.0e7, math.pi / 2, 1.0e7)
-        assert direct.noninertial_part == pytest.approx(assembled.noninertial_part, rel=1e-14)
-        assert direct.inertial_part == pytest.approx(assembled.inertial_part, rel=1e-14)
+        assert fields_except_engine(direct) == fields_except_engine(assembled)
 
     def test_engine_labels(self):
         assert gp_case1(*FAST, n=10.0).engine == "case1"

@@ -162,8 +162,10 @@ class TestSweeps:
         assert scenario_gp(s2, 100).engine == "case2"
         data = scenario_to_dict(s2)
         data["family"] = "general"
-        g = scenario_gp(scenario_from_dict(data), 100)
+        general = scenario_from_dict(data)
+        g = scenario_gp(general, 100)
         assert g.engine == "quasi-cycle"
+        assert g == scenario_gp(general, 100, "quasi-cycle")
         assert g.noninertial_part == pytest.approx(
             scenario_gp(s2, 100).noninertial_part, rel=1e-3
         )
