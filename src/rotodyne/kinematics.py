@@ -36,10 +36,10 @@ class AtomParams:
     theta0: float
 
     def __post_init__(self) -> None:
-        if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if not self.dipole > 0.0:
-            raise ValueError(f"dipole must be positive, got {self.dipole}")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
+        if not 0.0 < self.dipole < math.inf:
+            raise ValueError(f"dipole must be positive and finite, got {self.dipole}")
         if not 0.0 <= self.theta0 <= math.pi:
             raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
 
@@ -54,10 +54,12 @@ class TrajectoryParams:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if not self.radius >= 0.0:
-            raise ValueError(f"radius must be non-negative, got {self.radius}")
-        if not self.omega >= 0.0:
-            raise ValueError(f"omega must be non-negative, got {self.omega}")
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be non-negative and finite, got {self.radius}")
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be non-negative and finite, got {self.omega}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
 
     @property
     def rim_speed(self) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import CavitySpec, dos, dos_derivative
+from .cavity import CavitySpec, _float_if_scalar, dos, dos_derivative
 from .constants import HBAR, VACUUM_PERMITTIVITY
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics, zeta_of
 
@@ -62,7 +62,9 @@ class RateSet:
     ``gamma_down_inertial``/``gamma_down_ni``/``gamma_up_ni`` are None
     until a split is performed (the closed-form regime engines fill them
     directly). ``frame`` is "lab" or "comoving"; ``family`` names the
-    producing engine so that splits cannot mix formulas.
+    producing engine so that splits cannot mix formulas. With an array
+    ``omega_c`` each rate field is an array over it, or a float valid at
+    every entry; ``eta`` and ``warnings`` never depend on ``omega_c``.
     """
 
     gamma_down: float
@@ -113,13 +115,13 @@ def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
     )
 
 
-def _coeffs(gamma_down: float, gamma_up: float) -> tuple[float, float, float]:
+def _coeffs(gamma_down, gamma_up):
     # division by 4 is exact in binary floating point, so a, b inherit
     # the additivity of the rates bit-for-bit
     a = (gamma_down + gamma_up) / 4.0
     b = (gamma_down - gamma_up) / 4.0
-    ratio = b / a if a > 0.0 else 0.0
-    return a, b, ratio
+    ratio = np.divide(b, a, out=np.zeros_like(a), where=a > 0.0)
+    return a, b, _float_if_scalar(ratio)
 
 
 def _general_warnings(kin: KinematicDerived) -> tuple[str, ...]:

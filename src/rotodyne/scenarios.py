@@ -29,7 +29,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +118,8 @@ class Scenario:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
         if self.n_default < 1 or self.n_max < self.n_default:
             raise ValueError("need 1 <= n_default <= n_max")
-        if not 0.0 < self.sweep_lo < self.sweep_hi:
-            raise ValueError("need 0 < sweep_lo < sweep_hi")
+        if not 0.0 < self.sweep_lo < self.sweep_hi < math.inf:
+            raise ValueError("need 0 < sweep_lo < sweep_hi < inf")
         if self.sweep_points < 2:
             raise ValueError("need at least 2 sweep points")
 
@@ -300,8 +300,8 @@ def build_grid(
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
-    if not stop > start:
-        raise ValueError(f"need stop > start, got [{start}, {stop}]")
+    if not -math.inf < start < stop < math.inf:
+        raise ValueError(f"need finite stop > start, got [{start}, {stop}]")
     if log:
         if start <= 0.0:
             raise ValueError(f"log grid needs start > 0, got {start}")
@@ -378,7 +378,8 @@ def scenario_rates(scenario: Scenario, cavity: CavitySpec | None = None) -> Rate
 
 
 def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTable:
-    """Transition rates as a function of the cavity resonance frequency."""
+    """Transition rates as a function of the cavity resonance frequency,
+    from one rate evaluation with the whole grid as an array ``omega_c``."""
     if grid is None:
         grid = build_grid(
             scenario.sweep_lo,
@@ -390,27 +391,14 @@ def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTab
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
-    rows = []
-    for omega_c in grid:
-        cavity = CavitySpec(
-            omega_c=float(omega_c),
-            q_factor=scenario.cavity.q_factor,
-            volume=scenario.cavity.volume,
-        )
-        rates = scenario_rates(scenario, cavity)
-        rows.append(
-            (
-                float(omega_c),
-                rates.gamma_down,
-                rates.gamma_down_inertial,
-                rates.gamma_down_ni,
-                rates.gamma_up,
-                rates.validity,
-            )
-        )
+    rates = scenario_rates(scenario, replace(scenario.cavity, omega_c=grid))
+    columns = np.broadcast_arrays(
+        grid, rates.gamma_down, rates.gamma_down_inertial, rates.gamma_down_ni, rates.gamma_up
+    )
+    rows = tuple((*values, rates.validity) for values in np.stack(columns, axis=1).tolist())
     return SweepTable(
         columns=RATE_SWEEP_COLUMNS,
-        rows=tuple(rows),
+        rows=rows,
         metadata=_table_metadata(scenario, "omega_c_rad_per_s", len(rows)),
     )
 
@@ -573,8 +561,6 @@ def figure1(outdir, points: int | None = None) -> tuple[Path, ...]:
     phase-versus-cycle-count table, each as CSV plus a standalone SVG
     panel. Returns the eight paths in a fixed order.
     """
-    from dataclasses import replace
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -1,5 +1,7 @@
 """Lorentzian mode density: shape, normalization, analytic derivative."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,34 @@ class TestDerivative:
             dos_derivative(cavity, -1.0)
 
 
+class TestArrayForm:
+    def test_scalar_and_array_frequency_agree_bit_for_bit(self):
+        # seeded draws from on-resonance to a full line away; an exact
+        # square of the detuning would differ from the scalar call's pow
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            cav = CavitySpec(
+                omega_c=10.0 ** rng.uniform(5.0, 11.0),
+                q_factor=10.0 ** rng.uniform(2.0, 8.0),
+                volume=1.0e-6,
+            )
+            w = cav.omega_c * (1.0 + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-9.0, 0.0))
+            assert type(dos(cav, w)) is float
+            assert dos(cav, w) == dos(cav, np.array([w]))[0]
+            assert dos_derivative(cav, w) == dos_derivative(cav, np.array([w]))[0]
+
+    def test_array_of_centers_matches_scalar_centers(self):
+        rng = np.random.default_rng(2001)
+        w = 1.0e7
+        centers = w * (1.0 + rng.uniform(-1.0, 1.0, 2000) * 10.0 ** rng.uniform(-9.0, 0.0, 2000))
+        sweep = CavitySpec(omega_c=centers, q_factor=1.0e6, volume=1.0e-6)
+        values, slopes = dos(sweep, w), dos_derivative(sweep, w)
+        assert values.shape == slopes.shape == centers.shape
+        for center, value, slope in zip(centers.tolist(), values, slopes):
+            cav = CavitySpec(omega_c=center, q_factor=1.0e6, volume=1.0e-6)
+            assert (value, slope) == (dos(cav, w), dos_derivative(cav, w))
+
+
 class TestValidation:
     def test_spec_fields_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -72,3 +102,20 @@ class TestValidation:
             CavitySpec(omega_c=1.0e7, q_factor=0.0, volume=1.0e-6)
         with pytest.raises(ValueError):
             CavitySpec(omega_c=1.0e7, q_factor=1.0e7, volume=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_every_field_and_center_must_be_positive_and_finite(self, bad):
+        for fields in (
+            dict(omega_c=bad, q_factor=1.0e7, volume=1.0e-6),
+            dict(omega_c=np.array([1.0e7, bad]), q_factor=1.0e7, volume=1.0e-6),
+            dict(omega_c=1.0e7, q_factor=bad, volume=1.0e-6),
+            dict(omega_c=1.0e7, q_factor=1.0e7, volume=bad),
+        ):
+            with pytest.raises(ValueError, match="positive and finite"):
+                CavitySpec(**fields)
+
+    def test_centers_must_be_one_dimensional(self):
+        with pytest.raises(ValueError):
+            CavitySpec(omega_c=np.full((2, 2), 1.0e7), q_factor=1.0e7, volume=1.0e-6)
+        with pytest.raises(ValueError):
+            CavitySpec(omega_c=1.0e7, q_factor=np.array([1.0e7]), volume=1.0e-6)

@@ -167,6 +167,25 @@ class TestBadInput:
         assert code == 1
         assert "rotodyne: error:" in err
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [("cavity", "omega_c_rad_per_s"), ("cavity", "q_factor"), ("atom", "omega0_rad_per_s")],
+    )
+    def test_infinite_config_value_exits_1(self, capsys, tmp_path, block, key):
+        data = scenario_to_dict(preset("case2"))
+        data[block][key] = float("inf")
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps(data))
+        assert "Infinity" in cfg.read_text()
+        code, out, err = run(capsys, ["rates", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert "finite" in err
+
+    def test_infinite_grid_bound_exits_1(self, capsys):
+        code, out, err = run(capsys, ["sweep-cavity", "--scenario", "case2", "--grid", "1e7:inf:4"])
+        assert (code, out) == (1, "")
+        assert "finite" in err
+
     def test_plot_requires_out(self, capsys):
         code, _, err = run(
             capsys, ["sweep-cavity", "--grid", "4.9e9:5.1e9:3:lin", "--plot"]

@@ -119,3 +119,16 @@ class TestValidation:
             AtomParams(omega0=1.0e7, dipole=0.0, theta0=1.0)
         with pytest.raises(ValueError):
             AtomParams(omega0=1.0e7, dipole=DEFAULT_DIPOLE, theta0=4.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, bad):
+        for make in (
+            lambda: AtomParams(omega0=bad, dipole=DEFAULT_DIPOLE, theta0=1.0),
+            lambda: AtomParams(omega0=1.0e7, dipole=bad, theta0=1.0),
+            lambda: AtomParams(omega0=1.0e7, dipole=DEFAULT_DIPOLE, theta0=bad),
+            lambda: TrajectoryParams(radius=bad, omega=1.0e5),
+            lambda: TrajectoryParams(radius=0.0, omega=bad),
+            lambda: TrajectoryParams(radius=1.0e-3, omega=1.0e5, center=(0.0, bad)),
+        ):
+            with pytest.raises(ValueError):
+                make()

@@ -157,6 +157,27 @@ class TestSplit:
             )
 
 
+class TestArrayCavity:
+    def test_array_of_centers_matches_scalar_calls(self):
+        from dataclasses import fields, replace
+
+        engines = (lab_rates_general, general_rates, case1_rates, case2_rates)
+        for params in (FAST, SLOW):
+            centers = params["cavity"].omega_c * np.geomspace(0.5, 2.0, 41)
+            sweep = replace(params["cavity"], omega_c=centers)
+            for engine in engines:
+                swept = engine(params["traj"], params["atom"], sweep)
+                for i, center in enumerate(centers.tolist()):
+                    point = engine(params["traj"], params["atom"], replace(sweep, omega_c=center))
+                    for f in fields(point):
+                        want, got = getattr(point, f.name), getattr(swept, f.name)
+                        if isinstance(want, float):
+                            assert type(want) is float
+                            assert np.broadcast_to(got, centers.shape)[i] == want, f.name
+                        else:
+                            assert got == want, f.name
+
+
 class TestRegimes:
     def test_fast_rotation_is_sideband_dominated(self):
         rs = case1_rates(**FAST)

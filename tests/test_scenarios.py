@@ -123,25 +123,48 @@ class TestGrids:
             build_grid(10.0, 5.0, 3)
         with pytest.raises(ValueError):
             build_grid(1.0, 2.0, 1)
+        for start, stop in ((1.0, math.inf), (math.nan, 2.0), (-math.inf, 2.0)):
+            with pytest.raises(ValueError, match="finite"):
+                build_grid(start, stop, 3, log=False)
 
 
 class TestSweeps:
     def test_rows_match_direct_rate_evaluation(self):
-        s = preset("case2")
-        grid = build_grid(s.sweep_lo, s.sweep_hi, 2)
-        tbl = sweep_cavity(s, grid)
-        assert len(tbl.rows) == 2
         from dataclasses import replace
 
-        for row in tbl.rows:
-            cavity = replace(s.cavity, omega_c=row[0])
-            rs = scenario_rates(s, cavity=cavity)
-            assert row[1] == rs.gamma_down
-            assert row[4] == rs.gamma_up
+        # both presets, a general-family scenario, and case1 formulas out of
+        # their regime (a validity warning on every row), on the anchored grid
+        fast, slow = (scenario_to_dict(preset(name)) for name in ("case1", "case2"))
+        scenarios = [
+            preset("case1"),
+            preset("case2"),
+            scenario_from_dict(dict(fast, family="general")),
+            scenario_from_dict(dict(slow, family="case1")),
+        ]
+        for s in scenarios:
+            tbl = sweep_cavity(s)
+            assert len(tbl.rows) >= s.sweep_points
+            for row in tbl.rows:
+                rs = scenario_rates(s, cavity=replace(s.cavity, omega_c=row[0]))
+                assert all(type(v) is float for v in row[:-1])
+                assert row == (
+                    row[0],
+                    rs.gamma_down,
+                    rs.gamma_down_inertial,
+                    rs.gamma_down_ni,
+                    rs.gamma_up,
+                    rs.validity,
+                )
+        assert tbl.rows[0][-1] != "ok"
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_cavity(preset("case1"), np.array([]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0e7, math.nan, math.inf])
+    def test_unphysical_grid_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="omega_c"):
+            sweep_cavity(preset("case2"), np.array([1.0e7, bad, 1.02e7]))
 
     def test_cycle_doubling_quadruples_noninertial_phase(self):
         tbl = gp_vs_n(preset("case2"), [50, 100])
