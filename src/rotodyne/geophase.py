@@ -24,7 +24,9 @@ Engines
     the regime-expanded fast- and slow-rotation rates.
 
 All phases are reported as continuous (unwrapped) accumulations with the
-principal value in [-pi, pi] recorded alongside.
+principal value in [-pi, pi] derived from them. The unitary reference of
+``tong`` is the pure precession over the same open path; the other
+engines use the closed-loop solid angle -pi n (1 - cos theta).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .cavity import CavitySpec
 from .dynamics import EvolutionParams, closed_form_bloch
 from .errors import NumericsError
 from .kinematics import AtomParams, TrajectoryParams
-from .rates import RateSet, case1_rates, case2_rates
+from .rates import RateSet, _dissipator_pair, case1_rates, case2_rates
 
 __all__ = [
     "EigenPath",
@@ -75,12 +77,12 @@ SATURATION_EXPONENT = 300.0
 class GPResult:
     """One geometric-phase evaluation.
 
-    ``total`` is the unwrapped phase (rad); ``principal_value`` its
-    representative in [-pi, pi]. ``unitary_part`` is the pure-precession
-    reference for the same horizon and initial angle, ``nonunitary_part``
-    the remainder. The inertial/non-inertial decomposition is present
-    only for engines that know the rate split. ``diagnostics`` carries
-    validity numbers (quasi-cycle expansion parameters, sampling data).
+    ``total`` is the unwrapped phase (rad); the property
+    ``principal_value`` its representative in [-pi, pi]. ``unitary_part``
+    is the pure-precession reference for the same horizon and initial
+    angle, ``nonunitary_part`` the remainder. The inertial/non-inertial
+    decomposition is present only for engines that know the rate split.
+    ``diagnostics`` carries validity numbers (expansion parameters, sampling data).
     """
 
     engine: str
@@ -88,11 +90,14 @@ class GPResult:
     total: float
     unitary_part: float
     nonunitary_part: float
-    principal_value: float
     inertial_part: float | None = None
     noninertial_part: float | None = None
     warnings: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def principal_value(self) -> float:
+        return math.remainder(self.total, math.tau)
 
     @property
     def validity(self) -> str:
@@ -107,23 +112,16 @@ class EigenPath:
     |e> pole, so the weight on |e> is cos(bloch_angle/2) and a pure
     initial superposition at angle theta0 starts the path at exactly
     theta0; azimuth is the unwrapped
-    relative phase between the |g> and |e> components; ``phases`` is the
-    cumulative connection accumulated from adjacent-sample overlap args
-    (purely imaginary, converges to the integral of <phi|d/dtau|phi>);
-    ``vectors`` are explicit eigenvector samples in the gauge with a
-    real non-negative |e> component.
+    relative phase between the |g> and |e> components; ``vectors`` are
+    explicit eigenvector samples in the gauge with a real non-negative
+    |e> component, from which ``gp_tong`` computes the connection.
     """
 
     times: np.ndarray
     p_plus: np.ndarray
     bloch_angle: np.ndarray
     azimuth: np.ndarray
-    phases: np.ndarray
     vectors: np.ndarray
-
-
-def _principal(value: float) -> float:
-    return math.remainder(value, math.tau)
 
 
 def _endpoint_warnings(amplitude: float) -> tuple[str, ...]:
@@ -169,26 +167,20 @@ def eigensystem(rho: np.ndarray) -> tuple[float, float, float, float]:
     return float(p_plus), float(1.0 - p_plus), float(bloch_angle), float(azimuth)
 
 
-def _canonical_products(bloch_angle: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """<phi_i|phi_{i+1}> for adjacent canonical-gauge samples, without
-    materializing the vectors."""
-    half = bloch_angle / 2.0
-    s, c = np.sin(half), np.cos(half)
-    dpsi = np.diff(azimuth)
-    re = c[:-1] * c[1:] + s[:-1] * s[1:] * np.cos(dpsi)
-    im = s[:-1] * s[1:] * np.sin(dpsi)
-    return re + 1j * im
+def _unitary_open_path(theta0: float, sweep: float) -> float:
+    """Path functional of the pure precession at polar angle ``theta0``
+    over an azimuth ``sweep``: arg(cos^2(theta0/2) + sin^2(theta0/2)
+    e^{i sweep}) - sweep sin^2(theta0/2). For whole cycles this is the
+    solid-angle phase -pi n (1 - cos theta0)."""
+    c2, s2 = math.cos(theta0 / 2.0) ** 2, math.sin(theta0 / 2.0) ** 2
+    return math.atan2(s2 * math.sin(sweep), c2 + s2 * math.cos(sweep)) - sweep * s2
 
 
 def eigenpath_from_closed_form(
     p: EvolutionParams, total_time: float, samples_per_cycle: int = 256
 ) -> EigenPath:
-    """Materialize the dominant-branch eigenpath of the analytic state.
-
-    The connection increment over each segment is the arg of the
-    adjacent-sample eigenvector overlap, second-order accurate in the
-    segment length for smooth paths.
-    """
+    """Materialize the dominant-branch eigenpath of the analytic state,
+    sampled at ``samples_per_cycle`` points per precession cycle."""
     if total_time < 0.0:
         raise ValueError(f"total_time must be non-negative, got {total_time}")
     if samples_per_cycle < 4:
@@ -203,8 +195,6 @@ def eigenpath_from_closed_form(
     taus = np.linspace(0.0, total_time, segments + 1)
     p_plus, bloch_angle, azimuth = _bloch_spectrum(*closed_form_bloch(p, taus))
     azimuth = np.unwrap(azimuth)
-    increments = np.angle(_canonical_products(bloch_angle, azimuth))
-    phases = 1j * np.concatenate(([0.0], np.cumsum(increments)))
     half = bloch_angle / 2.0
     vectors = np.stack(
         [np.cos(half), np.sin(half) * np.exp(1j * azimuth)], axis=1
@@ -214,7 +204,6 @@ def eigenpath_from_closed_form(
         p_plus=p_plus,
         bloch_angle=bloch_angle,
         azimuth=azimuth,
-        phases=phases,
         vectors=vectors,
     )
 
@@ -252,17 +241,14 @@ def gp_tong(path: EigenPath, total_time: float | None = None) -> GPResult:
     amplitude = math.sqrt(float(path.p_plus[0]) * float(path.p_plus[-1])) * abs(overlap)
     total = float(np.angle(overlap)) - connection
 
-    # pure-precession reference at the initial superposition angle
-    cos_theta0 = math.cos(float(path.bloch_angle[0]))
-    n_cycles = (float(path.azimuth[-1]) - float(path.azimuth[0])) / math.tau
-    unitary = -math.pi * n_cycles * (1.0 - cos_theta0)
+    sweep = float(path.azimuth[-1]) - float(path.azimuth[0])
+    unitary = _unitary_open_path(float(path.bloch_angle[0]), sweep)
     return GPResult(
         engine="tong",
-        n_cycles=n_cycles,
+        n_cycles=sweep / math.tau,
         total=total,
         unitary_part=unitary,
         nonunitary_part=total - unitary,
-        principal_value=_principal(total),
         warnings=_endpoint_warnings(amplitude),
         diagnostics={
             "min_adjacent_overlap": min_overlap,
@@ -366,15 +352,13 @@ def gp_tong_closed_form(
             f"insufficient sampling: adjacent eigenvector overlap {min_overlap:.4f} "
             f"below {MIN_ADJACENT_OVERLAP}"
         )
-    n_cycles = sweep / math.tau
-    unitary = -math.pi * n_cycles * (1.0 - math.cos(ends[0]))
+    unitary = _unitary_open_path(float(ends[0]), sweep)
     return GPResult(
         engine="tong",
-        n_cycles=n_cycles,
+        n_cycles=sweep / math.tau,
         total=total,
         unitary_part=unitary,
         nonunitary_part=total - unitary,
-        principal_value=_principal(total),
         warnings=_endpoint_warnings(amplitude),
         diagnostics={
             "endpoint_amplitude": amplitude,
@@ -466,7 +450,6 @@ def gp_exact_integral(
         total=total,
         unitary_part=unitary,
         nonunitary_part=total - unitary,
-        principal_value=_principal(total),
         diagnostics={"four_a_t": a4 * total_time},
     )
 
@@ -498,7 +481,6 @@ def _quasi_cycle_result(
         total=total,
         unitary_part=unitary,
         nonunitary_part=nonunitary,
-        principal_value=_principal(total),
         inertial_part=inertial,
         noninertial_part=noninertial,
         warnings=warnings,
@@ -507,6 +489,15 @@ def _quasi_cycle_result(
             "relaxation_bound_8pi_n_a_over_omega0": 8.0 * expansion,
         },
     )
+
+
+def _quasi_cycle_correction(
+    a_coeff: float, b_coeff: float, n: float, theta: float, omega0: float
+) -> float:
+    """Non-unitary phase after n quasi-cycles, linear in the dissipator
+    pair: -(2 pi^2 n^2 / omega0) sin^2 theta (2 b + a cos theta)."""
+    prefactor = -(2.0 * math.pi ** 2 * n ** 2 / omega0) * math.sin(theta) ** 2
+    return prefactor * (2.0 * b_coeff + a_coeff * math.cos(theta))
 
 
 def gp_quasi_cycle(p: EvolutionParams, n: float) -> GPResult:
@@ -519,13 +510,8 @@ def gp_quasi_cycle(p: EvolutionParams, n: float) -> GPResult:
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    theta = p.theta0
-    correction = (
-        -(2.0 * math.pi ** 2 * n ** 2 / p.omega_eff)
-        * (2.0 * p.b_coeff + p.a_coeff * math.cos(theta))
-        * math.sin(theta) ** 2
-    )
-    return _quasi_cycle_result("quasi-cycle", n, theta, p.omega_eff, p.a_coeff, correction)
+    correction = _quasi_cycle_correction(p.a_coeff, p.b_coeff, n, p.theta0, p.omega_eff)
+    return _quasi_cycle_result("quasi-cycle", n, p.theta0, p.omega_eff, p.a_coeff, correction)
 
 
 def _split_result(
@@ -537,17 +523,13 @@ def _split_result(
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    gu_ni = rates.gamma_up_ni if rates.gamma_up_ni is not None else rates.gamma_up
-    gu_in = rates.gamma_up - gu_ni
-    prefactor = -(2.0 * math.pi ** 2 * n ** 2 / omega0) * math.sin(theta) ** 2
-
-    def correction(gd: float, gu: float) -> float:
-        a = (gd + gu) / 4.0
-        b = (gd - gu) / 4.0
-        return prefactor * (2.0 * b + a * math.cos(theta))
-
-    inertial = correction(rates.gamma_down_inertial, gu_in)
-    noninertial = correction(rates.gamma_down_ni, gu_ni)
+    # the upward channel is entirely non-inertial
+    inertial = _quasi_cycle_correction(
+        *_dissipator_pair(rates.gamma_down_inertial, 0.0), n, theta, omega0
+    )
+    noninertial = _quasi_cycle_correction(
+        *_dissipator_pair(rates.gamma_down_ni, rates.gamma_up), n, theta, omega0
+    )
     return _quasi_cycle_result(
         engine,
         n,

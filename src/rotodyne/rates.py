@@ -19,9 +19,9 @@ Three rate engines share one structure:
     First order in zeta(omega), co-moving frame, with both sidebands and
     the recoil bracket kept at their exact sideband frequencies.
 
-Coefficient conventions: a_coeff = (gd + gu)/4, b_coeff = (gd - gu)/4,
-ratio = b/a. The inertial part of the downward rate is the zero-rotation
-limit eta * dos(omega0) * omega0; the non-inertial part is the remainder.
+The dissipator pair (a, b) and the ratio b/a derive from the two rates.
+The inertial part of the downward rate is the zero-rotation limit
+eta * dos(omega0) * omega0; the non-inertial part is the remainder.
 Regime violations set warnings, they never raise.
 """
 
@@ -57,32 +57,49 @@ REGIME_SEPARATION = 10.0
 
 @dataclass(frozen=True)
 class RateSet:
-    """Decay/excitation rates (1/s) and dissipator coefficients.
+    """Decay/excitation rates (1/s); the dissipator coefficients and their
+    ratio b/a (0 where a = 0) are read-only properties of the two rates.
 
-    ``gamma_down_inertial``/``gamma_down_ni``/``gamma_up_ni`` are None
-    until a split is performed (the closed-form regime engines fill them
-    directly). ``frame`` is "lab" or "comoving"; ``family`` names the
-    producing engine so that splits cannot mix formulas. With an array
-    ``omega_c`` each rate field is an array over it, or a float valid at
-    every entry; ``eta`` and ``warnings`` never depend on ``omega_c``.
+    ``gamma_down_inertial``/``gamma_down_ni`` are None until a split is
+    performed (the co-moving engines fill them directly); the upward
+    channel is entirely non-inertial. ``frame`` is "lab" or "comoving";
+    ``family`` names the producing engine so that splits cannot mix
+    formulas. With an array ``omega_c`` each rate field is an array over
+    it, or a float valid at every entry; ``eta`` and ``warnings`` never
+    depend on ``omega_c``.
     """
 
     gamma_down: float
     gamma_up: float
-    a_coeff: float
-    b_coeff: float
-    ratio: float
     eta: float
     frame: str
     family: str
     gamma_down_inertial: float | None = None
     gamma_down_ni: float | None = None
-    gamma_up_ni: float | None = None
     warnings: tuple[str, ...] = ()
+
+    @property
+    def a_coeff(self):
+        return _dissipator_pair(self.gamma_down, self.gamma_up)[0]
+
+    @property
+    def b_coeff(self):
+        return _dissipator_pair(self.gamma_down, self.gamma_up)[1]
+
+    @property
+    def ratio(self):
+        a, b = _dissipator_pair(self.gamma_down, self.gamma_up)
+        return _float_if_scalar(np.divide(b, a, out=np.zeros_like(a), where=a > 0.0))
 
     @property
     def validity(self) -> str:
         return "ok" if not self.warnings else ";".join(self.warnings)
+
+
+def _dissipator_pair(gamma_down, gamma_up):
+    """(a, b) = ((gd + gu)/4, (gd - gu)/4). Division by 4 is exact in binary
+    floating point, so a and b inherit the additivity of the rates."""
+    return (gamma_down + gamma_up) / 4.0, (gamma_down - gamma_up) / 4.0
 
 
 def vacuum_coupling(atom: AtomParams, cavity: CavitySpec) -> float:
@@ -113,15 +130,6 @@ def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def _coeffs(gamma_down, gamma_up):
-    # division by 4 is exact in binary floating point, so a, b inherit
-    # the additivity of the rates bit-for-bit
-    a = (gamma_down + gamma_up) / 4.0
-    b = (gamma_down - gamma_up) / 4.0
-    ratio = np.divide(b, a, out=np.zeros_like(a), where=a > 0.0)
-    return a, b, _float_if_scalar(ratio)
 
 
 def _general_warnings(kin: KinematicDerived) -> tuple[str, ...]:
@@ -156,13 +164,9 @@ def lab_rates_general(
     carrier = (1.0 - 0.4 * zeta_of(obar, radius)) * dos(cavity, obar) * obar
     gamma_down = eta * (carrier + sideband(obar + traj.omega) + sideband(obar - traj.omega))
     gamma_up = eta * sideband(traj.omega - obar)
-    a, b, ratio = _coeffs(gamma_down, gamma_up)
     return RateSet(
         gamma_down=gamma_down,
         gamma_up=gamma_up,
-        a_coeff=a,
-        b_coeff=b,
-        ratio=ratio,
         eta=eta,
         frame="lab",
         family="general",
@@ -176,21 +180,14 @@ def comoving_rates(rates: RateSet, kin: KinematicDerived) -> RateSet:
     if rates.frame != "lab":
         raise ValueError(f"expected lab-frame rates, got frame={rates.frame!r}")
     g = kin.lorentz_gamma
-    gamma_down = g * rates.gamma_down
-    gamma_up = g * rates.gamma_up
-    a, b, ratio = _coeffs(gamma_down, gamma_up)
     scale = lambda v: None if v is None else g * v
     return replace(
         rates,
-        gamma_down=gamma_down,
-        gamma_up=gamma_up,
-        a_coeff=a,
-        b_coeff=b,
-        ratio=ratio,
+        gamma_down=g * rates.gamma_down,
+        gamma_up=g * rates.gamma_up,
         frame="comoving",
         gamma_down_inertial=scale(rates.gamma_down_inertial),
         gamma_down_ni=scale(rates.gamma_down_ni),
-        gamma_up_ni=scale(rates.gamma_up_ni),
     )
 
 
@@ -212,7 +209,6 @@ def general_rates(
         com,
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=com.gamma_down - gd_inertial,
-        gamma_up_ni=com.gamma_up,
     )
 
 
@@ -236,25 +232,19 @@ def case1_rates(
         -omega0 ** 2 * dos_derivative(cavity, omega0)
         + 0.9 * kin.omega_plus * dos(cavity, kin.omega_plus)
     )
-    gamma_down = gd_inertial + gd_ni
     gamma_up = eta * 0.45 * zeta_rot * dos(cavity, kin.omega_minus) * max(kin.omega_minus, 0.0)
-    a, b, ratio = _coeffs(gamma_down, gamma_up)
 
     warnings = list(_general_warnings(kin))
     if traj.omega < REGIME_SEPARATION * kin.omega0_bar:
         warnings.append("fast-rotation regime strained: omega < 10 * omega0_bar")
     return RateSet(
-        gamma_down=gamma_down,
+        gamma_down=gd_inertial + gd_ni,
         gamma_up=gamma_up,
-        a_coeff=a,
-        b_coeff=b,
-        ratio=ratio,
         eta=eta,
         frame="comoving",
         family="case1",
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=gd_ni,
-        gamma_up_ni=gamma_up,
         warnings=tuple(warnings),
     )
 
@@ -293,36 +283,31 @@ def case2_rates(
 
     gd_inertial = eta * carrier
     gd_ni = eta * (slope + sidebands + recoil)
-    gamma_down = gd_inertial + gd_ni
-    gamma_up = 0.0
-    a, b, ratio = _coeffs(gamma_down, gamma_up)
 
     warnings = list(_general_warnings(kin))
     if traj.omega > kin.omega0_bar / REGIME_SEPARATION:
         warnings.append("slow-rotation regime strained: omega > omega0_bar / 10")
     return RateSet(
-        gamma_down=gamma_down,
-        gamma_up=gamma_up,
-        a_coeff=a,
-        b_coeff=b,
-        ratio=ratio,
+        gamma_down=gd_inertial + gd_ni,
+        gamma_up=0.0,
         eta=eta,
         frame="comoving",
         family="case2",
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=gd_ni,
-        gamma_up_ni=gamma_up,
         warnings=tuple(warnings),
     )
 
 
 def noninertial_split(at_omega: RateSet, at_zero: RateSet) -> RateSet:
-    """Split ``at_omega`` into inertial + non-inertial parts per channel.
+    """Split the downward channel of ``at_omega`` into inertial +
+    non-inertial parts.
 
     ``at_zero`` must come from the same formula family, frame and
-    coupling, evaluated on the zero-rotation trajectory. The inertial
-    part of each channel is its zero-rotation value; the non-inertial
-    part is the floating-point-exact remainder.
+    coupling, evaluated on the zero-rotation trajectory, and have no
+    upward rate: the upward channel is entirely non-inertial. The
+    inertial part is its downward rate; the non-inertial part is the
+    floating-point-exact remainder.
     """
     if at_omega.family != at_zero.family:
         raise ValueError(
@@ -334,10 +319,11 @@ def noninertial_split(at_omega: RateSet, at_zero: RateSet) -> RateSet:
         )
     if at_omega.eta != at_zero.eta:
         raise ValueError("cannot split across different couplings (atom/cavity differ)")
+    if np.any(at_zero.gamma_up != 0.0):
+        raise ValueError("zero-rotation reference has a non-zero upward rate")
     gd_inertial = at_zero.gamma_down
     return replace(
         at_omega,
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=at_omega.gamma_down - gd_inertial,
-        gamma_up_ni=at_omega.gamma_up - at_zero.gamma_up,
     )

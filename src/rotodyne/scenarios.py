@@ -18,7 +18,8 @@ resonance-condition engine with no regime expansion; its inertial
 reference is the static rate eta * dos(omega0) * omega0.
 
 Scenario JSON uses unit-bearing keys (e.g. ``omega0_rad_per_s``) and is
-strict: unknown or missing keys raise ValueError. CSV output is
+strict: unknown or missing keys, values of the wrong type and counts that
+are not whole numbers raise ValueError. CSV output is
 deterministic byte-for-byte: floats are written with 17 significant
 digits and LF line endings.
 """
@@ -29,6 +30,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -165,8 +167,10 @@ def preset(name: str) -> Scenario:
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
 
 
-def _require_keys(block: dict, allowed: dict, where: str) -> dict:
+def _require_keys(block, allowed: dict, where: str) -> dict:
     """allowed maps key -> required flag; returns the validated block."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object, got {block!r}")
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
@@ -176,9 +180,26 @@ def _require_keys(block: dict, allowed: dict, where: str) -> dict:
     return block
 
 
+def _number(value, name: str) -> float:
+    """A real number as a float; ValueError for anything else."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the float range
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """A whole number as an int; ValueError for anything else."""
+    if _number(value, name).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     data = _require_keys(
-        dict(data),
+        data,
         {
             "name": True,
             "family": True,
@@ -192,41 +213,41 @@ def scenario_from_dict(data: dict) -> Scenario:
         "scenario",
     )
     atom_block = _require_keys(
-        dict(data["atom"]),
+        data["atom"],
         {"omega0_rad_per_s": True, "dipole_C_m": True, "theta0_rad": True},
         "scenario.atom",
     )
     traj_block = _require_keys(
-        dict(data["trajectory"]),
+        data["trajectory"],
         {"radius_m": True, "omega_rad_per_s": True, "center_m": False},
         "scenario.trajectory",
     )
     cavity_block = _require_keys(
-        dict(data["cavity"]),
+        data["cavity"],
         {"omega_c_rad_per_s": True, "q_factor": True, "volume_m3": True},
         "scenario.cavity",
     )
     atom = AtomParams(
-        omega0=float(atom_block["omega0_rad_per_s"]),
-        dipole=float(atom_block["dipole_C_m"]),
-        theta0=float(atom_block["theta0_rad"]),
+        omega0=_number(atom_block["omega0_rad_per_s"], "omega0_rad_per_s"),
+        dipole=_number(atom_block["dipole_C_m"], "dipole_C_m"),
+        theta0=_number(atom_block["theta0_rad"], "theta0_rad"),
     )
-    center = tuple(float(v) for v in traj_block.get("center_m", (0.0, 0.0)))
-    if len(center) != 2:
+    center = traj_block.get("center_m", [0.0, 0.0])
+    if not isinstance(center, (list, tuple)) or len(center) != 2:
         raise ValueError("scenario.trajectory.center_m must hold two coordinates")
     traj = TrajectoryParams(
-        radius=float(traj_block["radius_m"]),
-        omega=float(traj_block["omega_rad_per_s"]),
-        center=center,
+        radius=_number(traj_block["radius_m"], "radius_m"),
+        omega=_number(traj_block["omega_rad_per_s"], "omega_rad_per_s"),
+        center=tuple(_number(v, "center_m") for v in center),
     )
     cavity = CavitySpec(
-        omega_c=float(cavity_block["omega_c_rad_per_s"]),
-        q_factor=float(cavity_block["q_factor"]),
-        volume=float(cavity_block["volume_m3"]),
+        omega_c=_number(cavity_block["omega_c_rad_per_s"], "omega_c_rad_per_s"),
+        q_factor=_number(cavity_block["q_factor"], "q_factor"),
+        volume=_number(cavity_block["volume_m3"], "volume_m3"),
     )
     kin = derive_kinematics(traj, atom)
     sweep_block = _require_keys(
-        dict(data.get("sweep", {})),
+        data.get("sweep", {}),
         {"lo_rad_per_s": False, "hi_rad_per_s": False, "points": False},
         "scenario.sweep",
     )
@@ -242,11 +263,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         trajectory=traj,
         cavity=cavity,
         family=family,
-        n_default=int(data["n_default"]),
-        n_max=int(data["n_max"]),
-        sweep_lo=float(sweep_block.get("lo_rad_per_s", lo_default)),
-        sweep_hi=float(sweep_block.get("hi_rad_per_s", hi_default)),
-        sweep_points=int(sweep_block.get("points", 400)),
+        n_default=_count(data["n_default"], "n_default"),
+        n_max=_count(data["n_max"], "n_max"),
+        sweep_lo=_number(sweep_block.get("lo_rad_per_s", lo_default), "lo_rad_per_s"),
+        sweep_hi=_number(sweep_block.get("hi_rad_per_s", hi_default), "hi_rad_per_s"),
+        sweep_points=_count(sweep_block.get("points", 400), "points"),
     )
 
 
@@ -280,8 +301,11 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read scenario file: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -181,6 +181,35 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("n_default",), float("inf")),
+            (("n_default",), 1.5),
+            (("trajectory", "center_m"), 5),
+            (("atom",), 5),
+            (("atom", "omega0_rad_per_s"), None),
+        ],
+        ids=["infinite-count", "fractional-count", "scalar-center", "scalar-block", "null-number"],
+    )
+    def test_malformed_config_exits_1(self, capsys, tmp_path, keys, value):
+        data = scenario_to_dict(preset("case2"))
+        *parents, key = keys
+        block = data
+        for parent in parents:
+            block = block[parent]
+        block[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["rates", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error:")
+
+    def test_missing_config_file_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["rates", "--config", str(tmp_path / "nope.json")])
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error:")
+
     def test_infinite_grid_bound_exits_1(self, capsys):
         code, out, err = run(capsys, ["sweep-cavity", "--scenario", "case2", "--grid", "1e7:inf:4"])
         assert (code, out) == (1, "")

@@ -114,11 +114,6 @@ class TestEigenPath:
         path = eigenpath_from_closed_form(p, cycles_time(p, 8))
         assert np.abs(np.diff(path.bloch_angle)).max() < math.pi / 2
 
-    def test_connection_is_purely_imaginary(self):
-        p = EvolutionParams(0.02, 0.01, 10.0, 1.3)
-        path = eigenpath_from_closed_form(p, cycles_time(p, 2))
-        assert np.abs(path.phases.real).max() == 0.0
-
     def test_rejects_horizons_that_cannot_materialize(self):
         p = EvolutionParams(1e-9, 0.0, 10.0, 1.3)
         with pytest.raises(ValueError):
@@ -139,6 +134,17 @@ class TestTongFunctional:
             got = gp_tong_closed_form(p, cycles_time(p, n), refine_rel_tol=1e-13)
             want = unitary_reference(n, theta)
             assert got.total == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+
+    def test_open_path_endpoint_term_is_unitary(self):
+        # at a fractional cycle count a decay-free path has no non-unitary
+        # part; the dense polygon of adjacent overlaps is exact only at
+        # theta0 = pi/2, where each overlap's arg is half the azimuth step
+        for theta in (0.8, math.pi / 2, 2.5):
+            p = EvolutionParams(0.0, 0.0, 50.0, theta)
+            assert abs(gp_tong_closed_form(p, cycles_time(p, 3.4)).nonunitary_part) <= 1e-12
+        p = EvolutionParams(0.0, 0.0, 50.0, math.pi / 2)
+        dense = gp_tong(eigenpath_from_closed_form(p, cycles_time(p, 3.4)))
+        assert abs(dense.nonunitary_part) <= 1e-12
 
     def test_pole_trajectory_accumulates_nothing(self):
         p = EvolutionParams(0.0, 0.0, 50.0, 0.0)
@@ -255,7 +261,6 @@ class TestTongFunctional:
             p_plus=path.p_plus[:1],
             bloch_angle=path.bloch_angle[:1],
             azimuth=path.azimuth[:1],
-            phases=path.phases[:1],
             vectors=path.vectors[:1],
         )
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Rate engines: general resonance evaluation, regime expansions, splits."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestCoefficients:
     def test_asymmetry_ratio(self):
         rs = lab_rates_general(**FAST)
         assert rs.ratio == rs.b_coeff / rs.a_coeff
+
+    def test_coefficients_follow_replaced_rates(self):
+        rs = lab_rates_general(**FAST)
+        x = 3.0 * rs.gamma_down
+        moved = replace(rs, gamma_down=x)
+        assert moved.a_coeff == (x + rs.gamma_up) / 4.0
+        assert moved.b_coeff == (x - rs.gamma_up) / 4.0
+        assert moved.ratio == moved.b_coeff / moved.a_coeff
 
     def test_kossakowski_structure(self):
         mat = kossakowski(1.0, 1.0)
@@ -128,7 +137,13 @@ class TestSplit:
         eta = vacuum_coupling(SLOW["atom"], SLOW["cavity"])
         assert rs.gamma_down_inertial == eta * dos(SLOW["cavity"], 1.0e7) * 1.0e7
         assert rs.gamma_down_inertial + rs.gamma_down_ni == pytest.approx(rs.gamma_down, rel=1e-15)
-        assert rs.gamma_up_ni == rs.gamma_up
+
+    def test_upward_channel_vanishes_without_rotation(self):
+        # the upward channel is entirely non-inertial in every engine
+        for params in (FAST, SLOW):
+            static = replace(params["traj"], omega=0.0)
+            for engine in (lab_rates_general, general_rates, case1_rates, case2_rates):
+                assert engine(static, params["atom"], params["cavity"]).gamma_up == 0.0
 
     def test_case_engines_split_additively(self):
         for rs in (case1_rates(**FAST), case2_rates(**SLOW)):
@@ -142,7 +157,13 @@ class TestSplit:
         split = noninertial_split(at_omega, at_zero)
         assert split.gamma_down_inertial == at_zero.gamma_down
         assert split.gamma_down_ni == at_omega.gamma_down - at_zero.gamma_down
-        assert split.gamma_up_ni == at_omega.gamma_up - at_zero.gamma_up
+        assert split.gamma_up == at_omega.gamma_up
+
+    def test_split_rejects_rotating_reference(self):
+        rotating = lab_rates_general(**FAST)
+        assert rotating.gamma_up > 0.0
+        with pytest.raises(ValueError, match="upward"):
+            noninertial_split(rotating, rotating)
 
     def test_split_rejects_family_mismatch(self):
         with pytest.raises(ValueError):
@@ -159,8 +180,6 @@ class TestSplit:
 
 class TestArrayCavity:
     def test_array_of_centers_matches_scalar_calls(self):
-        from dataclasses import fields, replace
-
         engines = (lab_rates_general, general_rates, case1_rates, case2_rates)
         for params in (FAST, SLOW):
             centers = params["cavity"].omega_c * np.geomspace(0.5, 2.0, 41)
@@ -169,13 +188,14 @@ class TestArrayCavity:
                 swept = engine(params["traj"], params["atom"], sweep)
                 for i, center in enumerate(centers.tolist()):
                     point = engine(params["traj"], params["atom"], replace(sweep, omega_c=center))
-                    for f in fields(point):
-                        want, got = getattr(point, f.name), getattr(swept, f.name)
+                    names = [f.name for f in fields(point)] + ["a_coeff", "b_coeff", "ratio"]
+                    for name in names:
+                        want, got = getattr(point, name), getattr(swept, name)
                         if isinstance(want, float):
                             assert type(want) is float
-                            assert np.broadcast_to(got, centers.shape)[i] == want, f.name
+                            assert np.broadcast_to(got, centers.shape)[i] == want, name
                         else:
-                            assert got == want, f.name
+                            assert got == want, name
 
 
 class TestRegimes:
