@@ -11,8 +11,9 @@ Engines
     does not grow with the cycle count.
 
 ``gp_exact_integral``
-    Adaptive quadrature of the closed-form phase integrand; valid for
-    any horizon, not just integer quasi-cycles.
+    Checked composite Gauss-Legendre quadrature of the closed-form phase
+    integrand; valid for any horizon, not just integer quasi-cycles. The
+    non-unitary part is integrated directly, not taken as a difference.
 
 ``gp_quasi_cycle``
     Leading-order closed form for n quasi-cycles: the pure-precession
@@ -32,10 +33,10 @@ engines use the closed-loop solid angle -pi n (1 - cos theta).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cavity import CavitySpec
 from .dynamics import EvolutionParams, closed_form_bloch
@@ -71,6 +72,33 @@ ENVELOPE_SEGMENTS_PER_RELAXATION = 8
 MAX_REFINEMENTS = 8
 # e^{4 a tau} saturates the phase integrand long before overflow
 SATURATION_EXPONENT = 300.0
+# widest Gauss-Legendre panel in x = 4 a tau before relaxation
+KERNEL_PANEL = 0.5
+# gap allowed between a panel set and its halving, relative to the integral of |integrand|
+KERNEL_REL_TOL = 1e-10
+# further halvings of the panel set before the kernel gives up
+MAX_HALVINGS = 4
+# 16-point Gauss-Legendre rule on [-1, 1]: positive nodes and their weights, correctly rounded
+_GL_HALF = np.array(
+    [
+        (0.09501250983763744, 0.1894506104550685),
+        (0.2816035507792589, 0.18260341504492358),
+        (0.45801677765722737, 0.16915651939500254),
+        (0.6178762444026438, 0.14959598881657674),
+        (0.755404408355003, 0.12462897125553388),
+        (0.8656312023878318, 0.09515851168249279),
+        (0.9445750230732326, 0.062253523938647894),
+        (0.9894009349916499, 0.027152459411754096),
+    ]
+)
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
+# the rule on the unit panel, then on its two halves: 48 nodes in [0, 1],
+# with a weight column for the whole panel and one for its halves
+_PANEL_NODES = np.concatenate([1.0 + _GL_NODES, 0.5 + 0.5 * _GL_NODES, 1.5 + 0.5 * _GL_NODES]) / 2.0
+_PANEL_WEIGHTS = np.kron([[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]], _GL_WEIGHTS[:, None] / 2.0)
+# (left end, width) of a panel times this gives its 48 nodes
+_PANEL_BASIS = np.stack([np.ones_like(_PANEL_NODES), _PANEL_NODES])
 
 
 @dataclass(frozen=True)
@@ -370,87 +398,154 @@ def gp_tong_closed_form(
     )
 
 
-def _exact_integrand_tau(tau: float, a4: float, ratio: float, cos_t: float, sin2: float):
-    e4 = math.exp(a4 * tau)
-    g = ratio - ratio * e4 + cos_t
-    return 1.0 - g / math.sqrt(e4 * sin2 + g * g)
+def _kernel_integrand(x, x_max: float, ratio: float, cos_t: float, sin2: float):
+    """cos theta0 - cos(angle) at the points x <= x_max of x = 4 a tau.
+    With eps = expm1(x), g = cos theta0 - ratio eps and R = sqrt((1 + eps)
+    sin^2 + g^2), cos(angle) = g / R; where cos theta0 and g share a sign
+    the difference is taken in the cancelled form s^2 eps (c (c + 2 ratio)
+    - ratio^2 eps) / (R (c R + g)), elsewhere c - g / R adds two terms of
+    one sign. g is linear in eps and starts at c, so if it keeps the sign
+    of c at x_max it does so at every point."""
+    eps = np.expm1(x)
+    g = cos_t - ratio * eps
+    big_r2 = (1.0 + eps) * sin2 + g * g
+    big_r = np.sqrt(big_r2)
+    numer = eps * (sin2 * cos_t * (cos_t + 2.0 * ratio) - (sin2 * ratio * ratio) * eps)
+    denom = cos_t * big_r2 + g * big_r
+    if cos_t * (cos_t - ratio * math.expm1(x_max)) >= 0.0:
+        return numer / denom
+    out = cos_t - g / big_r
+    np.divide(numer, denom, out=out, where=g >= 0.0 if cos_t >= 0.0 else g <= 0.0)
+    return out
 
 
-def _quad_checked(func, lo, hi, args, points=None) -> float:
-    value, err, info, *rest = quad(
-        func,
-        lo,
-        hi,
-        args=args,
-        epsabs=1e-300,
-        epsrel=1e-10,
-        limit=1000,
-        points=points,
-        full_output=True,
+def _knee(ratio: float, cos_t: float, sin2: float) -> tuple[float, float]:
+    """Real part x_k and distance delta from the real axis of the
+    integrand's nearest singularity in x = 4 a tau, where R^2 = 0, a
+    quadratic in u = e^x. A complex pair lies at |u| = 1 + cos theta0 /
+    ratio, the knee where g changes sign; it nears the real axis as sin
+    theta0 -> 0. Otherwise the roots are negative reals, at distance pi;
+    x_k is then the larger log-modulus, past which the integrand relaxes."""
+    q = ratio * (cos_t + ratio)
+    if 4.0 * q > sin2:
+        delta = math.atan2(math.sqrt(sin2 * (4.0 * q - sin2)), 2.0 * q - sin2)
+        x_k = math.log1p(cos_t / ratio)
+        # below a few ulps of x_k no panel edge can follow it
+        return x_k, max(delta, 1e-14 * max(1.0, x_k))
+    if ratio == 0.0:
+        return (math.log(cos_t * cos_t / sin2) if cos_t else -math.inf), math.pi
+    # the larger root: (b + sqrt(b^2 - 4 q^2)) / (2 ratio^2), b = sin^2 - 2 q
+    larger = (sin2 - 2.0 * q + math.sqrt(sin2 * (sin2 - 4.0 * q))) / 2.0
+    return math.log(larger) - 2.0 * math.log(abs(ratio)), math.pi
+
+
+def _kernel_panels(x_end: float, x_k: float, delta: float) -> np.ndarray:
+    """(left end, width) rows of panels tiling [0, x_end]: at most
+    KERNEL_PANEL wide, shrinking geometrically toward a sharp knee x_k
+    (delta < KERNEL_PANEL, a breakpoint) down to about delta, and past
+    x_k at most as wide as the distance from it, so they grow
+    geometrically once the integrand has relaxed. Each panel keeps the
+    singularity a panel width away."""
+    panels, x = [], 0.0
+    while x < x_end:
+        d = x - x_k
+        if d < 0.0 and delta < KERNEL_PANEL:
+            nxt = min(x + min(KERNEL_PANEL, 0.5 * math.hypot(d, delta)), x_k)
+        else:
+            nxt = x + min(max(KERNEL_PANEL, d), math.hypot(d, delta))
+        nxt = min(nxt, x_end)
+        panels.append((x, nxt - x))
+        x = nxt
+    return np.array(panels).reshape(-1, 2)
+
+
+def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2: float):
+    """Integral over tau in [0, x_end / a4] of cos theta0 - cos(angle),
+    with x = a4 tau, by 16-point Gauss-Legendre on ``_kernel_panels``. The
+    panel set and its halving are evaluated together; while their gap
+    exceeds KERNEL_REL_TOL times the integral of |integrand| the panels
+    are halved again, at most MAX_HALVINGS times, else NumericsError.
+    Returns the halved set's integral, the gap and its panel count."""
+    panels = _kernel_panels(x_end, *_knee(ratio, cos_t, sin2))
+    for _ in range(MAX_HALVINGS + 1):
+        values = _kernel_integrand(panels @ _PANEL_BASIS, x_end, ratio, cos_t, sin2)
+        # weights in tau, so that a tiny a4 cannot underflow the sums
+        weights = panels[:, 1] / a4
+        coarse, fine = (weights @ (values @ _PANEL_WEIGHTS)).tolist()
+        gap = abs(fine - coarse)
+        # |fine| bounds the integral of |integrand| from below, which is summed
+        # only if needed; integrand values below the normal range carry no digits
+        floor = max(KERNEL_REL_TOL * abs(fine), x_end / a4 * sys.float_info.min)
+        if gap <= floor or gap <= KERNEL_REL_TOL * float(
+            weights @ (np.abs(values) @ _PANEL_WEIGHTS[:, 1])
+        ):
+            return fine, gap, 2 * len(panels)
+        half = 0.5 * panels[:, 1]
+        panels = np.concatenate(
+            [np.column_stack([panels[:, 0], half]), np.column_stack([panels[:, 0] + half, half])]
+        )
+    raise NumericsError(
+        f"phase quadrature did not converge: the last halving, to {len(panels)} panels, "
+        f"moved the integral by {gap:.3e}"
     )
-    if rest:
-        raise NumericsError(f"phase quadrature did not converge: {rest[0]}")
-    return float(value)
 
 
 def gp_exact_integral(
     p: EvolutionParams, total_time: float, n_cycles: float | None = None
 ) -> GPResult:
-    """Geometric phase from adaptive quadrature of the closed-form integrand.
+    """Geometric phase from checked composite Gauss-Legendre quadrature of
+    the closed-form integrand.
 
-    Valid for any horizon. The integrand is integrated in tau, with a
-    breakpoint where g = ratio (1 - e^{4 a tau}) + cos theta changes sign;
-    horizons far beyond relaxation use the saturated integrand value
-    analytically for the remainder.
-    On-axis initial states (sin theta = 0) are evaluated in closed form.
+    Valid for any horizon. The integral splits into the unitary part
+    (1 - cos theta0) T and the non-unitary kernel K = integral of cos
+    theta0 - cos(angle), which ``_nonunitary_kernel`` integrates in
+    x = 4 a tau directly, in a form free of cancellation, with a
+    breakpoint at the knee where g = cos theta0 - ratio (e^{4 a tau} - 1)
+    changes sign. Horizons far beyond relaxation add the saturated
+    integrand for the remainder. On-axis initial states (sin^2 theta0
+    below the normal range) and a = 0 are evaluated in closed form. ``abserr`` is the halving gap
+    of the non-unitary part (rad); ``panels`` is 0 for the closed forms.
     """
     if total_time < 0.0:
         raise ValueError(f"total_time must be non-negative, got {total_time}")
     omega = p.omega_eff
-    theta = p.theta0
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
     sin2 = sin_t * sin_t
     a4 = 4.0 * p.a_coeff
-    ratio = p.b_coeff / p.a_coeff if p.a_coeff > 0.0 else 0.0
-
-    # g = ratio (1 - e^{4 a tau}) + cos theta crosses zero at most once
-    u_knee = 1.0 + cos_t / ratio if ratio != 0.0 else math.inf
-
+    kernel, gap, panels = 0.0, 0.0, 0
     if p.a_coeff == 0.0:
-        integral = (1.0 - cos_t) * total_time
-    elif sin_t == 0.0:
-        # piecewise-constant integrand 1 - sign(g)
-        tau_c = math.log(u_knee) / a4 if 1.0 < u_knee < math.inf else None
-        if cos_t > 0.0:  # excited: g starts positive, may drop (ratio > 0)
-            integral = 2.0 * max(0.0, total_time - tau_c) if tau_c is not None else 0.0
-        else:  # ground: g starts negative, may rise (ratio < 0)
-            integral = 2.0 * (min(total_time, tau_c) if tau_c is not None else total_time)
+        pass  # pure precession: the angle never leaves theta0
+    elif sin2 < sys.float_info.min:
+        # on axis, or so close that sin^2 theta0 is subnormal:
+        # cos(angle) = sign(g) leaves cos theta0 = +-1 for -cos theta0 at the knee
+        ratio = p.b_coeff / p.a_coeff
+        if ratio != 0.0 and cos_t / ratio > 0.0:
+            kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
     else:
-        tail = 0.0
-        t_quad = total_time
+        ratio = p.b_coeff / p.a_coeff
+        x_end = min(a4 * total_time, SATURATION_EXPONENT)
+        kernel, gap, panels = _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
         if a4 * total_time > SATURATION_EXPONENT:
-            t_quad = SATURATION_EXPONENT / a4
-            tail = _saturated_integrand(ratio) * (total_time - t_quad)
-        points = None
-        if 1.0 < u_knee < math.inf:
-            tau_c = math.log(u_knee) / a4
-            if 0.0 < tau_c < t_quad:
-                points = [tau_c]
-        integral = _quad_checked(
-            _exact_integrand_tau, 0.0, t_quad, (a4, ratio, cos_t, sin2), points
-        ) + tail
+            saturated = _kernel_integrand(
+                np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
+            )[0]
+            kernel += float(saturated) * (total_time - SATURATION_EXPONENT / a4)
 
-    total = -(omega / 2.0) * integral
     if n_cycles is None:
         n_cycles = omega * total_time / math.tau
     unitary = -(omega * total_time / 2.0) * (1.0 - cos_t)
+    nonunitary = 0.0 - (omega / 2.0) * kernel  # 0.0 - keeps a vanishing part at +0.0
     return GPResult(
         engine="exact-integral",
         n_cycles=n_cycles,
-        total=total,
+        total=unitary + nonunitary,
         unitary_part=unitary,
-        nonunitary_part=total - unitary,
-        diagnostics={"four_a_t": a4 * total_time},
+        nonunitary_part=nonunitary,
+        diagnostics={
+            "four_a_t": a4 * total_time,
+            "panels": panels,
+            "abserr": (omega / 2.0) * gap,
+        },
     )
 
 

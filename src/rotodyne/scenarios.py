@@ -197,6 +197,16 @@ def _count(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _name(value) -> str:
+    """A scenario name, which output file names embed: a non-empty string
+    with no path separator and no '..'; ValueError for anything else."""
+    if not isinstance(value, str) or not value or any(t in value for t in ("/", "\\", "..")):
+        raise ValueError(
+            f"name must be a non-empty string with no path separator or '..', got {value!r}"
+        )
+    return value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     data = _require_keys(
         data,
@@ -258,7 +268,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         lo_default = atom.omega0 / 2.0
         hi_default = 2.0 * max(kin.omega_plus, kin.obar_plus)
     return Scenario(
-        name=str(data["name"]),
+        name=_name(data["name"]),
         atom=atom,
         trajectory=traj,
         cavity=cavity,

@@ -1,6 +1,6 @@
 """Acceptance checks.
 
-One test per shipped guarantee, numbered c01..c10 so that ``pytest -v``
+One test per shipped guarantee, numbered c01..c11 so that ``pytest -v``
 prints a single pass/fail line for each.  Tolerances and reference values
 are frozen here; loosening them is a contract change, not a test fix.
 
@@ -9,12 +9,17 @@ machines without masking real regressions.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotodyne
 from rotodyne import (
     AtomParams,
     CavitySpec,
@@ -274,3 +279,16 @@ def test_c10_figure_outputs_are_byte_reproducible(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for p1, p2 in zip(first, second):
         assert p1.read_bytes() == p2.read_bytes(), p1.name
+
+
+def test_c11_import_needs_numpy_only():
+    """A fresh ``import rotodyne`` loads no scipy module."""
+    src = str(Path(rotodyne.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, rotodyne; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -205,6 +205,22 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err.startswith("rotodyne: error:")
 
+    @pytest.mark.parametrize("name", [None, "nodir/x", "../x"], ids=["null", "separator", "parent"])
+    def test_unsafe_scenario_name_exits_1(self, capsys, tmp_path, name):
+        # the name becomes part of the output file names
+        data = scenario_to_dict(preset("case2"))
+        data["name"] = name
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        outdir = tmp_path / "out"
+        grid = "4.9e9:5.1e9:3:lin"
+        code, out, err = run(
+            capsys, ["sweep-cavity", "--config", str(cfg), "--grid", grid, "--out", str(outdir)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error:")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json"]
+
     def test_missing_config_file_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, ["rates", "--config", str(tmp_path / "nope.json")])
         assert (code, out) == (1, "")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rotodyne import dynamics
 from rotodyne import (
     EvolutionParams,
     check_density_matrix,
@@ -107,6 +108,30 @@ class TestOdeCrossCheck:
         np.testing.assert_allclose(traj.times, times)
         for t, rho in zip(traj.times, traj.states):
             assert trace_distance(closed_form_rho(p, float(t)), rho) < 1e-9
+
+    def test_propagator_matches_scipy_expm(self):
+        # scipy is a test dependency only, an independent reference here
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(20260814)
+        worst = 0.0
+        for _ in range(100):
+            theta = rng.uniform(0.0, math.pi)
+            a = 10.0 ** rng.uniform(-3.0, 0.0)
+            b = a * rng.uniform(-1.0, 1.0)
+            p = EvolutionParams(a, b, 10.0 ** rng.uniform(0.0, 2.0), theta)
+            steps = np.array([0.0, 1.0 / 200.0, 1.0]) * rng.uniform(0.1, 5.0)
+            stack = steps[:, None, None] * dynamics._superoperator(p)
+            worst = max(worst, float(np.abs(dynamics._expm(stack) - expm(stack)).max()))
+        assert worst < 1e-12
+
+    def test_generator_broadcasts_over_a_stack(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            p = EvolutionParams(0.3, rng.uniform(-0.3, 0.3), 5.0, 1.1)
+            stack = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+            each = np.array([lindblad_rhs(rho, p) for rho in stack])
+            assert np.array_equal(lindblad_rhs(stack, p), each)
 
     def test_generator_preserves_trace_and_hermiticity(self):
         p = EvolutionParams(0.3, 0.2, 5.0, 1.1)

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from rotodyne import geophase
 from rotodyne import (
     DEFAULT_DIPOLE,
     AtomParams,
@@ -318,6 +319,10 @@ class TestExactIntegral:
         with pytest.raises(ValueError):
             gp_exact_integral(EvolutionParams(0.1, 0.0, 10.0, 1.0), -1.0)
 
+    def test_zero_horizon_has_zero_phase(self):
+        got = gp_exact_integral(EvolutionParams(0.1, -0.05, 10.0, 1.0), 0.0)
+        assert (got.total, got.nonunitary_part, got.diagnostics["panels"]) == (0.0, 0.0, 0)
+
     def test_matches_high_precision_references_past_relaxation(self):
         # 30-digit mpmath quadratures of the same integrand
         for args, horizon, want in (
@@ -327,6 +332,39 @@ class TestExactIntegral:
         ):
             got = gp_exact_integral(EvolutionParams(*args), horizon)
             assert got.total == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_nonunitary_part_matches_quasi_cycle_at_presets(self, name):
+        # the expansion parameter bounds the relative distance between the
+        # exact non-unitary part and its leading order
+        scn = preset(name)
+        for n in (100, 1000, 10**5, scn.n_default):
+            quasi = scenario_gp(scn, n, "quasi-cycle")
+            assert quasi.diagnostics["pi_n_a_over_omega0"] <= 1e-12
+            got = scenario_gp(scn, n, "exact-integral")
+            assert got.nonunitary_part == pytest.approx(quasi.nonunitary_part, rel=1e-12)
+            assert got.total == got.unitary_part + got.nonunitary_part
+            assert got.diagnostics["panels"] >= 2
+            assert got.diagnostics["abserr"] <= 1e-10 * abs(got.nonunitary_part)
+
+    def test_graded_panels_resolve_a_sharp_knee(self):
+        # theta0 = pi - 1e-6 pumped toward |e>: the Bloch vector swings past
+        # the equator within about sin(theta0) / (4 a |b/a|) of the knee at
+        # tau = 2.7465; 50-digit mpmath quadrature of the same integrand.
+        # Uniform panels of 4 a tau <= 1/2 keep only 9 of these digits.
+        p = EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6)
+        got = gp_exact_integral(p, 10.0)
+        assert got.nonunitary_part == pytest.approx(7.253469278327691042, rel=1e-13)
+        assert got.total == pytest.approx(-2.746530721669808958, rel=1e-13)
+
+    def test_unconverged_panels_raise(self, monkeypatch):
+        # one panel across the sharp knee above cannot pass the halving
+        # check within MAX_HALVINGS halvings
+        monkeypatch.setattr(
+            geophase, "_kernel_panels", lambda x_end, x_k, delta: np.array([[0.0, x_end]])
+        )
+        with pytest.raises(NumericsError, match="did not converge"):
+            gp_exact_integral(EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6), 10.0)
 
 
 class TestQuasiCycle:
