@@ -3,17 +3,19 @@
 Engines
 -------
 ``gp_tong``
-    Kinematic mixed-state functional evaluated on a sampled path of the
-    larger-eigenvalue eigenvector: phase of the endpoint overlap minus
-    the accumulated connection integral. Works on any EigenPath; the
-    helper ``gp_tong_closed_form`` evaluates the same functional on the
-    analytic state, sampling only the relaxation envelope, so its cost
-    does not grow with the cycle count.
+    Kinematic mixed-state functional (Tong et al., PRL 93, 080405, 2004)
+    evaluated on a sampled path of the larger-eigenvalue eigenvector:
+    phase of the endpoint overlap minus the accumulated connection. Works
+    on any EigenPath and estimates its polygon error by Richardson
+    extrapolation. ``gp_tong_closed_form`` evaluates the same functional
+    on the analytic state as the endpoint term plus the shared
+    non-unitary kernel, so its cost does not grow with the cycle count.
 
 ``gp_exact_integral``
-    Checked composite Gauss-Legendre quadrature of the closed-form phase
-    integrand; valid for any horizon, not just integer quasi-cycles. The
-    non-unitary part is integrated directly, not taken as a difference.
+    The shared non-unitary kernel alone: checked composite Gauss-Legendre
+    quadrature of the closed-form phase integrand, valid for any horizon,
+    not just integer quasi-cycles. The non-unitary part is integrated
+    directly, not taken as a difference.
 
 ``gp_quasi_cycle``
     Leading-order closed form for n quasi-cycles: the pure-precession
@@ -26,8 +28,9 @@ Engines
 
 All phases are reported as continuous (unwrapped) accumulations with the
 principal value in [-pi, pi] derived from them. The unitary reference of
-``tong`` is the pure precession over the same open path; the other
-engines use the closed-loop solid angle -pi n (1 - cos theta).
+``tong`` is the pure precession over the same open path, that of
+``exact-integral`` its linear part -omega T sin^2(theta/2); the
+quasi-cycle engines use the closed-loop solid angle -pi n (1 - cos theta).
 """
 
 from __future__ import annotations
@@ -66,10 +69,6 @@ MIN_ENDPOINT_AMPLITUDE = 1e-6
 MAX_DENSE_SAMPLES = 2_000_000
 # per-cycle resolution the closed-form path functional certifies
 SAMPLES_PER_CYCLE = 32
-# initial Simpson grid of the relaxation envelope, before doubling
-MIN_ENVELOPE_SEGMENTS = 32
-ENVELOPE_SEGMENTS_PER_RELAXATION = 8
-MAX_REFINEMENTS = 8
 # e^{4 a tau} saturates the phase integrand long before overflow
 SATURATION_EXPONENT = 300.0
 # widest Gauss-Legendre panel in x = 4 a tau before relaxation
@@ -161,6 +160,14 @@ def _endpoint_warnings(amplitude: float) -> tuple[str, ...]:
     return ()
 
 
+def _require_eigenbasis(length: float) -> None:
+    """The eigenbasis is undefined for a Bloch length <= 1e-14."""
+    if length <= DEGENERACY_FLOOR:
+        raise NumericsError(
+            f"degenerate state: Bloch length {length:.2e} <= {DEGENERACY_FLOOR:g}"
+        )
+
+
 def _bloch_spectrum(r1, r2, r3):
     """Dominant eigenvalue, its eigenvector's polar angle from the |e> pole,
     and the azimuth atan2(r2, r1) for Bloch components given as scalars
@@ -169,11 +176,7 @@ def _bloch_spectrum(r1, r2, r3):
     where the eigenbasis is undefined.
     """
     lam = np.hypot(np.hypot(r1, r2), r3)
-    shortest = float(np.min(lam))
-    if shortest <= DEGENERACY_FLOOR:
-        raise NumericsError(
-            f"degenerate state: Bloch length {shortest:.2e} <= {DEGENERACY_FLOOR:g}"
-        )
+    _require_eigenbasis(float(np.min(lam)))
     p_plus = (1.0 + lam) / 2.0
     bloch_angle = 2.0 * np.arctan2(np.sqrt(np.maximum(lam - r3, 0.0)), np.sqrt(lam + r3))
     return p_plus, bloch_angle, np.arctan2(r2, r1)
@@ -246,6 +249,11 @@ def gp_tong(path: EigenPath, total_time: float | None = None) -> GPResult:
     between the overlap and the connection and the phase is unchanged.
     Requires a pure initial state and adjacent samples overlapping by at
     least 0.99 in magnitude (else the path cannot resolve the winding).
+    The sum of adjacent-overlap args is a polygon whose error is second
+    order in the step (zero only at theta0 = pi/2); ``abserr`` is its
+    Richardson estimate from the same sum on every other sample, flagged
+    in ``validity`` where it exceeds a tenth of the non-unitary part and
+    rounding (1e-12 max(1, |total|)).
     """
     if path.times.size < 2:
         raise ValueError("path must contain at least two samples")
@@ -265,135 +273,35 @@ def gp_tong(path: EigenPath, total_time: float | None = None) -> GPResult:
             f"below {MIN_ADJACENT_OVERLAP}"
         )
     connection = float(np.sum(np.angle(products)))
+    # the polygon on every other sample, keeping the last
+    halved = vectors[::2] if len(vectors) % 2 else np.concatenate([vectors[::2], vectors[-1:]])
+    coarse = float(np.sum(np.angle(np.sum(halved[:-1].conj() * halved[1:], axis=1))))
+    abserr = abs(connection - coarse) / 3.0
     overlap = complex(np.vdot(vectors[0], vectors[-1]))
     amplitude = math.sqrt(float(path.p_plus[0]) * float(path.p_plus[-1])) * abs(overlap)
     total = float(np.angle(overlap)) - connection
 
     sweep = float(path.azimuth[-1]) - float(path.azimuth[0])
     unitary = _unitary_open_path(float(path.bloch_angle[0]), sweep)
+    nonunitary = total - unitary
+    warnings = _endpoint_warnings(amplitude)
+    if abserr > 0.1 * abs(nonunitary) and abserr > 1e-12 * max(1.0, abs(total)):
+        warnings += (
+            f"polygon error estimate {abserr:.3e} rad exceeds a tenth of the "
+            "non-unitary part: sample the path more densely",
+        )
     return GPResult(
         engine="tong",
         n_cycles=sweep / math.tau,
         total=total,
         unitary_part=unitary,
-        nonunitary_part=total - unitary,
-        warnings=_endpoint_warnings(amplitude),
+        nonunitary_part=nonunitary,
+        warnings=warnings,
         diagnostics={
+            "abserr": abserr,
             "min_adjacent_overlap": min_overlap,
             "endpoint_amplitude": amplitude,
             "samples": int(path.times.size),
-        },
-    )
-
-
-def _saturated_integrand(ratio: float) -> float:
-    """Limit of the phase integrand 1 - cos(angle) far beyond relaxation:
-    the state settles toward |g> (b/a > 0), |e> (b/a < 0) or, for b = 0,
-    the maximally mixed state."""
-    if ratio > 0.0:
-        return 2.0
-    if ratio < 0.0:
-        return 0.0
-    return 1.0
-
-
-def _envelope_connection(p: EvolutionParams, t_quad: float, segments: int):
-    """Composite Simpson of sin^2(angle/2) over [0, t_quad] on an even
-    number of panels; returns the integral and the sampled angles."""
-    taus = np.linspace(0.0, t_quad, segments + 1)
-    _, bloch_angle, _ = _bloch_spectrum(*closed_form_bloch(p, taus))
-    s2 = np.square(np.sin(bloch_angle / 2.0))
-    simpson = s2[0] + s2[-1] + 4.0 * s2[1::2].sum() + 2.0 * s2[2:-1:2].sum()
-    return (t_quad / segments / 3.0) * float(simpson), bloch_angle
-
-
-def gp_tong_closed_form(
-    p: EvolutionParams,
-    total_time: float,
-    samples_per_cycle: int = SAMPLES_PER_CYCLE,
-    refine_rel_tol: float = 1e-9,
-) -> GPResult:
-    """Evaluate the path functional on the analytic trajectory.
-
-    In the canonical gauge of the analytic state the azimuth advances at
-    exactly omega_eff, so the endpoint overlap is known in closed form
-    and the connection integrand omega * sin^2(angle/2) varies only on
-    the relaxation envelope (timescale 1/4a). The connection is
-    therefore composite Simpson on an envelope grid sized by 4 a T, never
-    by the cycle count; past SATURATION_EXPONENT the saturated remainder
-    is added analytically. The grid is doubled until the phase moves by
-    less than ``refine_rel_tol`` relative. ``samples_per_cycle`` is the
-    per-cycle resolution the adjacent-overlap check certifies: adjacent
-    canonical eigenvectors a cycle fraction 1/samples_per_cycle apart
-    overlap by |cos^2(angle/2) + sin^2(angle/2) e^{2 pi i / samples_per_cycle}|.
-    On-axis paths (sin theta0 = 0) never leave the pole and have zero
-    connection.
-    """
-    if total_time < 0.0:
-        raise ValueError(f"total_time must be non-negative, got {total_time}")
-    if samples_per_cycle < 4:
-        raise ValueError("need at least 4 samples per cycle to unwrap the azimuth")
-    a4 = 4.0 * p.a_coeff
-    t_quad, tail = total_time, 0.0
-    if a4 * total_time > SATURATION_EXPONENT:
-        t_quad = SATURATION_EXPONENT / a4
-        # sin^2(angle/2) = (1 - cos(angle)) / 2
-        tail = _saturated_integrand(p.b_coeff / p.a_coeff) / 2.0 * (total_time - t_quad)
-    # Simpson needs an even panel count
-    pairs = math.ceil(ENVELOPE_SEGMENTS_PER_RELAXATION * a4 * t_quad / 2.0)
-    segments = max(MIN_ENVELOPE_SEGMENTS, 2 * pairs)
-    on_axis = math.sin(p.theta0) == 0.0
-    p_ends, ends, _ = _bloch_spectrum(*closed_form_bloch(p, np.array([0.0, total_time])))
-    half0, half1 = ends[0] / 2.0, ends[1] / 2.0
-    sweep = p.omega_eff * total_time
-    overlap = math.cos(half0) * math.cos(half1) + math.sin(half0) * math.sin(half1) * complex(
-        math.cos(sweep), math.sin(sweep)
-    )
-    endpoint_arg = math.atan2(overlap.imag, overlap.real)
-    amplitude = math.sqrt(float(p_ends[0]) * float(p_ends[1])) * abs(overlap)
-
-    def total_at(segments):
-        integral, bloch_angle = _envelope_connection(p, t_quad, segments)
-        connection = 0.0 if on_axis else p.omega_eff * (integral + tail)
-        return endpoint_arg - connection, bloch_angle
-
-    total, bloch_angle = total_at(segments)
-    refinements = 0
-    while True:
-        segments *= 2
-        refinements += 1
-        refined, bloch_angle = total_at(segments)
-        gap = abs(refined - total)
-        total = refined
-        if gap <= refine_rel_tol * max(abs(total), 1e-30):
-            break
-        if refinements >= MAX_REFINEMENTS:
-            raise NumericsError(
-                f"path functional did not converge: last refinement moved the "
-                f"phase by {gap:.3e} at {segments + 1} envelope samples"
-            )
-    s2 = np.square(np.sin(bloch_angle / 2.0))
-    step = math.tau / samples_per_cycle
-    min_overlap = float(np.sqrt(1.0 - 2.0 * s2 * (1.0 - s2) * (1.0 - math.cos(step))).min())
-    if min_overlap < MIN_ADJACENT_OVERLAP:
-        raise NumericsError(
-            f"insufficient sampling: adjacent eigenvector overlap {min_overlap:.4f} "
-            f"below {MIN_ADJACENT_OVERLAP}"
-        )
-    unitary = _unitary_open_path(float(ends[0]), sweep)
-    return GPResult(
-        engine="tong",
-        n_cycles=sweep / math.tau,
-        total=total,
-        unitary_part=unitary,
-        nonunitary_part=total - unitary,
-        warnings=_endpoint_warnings(amplitude),
-        diagnostics={
-            "endpoint_amplitude": amplitude,
-            "min_adjacent_overlap": min_overlap,
-            "refinements": refinements,
-            "samples": segments + 1,
-            "samples_per_cycle": samples_per_cycle,
         },
     )
 
@@ -465,9 +373,11 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     panel set and its halving are evaluated together; while their gap
     exceeds KERNEL_REL_TOL times the integral of |integrand| the panels
     are halved again, at most MAX_HALVINGS times, else NumericsError.
-    Returns the halved set's integral, the gap and its panel count."""
+    Returns the halved set's integral, the gap, the integrand at the 48
+    nodes of each panel of the accepted pass (one row per panel of the
+    set, whose halving has twice as many panels) and the halvings taken."""
     panels = _kernel_panels(x_end, *_knee(ratio, cos_t, sin2))
-    for _ in range(MAX_HALVINGS + 1):
+    for halvings in range(1, MAX_HALVINGS + 2):
         values = _kernel_integrand(panels @ _PANEL_BASIS, x_end, ratio, cos_t, sin2)
         # weights in tau, so that a tiny a4 cannot underflow the sums
         weights = panels[:, 1] / a4
@@ -479,7 +389,7 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
         if gap <= floor or gap <= KERNEL_REL_TOL * float(
             weights @ (np.abs(values) @ _PANEL_WEIGHTS[:, 1])
         ):
-            return fine, gap, 2 * len(panels)
+            return fine, gap, values, halvings
         half = 0.5 * panels[:, 1]
         panels = np.concatenate(
             [np.column_stack([panels[:, 0], half]), np.column_stack([panels[:, 0] + half, half])]
@@ -490,50 +400,137 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     )
 
 
+def _phase_kernel(p: EvolutionParams, total_time: float):
+    """K = integral over [0, T] of cos theta0 - cos(angle), the non-unitary
+    kernel of both numeric engines: ``_nonunitary_kernel`` up to
+    SATURATION_EXPONENT in x = 4 a tau plus the integrand there for the
+    rest of the horizon; closed forms (no nodes) for a = 0 and on-axis
+    states (sin^2 theta0 subnormal). Returns K, the halving gap, the node
+    values and the halvings taken."""
+    no_nodes = np.empty((0, _PANEL_NODES.size))
+    if p.a_coeff == 0.0:
+        return 0.0, 0.0, no_nodes, 0  # pure precession: the angle never leaves theta0
+    cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
+    sin2 = sin_t * sin_t
+    ratio = p.b_coeff / p.a_coeff
+    a4 = 4.0 * p.a_coeff
+    if sin2 < sys.float_info.min:
+        # cos(angle) = sign(g) leaves cos theta0 = +-1 for -cos theta0 at the knee
+        kernel = 0.0
+        if ratio != 0.0 and cos_t / ratio > 0.0:
+            kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
+        return kernel, 0.0, no_nodes, 0
+    x_end = min(a4 * total_time, SATURATION_EXPONENT)
+    kernel, gap, values, halvings = _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
+    if a4 * total_time > SATURATION_EXPONENT:
+        saturated = _kernel_integrand(
+            np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
+        )[0]
+        kernel += float(saturated) * (total_time - SATURATION_EXPONENT / a4)
+    return kernel, gap, values, halvings
+
+
+def gp_tong_closed_form(
+    p: EvolutionParams, total_time: float, samples_per_cycle: int = SAMPLES_PER_CYCLE
+) -> GPResult:
+    """Evaluate the path functional on the analytic trajectory.
+
+    In the canonical gauge the azimuth advances at exactly omega_eff, so
+    against the pure precession over the same open path the terms in
+    omega T sin^2(theta0/2) cancel, and nonunitary = arg(overlap conj(c0^2
+    + s0^2 e^{i omega T})) - (omega / 2) K with K from ``_phase_kernel``:
+    the cost never grows with the cycle count. The endpoint half-angles
+    sqrt((R +- g) / 2R) come from the kernel's closed form, and the arg
+    from sin((angle - theta0) / 2) = (cos theta0 - cos angle) / (2
+    sin((angle + theta0) / 2)), free of cancellation. ``abserr`` (rad),
+    ``panels`` and ``samples`` (nodes of the accepted pass) are the
+    kernel's. There and at both ends the adjacent-overlap check certifies
+    ``samples_per_cycle``: eigenvectors a cycle fraction 1/samples_per_cycle
+    apart overlap by |cos^2(angle/2) + sin^2(angle/2) e^{2 pi i / samples_per_cycle}|.
+    """
+    if total_time < 0.0:
+        raise ValueError(f"total_time must be non-negative, got {total_time}")
+    if samples_per_cycle < 4:
+        raise ValueError("need at least 4 samples per cycle to unwrap the azimuth")
+    cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
+    sin2 = sin_t * sin_t
+    ratio = p.b_coeff / p.a_coeff if p.a_coeff else 0.0
+    # the endpoint state, taken at SATURATION_EXPONENT beyond it as in the kernel
+    eps = math.expm1(min(4.0 * p.a_coeff * total_time, SATURATION_EXPONENT))
+    u, g = 1.0 + eps, cos_t - ratio * eps
+    big_r2 = u * sin2 + g * g
+    big_r = math.sqrt(big_r2)
+    _require_eigenbasis(big_r / u)
+    # R + |g| and R - |g| = u sin^2 theta0 / (R + |g|), free of cancellation
+    wide = big_r + abs(g)
+    halves = (wide, u * sin2 / wide) if g >= 0.0 else (u * sin2 / wide, wide)
+    cos_h1, sin_h1 = (math.sqrt(h / (2.0 * big_r)) for h in halves)
+    # cos theta0 - cos(angle), the scalar twin of _kernel_integrand
+    if cos_t * g > 0.0:
+        numer = eps * (sin2 * cos_t * (cos_t + 2.0 * ratio) - (sin2 * ratio * ratio) * eps)
+        drop = numer / (cos_t * big_r2 + g * big_r)
+    else:
+        drop = cos_t - g / big_r
+    kernel, gap, values, halvings = _phase_kernel(p, total_time)
+
+    # sin^2(angle) is smallest where |cos(angle)| is
+    nearest = min(float(np.min(np.abs(cos_t - values), initial=abs(cos_t))), abs(g) / big_r)
+    step = math.tau / samples_per_cycle
+    min_overlap = math.sqrt(1.0 - (1.0 - nearest * nearest) * (1.0 - math.cos(step)) / 2.0)
+    if min_overlap < MIN_ADJACENT_OVERLAP:
+        raise NumericsError(
+            f"insufficient sampling: adjacent eigenvector overlap {min_overlap:.4f} "
+            f"below {MIN_ADJACENT_OVERLAP}"
+        )
+
+    c0, s0 = math.cos(p.theta0 / 2.0), math.sin(p.theta0 / 2.0)
+    sweep = p.omega_eff * total_time
+    cos_s, sin_s = math.cos(sweep), math.sin(sweep)
+    across = s0 * cos_h1 + c0 * sin_h1  # sin((angle + theta0) / 2)
+    drift = drop / (2.0 * across) if across else 0.0  # sin((angle - theta0) / 2)
+    # overlap times conj(c0^2 + s0^2 e^{i sweep}) has imaginary part sin_s s0 c0 drift
+    real = c0 ** 3 * cos_h1 + s0 ** 3 * sin_h1 + cos_s * s0 * c0 * across
+    endpoint = math.atan2(sin_s * s0 * c0 * drift, real)
+    overlap = abs(complex(c0 * cos_h1 + s0 * sin_h1 * cos_s, s0 * sin_h1 * sin_s))
+    amplitude = math.sqrt((1.0 + big_r / u) / 2.0) * overlap
+    unitary = _unitary_open_path(p.theta0, sweep)
+    nonunitary = endpoint - (p.omega_eff / 2.0) * kernel
+    return GPResult(
+        engine="tong",
+        n_cycles=sweep / math.tau,
+        total=unitary + nonunitary,
+        unitary_part=unitary,
+        nonunitary_part=nonunitary,
+        warnings=_endpoint_warnings(amplitude),
+        diagnostics={
+            "abserr": (p.omega_eff / 2.0) * gap,
+            "endpoint_amplitude": amplitude,
+            "min_adjacent_overlap": min_overlap,
+            "panels": 2 * len(values),
+            "refinements": halvings,
+            "samples": values.size,
+            "samples_per_cycle": samples_per_cycle,
+        },
+    )
+
+
 def gp_exact_integral(
     p: EvolutionParams, total_time: float, n_cycles: float | None = None
 ) -> GPResult:
     """Geometric phase from checked composite Gauss-Legendre quadrature of
-    the closed-form integrand.
-
-    Valid for any horizon. The integral splits into the unitary part
-    (1 - cos theta0) T and the non-unitary kernel K = integral of cos
-    theta0 - cos(angle), which ``_nonunitary_kernel`` integrates in
-    x = 4 a tau directly, in a form free of cancellation, with a
-    breakpoint at the knee where g = cos theta0 - ratio (e^{4 a tau} - 1)
-    changes sign. Horizons far beyond relaxation add the saturated
-    integrand for the remainder. On-axis initial states (sin^2 theta0
-    below the normal range) and a = 0 are evaluated in closed form. ``abserr`` is the halving gap
-    of the non-unitary part (rad); ``panels`` is 0 for the closed forms.
+    the closed-form integrand, valid for any horizon: the unitary part
+    -omega T sin^2(theta0/2), exact down to theta0 = 0, plus -(omega / 2) K
+    with the kernel K of ``_phase_kernel``, integrated directly in a form
+    free of cancellation. ``abserr`` is the halving gap of the non-unitary
+    part (rad); ``panels`` is 0 for the closed forms.
     """
     if total_time < 0.0:
         raise ValueError(f"total_time must be non-negative, got {total_time}")
     omega = p.omega_eff
-    cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
-    sin2 = sin_t * sin_t
-    a4 = 4.0 * p.a_coeff
-    kernel, gap, panels = 0.0, 0.0, 0
-    if p.a_coeff == 0.0:
-        pass  # pure precession: the angle never leaves theta0
-    elif sin2 < sys.float_info.min:
-        # on axis, or so close that sin^2 theta0 is subnormal:
-        # cos(angle) = sign(g) leaves cos theta0 = +-1 for -cos theta0 at the knee
-        ratio = p.b_coeff / p.a_coeff
-        if ratio != 0.0 and cos_t / ratio > 0.0:
-            kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
-    else:
-        ratio = p.b_coeff / p.a_coeff
-        x_end = min(a4 * total_time, SATURATION_EXPONENT)
-        kernel, gap, panels = _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
-        if a4 * total_time > SATURATION_EXPONENT:
-            saturated = _kernel_integrand(
-                np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
-            )[0]
-            kernel += float(saturated) * (total_time - SATURATION_EXPONENT / a4)
-
+    kernel, gap, values, _ = _phase_kernel(p, total_time)
     if n_cycles is None:
         n_cycles = omega * total_time / math.tau
-    unitary = -(omega * total_time / 2.0) * (1.0 - cos_t)
+    unitary = -(omega * total_time) * math.sin(p.theta0 / 2.0) ** 2
     nonunitary = 0.0 - (omega / 2.0) * kernel  # 0.0 - keeps a vanishing part at +0.0
     return GPResult(
         engine="exact-integral",
@@ -542,8 +539,8 @@ def gp_exact_integral(
         unitary_part=unitary,
         nonunitary_part=nonunitary,
         diagnostics={
-            "four_a_t": a4 * total_time,
-            "panels": panels,
+            "four_a_t": 4.0 * p.a_coeff * total_time,
+            "panels": 2 * len(values),
             "abserr": (omega / 2.0) * gap,
         },
     )

@@ -132,7 +132,7 @@ class TestTongFunctional:
     def test_unitary_limit_reproduces_solid_angle(self):
         for n, theta in ((1, math.pi / 2), (3, 0.8), (2, 2.5)):
             p = EvolutionParams(0.0, 0.0, 50.0, theta)
-            got = gp_tong_closed_form(p, cycles_time(p, n), refine_rel_tol=1e-13)
+            got = gp_tong_closed_form(p, cycles_time(p, n))
             want = unitary_reference(n, theta)
             assert got.total == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
 
@@ -219,6 +219,50 @@ class TestTongFunctional:
         assert got.total == pytest.approx(dense.total, rel=1e-6)
         assert got.n_cycles == pytest.approx(dense.n_cycles, rel=1e-12)
         assert got.diagnostics["refinements"] >= 1
+
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_nonunitary_part_matches_quasi_cycle_at_presets(self, name):
+        # the expansion parameter bounds the relative distance between the
+        # exact non-unitary part and its leading order
+        scn = preset(name)
+        for n in (100, 1000, 10**5, scn.n_default):
+            quasi = scenario_gp(scn, n, "quasi-cycle")
+            assert quasi.diagnostics["pi_n_a_over_omega0"] <= 1e-12
+            got = scenario_gp(scn, n, "tong")
+            # abs=0: pytest.approx otherwise passes anything within 1e-12
+            assert got.nonunitary_part == pytest.approx(quasi.nonunitary_part, rel=1e-12, abs=0)
+            assert got.total == got.unitary_part + got.nonunitary_part
+            assert got.diagnostics["samples"] == 24 * got.diagnostics["panels"] > 0
+            assert got.diagnostics["abserr"] <= 1e-10 * abs(got.nonunitary_part)
+
+    def test_nonunitary_part_matches_exact_integral_on_c02_draws(self):
+        rng = np.random.default_rng(7707)
+        for _ in range(50):
+            n = int(rng.integers(3, 61))
+            a = 10.0 ** rng.uniform(-7.0, -3.1) / (math.pi * n)
+            theta = rng.uniform(0.15, math.pi - 0.15)
+            p = EvolutionParams(a, a * rng.uniform(-1.0, 1.0), 1.0, theta)
+            got = gp_tong_closed_form(p, cycles_time(p, n))
+            want = gp_exact_integral(p, cycles_time(p, n))
+            assert got.nonunitary_part == pytest.approx(want.nonunitary_part, rel=1e-12, abs=0)
+
+    def test_degenerate_endpoint_raises(self):
+        # b = 0 drives the state to the maximally mixed one, where the
+        # eigenbasis is undefined: Bloch length sin(theta0) e^{-2 a T}
+        p = EvolutionParams(1.0, 0.0, 10.0, 1.0)
+        with pytest.raises(NumericsError, match="degenerate state"):
+            gp_tong_closed_form(p, 20.0)
+
+    def test_dense_polygon_error_is_flagged(self):
+        # the adjacent-overlap polygon is second order in the azimuth step
+        # except at theta0 = pi/2; on a decay-free path its whole
+        # non-unitary part is that error, which the Richardson estimate finds
+        p = EvolutionParams(0.0, 0.0, 50.0, 0.7)
+        got = gp_tong(eigenpath_from_closed_form(p, cycles_time(p, 3)))
+        assert got.diagnostics["abserr"] == pytest.approx(abs(got.nonunitary_part), rel=1e-3)
+        assert "polygon error estimate" in got.validity
+        p = EvolutionParams(0.0, 0.0, 50.0, math.pi / 2)
+        assert gp_tong(eigenpath_from_closed_form(p, cycles_time(p, 3))).validity == "ok"
 
     def test_vanishing_endpoint_overlap_is_flagged(self):
         # at half-integer n with theta0 = pi/2 the endpoint eigenvectors are
@@ -346,6 +390,15 @@ class TestExactIntegral:
             assert got.total == got.unitary_part + got.nonunitary_part
             assert got.diagnostics["panels"] >= 2
             assert got.diagnostics["abserr"] <= 1e-10 * abs(got.nonunitary_part)
+
+    def test_unitary_part_keeps_tiny_initial_angles(self):
+        # 1 - cos(4e-9) rounds to 0; the total must still carry the unitary
+        # part -omega T sin^2(theta0/2), which here outweighs the non-unitary
+        # one and sets the sign. 60-digit mpmath quadrature of the integrand.
+        got = gp_exact_integral(EvolutionParams(1e-3, -0.83e-3, 10.0, 4e-9), 3000.0)
+        total, unitary = -1.204810358245578396023297691240331079205e-14, -1.2e-13
+        assert got.total == pytest.approx(total, rel=1e-9, abs=0)
+        assert got.unitary_part == pytest.approx(unitary, rel=1e-15, abs=0)
 
     def test_graded_panels_resolve_a_sharp_knee(self):
         # theta0 = pi - 1e-6 pumped toward |e>: the Bloch vector swings past
