@@ -30,7 +30,8 @@ All phases are reported as continuous (unwrapped) accumulations with the
 principal value in [-pi, pi] derived from them. The unitary reference of
 ``tong`` is the pure precession over the same open path, that of
 ``exact-integral`` its linear part -omega T sin^2(theta/2); the
-quasi-cycle engines use the closed-loop solid angle -pi n (1 - cos theta).
+quasi-cycle engines use the closed-loop solid angle
+-pi n (1 - cos theta) = -2 pi n sin^2(theta/2).
 """
 
 from __future__ import annotations
@@ -558,9 +559,11 @@ def _quasi_cycle_result(
     warnings: tuple[str, ...] = (),
 ) -> GPResult:
     """Assemble a quasi-cycle result around its non-unitary correction:
-    the pure-precession term, the expansion parameter pi*n*a/omega0 (with
-    a warning past 0.1) and the strict relaxation bound 8 times it."""
-    unitary = -math.pi * n * (1.0 - math.cos(theta))
+    the pure-precession term -2 pi n sin^2(theta/2), exact down to
+    theta = 0 where 1 - cos(theta) rounds to 0, the expansion parameter
+    pi*n*a/omega0 (with a warning past 0.1) and the strict relaxation
+    bound 8 times it."""
+    unitary = -(math.tau * n) * math.sin(theta / 2.0) ** 2
     expansion = math.pi * n * a_coeff / omega0
     if expansion >= 0.1:
         warnings = (

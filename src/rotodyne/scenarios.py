@@ -32,6 +32,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from .cavity import CavitySpec
 from .dynamics import EvolutionParams
 from .geophase import (
     GPResult,
+    _split_result,
     gp_case1,
     gp_case2,
     gp_exact_integral,
@@ -372,19 +375,25 @@ def default_anchors(scenario: Scenario) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Column-oriented result table with deterministic serialization.
+    """Result table stored as row tuples, with deterministic serialization.
 
     ``metadata`` (scenario snapshot, tool version, axis name) rides along
     into JSON output; the CSV schema is fixed by the column tuple alone.
+    The writers and ``column`` read the cells through one cached
+    transpose of ``rows``.
     """
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     metadata: dict = field(default_factory=dict)
 
+    @cached_property
+    def _cells_by_column(self) -> tuple[tuple, ...]:
+        """One tuple of cells per column."""
+        return tuple(zip(*self.rows)) if self.rows else ((),) * len(self.columns)
+
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        values = [row[idx] for row in self.rows]
+        values = self._cells_by_column[self.columns.index(name)]
         if values and isinstance(values[0], str):
             return np.asarray(values, dtype=object)
         return np.asarray(values, dtype=float)
@@ -429,7 +438,7 @@ def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTab
     columns = np.broadcast_arrays(
         grid, rates.gamma_down, rates.gamma_down_inertial, rates.gamma_down_ni, rates.gamma_up
     )
-    rows = tuple((*values, rates.validity) for values in np.stack(columns, axis=1).tolist())
+    rows = tuple(zip(*(c.tolist() for c in columns), repeat(rates.validity)))
     return SweepTable(
         columns=RATE_SWEEP_COLUMNS,
         rows=rows,
@@ -463,6 +472,13 @@ ENGINES = {
 }
 
 
+def _family_engine(scenario: Scenario) -> str:
+    """The scenario's own engine: its family's case engine, or
+    ``quasi-cycle`` for the ``general`` family. Each is ``gp_split`` of
+    ``scenario_rates`` under that label."""
+    return "quasi-cycle" if scenario.family == "general" else scenario.family
+
+
 def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResult:
     """Geometric phase of the scenario after n cycles from a named engine
     in ``ENGINES``.
@@ -473,22 +489,25 @@ def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResu
     evaluates the scenario's family rates.
     """
     if engine is None:
-        engine = "quasi-cycle" if scenario.family == "general" else scenario.family
+        engine = _family_engine(scenario)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; available: {', '.join(ENGINES)}")
     return ENGINES[engine](scenario, n)
 
 
 def gp_vs_n(scenario: Scenario, n_values=None) -> SweepTable:
-    """Geometric-phase contributions as the cycle count grows."""
+    """Geometric-phase contributions as the cycle count grows, from the
+    scenario's own engine (as ``scenario_gp``) on one rate evaluation."""
     if n_values is None:
         n_values = default_n_grid(scenario.n_max)
+    engine = _family_engine(scenario)
+    rates = scenario_rates(scenario)
     rows = []
     for n in np.asarray(n_values):
         n = int(n)
         if n < 1:
             raise ValueError(f"cycle counts must be positive, got {n}")
-        res = scenario_gp(scenario, n)
+        res = _split_result(engine, rates, n, scenario.atom.theta0, scenario.atom.omega0)
         rows.append(
             (
                 n,
@@ -506,6 +525,18 @@ def gp_vs_n(scenario: Scenario, n_values=None) -> SweepTable:
     )
 
 
+def _column_kind(cells) -> str:
+    """'text', 'int', 'float' or 'mixed', from the types of a column's cells."""
+    kinds = set(map(type, cells))
+    if all(issubclass(k, str) for k in kinds):
+        return "text"
+    if all(issubclass(k, (int, np.integer)) for k in kinds):
+        return "int"
+    if any(issubclass(k, (str, int, np.integer)) for k in kinds):
+        return "mixed"
+    return "float"
+
+
 def _cell_text(value) -> str:
     if isinstance(value, str):
         return value
@@ -515,21 +546,76 @@ def _cell_text(value) -> str:
 
 
 def table_to_csv_text(table: SweepTable) -> str:
+    """CSV with one row per table row: floats as %.16e, integers as %d and
+    text quoted by ``csv.writer``.
+
+    Each column picks its format once and each distinct string is quoted
+    once; the body is one ``%`` over a row template.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_cell_text(v) for v in row])
-    return buf.getvalue()
+    header = buf.getvalue()
+    # csv.writer writes a row of one empty field as "", so in a wider row
+    # a field is quoted next to an empty one
+    pad = ("",) if len(table.columns) > 1 else ()
+
+    def quote(text: str) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, *pad))
+        return buf.getvalue()[: -1 - len(pad)]
+
+    fields, columns = [], []
+    for cells in table._cells_by_column:
+        kind = _column_kind(cells)
+        if kind == "text":
+            quoted = {text: quote(text) for text in set(cells)}
+            cells = list(map(quoted.__getitem__, cells))
+        elif kind == "mixed":
+            cells = [quote(_cell_text(v)) for v in cells]
+        fields.append({"int": "%d", "float": "%.16e"}.get(kind, "%s"))
+        columns.append(cells)
+    template = (",".join(fields) + "\n") * len(table.rows)
+    return header + template % tuple(chain.from_iterable(zip(*columns)))
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(cells) -> list[str]:
+    """JSON text of each cell of a column, as ``json.dumps`` writes it:
+    strings as they are, every other cell as a float."""
+    kind = _column_kind(cells)
+    if kind == "text":
+        texts = {text: json.dumps(text) for text in set(cells)}
+        return list(map(texts.__getitem__, cells))
+    if kind == "mixed":
+        return [json.dumps(v if isinstance(v, str) else float(v)) for v in cells]
+    values = list(map(float, cells))  # repr(np.float64(1.0)) is 'np.float64(1.0)'
+    texts = list(map(repr, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_JSON_NON_FINITE.get(t, t) for t in texts]
+    return texts
 
 
 def table_to_json_text(table: SweepTable) -> str:
-    payload = {
-        "columns": list(table.columns),
-        "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in table.rows],
-        "metadata": table.metadata,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The table as ``json.dumps`` writes ``{"columns", "metadata", "rows"}``
+    with ``indent=2, sort_keys=True``, every non-string cell as a float.
+
+    Only the columns and metadata go through ``json.dumps`` whole; the
+    rows are one ``%`` over a row template of per-column cell texts.
+    """
+    head = json.dumps(
+        {"columns": list(table.columns), "metadata": table.metadata}, indent=2, sort_keys=True
+    )
+    rows = "[]"
+    if table.rows:
+        columns = [_json_cells(cells) for cells in table._cells_by_column]
+        row = "    [\n      " + ",\n      ".join(["%s"] * len(columns)) + "\n    ]"
+        template = ",\n".join([row if columns else "    []"] * len(table.rows))
+        rows = "[\n" + template % tuple(chain.from_iterable(zip(*columns))) + "\n  ]"
+    return head[: -len("\n}")] + f',\n  "rows": {rows}\n}}\n'
 
 
 def write_csv(table: SweepTable, path) -> None:

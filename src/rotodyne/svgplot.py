@@ -41,8 +41,12 @@ class _Axis:
         self.lo = lo - 0.04 * span
         self.hi = hi + 0.04 * span
 
-    def unit(self, value: float) -> float:
-        v = math.log10(value) if self.log else value
+    def unit(self, values):
+        """Axis fraction of a value or of each value of an array; a log
+        axis takes libm's log10 of each value, as ``math.log10`` does."""
+        v = np.asarray(values, dtype=float)
+        if self.log:
+            v = np.reshape(list(map(math.log10, v.ravel().tolist())), v.shape)
         return (v - self.lo) / (self.hi - self.lo)
 
     def ticks(self) -> list[tuple[float, str]]:
@@ -87,13 +91,10 @@ def line_chart(
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError(f"series {label!r} needs matching 1-d x and y")
-        prepared.append((str(label), xs, ys))
+        prepared.append((str(label), xs, ys, _valid_mask(xs, xlog) & _valid_mask(ys, ylog)))
 
-    x_vals, y_vals = [], []
-    for _, xs, ys in prepared:
-        mask = _valid_mask(xs, xlog) & _valid_mask(ys, ylog)
-        x_vals.append(xs[mask])
-        y_vals.append(ys[mask])
+    x_vals = [xs[mask] for _, xs, _, mask in prepared]
+    y_vals = [ys[mask] for _, _, ys, mask in prepared]
     x_all = np.concatenate(x_vals) if x_vals else np.empty(0)
     y_all = np.concatenate(y_vals) if y_vals else np.empty(0)
     if x_all.size == 0:
@@ -104,11 +105,11 @@ def line_chart(
     box_x0, box_x1 = MARGIN_LEFT, width - MARGIN_RIGHT
     box_y0, box_y1 = MARGIN_TOP, height - MARGIN_BOTTOM
 
-    def px(value: float) -> float:
-        return box_x0 + x_axis.unit(value) * (box_x1 - box_x0)
+    def px(values):
+        return box_x0 + x_axis.unit(values) * (box_x1 - box_x0)
 
-    def py(value: float) -> float:
-        return box_y1 - y_axis.unit(value) * (box_y1 - box_y0)
+    def py(values):
+        return box_y1 - y_axis.unit(values) * (box_y1 - box_y0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
@@ -179,33 +180,29 @@ def line_chart(
         )
 
     legend_entries = []
-    for idx, (label, xs, ys) in enumerate(prepared):
+    for idx, (label, xs, ys, mask) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
-        mask = _valid_mask(xs, xlog) & _valid_mask(ys, ylog)
         legend_entries.append((label, color))
-        # split the trace wherever points are not drawable
-        start = None
-        for k in range(xs.size + 1):
-            inside = k < xs.size and mask[k]
-            if inside and start is None:
-                start = k
-            elif not inside and start is not None:
-                run = slice(start, k)
-                pts = " ".join(
-                    f"{_fmt(px(x))},{_fmt(py(y))}"
-                    for x, y in zip(xs[run], ys[run])
+        # split the trace wherever points are not drawable: a run of
+        # drawable points starts and stops at each change of the mask
+        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+        coords = np.column_stack((px(xs[mask]), py(ys[mask]))).ravel().tolist()
+        first = 0
+        for start, stop in zip(edges[::2], edges[1::2]):
+            count = stop - start
+            run = coords[2 * first : 2 * (first + count)]
+            first += count
+            if count >= 2:
+                pts = " ".join(["%.2f,%.2f"] * count) % tuple(run)
+                parts.append(
+                    f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                    'stroke-width="1.6"/>'
                 )
-                if k - start >= 2:
-                    parts.append(
-                        f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                        'stroke-width="1.6"/>'
-                    )
-                else:
-                    parts.append(
-                        f'<circle cx="{_fmt(px(xs[start]))}" cy="{_fmt(py(ys[start]))}" '
-                        f'r="2.2" fill="{color}"/>'
-                    )
-                start = None
+            else:
+                parts.append(
+                    f'<circle cx="{_fmt(run[0])}" cy="{_fmt(run[1])}" '
+                    f'r="2.2" fill="{color}"/>'
+                )
 
     for idx, (label, color) in enumerate(legend_entries):
         ly = box_y0 + 14 + 16 * idx

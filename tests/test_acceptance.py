@@ -92,14 +92,16 @@ def test_c02_path_functional_and_quasi_cycle_match_exact_integral():
 
 
 def test_c03_all_engines_reduce_to_unitary_limit():
-    """With both decay channels off every engine returns -pi*n*(1-cos(theta))."""
+    """With both decay channels off every engine returns -pi*n*(1-cos(theta)),
+    which the quasi-cycle engine forms as -2*pi*n*sin(theta/2)**2."""
     n = 7
     omega = 2.5
     horizon = math.tau * n / omega
     for theta in (0.0, 0.3, math.pi / 2.0, 2.2, math.pi):
         want = -math.pi * n * (1.0 - math.cos(theta))
         p = EvolutionParams(0.0, 0.0, omega, theta)
-        assert gp_quasi_cycle(p, n).total == want
+        assert gp_quasi_cycle(p, n).total == -(math.tau * n) * math.sin(theta / 2.0) ** 2
+        assert gp_quasi_cycle(p, n).total == pytest.approx(want, rel=4e-15, abs=0)
         got = gp_exact_integral(p, horizon, n_cycles=n).total
         assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
     for theta in (0.0, 0.3, math.pi / 2.0, 2.2):

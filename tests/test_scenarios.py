@@ -1,5 +1,7 @@
 """Scenario presets, serialization, sweep tables, deterministic text output."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from rotodyne import (
+    SweepTable,
     build_grid,
     default_anchors,
     default_n_grid,
@@ -29,6 +32,73 @@ from rotodyne import (
 )
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
+
+
+def _cell_text(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.16e}"
+
+
+def reference_csv(table) -> str:
+    """The per-cell CSV writer the column writer must match byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([_cell_text(v) for v in row])
+    return buf.getvalue()
+
+
+def reference_json(table) -> str:
+    """The whole-payload JSON writer the column writer must match byte for byte."""
+    payload = {
+        "columns": list(table.columns),
+        "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in table.rows],
+        "metadata": table.metadata,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+SUBNORMAL = 5e-324
+AWKWARD_TEXT = ("ok", "a, b", 'say "hi"', "two\nlines", "")
+
+
+def _awkward_tables():
+    """Tables whose cells exercise every formatting branch of the writers."""
+    floats = (math.nan, math.inf, -math.inf, -0.0, 0.0, SUBNORMAL, 2.5e-310, 1e308, -1.25)
+    rows = tuple(
+        (
+            n,
+            x,
+            np.float64(-x),
+            np.float64(k + 0.1) if k % 2 else k + 0.1,
+            AWKWARD_TEXT[k % len(AWKWARD_TEXT)],
+        )
+        for k, (n, x) in enumerate(zip(range(1, 10), floats))
+    )
+    columns = ("n", "x", "minus_x", "mixed_float_types", "validity")
+    metadata = {"axis": "n", "points": len(rows), "note": 'quote " and\nnewline', "z": [1.5, None]}
+    scn = preset("case1")
+    grid = build_grid(scn.sweep_lo, scn.sweep_hi, 9, anchors=default_anchors(scn))
+    return {
+        "specials": SweepTable(columns=columns, rows=rows, metadata=metadata),
+        "one-row": SweepTable(columns=columns, rows=rows[:1], metadata=metadata),
+        "no-rows": SweepTable(columns=columns, rows=(), metadata={}),
+        "one-text-column": SweepTable(
+            columns=("validity",), rows=tuple((t,) for t in AWKWARD_TEXT)
+        ),
+        "int-and-float-column": SweepTable(
+            columns=("v", "w"), rows=((1, "x"), (2.5, "y"), (np.int64(-3), "z"))
+        ),
+        "text-and-number-column": SweepTable(
+            columns=("v",), rows=(("a,b",), (1.5,), (np.int64(7),), ("",))
+        ),
+        "sweep": sweep_cavity(scn, grid),
+        "gp_vs_n": gp_vs_n(preset("case2"), [1, 10, 1000]),
+    }
 
 
 class TestPresets:
@@ -179,6 +249,33 @@ class TestSweeps:
         assert row[tbl.columns.index("phi_ni_rad")] == direct.noninertial_part
         assert row[tbl.columns.index("phi_in_rad")] == direct.inertial_part
 
+    def test_gp_table_rows_are_scenario_gp_from_one_rate_evaluation(self, monkeypatch):
+        import rotodyne.scenarios as scenarios
+
+        general = scenario_from_dict(dict(scenario_to_dict(preset("case1")), family="general"))
+        for s in (preset("case1"), preset("case2"), general):
+            ns = [1, 7, 1000, s.n_max]
+            want = [scenario_gp(s, n) for n in ns]
+            calls = []
+            real = scenarios.scenario_rates
+            monkeypatch.setattr(
+                scenarios, "scenario_rates", lambda *args: calls.append(args) or real(*args)
+            )
+            table = gp_vs_n(s, ns)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert table.rows == tuple(
+                (
+                    n,
+                    res.unitary_part,
+                    res.inertial_part,
+                    res.noninertial_part,
+                    res.nonunitary_part,
+                    res.diagnostics["pi_n_a_over_omega0"],
+                )
+                for n, res in zip(ns, want)
+            )
+
     def test_engine_dispatch_follows_family(self):
         s1, s2 = preset("case1"), preset("case2")
         assert scenario_gp(s1, 100).engine == "case1"
@@ -234,6 +331,43 @@ class TestTextOutput:
         assert payload["metadata"]["points"] == 2
         text = table_to_csv_text(tbl)
         assert len(text.splitlines()) == 3  # header + two rows, nothing else
+
+
+class TestWritersMatchPerCellReference:
+    TABLES = _awkward_tables()
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_csv_bytes(self, name):
+        table = self.TABLES[name]
+        assert table_to_csv_text(table) == reference_csv(table)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_json_bytes(self, name):
+        table = self.TABLES[name]
+        assert table_to_json_text(table) == reference_json(table)
+
+    def test_special_values_are_written_as_csv_and_json_spell_them(self):
+        table = self.TABLES["specials"]
+        rows = list(csv.reader(io.StringIO(table_to_csv_text(table))))
+        assert [row[:3] for row in rows[1:7:2]] == [
+            ["1", "nan", "nan"],
+            ["3", "-inf", "inf"],
+            ["5", "0.0000000000000000e+00", "-0.0000000000000000e+00"],
+        ]
+        assert rows[4][1:3] == ["-0.0000000000000000e+00", "0.0000000000000000e+00"]
+        assert rows[6][1:3] == ["4.9406564584124654e-324", "-4.9406564584124654e-324"]
+        assert [row[-1] for row in rows[1:6]] == list(AWKWARD_TEXT)
+        text = table_to_json_text(table)
+        for token in ("NaN", "Infinity", "-Infinity", "5e-324", "-0.0", '"a, b"', '"say \\"hi\\""'):
+            assert token in text
+        assert "np.float64" not in text
+
+    def test_columns_of_the_stored_rows(self):
+        table = self.TABLES["specials"]
+        np.testing.assert_array_equal(table.column("n"), np.arange(1.0, 10.0))
+        assert list(table.column("validity")) == [row[-1] for row in table.rows]
+        assert table.column("x").size == 9
+        assert self.TABLES["no-rows"].column("x").shape == (0,)
 
 
 class TestFigure:

@@ -1,0 +1,114 @@
+"""SVG line charts: run splitting, axis mapping and markers, checked against
+the per-point pixel formula."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from rotodyne.svgplot import MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, line_chart
+
+WIDTH, HEIGHT = 760.0, 500.0
+POLYLINE = re.compile(r'<polyline points="([^"]*)"')
+CIRCLE = re.compile(r'<circle cx="([^"]*)" cy="([^"]*)"')
+
+
+def axis_map(values, log, lo_px, hi_px):
+    """Per-point pixel formula: the drawable range padded by 4 % on each
+    side, mapped linearly (in log10 on a log axis) onto [lo_px, hi_px]."""
+    vals = [math.log10(v) for v in values] if log else list(values)
+    lo, hi = min(vals), max(vals)
+    lo, hi = lo - 0.04 * (hi - lo), hi + 0.04 * (hi - lo)
+
+    def to_px(value):
+        v = math.log10(value) if log else value
+        return lo_px + (v - lo) / (hi - lo) * (hi_px - lo_px)
+
+    return to_px
+
+
+def chart(tmp_path, series, **kwargs):
+    path = tmp_path / "chart.svg"
+    line_chart(path, series, **kwargs)
+    return path.read_text()
+
+
+def expected_runs(xs, ys, drawable, px, py):
+    """'x,y' point strings of each run of consecutive drawable points."""
+    runs, current = [], []
+    for x, y, ok in zip(xs, ys, drawable):
+        if ok:
+            current.append(f"{px(x):.2f},{py(y):.2f}")
+        elif current:
+            runs.append(current)
+            current = []
+    if current:
+        runs.append(current)
+    return runs
+
+
+def drawn_runs(svg):
+    """Point strings of every polyline and circle, in document order."""
+    runs = []
+    for match in re.finditer(r'<polyline points="([^"]*)"|<circle cx="([^"]*)" cy="([^"]*)"', svg):
+        if match.group(1) is not None:
+            runs.append(match.group(1).split(" "))
+        else:
+            runs.append([f"{match.group(2)},{match.group(3)}"])
+    return runs
+
+
+class TestRuns:
+    def test_log_axes_split_runs_at_undrawable_points(self, tmp_path):
+        xs = np.geomspace(1.0, 1e4, 12)
+        ys = np.geomspace(3e-3, 7.0, 12)
+        ys[[2, 4, 5, 10]] = (math.nan, -1.0, 0.0, math.inf)
+        svg = chart(tmp_path, [("s", xs, ys)], xlog=True, ylog=True)
+        drawable = np.isfinite(ys) & (ys > 0.0)
+        px = axis_map(xs[drawable], True, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+        py = axis_map(ys[drawable], True, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+        want = expected_runs(xs, ys, drawable, px, py)
+        # runs of 2, 1, 4 and 1 points: polyline, circle, polyline, circle
+        assert [len(run) for run in want] == [2, 1, 4, 1]
+        assert drawn_runs(svg) == want
+        assert len(POLYLINE.findall(svg)) == 2
+        assert len(CIRCLE.findall(svg)) == 2
+
+    def test_linear_axes_draw_negative_values(self, tmp_path):
+        xs = np.linspace(-3.0, 5.0, 9)
+        ys = np.array([-2.0, 1.5, math.nan, 0.25, -0.75, 3.0, math.inf, 2.0, -1.0])
+        zs = np.cos(xs)
+        svg = chart(tmp_path, [("a", xs, ys), ("b", xs, zs)])
+        drawable = np.isfinite(ys)
+        all_y = np.concatenate([ys[drawable], zs])
+        px = axis_map(xs, False, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+        py = axis_map(all_y, False, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+        want = expected_runs(xs, ys, drawable, px, py)
+        want += expected_runs(xs, zs, np.ones(9, bool), px, py)
+        assert [len(run) for run in want] == [2, 3, 2, 9]
+        assert drawn_runs(svg) == want
+        assert '<polyline points="' + " ".join(want[-1]) + '" fill="none" stroke="#d62728"' in svg
+
+    def test_undrawable_series_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no drawable points"):
+            chart(tmp_path, [("s", [1.0, 2.0], [-1.0, 0.0])], ylog=True)
+
+
+class TestMarkers:
+    def test_vlines_inside_the_box_only(self, tmp_path):
+        xs = np.geomspace(10.0, 1e5, 7)
+        ys = np.geomspace(1.0, 2.0, 7)
+        svg = chart(
+            tmp_path,
+            [("s", xs, ys)],
+            xlog=True,
+            vlines=(("inside", 300.0), ("outside", 1e9), ("negative", -5.0), ("nan", math.nan)),
+        )
+        px = axis_map(xs, True, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+        dashed = re.findall(r'<line x1="([^"]*)" y1="[^"]*" x2="([^"]*)"[^>]*stroke-dasharray', svg)
+        assert dashed == [(f"{px(300.0):.2f}", f"{px(300.0):.2f}")]
+        assert ">inside</text>" in svg
+        assert "outside" not in svg and "negative" not in svg
+        py = axis_map(ys, False, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+        assert drawn_runs(svg) == expected_runs(xs, ys, np.ones(7, bool), px, py)
