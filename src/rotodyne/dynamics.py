@@ -49,6 +49,11 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+# what check_density_matrix accepts: max |rho - rho^dag|, |tr rho - 1| and
+# the lowest eigenvalue
+HERM_TOL = 1e-12
+TRACE_TOL = 1e-10
+EIG_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -244,23 +249,18 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-10,
-) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is Hermitian, unit trace and positive
-    within the stated tolerances."""
+    within HERM_TOL, TRACE_TOL and EIG_FLOOR."""
     rho = np.asarray(rho)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     herm_gap = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_gap > herm_tol:
+    if herm_gap > HERM_TOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_gap:.3e}")
     trace_gap = abs(complex(np.trace(rho)) - 1.0)
-    if trace_gap > trace_tol:
+    if trace_gap > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {trace_gap:.3e}")
     low = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if low < eig_floor:
-        raise ValueError(f"negative eigenvalue {low:.3e} below floor {eig_floor:.3e}")
+    if low < EIG_FLOOR:
+        raise ValueError(f"negative eigenvalue {low:.3e} below floor {EIG_FLOOR:.3e}")

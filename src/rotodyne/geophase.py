@@ -9,7 +9,8 @@ Engines
     on any EigenPath and estimates its polygon error by Richardson
     extrapolation. ``gp_tong_closed_form`` evaluates the same functional
     on the analytic state as the endpoint term plus the shared
-    non-unitary kernel, so its cost does not grow with the cycle count.
+    non-unitary kernel, so it samples no path and its cost does not grow
+    with the cycle count.
 
 ``gp_exact_integral``
     The shared non-unitary kernel alone: checked composite Gauss-Legendre
@@ -68,8 +69,6 @@ MIN_ADJACENT_OVERLAP = 0.99
 MIN_ENDPOINT_AMPLITUDE = 1e-6
 # largest dense path we are willing to materialize
 MAX_DENSE_SAMPLES = 2_000_000
-# per-cycle resolution the closed-form path functional certifies
-SAMPLES_PER_CYCLE = 32
 # e^{4 a tau} saturates the phase integrand long before overflow
 SATURATION_EXPONENT = 300.0
 # widest Gauss-Legendre panel in x = 4 a tau before relaxation
@@ -110,7 +109,8 @@ class GPResult:
     is the pure-precession reference for the same horizon and initial
     angle, ``nonunitary_part`` the remainder. The inertial/non-inertial
     decomposition is present only for engines that know the rate split.
-    ``diagnostics`` carries validity numbers (expansion parameters, sampling data).
+    ``diagnostics`` carries validity numbers (expansion parameters, sample
+    or panel counts, error estimates).
     """
 
     engine: str
@@ -240,7 +240,7 @@ def eigenpath_from_closed_form(
     )
 
 
-def gp_tong(path: EigenPath, total_time: float | None = None) -> GPResult:
+def gp_tong(path: EigenPath) -> GPResult:
     """Mixed-state geometric phase from a sampled eigenpath.
 
     The result is arg of sqrt(p_plus(0) p_plus(T)) times the endpoint
@@ -258,8 +258,6 @@ def gp_tong(path: EigenPath, total_time: float | None = None) -> GPResult:
     """
     if path.times.size < 2:
         raise ValueError("path must contain at least two samples")
-    if total_time is None:
-        total_time = float(path.times[-1])
     p_minus0 = 1.0 - float(path.p_plus[0])
     if p_minus0 > 1e-12:
         raise ValueError(
@@ -374,9 +372,10 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     panel set and its halving are evaluated together; while their gap
     exceeds KERNEL_REL_TOL times the integral of |integrand| the panels
     are halved again, at most MAX_HALVINGS times, else NumericsError.
-    Returns the halved set's integral, the gap, the integrand at the 48
-    nodes of each panel of the accepted pass (one row per panel of the
-    set, whose halving has twice as many panels) and the halvings taken."""
+    Returns the halved set's integral, the gap, the halved set's panel
+    count and the halvings taken. The accepted pass evaluated the
+    integrand 24 times per panel of the halved set: its own 16 nodes and
+    half of the 16 of the panel it halves."""
     panels = _kernel_panels(x_end, *_knee(ratio, cos_t, sin2))
     for halvings in range(1, MAX_HALVINGS + 2):
         values = _kernel_integrand(panels @ _PANEL_BASIS, x_end, ratio, cos_t, sin2)
@@ -390,7 +389,7 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
         if gap <= floor or gap <= KERNEL_REL_TOL * float(
             weights @ (np.abs(values) @ _PANEL_WEIGHTS[:, 1])
         ):
-            return fine, gap, values, halvings
+            return fine, gap, 2 * len(panels), halvings
         half = 0.5 * panels[:, 1]
         panels = np.concatenate(
             [np.column_stack([panels[:, 0], half]), np.column_stack([panels[:, 0] + half, half])]
@@ -405,12 +404,11 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
     """K = integral over [0, T] of cos theta0 - cos(angle), the non-unitary
     kernel of both numeric engines: ``_nonunitary_kernel`` up to
     SATURATION_EXPONENT in x = 4 a tau plus the integrand there for the
-    rest of the horizon; closed forms (no nodes) for a = 0 and on-axis
-    states (sin^2 theta0 subnormal). Returns K, the halving gap, the node
-    values and the halvings taken."""
-    no_nodes = np.empty((0, _PANEL_NODES.size))
+    rest of the horizon; closed forms (no panels) for a = 0 and on-axis
+    states (sin^2 theta0 subnormal). Returns K, the halving gap, the panel
+    count and the halvings taken."""
     if p.a_coeff == 0.0:
-        return 0.0, 0.0, no_nodes, 0  # pure precession: the angle never leaves theta0
+        return 0.0, 0.0, 0, 0  # pure precession: the angle never leaves theta0
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
     sin2 = sin_t * sin_t
     ratio = p.b_coeff / p.a_coeff
@@ -420,20 +418,18 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
         kernel = 0.0
         if ratio != 0.0 and cos_t / ratio > 0.0:
             kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
-        return kernel, 0.0, no_nodes, 0
+        return kernel, 0.0, 0, 0
     x_end = min(a4 * total_time, SATURATION_EXPONENT)
-    kernel, gap, values, halvings = _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
+    kernel, gap, panels, halvings = _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
     if a4 * total_time > SATURATION_EXPONENT:
         saturated = _kernel_integrand(
             np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
         )[0]
         kernel += float(saturated) * (total_time - SATURATION_EXPONENT / a4)
-    return kernel, gap, values, halvings
+    return kernel, gap, panels, halvings
 
 
-def gp_tong_closed_form(
-    p: EvolutionParams, total_time: float, samples_per_cycle: int = SAMPLES_PER_CYCLE
-) -> GPResult:
+def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     """Evaluate the path functional on the analytic trajectory.
 
     In the canonical gauge the azimuth advances at exactly omega_eff, so
@@ -443,16 +439,14 @@ def gp_tong_closed_form(
     the cost never grows with the cycle count. The endpoint half-angles
     sqrt((R +- g) / 2R) come from the kernel's closed form, and the arg
     from sin((angle - theta0) / 2) = (cos theta0 - cos angle) / (2
-    sin((angle + theta0) / 2)), free of cancellation. ``abserr`` (rad),
-    ``panels`` and ``samples`` (nodes of the accepted pass) are the
-    kernel's. There and at both ends the adjacent-overlap check certifies
-    ``samples_per_cycle``: eigenvectors a cycle fraction 1/samples_per_cycle
-    apart overlap by |cos^2(angle/2) + sin^2(angle/2) e^{2 pi i / samples_per_cycle}|.
+    sin((angle + theta0) / 2)), free of cancellation. No path is sampled.
+    The diagnostics are ``abserr`` (the kernel's halving gap, in rad),
+    ``endpoint_amplitude``, and the kernel's ``panels``, ``refinements``
+    (halvings taken) and ``samples`` (integrand evaluations of the
+    accepted pass, 24 per panel).
     """
     if total_time < 0.0:
         raise ValueError(f"total_time must be non-negative, got {total_time}")
-    if samples_per_cycle < 4:
-        raise ValueError("need at least 4 samples per cycle to unwrap the azimuth")
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
     sin2 = sin_t * sin_t
     ratio = p.b_coeff / p.a_coeff if p.a_coeff else 0.0
@@ -472,17 +466,7 @@ def gp_tong_closed_form(
         drop = numer / (cos_t * big_r2 + g * big_r)
     else:
         drop = cos_t - g / big_r
-    kernel, gap, values, halvings = _phase_kernel(p, total_time)
-
-    # sin^2(angle) is smallest where |cos(angle)| is
-    nearest = min(float(np.min(np.abs(cos_t - values), initial=abs(cos_t))), abs(g) / big_r)
-    step = math.tau / samples_per_cycle
-    min_overlap = math.sqrt(1.0 - (1.0 - nearest * nearest) * (1.0 - math.cos(step)) / 2.0)
-    if min_overlap < MIN_ADJACENT_OVERLAP:
-        raise NumericsError(
-            f"insufficient sampling: adjacent eigenvector overlap {min_overlap:.4f} "
-            f"below {MIN_ADJACENT_OVERLAP}"
-        )
+    kernel, gap, panels, halvings = _phase_kernel(p, total_time)
 
     c0, s0 = math.cos(p.theta0 / 2.0), math.sin(p.theta0 / 2.0)
     sweep = p.omega_eff * total_time
@@ -506,11 +490,9 @@ def gp_tong_closed_form(
         diagnostics={
             "abserr": (p.omega_eff / 2.0) * gap,
             "endpoint_amplitude": amplitude,
-            "min_adjacent_overlap": min_overlap,
-            "panels": 2 * len(values),
+            "panels": panels,
             "refinements": halvings,
-            "samples": values.size,
-            "samples_per_cycle": samples_per_cycle,
+            "samples": 24 * panels,
         },
     )
 
@@ -528,7 +510,7 @@ def gp_exact_integral(
     if total_time < 0.0:
         raise ValueError(f"total_time must be non-negative, got {total_time}")
     omega = p.omega_eff
-    kernel, gap, values, _ = _phase_kernel(p, total_time)
+    kernel, gap, panels, _ = _phase_kernel(p, total_time)
     if n_cycles is None:
         n_cycles = omega * total_time / math.tau
     unitary = -(omega * total_time) * math.sin(p.theta0 / 2.0) ** 2
@@ -541,7 +523,7 @@ def gp_exact_integral(
         nonunitary_part=nonunitary,
         diagnostics={
             "four_a_t": 4.0 * p.a_coeff * total_time,
-            "panels": 2 * len(values),
+            "panels": panels,
             "abserr": (omega / 2.0) * gap,
         },
     )

@@ -50,7 +50,7 @@ from .geophase import (
     gp_split,
     gp_tong_closed_form,
 )
-from .kinematics import AtomParams, TrajectoryParams, derive_kinematics
+from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics
 from .rates import RateSet, case1_rates, case2_rates, general_rates
 
 __all__ = [
@@ -133,6 +133,17 @@ def preset_names() -> tuple[str, ...]:
     return _PRESETS
 
 
+def _sweep_bounds(
+    family: str, atom: AtomParams, kin: KinematicDerived
+) -> tuple[float, float]:
+    """Default cavity-sweep range: around the redshifted sidebands for the
+    slow-rotation family (while the lower one is positive), else from half
+    the gap to twice the highest sideband."""
+    if family == "case2" and kin.obar_minus > 0.0:
+        return 0.9 * kin.obar_minus, 1.1 * kin.obar_plus
+    return atom.omega0 / 2.0, 2.0 * max(kin.omega_plus, kin.obar_plus)
+
+
 def preset(name: str) -> Scenario:
     """Built-in scenario by name ('case1' or 'case2')."""
     if name == "case1":
@@ -140,6 +151,7 @@ def preset(name: str) -> Scenario:
         traj = TrajectoryParams(radius=1.0e-6, omega=5.0e9)
         kin = derive_kinematics(traj, atom)
         cavity = CavitySpec(omega_c=kin.omega_plus, q_factor=1.0e7, volume=1.0e-7)
+        sweep_lo, sweep_hi = _sweep_bounds("case1", atom, kin)
         return Scenario(
             name="case1",
             atom=atom,
@@ -148,14 +160,15 @@ def preset(name: str) -> Scenario:
             family="case1",
             n_default=100_000,
             n_max=1_000_000,
-            sweep_lo=atom.omega0 / 2.0,
-            sweep_hi=2.0 * kin.omega_plus,
+            sweep_lo=sweep_lo,
+            sweep_hi=sweep_hi,
         )
     if name == "case2":
         atom = AtomParams(omega0=1.0e7, dipole=DEFAULT_DIPOLE, theta0=math.pi / 2.0)
         traj = TrajectoryParams(radius=1.0e-3, omega=1.0e5)
         kin = derive_kinematics(traj, atom)
         cavity = CavitySpec(omega_c=kin.obar_plus, q_factor=1.0e7, volume=1.0e-3)
+        sweep_lo, sweep_hi = _sweep_bounds("case2", atom, kin)
         return Scenario(
             name="case2",
             atom=atom,
@@ -164,8 +177,8 @@ def preset(name: str) -> Scenario:
             family="case2",
             n_default=10_000_000,
             n_max=100_000_000,
-            sweep_lo=0.9 * kin.obar_minus,
-            sweep_hi=1.1 * kin.obar_plus,
+            sweep_lo=sweep_lo,
+            sweep_hi=sweep_hi,
         )
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
 
@@ -265,11 +278,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         "scenario.sweep",
     )
     family = str(data["family"])
-    if family == "case2" and kin.obar_minus > 0.0:
-        lo_default, hi_default = 0.9 * kin.obar_minus, 1.1 * kin.obar_plus
-    else:
-        lo_default = atom.omega0 / 2.0
-        hi_default = 2.0 * max(kin.omega_plus, kin.obar_plus)
+    lo_default, hi_default = _sweep_bounds(family, atom, kin)
     return Scenario(
         name=_name(data["name"]),
         atom=atom,

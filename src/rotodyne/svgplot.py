@@ -19,6 +19,8 @@ __all__ = ["line_chart"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
+WIDTH = 760.0
+HEIGHT = 500.0
 MARGIN_LEFT = 78.0
 MARGIN_RIGHT = 18.0
 MARGIN_TOP = 42.0
@@ -77,8 +79,6 @@ def line_chart(
     ylabel: str = "",
     xlog: bool = False,
     ylog: bool = False,
-    width: float = 760.0,
-    height: float = 500.0,
     vlines=(),
 ) -> None:
     """Write a polyline chart of (label, x, y) series to ``path``.
@@ -102,8 +102,8 @@ def line_chart(
     x_axis = _Axis(float(x_all.min()), float(x_all.max()), xlog)
     y_axis = _Axis(float(y_all.min()), float(y_all.max()), ylog)
 
-    box_x0, box_x1 = MARGIN_LEFT, width - MARGIN_RIGHT
-    box_y0, box_y1 = MARGIN_TOP, height - MARGIN_BOTTOM
+    box_x0, box_x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
+    box_y0, box_y1 = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
 
     def px(values):
         return box_x0 + x_axis.unit(values) * (box_x1 - box_x0)
@@ -112,15 +112,15 @@ def line_chart(
         return box_y1 - y_axis.unit(values) * (box_y1 - box_y0)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+        f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">',
+        f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="white"/>',
         f'<rect x="{_fmt(box_x0)}" y="{_fmt(box_y0)}" width="{_fmt(box_x1 - box_x0)}" '
         f'height="{_fmt(box_y1 - box_y0)}" fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
+            f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
         )
 
@@ -150,7 +150,7 @@ def line_chart(
         )
     if xlabel:
         parts.append(
-            f'<text x="{_fmt((box_x0 + box_x1) / 2)}" y="{_fmt(height - 14)}" '
+            f'<text x="{_fmt((box_x0 + box_x1) / 2)}" y="{_fmt(HEIGHT - 14)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">'
             f"{escape(xlabel)}</text>"
         )
@@ -180,13 +180,18 @@ def line_chart(
         )
 
     legend_entries = []
+    mapped_xs = x_px = None
     for idx, (label, xs, ys, mask) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
         legend_entries.append((label, color))
+        # series that share one x array (a sweep's frequency column) map it once
+        if xs is not mapped_xs:
+            mapped_xs, x_ok = xs, _valid_mask(xs, xlog)
+            x_px = px(xs[x_ok])
         # split the trace wherever points are not drawable: a run of
         # drawable points starts and stops at each change of the mask
         edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
-        coords = np.column_stack((px(xs[mask]), py(ys[mask]))).ravel().tolist()
+        coords = np.column_stack((x_px[mask[x_ok]], py(ys[mask]))).ravel().tolist()
         first = 0
         for start, stop in zip(edges[::2], edges[1::2]):
             count = stop - start

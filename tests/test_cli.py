@@ -57,6 +57,21 @@ GP_KEYS_QUASI = [
     "relaxation_bound_8pi_n_a_over_omega0",
     "validity",
 ]
+GP_KEYS_TONG = [
+    "scenario",
+    "engine",
+    "n_cycles",
+    "total_rad",
+    "principal_value_rad",
+    "unitary_rad",
+    "nonunitary_rad",
+    "abserr",
+    "endpoint_amplitude",
+    "panels",
+    "refinements",
+    "samples",
+    "validity",
+]
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
 
@@ -316,6 +331,11 @@ class TestGpCommand:
         assert keys == GP_KEYS_QUASI
         assert values["engine"] == "quasi-cycle"
         assert values["validity"] == "ok"
+        code, out, _ = run(capsys, ["gp", "--scenario", "case1", "--engine", "tong"])
+        assert code == 0
+        keys, values = parse_kv(out)
+        assert keys == GP_KEYS_TONG
+        assert values["engine"] == "tong"
 
     def test_engine_choices_are_the_registry(self, capsys):
         gp_parser = cli.build_parser()._subparsers._group_actions[0].choices["gp"]

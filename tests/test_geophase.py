@@ -246,6 +246,14 @@ class TestTongFunctional:
             want = gp_exact_integral(p, cycles_time(p, n))
             assert got.nonunitary_part == pytest.approx(want.nonunitary_part, rel=1e-12, abs=0)
 
+    def test_diagnostics_describe_the_kernel_only(self):
+        # the closed form samples no path, so it reports no sampling resolution
+        for p in (EvolutionParams(0.0, 0.0, 50.0, 1.0), EvolutionParams(0.02, 0.012, 10.0, 1.9)):
+            got = gp_tong_closed_form(p, cycles_time(p, 3.4))
+            assert set(got.diagnostics) == {
+                "abserr", "endpoint_amplitude", "panels", "refinements", "samples"
+            }
+
     def test_degenerate_endpoint_raises(self):
         # b = 0 drives the state to the maximally mixed one, where the
         # eigenbasis is undefined: Bloch length sin(theta0) e^{-2 a T}
@@ -282,13 +290,6 @@ class TestTongFunctional:
         path = eigenpath_from_closed_form(p, cycles_time(p, 2), samples_per_cycle=4)
         with pytest.raises(NumericsError):
             gp_tong(path)
-
-    def test_undersampled_closed_form_request_rejected(self):
-        p = EvolutionParams(0.0, 0.0, 50.0, math.pi / 2)
-        with pytest.raises(NumericsError):
-            gp_tong_closed_form(p, cycles_time(p, 5), samples_per_cycle=8)
-        with pytest.raises(ValueError):
-            gp_tong_closed_form(p, cycles_time(p, 5), samples_per_cycle=3)
 
     def test_mixed_start_rejected(self):
         p = EvolutionParams(0.05, 0.02, 10.0, 1.0)

@@ -124,6 +124,12 @@ class TestPresets:
         assert s.sweep_lo == 0.9 * kin.obar_minus
         assert s.sweep_hi == 1.1 * kin.obar_plus
 
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_preset_sweep_is_the_family_default(self, name):
+        data = scenario_to_dict(preset(name))
+        del data["sweep"]
+        assert scenario_from_dict(data) == preset(name)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             preset("case3")

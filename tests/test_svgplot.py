@@ -90,6 +90,26 @@ class TestRuns:
         assert drawn_runs(svg) == want
         assert '<polyline points="' + " ".join(want[-1]) + '" fill="none" stroke="#d62728"' in svg
 
+    def test_shared_and_distinct_x_arrays_map_per_point(self, tmp_path):
+        # a and b share one x array but not their undrawable points; c has
+        # its own x values; d shares a's array again after c
+        xs = np.geomspace(1.0, 1e3, 8)
+        xs[[1, 6]] = (-1.0, math.nan)
+        other = np.geomspace(2.0, 5e3, 8)
+        ya, yb = np.geomspace(1.0, 9.0, 8), np.geomspace(5.0, 0.5, 8)
+        ya[3], yb[[0, 4]] = 0.0, (math.inf, -2.0)
+        series = [("a", xs, ya), ("b", xs, yb), ("c", other, ya), ("d", xs, yb)]
+        svg = chart(tmp_path, series, xlog=True, ylog=True)
+        masks = [np.isfinite(x) & (x > 0.0) & np.isfinite(y) & (y > 0.0) for _, x, y in series]
+        px = axis_map(np.concatenate([x[m] for (_, x, _), m in zip(series, masks)]), True,
+                      MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+        py = axis_map(np.concatenate([y[m] for (_, _, y), m in zip(series, masks)]), True,
+                      HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+        want = []
+        for (_, x, y), m in zip(series, masks):
+            want += expected_runs(x, y, m, px, py)
+        assert drawn_runs(svg) == want
+
     def test_undrawable_series_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no drawable points"):
             chart(tmp_path, [("s", [1.0, 2.0], [-1.0, 0.0])], ylog=True)
