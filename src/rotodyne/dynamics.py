@@ -8,15 +8,20 @@ The master equation in the rotating emitter's proper time is
 
 with the 3x3 coefficient matrix from :func:`rotodyne.rates.kossakowski`.
 ``closed_form_rho`` implements the analytic solution for the initial pure
-state cos(theta/2)|e> + sin(theta/2)|g>; ``evolve_ode`` propagates the
-same generator numerically, by a numpy Pade matrix exponential, and
-exists purely as an independent cross-check of the closed form. Basis
-convention: |e> = (1, 0), sigma3 |e> = +|e>. hbar cancels from the
-generator, so only angular frequencies appear.
+state cos(theta/2)|e> + sin(theta/2)|g>. ``evolve_ode`` exists purely as
+an independent cross-check of the closed form: it propagates the
+generator that ``lindblad_rhs`` defines, probed once per process as a
+4x4 superoperator, by one eigendecomposition per call that gives every
+sample time at once. A growth guard raises NumericsError when the
+initial state's eigenvector expansion is too large for that eigen-sum to
+be accurate to rounding. Basis convention: |e> = (1, 0),
+sigma3 |e> = +|e>. hbar cancels from the generator, so only angular
+frequencies appear.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,19 +46,15 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PAULI = (SIGMA1, SIGMA2, SIGMA3)
-# [13/13] Pade coefficients of exp and the 1-norm up to which they need no
-# scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3)
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
 # what check_density_matrix accepts: max |rho - rho^dag|, |tr rho - 1| and
 # the lowest eigenvalue
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
+# what evolve_ode accepts as max(|V| |c|), the size of the initial state's
+# eigenvector expansion, which bounds the rounding error of the eigen-sum
+# in units of machine epsilon
+GROWTH_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ def initial_state(theta0: float) -> np.ndarray:
 
 def _decay_factors(p: EvolutionParams, tau):
     """(e^{-4 a tau}, pumping term ((b-a)/2a)(e^{-4 a tau} - 1)) vectorized."""
-    tau = np.asarray(tau, dtype=float)
     if p.a_coeff == 0.0:
         # |b| <= a forces b = 0: pure precession
         return np.ones_like(tau), np.zeros_like(tau)
@@ -169,34 +169,26 @@ class OdeTrajectory:
     states: np.ndarray
 
 
-def _superoperator(p: EvolutionParams) -> np.ndarray:
-    """4x4 matrix of the (complex-linear) generator: column k is
-    lindblad_rhs of the k-th matrix unit, all four probed in one call."""
+@functools.cache
+def _generator_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, A, B) with generator omega H + a A + b B; column k of each is the
+    image of the k-th matrix unit under ``lindblad_rhs``. Their entries are
+    small integers times (i, 1, 1), so the probe differences are exact.
+    Probed on first use, not at import: the first matrix product makes the
+    BLAS library touch about 0.4 MB, which importers that never propagate
+    would pay."""
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    return lindblad_rhs(units, p).reshape(4, 4).T
-
-
-def _expm(mats: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack (k, m, m): the [13/13] Pade
-    approximant of each matrix scaled by 2^-s below _THETA13 in 1-norm,
-    then squared s times (Higham 2005)."""
-    b = _PADE13
-    norms = np.abs(mats).sum(axis=-2).max(axis=-1)
-    squarings = np.ceil(np.log2(np.maximum(norms, _THETA13) / _THETA13)).astype(int)
-    a1 = mats / (2.0 ** squarings)[:, None, None]
-    a2 = a1 @ a1
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    eye = np.eye(mats.shape[-1])
-    u = a1 @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    h, a, ab = (
+        lindblad_rhs(units, EvolutionParams(a_coeff, b_coeff, 1.0, 0.0)).reshape(4, 4).T
+        for a_coeff, b_coeff in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
     )
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    out = np.linalg.solve(v - u, v + u)
-    for k in range(int(squarings.max(initial=0))):
-        todo = squarings > k
-        out[todo] = out[todo] @ out[todo]
-    return out
+    return h, a - h, ab - a
+
+
+def _superoperator(p: EvolutionParams) -> np.ndarray:
+    """4x4 matrix of the (complex-linear) generator acting on rho.reshape(4)."""
+    h, a, b = _generator_parts()
+    return p.omega_eff * h + p.a_coeff * a + p.b_coeff * b
 
 
 def evolve_ode(
@@ -208,13 +200,16 @@ def evolve_ode(
     """Propagate the master equation from initial_state(theta0) to t_final.
 
     The generator is a constant 4x4 superoperator probed from
-    ``lindblad_rhs``, so the propagator over each step between samples
-    is its matrix exponential, computed in numpy by [13/13] Pade
-    approximation with scaling and squaring, with no reference to the
-    closed form. Samples are re-symmetrized, rho <- (rho + rho^dag)/2.
-    ``rtol`` must lie in [1e-13, 1e-6]; the propagator is accurate to
-    rounding, so it sets no step size. Raises NumericsError if the
-    propagated states are not finite.
+    ``lindblad_rhs``, with no reference to the closed form. It is
+    diagonalizable, with eigenvalues 0, -4a and -2a +- i omega, so one
+    eigendecomposition L = V diag(lam) V^-1 gives every sample at once:
+    rho(t) = V (e^{lam t} * c) with V c = rho(0). Samples are
+    re-symmetrized, rho <- (rho + rho^dag)/2. ``rtol`` must lie in
+    [1e-13, 1e-6]; the propagation is accurate to rounding, so it sets
+    no step size. Raises NumericsError when the eigendecomposition fails,
+    when max(|V| |c|), which bounds the rounding error of the eigen-sum
+    because Re lam <= 0, exceeds GROWTH_LIMIT (a near-defective
+    generator), or when the propagated states are not finite.
     """
     if not 1e-13 <= rtol <= 1e-6:
         raise ValueError(f"rtol must lie in [1e-13, 1e-6], got {rtol}")
@@ -227,17 +222,19 @@ def evolve_ode(
         if np.any(t_eval < 0.0) or np.any(t_eval > t_final) or np.any(np.diff(t_eval) < 0):
             raise ValueError("t_eval must be sorted within [0, t_final]")
 
-    # a linspace grid has only a few distinct step lengths, so each is
-    # exponentiated once and the samples follow by composition
-    steps, which = np.unique(np.diff(t_eval, prepend=0.0), return_inverse=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
-        propagators = _expm(steps[:, None, None] * _superoperator(p))
-    states = np.empty((t_eval.size, 4), dtype=complex)
-    rho = initial_state(p.theta0).reshape(4)
-    for k, j in enumerate(which):
-        rho = propagators[j] @ rho
-        states[k] = rho
-    states = states.reshape(-1, 2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        try:
+            lam, vecs = np.linalg.eig(_superoperator(p))
+            coef = np.linalg.solve(vecs, initial_state(p.theta0).reshape(4))
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"generator eigendecomposition failed: {exc}") from None
+        growth = float(np.max(np.abs(vecs) @ np.abs(coef)))
+        if not growth <= GROWTH_LIMIT:
+            raise NumericsError(
+                f"eigenvector expansion of the initial state grows to {growth:.3e}, "
+                f"above {GROWTH_LIMIT:g}: generator too close to defective"
+            )
+        states = ((np.exp(np.outer(t_eval, lam)) * coef) @ vecs.T).reshape(-1, 2, 2)
     if not np.all(np.isfinite(states)):
         raise NumericsError("master-equation propagation produced non-finite states")
     states = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))

@@ -9,6 +9,7 @@ import pytest
 from rotodyne import dynamics
 from rotodyne import (
     EvolutionParams,
+    NumericsError,
     check_density_matrix,
     closed_form_bloch,
     closed_form_rho,
@@ -121,9 +122,46 @@ class TestOdeCrossCheck:
             b = a * rng.uniform(-1.0, 1.0)
             p = EvolutionParams(a, b, 10.0 ** rng.uniform(0.0, 2.0), theta)
             steps = np.array([0.0, 1.0 / 200.0, 1.0]) * rng.uniform(0.1, 5.0)
-            stack = steps[:, None, None] * dynamics._superoperator(p)
-            worst = max(worst, float(np.abs(dynamics._expm(stack) - expm(stack)).max()))
+            got = evolve_ode(p, steps[-1], t_eval=steps).states.reshape(-1, 4)
+            rho0 = initial_state(theta).reshape(4)
+            want = np.array([expm(t * dynamics._superoperator(p)) @ rho0 for t in steps])
+            worst = max(worst, float(np.abs(got - want).max()))
         assert worst < 1e-12
+
+    def test_long_horizon_keeps_the_c01_gate(self):
+        # omega T = 1e8 rad of precession at almost no decay (4 a T = 0.04)
+        p = EvolutionParams(a_coeff=1e-6, b_coeff=0.0, omega_eff=1e4, theta0=1.0)
+        traj = evolve_ode(p, 1e4)
+        for t, rho in zip(traj.times, traj.states):
+            assert trace_distance(closed_form_rho(p, float(t)), rho) < 1e-9
+
+    def test_superoperator_is_the_probed_generator(self):
+        rng = np.random.default_rng(21)
+        units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+        for _ in range(50):
+            a = 10.0 ** rng.uniform(-6.0, 1.0)
+            p = EvolutionParams(a, a * rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 4.0), 0.5)
+            probed = np.stack([lindblad_rhs(u, p).reshape(4) for u in units], axis=1)
+            gap = np.abs(dynamics._superoperator(p) - probed).max()
+            assert gap <= 1e-15 * np.abs(probed).max()
+
+    def test_defective_generator_raises(self, monkeypatch):
+        jordan = np.diag([-1.0, -1.0, -2.0, 0.0]).astype(complex)
+        jordan[0, 1] = 1.0
+        monkeypatch.setattr(dynamics, "_superoperator", lambda p: jordan)
+        with pytest.raises(NumericsError):
+            evolve_ode(EvolutionParams(0.3, 0.2, 5.0, 1.1), 1.0)
+
+    def test_sample_grid_edge_cases(self):
+        p = EvolutionParams(0.3, 0.2, 5.0, 1.1)
+        assert evolve_ode(p, 1.0, t_eval=np.array([])).states.shape == (0, 2, 2)
+        twice = evolve_ode(p, 1.0, t_eval=np.array([0.5, 0.5, 1.0])).states
+        assert np.array_equal(twice[0], twice[1])
+        assert trace_distance(closed_form_rho(p, 0.5), twice[0]) < 1e-12
+        unitary = EvolutionParams(0.0, 0.0, 5.0, 1.1)
+        traj = evolve_ode(unitary, 20.0)
+        for t, rho in zip(traj.times, traj.states):
+            np.testing.assert_allclose(rho, closed_form_rho(unitary, float(t)), rtol=0.0, atol=1e-12)
 
     def test_generator_broadcasts_over_a_stack(self):
         rng = np.random.default_rng(15)
