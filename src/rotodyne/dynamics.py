@@ -68,14 +68,14 @@ class EvolutionParams:
     theta0: float
 
     def __post_init__(self) -> None:
-        if not self.a_coeff >= 0.0:
-            raise ValueError(f"a_coeff must be non-negative, got {self.a_coeff}")
-        if abs(self.b_coeff) > self.a_coeff:
+        if not 0.0 <= self.a_coeff < math.inf:
+            raise ValueError(f"a_coeff must be non-negative and finite, got {self.a_coeff}")
+        if not abs(self.b_coeff) <= self.a_coeff:
             raise ValueError(
-                f"|b_coeff| = {abs(self.b_coeff)} exceeds a_coeff = {self.a_coeff}"
+                f"|b_coeff| must not exceed a_coeff = {self.a_coeff}, got {self.b_coeff}"
             )
-        if not self.omega_eff > 0.0:
-            raise ValueError(f"omega_eff must be positive, got {self.omega_eff}")
+        if not 0.0 < self.omega_eff < math.inf:
+            raise ValueError(f"omega_eff must be positive and finite, got {self.omega_eff}")
         if not 0.0 <= self.theta0 <= math.pi:
             raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
 
@@ -173,16 +173,22 @@ class OdeTrajectory:
 def _generator_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H, A, B) with generator omega H + a A + b B; column k of each is the
     image of the k-th matrix unit under ``lindblad_rhs``. Their entries are
-    small integers times (i, 1, 1), so the probe differences are exact.
-    Probed on first use, not at import: the first matrix product makes the
-    BLAS library touch about 0.4 MB, which importers that never propagate
-    would pay."""
+    small integers times (i, 1, 1), so the probe differences are exact,
+    and so is the check that vec(I) is a left null vector of each: the
+    generator preserves the trace, which is what lets ``evolve_ode`` pin
+    its stationary eigenvalue to exactly 0. Probed on first use, not at
+    import: the first matrix product makes the BLAS library touch about
+    0.4 MB, which importers that never propagate would pay."""
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
     h, a, ab = (
         lindblad_rhs(units, EvolutionParams(a_coeff, b_coeff, 1.0, 0.0)).reshape(4, 4).T
         for a_coeff, b_coeff in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
     )
-    return h, a - h, ab - a
+    parts = h, a - h, ab - a
+    trace_row = np.eye(2).reshape(4)
+    if any(np.any(trace_row @ part) for part in parts):
+        raise NumericsError("probed generator does not preserve the trace")
+    return parts
 
 
 def _superoperator(p: EvolutionParams) -> np.ndarray:
@@ -203,7 +209,10 @@ def evolve_ode(
     ``lindblad_rhs``, with no reference to the closed form. It is
     diagonalizable, with eigenvalues 0, -4a and -2a +- i omega, so one
     eigendecomposition L = V diag(lam) V^-1 gives every sample at once:
-    rho(t) = V (e^{lam t} * c) with V c = rho(0). Samples are
+    rho(t) = V (e^{lam t} * c) with V c = rho(0). The eigenvalue of least
+    modulus is set to exactly 0, the value trace preservation gives it;
+    ``eig`` returns it as about 4a times machine epsilon, which e^{lam t}
+    would turn into a drift growing with t. Samples are
     re-symmetrized, rho <- (rho + rho^dag)/2. ``rtol`` must lie in
     [1e-13, 1e-6]; the propagation is accurate to rounding, so it sets
     no step size. Raises NumericsError when the eigendecomposition fails,
@@ -225,6 +234,9 @@ def evolve_ode(
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         try:
             lam, vecs = np.linalg.eig(_superoperator(p))
+            # in Python: a first np.argmin call costs about 0.2 MB of peak RSS
+            modulus = np.abs(lam).tolist()
+            lam[modulus.index(min(modulus))] = 0.0
             coef = np.linalg.solve(vecs, initial_state(p.theta0).reshape(4))
         except np.linalg.LinAlgError as exc:
             raise NumericsError(f"generator eigendecomposition failed: {exc}") from None

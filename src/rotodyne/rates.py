@@ -114,13 +114,14 @@ def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
     """3x3 dissipator coefficient matrix for (a, b).
 
     Hermitian, positive semidefinite with eigenvalues {a + b, a - b, 0};
-    raises ValueError when |b| > a (unphysical rate pair).
+    raises ValueError when a is not finite or |b| > a (unphysical rate
+    pair), which includes a NaN b.
     """
-    if not a_coeff >= 0.0:
-        raise ValueError(f"a_coeff must be non-negative, got {a_coeff}")
-    if abs(b_coeff) > a_coeff:
+    if not 0.0 <= a_coeff < math.inf:
+        raise ValueError(f"a_coeff must be non-negative and finite, got {a_coeff}")
+    if not abs(b_coeff) <= a_coeff:
         raise ValueError(
-            f"|b_coeff| = {abs(b_coeff)} exceeds a_coeff = {a_coeff}; matrix not PSD"
+            f"|b_coeff| must not exceed a_coeff = {a_coeff}, got {b_coeff}; matrix not PSD"
         )
     return np.array(
         [
@@ -266,18 +267,17 @@ def case2_rates(
     radius = traj.radius
     zeta_rot = kin.zeta
     obar, up, lo = kin.omega0_bar, kin.obar_plus, kin.obar_minus
+    dos_up, dos_lo = dos(cavity, up), dos(cavity, lo)
 
     carrier = dos(cavity, omega0) * omega0
     slope = -(zeta_rot / 2.0) * omega0 ** 2 * dos_derivative(cavity, omega0)
-    sidebands = (zeta_rot / 4.0) * (
-        dos(cavity, up) * up + dos(cavity, lo) * max(lo, 0.0)
-    )
+    sidebands = (zeta_rot / 4.0) * (dos_up * up + dos_lo * max(lo, 0.0))
     recoil = -0.4 * (1.0 + zeta_rot / 2.0) * (
         zeta_of(obar, radius) * dos(cavity, obar) * obar
         - 0.5
         * (
-            zeta_of(up, radius) * dos(cavity, up) * up
-            + zeta_of(lo, radius) * dos(cavity, lo) * max(lo, 0.0)
+            zeta_of(up, radius) * dos_up * up
+            + zeta_of(lo, radius) * dos_lo * max(lo, 0.0)
         )
     )
 

@@ -355,7 +355,14 @@ def build_grid(
     else:
         base = np.linspace(start, stop, points)
     inside = [a for a in anchors if start <= a <= stop]
-    return np.unique(np.concatenate([base, np.asarray(inside, dtype=float)]))
+    return _sorted_distinct(np.concatenate([base, np.asarray(inside, dtype=float)]))
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted 1-d values with repeats dropped: the steps numpy's ``unique``
+    takes on 1-d input, without the ``numpy.ma`` import it makes first."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def default_anchors(scenario: Scenario) -> tuple[float, ...]:
@@ -456,11 +463,17 @@ def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTab
 
 
 def default_n_grid(n_max: int, points: int = 25) -> np.ndarray:
-    """Log-spaced integer cycle counts from 1 to n_max, deduplicated."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    """Log-spaced integer cycle counts from 1 to n_max, deduplicated.
+
+    n_max may not exceed 2**53: past it float(n_max) need not equal
+    n_max, and past 2**63 the int64 cast wraps.
+    """
+    if points < 1:
+        raise ValueError(f"need at least 1 grid point, got {points}")
+    if not 1 <= n_max <= 2**53:
+        raise ValueError(f"n_max must lie in [1, 2**53], got {n_max}")
     raw = np.geomspace(1.0, float(n_max), points)
-    return np.unique(np.round(raw).astype(np.int64))
+    return _sorted_distinct(np.round(raw).astype(np.int64))
 
 
 def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:

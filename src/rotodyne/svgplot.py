@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -29,6 +28,13 @@ MARGIN_BOTTOM = 58.0
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _escape(text: str) -> str:
+    """Escape &, > and < for SVG text content: the replacements of the
+    standard library's XML ``escape``, without the urllib, http and email
+    modules that its module imports."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class _Axis:
@@ -121,7 +127,7 @@ def line_chart(
     if title:
         parts.append(
             f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
 
     for value, label in x_axis.ticks():
@@ -134,7 +140,7 @@ def line_chart(
         )
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(box_y1 + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
         )
     for value, label in y_axis.ticks():
         y = py(value)
@@ -146,20 +152,20 @@ def line_chart(
         )
         parts.append(
             f'<text x="{_fmt(box_x0 - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
         )
     if xlabel:
         parts.append(
             f'<text x="{_fmt((box_x0 + box_x1) / 2)}" y="{_fmt(HEIGHT - 14)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-            f"{escape(xlabel)}</text>"
+            f"{_escape(xlabel)}</text>"
         )
     if ylabel:
         cy = (box_y0 + box_y1) / 2
         parts.append(
             f'<text x="20" y="{_fmt(cy)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 20 {_fmt(cy)})">{escape(ylabel)}</text>'
+            f'transform="rotate(-90 20 {_fmt(cy)})">{_escape(ylabel)}</text>'
         )
 
     for label, xv in vlines:
@@ -176,7 +182,7 @@ def line_chart(
         )
         parts.append(
             f'<text x="{_fmt(x + 3)}" y="{_fmt(box_y0 + 12)}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="10" fill="#666">{escape(str(label))}</text>'
+            f'font-family="sans-serif" font-size="10" fill="#666">{_escape(str(label))}</text>'
         )
 
     legend_entries = []
@@ -218,7 +224,7 @@ def line_chart(
         )
         parts.append(
             f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

@@ -1,6 +1,6 @@
 """Acceptance checks.
 
-One test per shipped guarantee, numbered c01..c11 so that ``pytest -v``
+One test per shipped guarantee, numbered c01..c12 so that ``pytest -v``
 prints a single pass/fail line for each.  Tolerances and reference values
 are frozen here; loosening them is a contract change, not a test fix.
 
@@ -8,6 +8,7 @@ Wall-clock guards use generous desk-scale budgets so they hold on slow
 machines without masking real regressions.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -294,3 +295,41 @@ def test_c11_import_needs_numpy_only():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# modules that no table or figure command uses: numpy's masked arrays
+# (``np.unique`` imports them) and the stdlib network, e-mail and TLS stack
+# (``xml.sax.saxutils`` imports it through ``urllib.request``)
+UNUSED_ROOTS = ("xml", "urllib", "http", "email", "ssl", "socket", "hashlib")
+
+
+def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
+    """``figure1``, ``sweep-cavity`` and ``gp-vs-n`` in a fresh interpreter load
+    nothing under ``numpy.ma`` and none of UNUSED_ROOTS beyond what
+    ``import numpy, argparse, csv, json`` already loaded."""
+    src = str(Path(rotodyne.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    commands = [
+        ["figure1", "--out", str(tmp_path / "figure1")],
+        ["sweep-cavity", "--plot", "--out", str(tmp_path / "sweep")],
+        ["sweep-cavity", "--grid", "4.9e9:5.1e9:40:lin", "--out", str(tmp_path / "grid")],
+        ["gp-vs-n", "--out", str(tmp_path / "gp_vs_n")],
+    ]
+    probe = (
+        "import sys, numpy, argparse, csv, json\n"
+        "baseline = set(sys.modules)\n"
+        "from rotodyne.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(json.dumps([codes, sorted(set(sys.modules) - baseline)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    codes, added = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    unused = [
+        m for m in added if m.split(".")[0] in UNUSED_ROOTS or m.split(".")[:2] == ["numpy", "ma"]
+    ]
+    assert unused == [], unused

@@ -442,6 +442,14 @@ class TestTableCommands:
         assert phi_ni[1] == pytest.approx(10.0 * phi_ni[0], rel=1e-12)
         assert phi_ni[2] == pytest.approx(100.0 * phi_ni[0], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "option", [["--points", "0"], ["--n-max", "100000000000000000000000000"]]
+    )
+    def test_gp_vs_n_rejects_grid_out_of_range(self, capsys, option):
+        code, out, err = run(capsys, ["gp-vs-n", "--scenario", "case2", *option])
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error:")
+
     def test_out_dir_with_plot(self, capsys, tmp_path):
         outdir = tmp_path / "tables"
         code, out, _ = run(

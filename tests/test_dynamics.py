@@ -135,6 +135,26 @@ class TestOdeCrossCheck:
         for t, rho in zip(traj.times, traj.states):
             assert trace_distance(closed_form_rho(p, float(t)), rho) < 1e-9
 
+    @pytest.mark.parametrize("a, horizon", [(1.0, 1e8), (1e-3, 1e10)])
+    def test_far_past_relaxation_keeps_the_c01_gate(self, a, horizon):
+        # 4 a T = 4e8 and 4e7: an unpinned stationary eigenvalue of about
+        # 4a * 1.7e-16 drifts the state by that times T
+        p = EvolutionParams(a_coeff=a, b_coeff=0.3 * a, omega_eff=1.0, theta0=1.0)
+        traj = evolve_ode(p, horizon)
+        for t, rho in zip(traj.times, traj.states):
+            assert trace_distance(closed_form_rho(p, float(t)), rho) < 1e-9
+
+    def test_generator_probe_requires_trace_preservation(self, monkeypatch):
+        # a trace-preserving generator maps every state to a traceless one;
+        # the identity map sends the diagonal units to trace 1
+        monkeypatch.setattr(dynamics, "lindblad_rhs", lambda rho, p: rho)
+        dynamics._generator_parts.cache_clear()
+        try:
+            with pytest.raises(NumericsError, match="trace"):
+                dynamics._generator_parts()
+        finally:
+            dynamics._generator_parts.cache_clear()
+
     def test_superoperator_is_the_probed_generator(self):
         rng = np.random.default_rng(21)
         units = np.eye(4, dtype=complex).reshape(4, 2, 2)
@@ -209,6 +229,15 @@ class TestValidation:
             EvolutionParams(a_coeff=0.0, b_coeff=0.5, omega_eff=1.0, theta0=0.5)
         with pytest.raises(ValueError):
             EvolutionParams(a_coeff=-1.0, b_coeff=0.0, omega_eff=1.0, theta0=0.5)
+
+    @pytest.mark.parametrize(
+        "a, b, omega",
+        [(1.0, math.nan, 1.0), (math.inf, 0.0, 1.0), (1.0, 0.5, math.inf)],
+        ids=["b-nan", "a-inf", "omega-inf"],
+    )
+    def test_params_require_finite_values(self, a, b, omega):
+        with pytest.raises(ValueError, match="finite|exceed"):
+            EvolutionParams(a_coeff=a, b_coeff=b, omega_eff=omega, theta0=1.0)
 
     def test_initial_state_requires_polar_angle(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,11 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             kossakowski(1.0, 1.5)
 
+    @pytest.mark.parametrize("a, b", [(1.0, math.nan), (math.inf, 0.0), (math.nan, 0.0)])
+    def test_kossakowski_rejects_non_finite_input(self, a, b):
+        with pytest.raises(ValueError):
+            kossakowski(a, b)
+
 
 class TestVacuumCoupling:
     def test_scales_with_dipole_squared(self):

@@ -194,6 +194,39 @@ class TestGrids:
         assert ns[0] == 1 and ns[-1] == 10**6
         assert np.all(np.diff(ns) > 0)
 
+    @pytest.mark.parametrize(
+        "start, stop, points, log, anchors",
+        [
+            (1.0, 1.0 + 64 * 2.0**-52, 200, True, lambda base: ()),
+            (1e9, 2e10, 57, True, lambda base: (base[0], base[7], base[-1])),
+            (1.0, 2.0, 5, True, lambda base: (0.5, 9.0, -1.0)),
+            (1e9, 2e10, 57, True, lambda base: (1.7e10, 1.1e9, 5e9, 1.1e9)),
+            (1.0, 2.0, 11, False, lambda base: (1.5, base[3], 1.05)),
+        ],
+        ids=["rounding-repeats", "anchors-on-grid", "anchors-outside", "unsorted", "linear"],
+    )
+    def test_grid_equals_np_unique(self, start, stop, points, log, anchors):
+        base = (np.geomspace if log else np.linspace)(start, stop, points)
+        picked = anchors(base)
+        inside = np.asarray([a for a in picked if start <= a <= stop], dtype=float)
+        want = np.unique(np.concatenate([base, inside]))
+        got = build_grid(start, stop, points, log=log, anchors=picked)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "n_max, points", [(1, 1), (1, 5), (10, 40), (100, 3), (10**6, 13), (12345, 400), (2**53, 25)]
+    )
+    def test_cycle_grid_equals_np_unique(self, n_max, points):
+        raw = np.round(np.geomspace(1.0, float(n_max), points)).astype(np.int64)
+        want = np.unique(raw)
+        got = default_n_grid(n_max, points)
+        assert got.dtype == want.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_max, points", [(100, 0), (100, -2), (0, 5), (2**53 + 1, 5), (10**26, 5)])
+    def test_cycle_grid_bounds(self, n_max, points):
+        with pytest.raises(ValueError):
+            default_n_grid(n_max, points)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             build_grid(10.0, 5.0, 3)

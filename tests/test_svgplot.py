@@ -132,3 +132,21 @@ class TestMarkers:
         assert "outside" not in svg and "negative" not in svg
         py = axis_map(ys, False, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
         assert drawn_runs(svg) == expected_runs(xs, ys, np.ones(7, bool), px, py)
+
+
+class TestText:
+    def test_every_label_is_escaped_as_saxutils_escapes_it(self, tmp_path):
+        from xml.sax.saxutils import escape
+
+        text = "a & b < c > d \"q\" 's' &amp; ]]>"
+        svg = chart(
+            tmp_path,
+            [(text, [1.0, 2.0], [1.0, 2.0])],
+            title=text,
+            xlabel=text,
+            ylabel=text,
+            vlines=((text, 1.5),),
+        )
+        # title, both axis labels, the legend entry and the marker label
+        assert svg.count(f">{escape(text)}</text>") == 5
+        assert text not in svg
