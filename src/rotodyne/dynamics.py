@@ -174,9 +174,9 @@ def _generator_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H, A, B) with generator omega H + a A + b B; column k of each is the
     image of the k-th matrix unit under ``lindblad_rhs``. Their entries are
     small integers times (i, 1, 1), so the probe differences are exact,
-    and so is the check that vec(I) is a left null vector of each: the
-    generator preserves the trace, which is what lets ``evolve_ode`` pin
-    its stationary eigenvalue to exactly 0. Probed on first use, not at
+    and vec(I) is exactly a left null vector of each: the generator
+    preserves the trace, which is what lets ``evolve_ode`` pin its
+    stationary eigenvalue to exactly 0. Probed on first use, not at
     import: the first matrix product makes the BLAS library touch about
     0.4 MB, which importers that never propagate would pay."""
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
@@ -184,11 +184,7 @@ def _generator_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lindblad_rhs(units, EvolutionParams(a_coeff, b_coeff, 1.0, 0.0)).reshape(4, 4).T
         for a_coeff, b_coeff in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
     )
-    parts = h, a - h, ab - a
-    trace_row = np.eye(2).reshape(4)
-    if any(np.any(trace_row @ part) for part in parts):
-        raise NumericsError("probed generator does not preserve the trace")
-    return parts
+    return h, a - h, ab - a
 
 
 def _superoperator(p: EvolutionParams) -> np.ndarray:

@@ -306,7 +306,8 @@ UNUSED_ROOTS = ("xml", "urllib", "http", "email", "ssl", "socket", "hashlib")
 def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
     """``figure1``, ``sweep-cavity`` and ``gp-vs-n`` in a fresh interpreter load
     nothing under ``numpy.ma`` and none of UNUSED_ROOTS beyond what
-    ``import numpy, argparse, csv, json`` already loaded."""
+    ``import numpy, argparse, csv, json, pathlib`` already loaded (pathlib
+    imports ``urllib.parse``)."""
     src = str(Path(rotodyne.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -317,7 +318,7 @@ def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
         ["gp-vs-n", "--out", str(tmp_path / "gp_vs_n")],
     ]
     probe = (
-        "import sys, numpy, argparse, csv, json\n"
+        "import sys, numpy, argparse, csv, json, pathlib\n"
         "baseline = set(sys.modules)\n"
         "from rotodyne.cli import main\n"
         f"codes = [main(argv) for argv in {commands!r}]\n"
