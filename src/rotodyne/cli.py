@@ -194,7 +194,10 @@ def _cmd_gp(args) -> int:
     n = args.cycles if args.cycles is not None else scn.n_default
     if n < 1:
         raise ValueError(f"cycle count must be at least 1, got {n}")
-    res = scenario_gp(scn, n, args.engine)
+    try:
+        res = scenario_gp(scn, n, args.engine)
+    except OverflowError as exc:  # n, its horizon or its n^2 past the float range
+        raise ValueError(f"cycle count of {len(str(n))} digits is too large: {exc}") from None
     payload = {
         "scenario": scn.name,
         "engine": res.engine,

@@ -16,7 +16,9 @@ Engines
     The shared non-unitary kernel alone: checked composite Gauss-Legendre
     quadrature of the closed-form phase integrand, valid for any horizon,
     not just integer quasi-cycles. The non-unitary part is integrated
-    directly, not taken as a difference.
+    directly, not taken as a difference. The engines are compared on one
+    path, so the kernel is memoized per (generator, horizon), for the last
+    KERNEL_CACHE_SIZE pairs; a hit is bit-identical to a fresh evaluation.
 
 ``gp_quasi_cycle``
     Leading-order closed form for n quasi-cycles: the pure-precession
@@ -37,6 +39,7 @@ quasi-cycle engines use the closed-loop solid angle
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -77,6 +80,8 @@ KERNEL_PANEL = 0.5
 KERNEL_REL_TOL = 1e-10
 # further halvings of the panel set before the kernel gives up
 MAX_HALVINGS = 4
+# (generator, horizon) pairs whose kernel is kept: engines compared on one path share it
+KERNEL_CACHE_SIZE = 8
 # 16-point Gauss-Legendre rule on [-1, 1]: positive nodes and their weights, correctly rounded
 _GL_HALF = np.array(
     [
@@ -400,13 +405,16 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     )
 
 
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _phase_kernel(p: EvolutionParams, total_time: float):
     """K = integral over [0, T] of cos theta0 - cos(angle), the non-unitary
     kernel of both numeric engines: ``_nonunitary_kernel`` up to
     SATURATION_EXPONENT in x = 4 a tau plus the integrand there for the
     rest of the horizon; closed forms (no panels) for a = 0 and on-axis
     states (sin^2 theta0 subnormal). Returns K, the halving gap, the panel
-    count and the halvings taken."""
+    count and the halvings taken, as Python numbers whatever the input
+    types: keys that compare equal across +-0.0 or numpy scalars give the
+    same numbers, so a memo hit returns what a fresh call would."""
     if p.a_coeff == 0.0:
         return 0.0, 0.0, 0, 0  # pure precession: the angle never leaves theta0
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
@@ -418,7 +426,7 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
         kernel = 0.0
         if ratio != 0.0 and cos_t / ratio > 0.0:
             kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
-        return kernel, 0.0, 0, 0
+        return float(kernel), 0.0, 0, 0
     x_end = min(a4 * total_time, SATURATION_EXPONENT)
     kernel, gap, panels, halvings = _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
     if a4 * total_time > SATURATION_EXPONENT:
@@ -426,7 +434,19 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
             np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
         )[0]
         kernel += float(saturated) * (total_time - SATURATION_EXPONENT / a4)
-    return kernel, gap, panels, halvings
+    return float(kernel), gap, panels, halvings
+
+
+def _sweep(p: EvolutionParams, total_time: float) -> float:
+    """omega T, the azimuth the numeric engines precess through. Raises
+    ValueError for a negative horizon and NumericsError where omega T is
+    not finite, before any kernel work: no phase survives that sweep."""
+    if total_time < 0.0:
+        raise ValueError(f"total_time must be non-negative, got {total_time}")
+    sweep = p.omega_eff * total_time
+    if not math.isfinite(sweep):
+        raise NumericsError(f"precession angle omega T = {sweep} is not finite")
+    return sweep
 
 
 def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
@@ -445,8 +465,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     (halvings taken) and ``samples`` (integrand evaluations of the
     accepted pass, 24 per panel).
     """
-    if total_time < 0.0:
-        raise ValueError(f"total_time must be non-negative, got {total_time}")
+    sweep = _sweep(p, total_time)
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
     sin2 = sin_t * sin_t
     ratio = p.b_coeff / p.a_coeff if p.a_coeff else 0.0
@@ -469,7 +488,6 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     kernel, gap, panels, halvings = _phase_kernel(p, total_time)
 
     c0, s0 = math.cos(p.theta0 / 2.0), math.sin(p.theta0 / 2.0)
-    sweep = p.omega_eff * total_time
     cos_s, sin_s = math.cos(sweep), math.sin(sweep)
     across = s0 * cos_h1 + c0 * sin_h1  # sin((angle + theta0) / 2)
     drift = drop / (2.0 * across) if across else 0.0  # sin((angle - theta0) / 2)
@@ -507,13 +525,12 @@ def gp_exact_integral(
     free of cancellation. ``abserr`` is the halving gap of the non-unitary
     part (rad); ``panels`` is 0 for the closed forms.
     """
-    if total_time < 0.0:
-        raise ValueError(f"total_time must be non-negative, got {total_time}")
+    sweep = _sweep(p, total_time)
     omega = p.omega_eff
     kernel, gap, panels, _ = _phase_kernel(p, total_time)
     if n_cycles is None:
-        n_cycles = omega * total_time / math.tau
-    unitary = -(omega * total_time) * math.sin(p.theta0 / 2.0) ** 2
+        n_cycles = sweep / math.tau
+    unitary = -sweep * math.sin(p.theta0 / 2.0) ** 2
     nonunitary = 0.0 - (omega / 2.0) * kernel  # 0.0 - keeps a vanishing part at +0.0
     return GPResult(
         engine="exact-integral",

@@ -176,6 +176,26 @@ class TestBadInput:
         code, _, _ = run(capsys, ["gp", "--scenario", "case1", "-n", "-5"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "engine, digits",
+        [
+            ("tong", 400),
+            ("exact-integral", 400),
+            ("quasi-cycle", 201),
+            ("case1", 201),
+            ("case2", 201),
+        ],
+    )
+    def test_overflowing_cycle_count_exits_1(self, capsys, engine, digits):
+        # the quasi-cycle engines square n, the numeric ones scale it by tau
+        argv = ["gp", "--scenario", "case1", "--engine", engine, "-n", str(10 ** (digits - 1))]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"rotodyne: error: cycle count of {digits} digits is too large: "
+            "int too large to convert to float\n"
+        )
+
     @pytest.mark.parametrize("spec", ["nonsense", "1e7:2e7", "1e7:2e7:5:quad"])
     def test_bad_grid_spec(self, capsys, spec):
         code, _, err = run(capsys, ["sweep-cavity", "--grid", spec])

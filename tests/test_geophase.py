@@ -254,6 +254,12 @@ class TestTongFunctional:
                 "abserr", "endpoint_amplitude", "panels", "refinements", "samples"
             }
 
+    def test_infinite_sweep_raises_before_the_kernel(self):
+        geophase._phase_kernel.cache_clear()
+        with pytest.raises(NumericsError, match="not finite"):
+            gp_tong_closed_form(EvolutionParams(1e-3, 5e-4, 10.0, 1.0), 1e308)
+        assert geophase._phase_kernel.cache_info().misses == 0
+
     def test_degenerate_endpoint_raises(self):
         # b = 0 drives the state to the maximally mixed one, where the
         # eigenbasis is undefined: Bloch length sin(theta0) e^{-2 a T}
@@ -414,12 +420,115 @@ class TestExactIntegral:
 
     def test_unconverged_panels_raise(self, monkeypatch):
         # one panel across the sharp knee above cannot pass the halving
-        # check within MAX_HALVINGS halvings
+        # check within MAX_HALVINGS halvings; the memo may hold that input's
+        # converged kernel from the test above
+        geophase._phase_kernel.cache_clear()
         monkeypatch.setattr(
             geophase, "_kernel_panels", lambda x_end, x_k, delta: np.array([[0.0, x_end]])
         )
         with pytest.raises(NumericsError, match="did not converge"):
             gp_exact_integral(EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6), 10.0)
+
+    def test_infinite_sweep_raises_before_the_kernel(self):
+        geophase._phase_kernel.cache_clear()
+        with pytest.raises(NumericsError, match="not finite"):
+            gp_exact_integral(EvolutionParams(1e-3, 5e-4, 10.0, 1.0), 1e308)
+        assert geophase._phase_kernel.cache_info().misses == 0
+
+
+F64 = np.float64
+
+
+def kernel_bits(values):
+    """Types and reprs of a kernel tuple or result: repr tells -0.0 from 0.0."""
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestKernelMemo:
+    def test_engines_on_one_path_integrate_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        kernel = geophase._nonunitary_kernel
+        monkeypatch.setattr(geophase, "_nonunitary_kernel", counted)
+        geophase._phase_kernel.cache_clear()
+        p = EvolutionParams(0.1, -0.05, 1.0, 2.0)
+        tong = gp_tong_closed_form(p, 1000.0)
+        exact = gp_exact_integral(p, 1000.0)
+        assert len(calls) == 1
+        assert tong.diagnostics["panels"] == exact.diagnostics["panels"] > 0
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            pytest.param(
+                (EvolutionParams(0.1, 0.0, 1.0, 1.0), 3.0),
+                (EvolutionParams(0.1, -0.0, 1.0, 1.0), 3.0),
+                id="b=+-0",
+            ),
+            pytest.param(
+                (EvolutionParams(0.1, -0.05, 1.0, 1.0), 0.0),
+                (EvolutionParams(0.1, -0.05, 1.0, 1.0), -0.0),
+                id="T=+-0",
+            ),
+            pytest.param(
+                (EvolutionParams(0.5, 0.3, 20.0, 0.0), 0.0),
+                (EvolutionParams(0.5, 0.3, 20.0, 0.0), -0.0),
+                id="T=+-0-on-axis",
+            ),
+            pytest.param(
+                (EvolutionParams(0.5, 0.3, 20.0, 0.0), 3.0),
+                (EvolutionParams(F64(0.5), F64(0.3), 20.0, F64(0.0)), F64(3.0)),
+                id="numpy-on-axis",
+            ),
+            pytest.param(
+                (EvolutionParams(0.5, 0.3, 20.0, 1e-200), 3.0),
+                (EvolutionParams(0.5, 0.3, 20.0, 1e-200), F64(3.0)),
+                id="numpy-horizon-on-axis",
+            ),
+            pytest.param(
+                (EvolutionParams(2.0, 1.0, 50.0, 1.8), 80.0),
+                (EvolutionParams(F64(2.0), 1.0, 50.0, 1.8), 80.0),
+                id="numpy-saturated",
+            ),
+            pytest.param(
+                (EvolutionParams(0.1, -0.05, 1.0, 2.0), 1000.0),
+                (EvolutionParams(0.1, -0.05, 1.0, 2.0), F64(1000.0)),
+                id="numpy-horizon",
+            ),
+        ],
+    )
+    def test_hit_equals_cold_evaluation(self, first, second):
+        def kernel_and_engines(key):
+            # each engine below hits the kernel its predecessor stored
+            return (
+                kernel_bits(geophase._phase_kernel(*key)),
+                kernel_bits(asdict(gp_exact_integral(*key)).values()),
+                kernel_bits(asdict(gp_tong_closed_form(*key)).values()),
+            )
+
+        for warm, key in ((first, second), (second, first)):
+            assert warm == key
+            geophase._phase_kernel.cache_clear()
+            cold = kernel_and_engines(key)
+            geophase._phase_kernel.cache_clear()
+            geophase._phase_kernel(*warm)
+            assert kernel_and_engines(key) == cold
+            assert geophase._phase_kernel.cache_info()[:2] == (3, 1)  # (hits, misses)
+
+    def test_errors_are_not_kept(self, monkeypatch):
+        geophase._phase_kernel.cache_clear()
+        monkeypatch.setattr(
+            geophase, "_kernel_panels", lambda x_end, x_k, delta: np.array([[0.0, x_end]])
+        )
+        p = EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6)
+        for _ in range(2):
+            with pytest.raises(NumericsError, match="did not converge"):
+                gp_exact_integral(p, 10.0)
+        assert geophase._phase_kernel.cache_info()[1:] == (2, geophase.KERNEL_CACHE_SIZE, 0)
 
 
 class TestQuasiCycle:
