@@ -8,15 +8,19 @@ The master equation in the rotating emitter's proper time is
 
 with the 3x3 coefficient matrix from :func:`rotodyne.rates.kossakowski`.
 ``closed_form_rho`` implements the analytic solution for the initial pure
-state cos(theta/2)|e> + sin(theta/2)|g>. ``evolve_ode`` exists purely as
-an independent cross-check of the closed form: it propagates the
-generator that ``lindblad_rhs`` defines, probed once per process as a
-4x4 superoperator, by one eigendecomposition per call that gives every
+state cos(theta/2)|e> + sin(theta/2)|g>, evaluated in scalar float
+arithmetic (``math``) and packed into one 2x2 array;
+``closed_form_bloch`` is the same solution over an array of times, and
+both share one decay formula. ``evolve_ode`` exists purely as an
+independent cross-check of the closed form: it propagates the generator
+that ``lindblad_rhs`` defines, probed once per process as a 4x4
+superoperator, by one eigendecomposition per call that gives every
 sample time at once. A growth guard raises NumericsError when the
 initial state's eigenvector expansion is too large for that eigen-sum to
-be accurate to rounding. Basis convention: |e> = (1, 0),
-sigma3 |e> = +|e>. hbar cancels from the generator, so only angular
-frequencies appear.
+be accurate to rounding. Times must be non-negative and finite;
+anything else, NaN included, is a ValueError. Basis convention: |e> =
+(1, 0), sigma3 |e> = +|e>. hbar cancels from the generator, so only
+angular frequencies appear.
 """
 
 from __future__ import annotations
@@ -92,6 +96,12 @@ class EvolutionParams:
             theta0=theta0,
         )
 
+    def relaxation_exponent(self, tau):
+        """4 a tau, the exponent of the population decay e^{-4 a tau}, for a
+        float or an array tau. Formed as 4 (a tau): where 4a overflows, tau
+        = 0 still gives 0, not inf * 0 = nan."""
+        return 4.0 * (self.a_coeff * tau)
+
 
 def initial_state(theta0: float) -> np.ndarray:
     """Density matrix of the pure state cos(t/2)|e> + sin(t/2)|g>."""
@@ -101,22 +111,26 @@ def initial_state(theta0: float) -> np.ndarray:
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
 
-def _decay_factors(p: EvolutionParams, tau):
-    """(e^{-4 a tau}, pumping term ((b-a)/2a)(e^{-4 a tau} - 1)) vectorized."""
+def _decay_factors(p: EvolutionParams, tau, lib):
+    """(e^{-4 a tau}, pumping term ((b-a)/2a)(e^{-4 a tau} - 1)) with the
+    exp and expm1 of ``lib``: ``numpy`` for an array tau, ``math`` for a
+    float."""
     if p.a_coeff == 0.0:
         # |b| <= a forces b = 0: pure precession
-        return np.ones_like(tau), np.zeros_like(tau)
-    e4 = np.exp(-4.0 * p.a_coeff * tau)
-    pump = ((p.b_coeff - p.a_coeff) / (2.0 * p.a_coeff)) * np.expm1(-4.0 * p.a_coeff * tau)
-    return e4, pump
+        zero = 0.0 * tau
+        return zero + 1.0, zero
+    x = -p.relaxation_exponent(tau)
+    # halving the ratio, not doubling a, keeps an a near the float maximum finite
+    return lib.exp(x), (0.5 * ((p.b_coeff - p.a_coeff) / p.a_coeff)) * lib.expm1(x)
 
 
 def closed_form_bloch(p: EvolutionParams, tau):
     """Bloch components (r1, r2, r3) of the closed-form state, vectorized."""
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("tau must be non-negative")
-    e4, pump = _decay_factors(p, tau)
+    if not ((tau >= 0.0) & (tau < math.inf)).all():
+        raise ValueError("tau must be non-negative and finite")
+    with np.errstate(over="ignore"):  # a 4 a tau past the float range decays to 0
+        e4, pump = _decay_factors(p, tau, np)
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
     # r3 = 2 rho11 - 1 keeps the population and inversion forms consistent
     r3 = e4 * cos_t + (e4 - 1.0) + 2.0 * pump
@@ -126,18 +140,20 @@ def closed_form_bloch(p: EvolutionParams, tau):
 
 
 def closed_form_rho(p: EvolutionParams, tau: float) -> np.ndarray:
-    """Analytic density matrix at proper time ``tau``.
+    """Analytic density matrix at proper time ``tau``, in float arithmetic.
 
     rho11 decays as e^{-4 a tau} toward the stationary population set by
     b/a; the coherence decays as e^{-2 a tau} and precesses at
     omega_eff. For a = 0 the branch is the unitary limit.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    e4, pump = _decay_factors(p, float(tau))
-    rho11 = float(e4) * math.cos(p.theta0 / 2.0) ** 2 + float(pump)
-    coh = 0.5 * math.sqrt(float(e4)) * math.sin(p.theta0) * np.exp(-1j * p.omega_eff * tau)
-    return np.array([[rho11, coh], [np.conj(coh), 1.0 - rho11]], dtype=complex)
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be non-negative and finite, got {tau}")
+    e4, pump = _decay_factors(p, tau, math)
+    rho11 = e4 * math.cos(p.theta0 / 2.0) ** 2 + pump
+    r_perp = 0.5 * math.sqrt(e4) * math.sin(p.theta0)
+    phase = p.omega_eff * tau
+    re, im = r_perp * math.cos(phase), r_perp * math.sin(phase)
+    return np.array([[rho11, complex(re, -im)], [complex(re, im), 1.0 - rho11]], dtype=complex)
 
 
 def lindblad_rhs(rho: np.ndarray, p: EvolutionParams) -> np.ndarray:
@@ -209,23 +225,31 @@ def evolve_ode(
     modulus is set to exactly 0, the value trace preservation gives it;
     ``eig`` returns it as about 4a times machine epsilon, which e^{lam t}
     would turn into a drift growing with t. Samples are
-    re-symmetrized, rho <- (rho + rho^dag)/2. ``rtol`` must lie in
-    [1e-13, 1e-6]; the propagation is accurate to rounding, so it sets
-    no step size. Raises NumericsError when the eigendecomposition fails,
+    re-symmetrized, rho <- (rho + rho^dag)/2. ``t_final`` must be
+    non-negative and finite, and ``t_eval`` (default: 201 even samples) a
+    sorted 1-D array within [0, t_final]. ``rtol`` must lie in [1e-13,
+    1e-6]; the propagation is accurate to rounding, so it sets no step
+    size. Raises NumericsError when the eigendecomposition fails,
     when max(|V| |c|), which bounds the rounding error of the eigen-sum
     because Re lam <= 0, exceeds GROWTH_LIMIT (a near-defective
     generator), or when the propagated states are not finite.
     """
     if not 1e-13 <= rtol <= 1e-6:
         raise ValueError(f"rtol must lie in [1e-13, 1e-6], got {rtol}")
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be non-negative and finite, got {t_final}")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_final, 201)
     else:
         t_eval = np.asarray(t_eval, dtype=float)
-        if np.any(t_eval < 0.0) or np.any(t_eval > t_final) or np.any(np.diff(t_eval) < 0):
-            raise ValueError("t_eval must be sorted within [0, t_final]")
+        # every comparison with a NaN is False, so NaN samples fail too
+        if t_eval.ndim != 1 or (
+            t_eval.size
+            and not (
+                t_eval[0] >= 0.0 and t_eval[-1] <= t_final and (t_eval[1:] >= t_eval[:-1]).all()
+            )
+        ):
+            raise ValueError("t_eval must be a sorted 1-D array within [0, t_final]")
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         try:
@@ -236,16 +260,17 @@ def evolve_ode(
             coef = np.linalg.solve(vecs, initial_state(p.theta0).reshape(4))
         except np.linalg.LinAlgError as exc:
             raise NumericsError(f"generator eigendecomposition failed: {exc}") from None
-        growth = float(np.max(np.abs(vecs) @ np.abs(coef)))
+        growth = float((np.abs(vecs) @ np.abs(coef)).max())
         if not growth <= GROWTH_LIMIT:
             raise NumericsError(
                 f"eigenvector expansion of the initial state grows to {growth:.3e}, "
                 f"above {GROWTH_LIMIT:g}: generator too close to defective"
             )
-        states = ((np.exp(np.outer(t_eval, lam)) * coef) @ vecs.T).reshape(-1, 2, 2)
-    if not np.all(np.isfinite(states)):
+        states = ((np.exp(t_eval[:, None] * lam) * coef) @ vecs.T).reshape(-1, 2, 2)
+    if not np.isfinite(states).all():
         raise NumericsError("master-equation propagation produced non-finite states")
-    states = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
+    states += states.conj().swapaxes(1, 2)
+    states *= 0.5
     return OdeTrajectory(times=t_eval, states=states)
 
 

@@ -427,9 +427,10 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
         if ratio != 0.0 and cos_t / ratio > 0.0:
             kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
         return float(kernel), 0.0, 0, 0
-    x_end = min(a4 * total_time, SATURATION_EXPONENT)
+    four_a_t = p.relaxation_exponent(total_time)
+    x_end = min(four_a_t, SATURATION_EXPONENT)
     kernel, gap, panels, halvings = _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
-    if a4 * total_time > SATURATION_EXPONENT:
+    if four_a_t > SATURATION_EXPONENT:
         saturated = _kernel_integrand(
             np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
         )[0]
@@ -470,7 +471,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     sin2 = sin_t * sin_t
     ratio = p.b_coeff / p.a_coeff if p.a_coeff else 0.0
     # the endpoint state, taken at SATURATION_EXPONENT beyond it as in the kernel
-    eps = math.expm1(min(4.0 * p.a_coeff * total_time, SATURATION_EXPONENT))
+    eps = math.expm1(min(p.relaxation_exponent(total_time), SATURATION_EXPONENT))
     u, g = 1.0 + eps, cos_t - ratio * eps
     big_r2 = u * sin2 + g * g
     big_r = math.sqrt(big_r2)
@@ -539,7 +540,7 @@ def gp_exact_integral(
         unitary_part=unitary,
         nonunitary_part=nonunitary,
         diagnostics={
-            "four_a_t": 4.0 * p.a_coeff * total_time,
+            "four_a_t": p.relaxation_exponent(total_time),
             "panels": panels,
             "abserr": (omega / 2.0) * gap,
         },

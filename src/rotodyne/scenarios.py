@@ -477,11 +477,16 @@ def default_n_grid(n_max: int, points: int = 25) -> np.ndarray:
 
 
 def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:
-    """Generator of the scenario's rates and the horizon of n cycles."""
+    """Generator of the scenario's rates and the horizon of n cycles.
+    Raises OverflowError when the horizon is past the float range, as
+    converting a too large integer n to float already does."""
+    horizon = math.tau * n / scenario.atom.omega0
+    if math.isinf(horizon):
+        raise OverflowError("horizon 2 pi n / omega0 is past the float range")
     params = EvolutionParams.from_rates(
         scenario_rates(scenario), scenario.atom.theta0, scenario.atom.omega0
     )
-    return params, math.tau * n / scenario.atom.omega0
+    return params, horizon
 
 
 # engine name -> fn(scenario, n) -> GPResult

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotodyne import dynamics
 from rotodyne import (
@@ -26,6 +28,21 @@ def draw_params(rng):
     b = a * rng.uniform(0.0, 1.0)
     omega = 10.0 ** rng.uniform(0.0, 2.0)
     return EvolutionParams(a_coeff=a, b_coeff=b, omega_eff=omega, theta0=theta)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def closed_form_draws(draw):
+    """(params, tau): a = 0 or log-uniform, b = +-a or between, theta0 on a
+    pole or generic, and 4 a tau up to past where e^{-4 a tau} underflows."""
+    a = draw(st.one_of(st.just(0.0), st.floats(-6.0, 2.0).map(lambda e: 10.0**e)))
+    b = a * draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+    theta = draw(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)))
+    omega = 10.0 ** draw(st.floats(-2.0, 4.0))
+    x = draw(st.floats(0.0, 760.0))  # e^{-x} is 0 past about 745
+    return EvolutionParams(a, b, omega, theta), (x / (4.0 * a) if a else x)
 
 
 class TestClosedForm:
@@ -53,6 +70,28 @@ class TestClosedForm:
             assert 2.0 * rho[0, 1].real == pytest.approx(r1, abs=1e-14)
             assert 2.0 * rho[1, 0].imag == pytest.approx(r2, abs=1e-14)
             assert (rho[0, 0] - rho[1, 1]).real == pytest.approx(r3, abs=1e-14)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(draw=closed_form_draws())
+    def test_scalar_form_is_the_array_bloch_form_to_a_few_ulps(self, draw):
+        # closed_form_rho runs on floats and closed_form_bloch on arrays:
+        # rho = (I + r . sigma) / 2 on the unit scale of a state's entries
+        p, tau = draw
+        r1, r2, r3 = (float(v) for v in closed_form_bloch(p, tau))
+        want = 0.5 * np.array([[1.0 + r3, r1 - 1j * r2], [r1 + 1j * r2, 1.0 - r3]])
+        rho = closed_form_rho(p, tau)
+        np.testing.assert_allclose(rho, want, rtol=0.0, atol=2.0 * EPS)
+        assert abs(rho[0, 1] - want[0, 1]) <= 4.0 * EPS * abs(want[0, 1])
+
+    def test_overflowing_four_a_relaxes_at_once(self):
+        # 4 a = inf at a = 1e308: tau = 0 keeps the initial state, not
+        # inf * 0 = nan, and any tau > 0 lands on the stationary state
+        p = EvolutionParams(1e308, 3e307, 1.0, 1.0)
+        np.testing.assert_allclose(closed_form_rho(p, 0.0), initial_state(1.0), rtol=1e-15)
+        np.testing.assert_allclose(closed_form_rho(p, 1.0), np.diag([0.35, 0.65]), rtol=1e-15)
+        r1, r2, r3 = closed_form_bloch(p, [0.0, 1.0])
+        np.testing.assert_allclose(r3, [math.cos(1.0), -0.3], rtol=1e-15)
+        assert r1[1] == r2[1] == 0.0
 
     def test_coherence_decays_at_half_the_population_rate(self):
         # |rho_01| = sin(theta)/2 * exp(-2 a tau), independent of b
@@ -235,6 +274,36 @@ class TestValidation:
     def test_params_require_finite_values(self, a, b, omega):
         with pytest.raises(ValueError, match="finite|exceed"):
             EvolutionParams(a_coeff=a, b_coeff=b, omega_eff=omega, theta0=1.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+    def test_closed_forms_reject_bad_times(self, tau):
+        for p in (EvolutionParams(0.3, 0.2, 5.0, 1.1), EvolutionParams(0.0, 0.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                closed_form_rho(p, tau)
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                closed_form_bloch(p, [0.0, tau])
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -1.0])
+    def test_ode_rejects_bad_horizon(self, t_final):
+        with pytest.raises(ValueError, match="t_final must be non-negative and finite"):
+            evolve_ode(EvolutionParams(0.3, 0.2, 5.0, 1.1), t_final)
+
+    @pytest.mark.parametrize(
+        "t_eval",
+        [
+            [math.nan],
+            [0.0, math.nan, 1.0],
+            [0.0, math.inf],
+            [-0.1, 0.5],
+            [0.5, 1.5],
+            [0.5, 0.2],
+            [[0.0, 0.5]],
+        ],
+        ids=["nan", "inner-nan", "inf", "negative", "past-end", "unsorted", "2-d"],
+    )
+    def test_ode_rejects_bad_sample_times(self, t_eval):
+        with pytest.raises(ValueError, match="t_eval must be"):
+            evolve_ode(EvolutionParams(0.3, 0.2, 5.0, 1.1), 1.0, t_eval=np.array(t_eval))
 
     def test_initial_state_requires_polar_angle(self):
         with pytest.raises(ValueError):

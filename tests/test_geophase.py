@@ -260,6 +260,20 @@ class TestTongFunctional:
             gp_tong_closed_form(EvolutionParams(1e-3, 5e-4, 10.0, 1.0), 1e308)
         assert geophase._phase_kernel.cache_info().misses == 0
 
+    @pytest.mark.parametrize("b", [0.0, 3e307, -1e308])
+    def test_overflowing_four_a_gives_finite_parts(self, b):
+        # 4 a = inf at a = 1e308: the exponent 4 (a T) is 0 at T = 0, where
+        # (4 a) T was inf * 0 = nan
+        p = EvolutionParams(1e308, b, 1.0, 1.0)
+        assert gp_tong_closed_form(p, 0.0).total == 0.0
+        for horizon in (1e-300, 1.0, 1e10):
+            if b == 0.0:  # relaxes at once to the maximally mixed state
+                with pytest.raises(NumericsError, match="degenerate state"):
+                    gp_tong_closed_form(p, horizon)
+                continue
+            res = gp_tong_closed_form(p, horizon)
+            assert math.isfinite(res.total) and math.isfinite(res.nonunitary_part)
+
     def test_degenerate_endpoint_raises(self):
         # b = 0 drives the state to the maximally mixed one, where the
         # eigenbasis is undefined: Bloch length sin(theta0) e^{-2 a T}
@@ -434,6 +448,17 @@ class TestExactIntegral:
         with pytest.raises(NumericsError, match="not finite"):
             gp_exact_integral(EvolutionParams(1e-3, 5e-4, 10.0, 1.0), 1e308)
         assert geophase._phase_kernel.cache_info().misses == 0
+
+    @pytest.mark.parametrize("b", [0.0, 3e307, -1e308])
+    def test_overflowing_four_a_gives_finite_parts(self, b):
+        # 4 a = inf at a = 1e308: the exponent 4 (a T) is 0 at T = 0, where
+        # (4 a) T was inf * 0 = nan
+        p = EvolutionParams(1e308, b, 1.0, 1.0)
+        res = gp_exact_integral(p, 0.0)
+        assert (res.total, res.diagnostics["four_a_t"]) == (0.0, 0.0)
+        for horizon in (1e-300, 1.0, 1e10):
+            res = gp_exact_integral(p, horizon)
+            assert math.isfinite(res.total) and math.isfinite(res.nonunitary_part)
 
 
 F64 = np.float64
