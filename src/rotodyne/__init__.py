@@ -31,16 +31,12 @@ from .dynamics import (
 )
 from .errors import NumericsError
 from .geophase import (
-    EigenPath,
     GPResult,
-    eigenpath_from_closed_form,
-    eigensystem,
     gp_case1,
     gp_case2,
     gp_exact_integral,
     gp_quasi_cycle,
     gp_split,
-    gp_tong,
     gp_tong_closed_form,
 )
 from .kinematics import (
@@ -54,11 +50,9 @@ from .rates import (
     RateSet,
     case1_rates,
     case2_rates,
-    comoving_rates,
     general_rates,
     kossakowski,
     lab_rates_general,
-    noninertial_split,
     vacuum_coupling,
 )
 from .scenarios import (
@@ -71,9 +65,11 @@ from .scenarios import (
     default_n_grid,
     figure1,
     gp_vs_n,
+    gp_vs_n_chart,
     load_scenario,
     preset,
     preset_names,
+    rates_sweep_chart,
     save_scenario,
     scenario_from_dict,
     scenario_gp,
@@ -91,7 +87,6 @@ __all__ = [
     "CavitySpec",
     "DEFAULT_DIPOLE",
     "ENGINES",
-    "EigenPath",
     "EvolutionParams",
     "GPResult",
     "HBAR",
@@ -110,14 +105,11 @@ __all__ = [
     "check_density_matrix",
     "closed_form_bloch",
     "closed_form_rho",
-    "comoving_rates",
     "default_anchors",
     "default_n_grid",
     "derive_kinematics",
     "dos",
     "dos_derivative",
-    "eigenpath_from_closed_form",
-    "eigensystem",
     "evolve_ode",
     "figure1",
     "general_rates",
@@ -126,17 +118,17 @@ __all__ = [
     "gp_exact_integral",
     "gp_quasi_cycle",
     "gp_split",
-    "gp_tong",
     "gp_tong_closed_form",
     "gp_vs_n",
+    "gp_vs_n_chart",
     "initial_state",
     "kossakowski",
     "lab_rates_general",
     "lindblad_rhs",
     "load_scenario",
-    "noninertial_split",
     "preset",
     "preset_names",
+    "rates_sweep_chart",
     "save_scenario",
     "scenario_from_dict",
     "scenario_gp",
@@ -150,4 +142,5 @@ __all__ = [
     "write_csv",
     "write_json",
     "zeta_of",
+    "__version__",
 ]

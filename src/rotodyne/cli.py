@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 bad input (usage errors, invalid parameters,
-malformed scenario files), 2 numerical failure while producing results.
+malformed scenario files, an output directory that cannot be made or
+written), 2 numerical failure while producing results.
 
 Output conventions: table commands print CSV to stdout unless ``--out
 <dir>`` is given, in which case files with canonical names land in that
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"rotodyne: error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -87,8 +87,9 @@ class EvolutionParams:
     def from_rates(
         cls, rates: RateSet, theta0: float, omega_eff: float
     ) -> "EvolutionParams":
-        """Build from a RateSet; the effective frequency defaults to the bare
-        gap at call sites (no level-shift correction is applied here)."""
+        """Build from a RateSet's dissipator pair (a, b). ``omega_eff`` has
+        no default and is used as given: no level-shift correction is
+        applied here."""
         return cls(
             a_coeff=rates.a_coeff,
             b_coeff=rates.b_coeff,

@@ -2,15 +2,12 @@
 
 Engines
 -------
-``gp_tong``
+``gp_tong_closed_form``
     Kinematic mixed-state functional (Tong et al., PRL 93, 080405, 2004)
-    evaluated on a sampled path of the larger-eigenvalue eigenvector:
-    phase of the endpoint overlap minus the accumulated connection. Works
-    on any EigenPath and estimates its polygon error by Richardson
-    extrapolation. ``gp_tong_closed_form`` evaluates the same functional
-    on the analytic state as the endpoint term plus the shared
-    non-unitary kernel, so it samples no path and its cost does not grow
-    with the cycle count.
+    of the larger-eigenvalue eigenvector: phase of the endpoint overlap
+    minus the accumulated connection, evaluated on the analytic state as
+    the endpoint term plus the shared non-unitary kernel, so it samples
+    no path and its cost does not grow with the cycle count.
 
 ``gp_exact_integral``
     The shared non-unitary kernel alone: checked composite Gauss-Legendre
@@ -47,17 +44,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import CavitySpec
-from .dynamics import EvolutionParams, closed_form_bloch
+from .dynamics import EvolutionParams
 from .errors import NumericsError
 from .kinematics import AtomParams, TrajectoryParams
 from .rates import RateSet, _dissipator_pair, case1_rates, case2_rates
 
 __all__ = [
-    "EigenPath",
     "GPResult",
-    "eigensystem",
-    "eigenpath_from_closed_form",
-    "gp_tong",
     "gp_tong_closed_form",
     "gp_exact_integral",
     "gp_quasi_cycle",
@@ -67,11 +60,8 @@ __all__ = [
 ]
 
 DEGENERACY_FLOOR = 1e-14
-MIN_ADJACENT_OVERLAP = 0.99
 # below this the endpoint overlap's arg, and with it the phase, is set by rounding
 MIN_ENDPOINT_AMPLITUDE = 1e-6
-# largest dense path we are willing to materialize
-MAX_DENSE_SAMPLES = 2_000_000
 # e^{4 a tau} saturates the phase integrand long before overflow
 SATURATION_EXPONENT = 300.0
 # widest Gauss-Legendre panel in x = 4 a tau before relaxation
@@ -137,26 +127,6 @@ class GPResult:
         return "ok" if not self.warnings else ";".join(self.warnings)
 
 
-@dataclass(frozen=True)
-class EigenPath:
-    """Sampled path of the dominant spectral branch of rho(tau).
-
-    bloch_angle is the polar angle of the eigenvector measured from the
-    |e> pole, so the weight on |e> is cos(bloch_angle/2) and a pure
-    initial superposition at angle theta0 starts the path at exactly
-    theta0; azimuth is the unwrapped
-    relative phase between the |g> and |e> components; ``vectors`` are
-    explicit eigenvector samples in the gauge with a real non-negative
-    |e> component, from which ``gp_tong`` computes the connection.
-    """
-
-    times: np.ndarray
-    p_plus: np.ndarray
-    bloch_angle: np.ndarray
-    azimuth: np.ndarray
-    vectors: np.ndarray
-
-
 def _endpoint_warnings(amplitude: float) -> tuple[str, ...]:
     if amplitude < MIN_ENDPOINT_AMPLITUDE:
         return (
@@ -174,36 +144,6 @@ def _require_eigenbasis(length: float) -> None:
         )
 
 
-def _bloch_spectrum(r1, r2, r3):
-    """Dominant eigenvalue, its eigenvector's polar angle from the |e> pole,
-    and the azimuth atan2(r2, r1) for Bloch components given as scalars
-    or arrays. The polar angle uses the numerically stable two-argument
-    arctangent. Raises NumericsError where the Bloch length is <= 1e-14,
-    where the eigenbasis is undefined.
-    """
-    lam = np.hypot(np.hypot(r1, r2), r3)
-    _require_eigenbasis(float(np.min(lam)))
-    p_plus = (1.0 + lam) / 2.0
-    bloch_angle = 2.0 * np.arctan2(np.sqrt(np.maximum(lam - r3, 0.0)), np.sqrt(lam + r3))
-    return p_plus, bloch_angle, np.arctan2(r2, r1)
-
-
-def eigensystem(rho: np.ndarray) -> tuple[float, float, float, float]:
-    """Spectral data (p_plus, p_minus, bloch_angle, azimuth) of a 2x2 state.
-
-    Raises NumericsError when the state is degenerate (Bloch length
-    <= 1e-14), where the eigenbasis is undefined.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    herm = 0.5 * (rho + rho.conj().T)
-    p_plus, bloch_angle, azimuth = _bloch_spectrum(
-        2.0 * herm[0, 1].real, 2.0 * herm[1, 0].imag, (herm[0, 0] - herm[1, 1]).real
-    )
-    return float(p_plus), float(1.0 - p_plus), float(bloch_angle), float(azimuth)
-
-
 def _unitary_open_path(theta0: float, sweep: float) -> float:
     """Path functional of the pure precession at polar angle ``theta0``
     over an azimuth ``sweep``: arg(cos^2(theta0/2) + sin^2(theta0/2)
@@ -211,103 +151,6 @@ def _unitary_open_path(theta0: float, sweep: float) -> float:
     solid-angle phase -pi n (1 - cos theta0)."""
     c2, s2 = math.cos(theta0 / 2.0) ** 2, math.sin(theta0 / 2.0) ** 2
     return math.atan2(s2 * math.sin(sweep), c2 + s2 * math.cos(sweep)) - sweep * s2
-
-
-def eigenpath_from_closed_form(
-    p: EvolutionParams, total_time: float, samples_per_cycle: int = 256
-) -> EigenPath:
-    """Materialize the dominant-branch eigenpath of the analytic state,
-    sampled at ``samples_per_cycle`` points per precession cycle."""
-    if total_time < 0.0:
-        raise ValueError(f"total_time must be non-negative, got {total_time}")
-    if samples_per_cycle < 4:
-        raise ValueError("need at least 4 samples per cycle to unwrap the azimuth")
-    cycles = p.omega_eff * total_time / math.tau
-    segments = max(int(math.ceil(cycles * samples_per_cycle)), 32)
-    if segments + 1 > MAX_DENSE_SAMPLES:
-        raise ValueError(
-            f"dense path of {segments + 1} samples exceeds {MAX_DENSE_SAMPLES}; "
-            "use gp_tong_closed_form, whose cost does not grow with the horizon"
-        )
-    taus = np.linspace(0.0, total_time, segments + 1)
-    p_plus, bloch_angle, azimuth = _bloch_spectrum(*closed_form_bloch(p, taus))
-    azimuth = np.unwrap(azimuth)
-    half = bloch_angle / 2.0
-    vectors = np.stack(
-        [np.cos(half), np.sin(half) * np.exp(1j * azimuth)], axis=1
-    ).astype(complex)
-    return EigenPath(
-        times=taus,
-        p_plus=p_plus,
-        bloch_angle=bloch_angle,
-        azimuth=azimuth,
-        vectors=vectors,
-    )
-
-
-def gp_tong(path: EigenPath) -> GPResult:
-    """Mixed-state geometric phase from a sampled eigenpath.
-
-    The result is arg of sqrt(p_plus(0) p_plus(T)) times the endpoint
-    eigenvector overlap times exp(-connection integral), reported as a
-    continuous accumulation. Both pieces are computed from the stored
-    eigenvector samples, so a smooth rephasing of the vectors cancels
-    between the overlap and the connection and the phase is unchanged.
-    Requires a pure initial state and adjacent samples overlapping by at
-    least 0.99 in magnitude (else the path cannot resolve the winding).
-    The sum of adjacent-overlap args is a polygon whose error is second
-    order in the step (zero only at theta0 = pi/2); ``abserr`` is its
-    Richardson estimate from the same sum on every other sample, flagged
-    in ``validity`` where it exceeds a tenth of the non-unitary part and
-    rounding (1e-12 max(1, |total|)).
-    """
-    if path.times.size < 2:
-        raise ValueError("path must contain at least two samples")
-    p_minus0 = 1.0 - float(path.p_plus[0])
-    if p_minus0 > 1e-12:
-        raise ValueError(
-            f"path must start from a pure state, got subdominant weight {p_minus0:.3e}"
-        )
-    vectors = np.asarray(path.vectors, dtype=complex)
-    products = np.sum(vectors[:-1].conj() * vectors[1:], axis=1)
-    min_overlap = float(np.abs(products).min())
-    if min_overlap < MIN_ADJACENT_OVERLAP:
-        raise NumericsError(
-            f"insufficient sampling: adjacent eigenvector overlap {min_overlap:.4f} "
-            f"below {MIN_ADJACENT_OVERLAP}"
-        )
-    connection = float(np.sum(np.angle(products)))
-    # the polygon on every other sample, keeping the last
-    halved = vectors[::2] if len(vectors) % 2 else np.concatenate([vectors[::2], vectors[-1:]])
-    coarse = float(np.sum(np.angle(np.sum(halved[:-1].conj() * halved[1:], axis=1))))
-    abserr = abs(connection - coarse) / 3.0
-    overlap = complex(np.vdot(vectors[0], vectors[-1]))
-    amplitude = math.sqrt(float(path.p_plus[0]) * float(path.p_plus[-1])) * abs(overlap)
-    total = float(np.angle(overlap)) - connection
-
-    sweep = float(path.azimuth[-1]) - float(path.azimuth[0])
-    unitary = _unitary_open_path(float(path.bloch_angle[0]), sweep)
-    nonunitary = total - unitary
-    warnings = _endpoint_warnings(amplitude)
-    if abserr > 0.1 * abs(nonunitary) and abserr > 1e-12 * max(1.0, abs(total)):
-        warnings += (
-            f"polygon error estimate {abserr:.3e} rad exceeds a tenth of the "
-            "non-unitary part: sample the path more densely",
-        )
-    return GPResult(
-        engine="tong",
-        n_cycles=sweep / math.tau,
-        total=total,
-        unitary_part=unitary,
-        nonunitary_part=nonunitary,
-        warnings=warnings,
-        diagnostics={
-            "abserr": abserr,
-            "min_adjacent_overlap": min_overlap,
-            "endpoint_amplitude": amplitude,
-            "samples": int(path.times.size),
-        },
-    )
 
 
 def _kernel_integrand(x, x_max: float, ratio: float, cos_t: float, sin2: float):

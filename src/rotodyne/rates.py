@@ -41,11 +41,9 @@ __all__ = [
     "vacuum_coupling",
     "kossakowski",
     "lab_rates_general",
-    "comoving_rates",
     "general_rates",
     "case1_rates",
     "case2_rates",
-    "noninertial_split",
 ]
 
 # First-order-in-zeta engines lose accuracy once the rim speed grows;
@@ -60,20 +58,16 @@ class RateSet:
     """Decay/excitation rates (1/s); the dissipator coefficients and their
     ratio b/a (0 where a = 0) are read-only properties of the two rates.
 
-    ``gamma_down_inertial``/``gamma_down_ni`` are None until a split is
-    performed (the co-moving engines fill them directly); the upward
-    channel is entirely non-inertial. ``frame`` is "lab" or "comoving";
-    ``family`` names the producing engine so that splits cannot mix
-    formulas. With an array ``omega_c`` each rate field is an array over
-    it, or a float valid at every entry; ``eta`` and ``warnings`` never
-    depend on ``omega_c``.
+    ``gamma_down_inertial``/``gamma_down_ni`` are None for the lab-frame
+    rates of ``lab_rates_general``; the co-moving engines fill them. The
+    upward channel is entirely non-inertial. With an array ``omega_c``
+    each rate field is an array over it, or a float valid at every entry;
+    ``eta`` and ``warnings`` never depend on ``omega_c``.
     """
 
     gamma_down: float
     gamma_up: float
     eta: float
-    frame: str
-    family: str
     gamma_down_inertial: float | None = None
     gamma_down_ni: float | None = None
     warnings: tuple[str, ...] = ()
@@ -169,26 +163,7 @@ def lab_rates_general(
         gamma_down=gamma_down,
         gamma_up=gamma_up,
         eta=eta,
-        frame="lab",
-        family="general",
         warnings=_general_warnings(kin),
-    )
-
-
-def comoving_rates(rates: RateSet, kin: KinematicDerived) -> RateSet:
-    """Rescale a lab-frame RateSet to the co-moving frame (every channel
-    multiplied by the Lorentz gamma of the orbit)."""
-    if rates.frame != "lab":
-        raise ValueError(f"expected lab-frame rates, got frame={rates.frame!r}")
-    g = kin.lorentz_gamma
-    scale = lambda v: None if v is None else g * v
-    return replace(
-        rates,
-        gamma_down=g * rates.gamma_down,
-        gamma_up=g * rates.gamma_up,
-        frame="comoving",
-        gamma_down_inertial=scale(rates.gamma_down_inertial),
-        gamma_down_ni=scale(rates.gamma_down_ni),
     )
 
 
@@ -198,18 +173,22 @@ def general_rates(
     """Co-moving rates from the resonance-condition engine, split against
     the static reference.
 
-    The inertial part of the downward channel is eta * dos(omega0) *
-    omega0; the carrier redshift, the recoil factor, both sidebands and
+    Both lab-frame channels are multiplied by the Lorentz gamma of the
+    orbit. The inertial part of the downward channel is eta * dos(omega0)
+    * omega0; the carrier redshift, the recoil factor, both sidebands and
     the frame factor all land in the non-inertial remainder. The upward
     channel is entirely non-inertial.
     """
-    kin = derive_kinematics(traj, atom)
-    com = comoving_rates(lab_rates_general(traj, atom, cavity), kin)
-    gd_inertial = com.eta * dos(cavity, atom.omega0) * atom.omega0
+    g = derive_kinematics(traj, atom).lorentz_gamma
+    lab = lab_rates_general(traj, atom, cavity)
+    gamma_down = g * lab.gamma_down
+    gd_inertial = lab.eta * dos(cavity, atom.omega0) * atom.omega0
     return replace(
-        com,
+        lab,
+        gamma_down=gamma_down,
+        gamma_up=g * lab.gamma_up,
         gamma_down_inertial=gd_inertial,
-        gamma_down_ni=com.gamma_down - gd_inertial,
+        gamma_down_ni=gamma_down - gd_inertial,
     )
 
 
@@ -242,8 +221,6 @@ def case1_rates(
         gamma_down=gd_inertial + gd_ni,
         gamma_up=gamma_up,
         eta=eta,
-        frame="comoving",
-        family="case1",
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=gd_ni,
         warnings=tuple(warnings),
@@ -291,39 +268,8 @@ def case2_rates(
         gamma_down=gd_inertial + gd_ni,
         gamma_up=0.0,
         eta=eta,
-        frame="comoving",
-        family="case2",
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=gd_ni,
         warnings=tuple(warnings),
     )
 
-
-def noninertial_split(at_omega: RateSet, at_zero: RateSet) -> RateSet:
-    """Split the downward channel of ``at_omega`` into inertial +
-    non-inertial parts.
-
-    ``at_zero`` must come from the same formula family, frame and
-    coupling, evaluated on the zero-rotation trajectory, and have no
-    upward rate: the upward channel is entirely non-inertial. The
-    inertial part is its downward rate; the non-inertial part is the
-    floating-point-exact remainder.
-    """
-    if at_omega.family != at_zero.family:
-        raise ValueError(
-            f"cannot split across families {at_omega.family!r} vs {at_zero.family!r}"
-        )
-    if at_omega.frame != at_zero.frame:
-        raise ValueError(
-            f"cannot split across frames {at_omega.frame!r} vs {at_zero.frame!r}"
-        )
-    if at_omega.eta != at_zero.eta:
-        raise ValueError("cannot split across different couplings (atom/cavity differ)")
-    if np.any(at_zero.gamma_up != 0.0):
-        raise ValueError("zero-rotation reference has a non-zero upward rate")
-    gd_inertial = at_zero.gamma_down
-    return replace(
-        at_omega,
-        gamma_down_inertial=gd_inertial,
-        gamma_down_ni=at_omega.gamma_down - gd_inertial,
-    )

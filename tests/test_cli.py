@@ -278,6 +278,29 @@ class TestBadInput:
         assert code == 1
         assert "--out" in err
 
+    @pytest.mark.parametrize(
+        "argv, env_root",
+        [
+            (["sweep-cavity", "--grid", "4.9e9:5.1e9:3:lin", "--out", "F"], None),
+            (["figure1", "--out", "F/x", "--points", "5"], None),
+            (["figure1", "--points", "5"], "F"),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "env-root-is-a-file"],
+    )
+    def test_unusable_output_directory_exits_1(
+        self, capsys, tmp_path, monkeypatch, argv, env_root
+    ):
+        (tmp_path / "F").write_text("")
+        monkeypatch.chdir(tmp_path)
+        if env_root is None:
+            monkeypatch.delenv("ROTODYNE_OUT", raising=False)
+        else:
+            monkeypatch.setenv("ROTODYNE_OUT", env_root)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
 
 class TestNumericsExit:
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):

@@ -6,25 +6,22 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from oracles import eigenpath_from_closed_form, eigensystem, gp_tong
 from rotodyne import geophase
 from rotodyne import (
     DEFAULT_DIPOLE,
     AtomParams,
     CavitySpec,
-    EigenPath,
     EvolutionParams,
     NumericsError,
     TrajectoryParams,
     case1_rates,
     case2_rates,
-    eigenpath_from_closed_form,
-    eigensystem,
     gp_case1,
     gp_case2,
     gp_exact_integral,
     gp_quasi_cycle,
     gp_split,
-    gp_tong,
     gp_tong_closed_form,
     initial_state,
     lab_rates_general,

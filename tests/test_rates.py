@@ -13,13 +13,11 @@ from rotodyne import (
     TrajectoryParams,
     case1_rates,
     case2_rates,
-    comoving_rates,
     derive_kinematics,
     dos,
     general_rates,
     kossakowski,
     lab_rates_general,
-    noninertial_split,
     vacuum_coupling,
     zeta_of,
 )
@@ -124,16 +122,9 @@ class TestFrameTransport:
     def test_comoving_rates_scale_by_lorentz_gamma(self):
         lab = lab_rates_general(**FAST)
         kin = derive_kinematics(FAST["traj"], FAST["atom"])
-        com = comoving_rates(lab, kin)
-        assert com.frame == "comoving"
+        com = general_rates(**FAST)
         assert com.gamma_down == kin.lorentz_gamma * lab.gamma_down
         assert com.gamma_up == kin.lorentz_gamma * lab.gamma_up
-
-    def test_double_transport_rejected(self):
-        lab = lab_rates_general(**FAST)
-        kin = derive_kinematics(FAST["traj"], FAST["atom"])
-        with pytest.raises(ValueError):
-            comoving_rates(comoving_rates(lab, kin), kin)
 
 
 class TestSplit:
@@ -154,33 +145,6 @@ class TestSplit:
         for rs in (case1_rates(**FAST), case2_rates(**SLOW)):
             assert rs.gamma_down_inertial + rs.gamma_down_ni == pytest.approx(rs.gamma_down, rel=1e-14)
             assert rs.gamma_down_inertial >= 0.0
-
-    def test_noninertial_split_subtracts_channelwise(self):
-        traj0 = TrajectoryParams(radius=SLOW["traj"].radius, omega=0.0)
-        at_omega = lab_rates_general(**SLOW)
-        at_zero = lab_rates_general(traj0, SLOW["atom"], SLOW["cavity"])
-        split = noninertial_split(at_omega, at_zero)
-        assert split.gamma_down_inertial == at_zero.gamma_down
-        assert split.gamma_down_ni == at_omega.gamma_down - at_zero.gamma_down
-        assert split.gamma_up == at_omega.gamma_up
-
-    def test_split_rejects_rotating_reference(self):
-        rotating = lab_rates_general(**FAST)
-        assert rotating.gamma_up > 0.0
-        with pytest.raises(ValueError, match="upward"):
-            noninertial_split(rotating, rotating)
-
-    def test_split_rejects_family_mismatch(self):
-        with pytest.raises(ValueError):
-            noninertial_split(case2_rates(**SLOW), case1_rates(**SLOW))
-
-    def test_split_rejects_coupling_mismatch(self):
-        other_cavity = CavitySpec(omega_c=1.01e7, q_factor=1.0e7, volume=2.0e-3)
-        with pytest.raises(ValueError):
-            noninertial_split(
-                lab_rates_general(**SLOW),
-                lab_rates_general(SLOW["traj"], SLOW["atom"], other_cavity),
-            )
 
 
 class TestArrayCavity:

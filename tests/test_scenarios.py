@@ -16,6 +16,7 @@ from rotodyne import (
     default_n_grid,
     derive_kinematics,
     figure1,
+    general_rates,
     gp_case1,
     gp_vs_n,
     load_scenario,
@@ -166,7 +167,7 @@ class TestSerialization:
         data["name"] = "wide"
         s = scenario_from_dict(data)
         rs = scenario_rates(s)
-        assert rs.family == "general"
+        assert rs == general_rates(s.trajectory, s.atom, s.cavity)
         assert rs.gamma_down_inertial is not None
 
 
