@@ -10,12 +10,14 @@ Engines
     no path and its cost does not grow with the cycle count.
 
 ``gp_exact_integral``
-    The shared non-unitary kernel alone: checked composite Gauss-Legendre
-    quadrature of the closed-form phase integrand, valid for any horizon,
-    not just integer quasi-cycles. The non-unitary part is integrated
-    directly, not taken as a difference. The engines are compared on one
-    path, so the kernel is memoized per (generator, horizon), for the last
-    KERNEL_CACHE_SIZE pairs; a hit is bit-identical to a fresh evaluation.
+    The shared non-unitary kernel alone, valid for any horizon, not just
+    integer quasi-cycles: a power series in e = expm1(4 a tau) while e is
+    well inside its radius, which covers the quasi-cycle regime, and past
+    it checked composite Gauss-Legendre quadrature of the closed-form phase
+    integrand. The non-unitary part is integrated directly, not taken as a
+    difference. The engines are compared on one path, so the kernel is
+    memoized per (generator, horizon), for the last KERNEL_CACHE_SIZE
+    pairs; a hit is bit-identical to a fresh evaluation.
 
 ``gp_quasi_cycle``
     Leading-order closed form for n quasi-cycles: the pure-precession
@@ -72,6 +74,10 @@ KERNEL_REL_TOL = 1e-10
 MAX_HALVINGS = 4
 # (generator, horizon) pairs whose kernel is kept: engines compared on one path share it
 KERNEL_CACHE_SIZE = 8
+# the kernel's series in e = expm1(4 a tau): its tail bound's share of the sum at which it
+# stops, the terms it may take before the panels take over, and an |e| below which no
+# singularity lies for any |b| <= a and theta0
+SERIES_REL_TOL, SERIES_TERMS, SERIES_RADIUS = 2.0 ** -56, 40, math.sqrt(2.0) - 1.0
 # 16-point Gauss-Legendre rule on [-1, 1]: positive nodes and their weights, correctly rounded
 _GL_HALF = np.array(
     [
@@ -221,9 +227,9 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     exceeds KERNEL_REL_TOL times the integral of |integrand| the panels
     are halved again, at most MAX_HALVINGS times, else NumericsError.
     Returns the halved set's integral, the gap, the halved set's panel
-    count and the halvings taken. The accepted pass evaluated the
-    integrand 24 times per panel of the halved set: its own 16 nodes and
-    half of the 16 of the panel it halves."""
+    count, the halvings taken and 0 series terms. The accepted pass
+    evaluated the integrand 24 times per panel of the halved set: its own
+    16 nodes and half of the 16 of the panel it halves."""
     panels = _kernel_panels(x_end, *_knee(ratio, cos_t, sin2))
     for halvings in range(1, MAX_HALVINGS + 2):
         values = _kernel_integrand(panels @ _PANEL_BASIS, x_end, ratio, cos_t, sin2)
@@ -237,7 +243,7 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
         if gap <= floor or gap <= KERNEL_REL_TOL * float(
             weights @ (np.abs(values) @ _PANEL_WEIGHTS[:, 1])
         ):
-            return fine, gap, 2 * len(panels), halvings
+            return fine, gap, 2 * len(panels), halvings, 0
         half = 0.5 * panels[:, 1]
         panels = np.concatenate(
             [np.column_stack([panels[:, 0], half]), np.column_stack([panels[:, 0] + half, half])]
@@ -248,18 +254,51 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     )
 
 
+def _kernel_series(a4: float, e_end: float, ratio: float, cos_t: float, sin2: float):
+    """``_nonunitary_kernel`` up to e_end = expm1(x_end) as a power series in
+    e = expm1(x): f = c - g / R has f(0) = 0 and f' = (s^2 / 2) (c + 2 ratio
+    + ratio e) Q^(-3/2), Q = R^2 = 1 + p e + ratio^2 e^2, p = s^2 - 2 ratio
+    c, whose factors s^2 and c + 2 ratio keep every coefficient free of
+    cancellation. Q^(-3/2) = sum z_n e^n, n z_n = -p (n + 1/2) z_{n-1} -
+    ratio^2 (n + 1) z_{n-2}; f / (1 + e) is integrated term by term, as d
+    tau = de / (a4 (1 + e)). Returns ``_nonunitary_kernel``'s tuple with no
+    panels and the tail bound for the gap: (last term + rho * the one
+    before, lest one vanishing coefficient end the sum) * rho / (1 - rho),
+    rho = e_end / SERIES_RADIUS; None if SERIES_TERMS terms leave the bound
+    above SERIES_REL_TOL of the sum."""
+    rho = e_end / SERIES_RADIUS
+    if not rho < 1.0:
+        return None
+    p, q, bound = sin2 - 2.0 * ratio * cos_t, ratio * ratio, rho / (1.0 - rho)
+    slope, half = cos_t + 2.0 * ratio, 0.5 * sin2
+    z_prev, z, coeff, total, previous = 0.0, 1.0, 0.0, 0.0, math.inf
+    power = e_end / a4  # divided first, so that a tiny e_end^2 cannot underflow
+    for n in range(1, SERIES_TERMS + 1):
+        coeff = half * (slope * z + ratio * z_prev) / n - coeff  # of e^n in f / (1 + e)
+        power *= e_end
+        term = coeff * power / (n + 1)
+        total += term
+        tail = (abs(term) + rho * abs(previous)) * bound
+        if tail <= SERIES_REL_TOL * abs(total):
+            return total, abs(tail), 0, 0, n  # abs: a horizon of -0.0 gives rho = -0.0
+        previous = term
+        z_prev, z = z, -(p * (n + 0.5) * z + q * (n + 1) * z_prev) / n
+    return None
+
+
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _phase_kernel(p: EvolutionParams, total_time: float):
     """K = integral over [0, T] of cos theta0 - cos(angle), the non-unitary
-    kernel of both numeric engines: ``_nonunitary_kernel`` up to
-    SATURATION_EXPONENT in x = 4 a tau plus the integrand there for the
-    rest of the horizon; closed forms (no panels) for a = 0 and on-axis
-    states (sin^2 theta0 subnormal). Returns K, the halving gap, the panel
-    count and the halvings taken, as Python numbers whatever the input
-    types: keys that compare equal across +-0.0 or numpy scalars give the
-    same numbers, so a memo hit returns what a fresh call would."""
+    kernel of both numeric engines: ``_kernel_series``, or past it
+    ``_nonunitary_kernel``, up to SATURATION_EXPONENT in x = 4 a tau plus
+    the integrand there for the rest of the horizon; closed forms for a = 0
+    and on-axis states (sin^2 theta0 subnormal). Returns K, its error
+    estimate, the panels, the halvings and the series terms, as Python
+    numbers whatever the input types: keys that compare equal across +-0.0
+    or numpy scalars give the same numbers, so a memo hit returns what a
+    fresh call would."""
     if p.a_coeff == 0.0:
-        return 0.0, 0.0, 0, 0  # pure precession: the angle never leaves theta0
+        return 0.0, 0.0, 0, 0, 0  # pure precession: the angle never leaves theta0
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
     sin2 = sin_t * sin_t
     ratio = p.b_coeff / p.a_coeff
@@ -269,16 +308,18 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
         kernel = 0.0
         if ratio != 0.0 and cos_t / ratio > 0.0:
             kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
-        return float(kernel), 0.0, 0, 0
+        return float(kernel), 0.0, 0, 0, 0
     four_a_t = p.relaxation_exponent(total_time)
     x_end = min(four_a_t, SATURATION_EXPONENT)
-    kernel, gap, panels, halvings = _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
+    kernel, err, panels, halvings, terms = _kernel_series(
+        a4, math.expm1(x_end), ratio, cos_t, sin2
+    ) or _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
     if four_a_t > SATURATION_EXPONENT:
         saturated = _kernel_integrand(
             np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
         )[0]
         kernel += float(saturated) * (total_time - SATURATION_EXPONENT / a4)
-    return float(kernel), gap, panels, halvings
+    return float(kernel), float(err), panels, halvings, terms
 
 
 def _sweep(p: EvolutionParams, total_time: float) -> float:
@@ -304,10 +345,11 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     sqrt((R +- g) / 2R) come from the kernel's closed form, and the arg
     from sin((angle - theta0) / 2) = (cos theta0 - cos angle) / (2
     sin((angle + theta0) / 2)), free of cancellation. No path is sampled.
-    The diagnostics are ``abserr`` (the kernel's halving gap, in rad),
-    ``endpoint_amplitude``, and the kernel's ``panels``, ``refinements``
-    (halvings taken) and ``samples`` (integrand evaluations of the
-    accepted pass, 24 per panel).
+    The diagnostics are ``abserr`` (the kernel's error estimate, in rad),
+    ``endpoint_amplitude``, and the kernel's ``series_terms`` or, past the
+    series, ``panels``, ``refinements`` (halvings taken) and ``samples``
+    (integrand evaluations of the accepted pass, 24 per panel), 0 on the
+    path not taken.
     """
     sweep = _sweep(p, total_time)
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
@@ -329,7 +371,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
         drop = numer / (cos_t * big_r2 + g * big_r)
     else:
         drop = cos_t - g / big_r
-    kernel, gap, panels, halvings = _phase_kernel(p, total_time)
+    kernel, err, panels, halvings, terms = _phase_kernel(p, total_time)
 
     c0, s0 = math.cos(p.theta0 / 2.0), math.sin(p.theta0 / 2.0)
     cos_s, sin_s = math.cos(sweep), math.sin(sweep)
@@ -350,11 +392,12 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
         nonunitary_part=nonunitary,
         warnings=_endpoint_warnings(amplitude),
         diagnostics={
-            "abserr": (p.omega_eff / 2.0) * gap,
+            "abserr": (p.omega_eff / 2.0) * err,
             "endpoint_amplitude": amplitude,
             "panels": panels,
             "refinements": halvings,
             "samples": 24 * panels,
+            "series_terms": terms,
         },
     )
 
@@ -362,16 +405,17 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
 def gp_exact_integral(
     p: EvolutionParams, total_time: float, n_cycles: float | None = None
 ) -> GPResult:
-    """Geometric phase from checked composite Gauss-Legendre quadrature of
-    the closed-form integrand, valid for any horizon: the unitary part
-    -omega T sin^2(theta0/2), exact down to theta0 = 0, plus -(omega / 2) K
-    with the kernel K of ``_phase_kernel``, integrated directly in a form
-    free of cancellation. ``abserr`` is the halving gap of the non-unitary
-    part (rad); ``panels`` is 0 for the closed forms.
+    """Geometric phase from the closed-form integrand, valid for any
+    horizon: the unitary part -omega T sin^2(theta0/2), exact down to
+    theta0 = 0, plus -(omega / 2) K with the kernel K of ``_phase_kernel``,
+    integrated directly in a form free of cancellation. ``abserr`` is the
+    series' tail bound or the panels' halving gap, in rad; ``series_terms``
+    or ``panels`` counts the path taken, the other is 0, both for the
+    closed forms.
     """
     sweep = _sweep(p, total_time)
     omega = p.omega_eff
-    kernel, gap, panels, _ = _phase_kernel(p, total_time)
+    kernel, err, panels, _, terms = _phase_kernel(p, total_time)
     if n_cycles is None:
         n_cycles = sweep / math.tau
     unitary = -sweep * math.sin(p.theta0 / 2.0) ** 2
@@ -385,7 +429,8 @@ def gp_exact_integral(
         diagnostics={
             "four_a_t": p.relaxation_exponent(total_time),
             "panels": panels,
-            "abserr": (omega / 2.0) * gap,
+            "series_terms": terms,
+            "abserr": (omega / 2.0) * err,
         },
     )
 

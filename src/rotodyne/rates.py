@@ -144,7 +144,12 @@ def lab_rates_general(
     omega > 0: a non-rotating emitter at fixed radius keeps the carrier
     term alone, recoil factor included.
     """
-    kin = derive_kinematics(traj, atom)
+    return _lab_rates(traj, atom, cavity, derive_kinematics(traj, atom))
+
+
+def _lab_rates(
+    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec, kin: KinematicDerived
+) -> RateSet:
     eta = vacuum_coupling(atom, cavity)
     radius = traj.radius
     zeta_rot = kin.zeta
@@ -179,14 +184,14 @@ def general_rates(
     the frame factor all land in the non-inertial remainder. The upward
     channel is entirely non-inertial.
     """
-    g = derive_kinematics(traj, atom).lorentz_gamma
-    lab = lab_rates_general(traj, atom, cavity)
-    gamma_down = g * lab.gamma_down
+    kin = derive_kinematics(traj, atom)
+    lab = _lab_rates(traj, atom, cavity, kin)
+    gamma_down = kin.lorentz_gamma * lab.gamma_down
     gd_inertial = lab.eta * dos(cavity, atom.omega0) * atom.omega0
     return replace(
         lab,
         gamma_down=gamma_down,
-        gamma_up=g * lab.gamma_up,
+        gamma_up=kin.lorentz_gamma * lab.gamma_up,
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=gamma_down - gd_inertial,
     )

@@ -1,11 +1,16 @@
-"""Dense eigenpath evaluation of the Tong et al. mixed-state functional
-(PRL 93, 080405, 2004): the independent check on ``gp_tong_closed_form``.
+"""Test-only references for the phase engines.
 
-``gp_tong`` samples the larger-eigenvalue eigenvector of the analytic
-state along the whole horizon and takes the phase of the endpoint overlap
-minus the accumulated connection, with a Richardson estimate of its
-polygon error. Its cost grows with the cycle count, so it serves the
-tests only; the package evaluates the same functional in closed form.
+``gp_tong`` is the dense eigenpath evaluation of the Tong et al.
+mixed-state functional (PRL 93, 080405, 2004), the independent check on
+``gp_tong_closed_form``. It samples the larger-eigenvalue eigenvector of
+the analytic state along the whole horizon and takes the phase of the
+endpoint overlap minus the accumulated connection, with a Richardson
+estimate of its polygon error. Its cost grows with the cycle count, so it
+serves the tests only; the package evaluates the same functional in
+closed form.
+
+``elementary_kernel`` is the non-unitary kernel from its elementary
+antiderivative, in stdlib floats: the reference for the relaxed tail.
 """
 
 from __future__ import annotations
@@ -174,3 +179,31 @@ def gp_tong(path: EigenPath) -> GPResult:
             "samples": int(path.times.size),
         },
     )
+
+
+def elementary_kernel(p: EvolutionParams, total_time: float) -> float:
+    """K = integral over [0, T] of cos theta0 - cos(angle), the kernel of
+    the numeric engines, from its antiderivative in u = e^{4 a tau}. With c
+    = cos theta0, r = b / a, alpha = c + r, B = 1 - alpha^2 - r^2, R(u) =
+    sqrt(alpha^2 + B u + r^2 u^2), x = 4 a T and U = e^x:
+
+        4 a K = c x + sgn(alpha) ln(P1(U) / (U P1(1))) + sgn(r) ln(P2(U) / P2(1)),
+        P1(u) = 2 alpha^2 + B u + 2 |alpha| R(u),  P2(u) = 2 |r| R(u) + 2 r^2 u + B.
+
+    Two levels of cancellation cost it about eps / x^2 in floats, so it is
+    a reference for x >= 5 only, where that is below 7e-16 relative."""
+    c = math.cos(p.theta0)
+    r = p.b_coeff / p.a_coeff
+    alpha = c + r
+    big_b = 1.0 - alpha * alpha - r * r
+    x = p.relaxation_exponent(total_time)
+    u = math.exp(x)
+    root = math.sqrt(alpha * alpha + big_b * u + r * r * u * u)
+    p1 = lambda u, root: 2.0 * alpha * alpha + big_b * u + 2.0 * abs(alpha) * root  # noqa: E731
+    p2 = lambda u, root: 2.0 * abs(r) * root + 2.0 * r * r * u + big_b  # noqa: E731
+    total = c * x
+    if alpha:
+        total += math.copysign(1.0, alpha) * math.log(p1(u, root) / (u * p1(1.0, 1.0)))
+    if r:
+        total += math.copysign(1.0, r) * math.log(p2(u, root) / p2(1.0, 1.0))
+    return total / (4.0 * p.a_coeff)

@@ -70,6 +70,21 @@ GP_KEYS_TONG = [
     "panels",
     "refinements",
     "samples",
+    "series_terms",
+    "validity",
+]
+GP_KEYS_EXACT = [
+    "scenario",
+    "engine",
+    "n_cycles",
+    "total_rad",
+    "principal_value_rad",
+    "unitary_rad",
+    "nonunitary_rad",
+    "abserr",
+    "four_a_t",
+    "panels",
+    "series_terms",
     "validity",
 ]
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -384,6 +399,11 @@ class TestGpCommand:
         keys, values = parse_kv(out)
         assert keys == GP_KEYS_TONG
         assert values["engine"] == "tong"
+        code, out, _ = run(capsys, ["gp", "--scenario", "case1", "--engine", "exact-integral"])
+        assert code == 0
+        keys, values = parse_kv(out)
+        assert keys == GP_KEYS_EXACT
+        assert values["engine"] == "exact-integral"
 
     def test_engine_choices_are_the_registry(self, capsys):
         gp_parser = cli.build_parser()._subparsers._group_actions[0].choices["gp"]

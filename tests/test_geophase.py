@@ -1,13 +1,19 @@
 """Phase engines: eigenpath construction, path functional, integral, quasi-cycle."""
 
+import itertools
 import math
+import sys
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import eigenpath_from_closed_form, eigensystem, gp_tong
+from oracles import eigenpath_from_closed_form, eigensystem, elementary_kernel, gp_tong
 from rotodyne import geophase
+from rotodyne.scenarios import _evolution
 from rotodyne import (
     DEFAULT_DIPOLE,
     AtomParams,
@@ -199,23 +205,34 @@ class TestTongFunctional:
             assert got.total == pytest.approx(want.total, rel=1e-9)
 
     def test_envelope_grid_is_independent_of_cycle_count(self):
+        # the regime examples take the kernel's series at both counts
         for traj, atom, cavity, rate_fn in (FAST + (case1_rates,), SLOW + (case2_rates,)):
             p = EvolutionParams.from_rates(rate_fn(traj, atom, cavity), atom.theta0, atom.omega0)
             short = gp_tong_closed_form(p, cycles_time(p, 10**3))
             long = gp_tong_closed_form(p, cycles_time(p, 10**7))
-            assert long.diagnostics["samples"] == short.diagnostics["samples"]
+            assert long.diagnostics["series_terms"] == short.diagnostics["series_terms"] > 0
+            assert long.diagnostics["samples"] == short.diagnostics["samples"] == 0
             want = gp_exact_integral(p, cycles_time(p, 10**7))
             assert long.total == pytest.approx(want.total, rel=1e-9)
+        # past the series' radius, and saturated at both counts: one panel set
+        p = EvolutionParams(0.2, 0.1, 10.0, 1.0)
+        short = gp_tong_closed_form(p, cycles_time(p, 10**3))
+        long = gp_tong_closed_form(p, cycles_time(p, 10**7))
+        assert long.diagnostics["samples"] == short.diagnostics["samples"] > 0
+        want = gp_exact_integral(p, cycles_time(p, 10**7))
+        assert long.total == pytest.approx(want.total, rel=1e-9)
 
     def test_matches_dense_adjacent_overlap_form(self):
-        # a fractional cycle count keeps the endpoint overlap term nonzero
-        p = EvolutionParams(0.02, 0.012, 10.0, 1.9)
-        horizon = cycles_time(p, 3.4)
-        dense = gp_tong(eigenpath_from_closed_form(p, horizon, samples_per_cycle=4096))
-        got = gp_tong_closed_form(p, horizon)
-        assert got.total == pytest.approx(dense.total, rel=1e-6)
-        assert got.n_cycles == pytest.approx(dense.n_cycles, rel=1e-12)
-        assert got.diagnostics["refinements"] >= 1
+        # a fractional cycle count keeps the endpoint overlap term nonzero;
+        # 4 a T = 0.17 takes the kernel's series, 0.43 its checked panels
+        for a, b, path in ((0.02, 0.012, "series_terms"), (0.05, 0.03, "refinements")):
+            p = EvolutionParams(a, b, 10.0, 1.9)
+            horizon = cycles_time(p, 3.4)
+            dense = gp_tong(eigenpath_from_closed_form(p, horizon, samples_per_cycle=4096))
+            got = gp_tong_closed_form(p, horizon)
+            assert got.total == pytest.approx(dense.total, rel=1e-6)
+            assert got.n_cycles == pytest.approx(dense.n_cycles, rel=1e-12)
+            assert got.diagnostics[path] >= 1
 
     @pytest.mark.parametrize("name", ["case1", "case2"])
     def test_nonunitary_part_matches_quasi_cycle_at_presets(self, name):
@@ -229,7 +246,10 @@ class TestTongFunctional:
             # abs=0: pytest.approx otherwise passes anything within 1e-12
             assert got.nonunitary_part == pytest.approx(quasi.nonunitary_part, rel=1e-12, abs=0)
             assert got.total == got.unitary_part + got.nonunitary_part
-            assert got.diagnostics["samples"] == 24 * got.diagnostics["panels"] > 0
+            # every preset point takes the series; the panel counts are
+            # checked past its radius, in TestKernelSeries
+            assert got.diagnostics["series_terms"] > 0
+            assert got.diagnostics["samples"] == got.diagnostics["panels"] == 0
             assert got.diagnostics["abserr"] <= 1e-10 * abs(got.nonunitary_part)
 
     def test_nonunitary_part_matches_exact_integral_on_c02_draws(self):
@@ -248,7 +268,7 @@ class TestTongFunctional:
         for p in (EvolutionParams(0.0, 0.0, 50.0, 1.0), EvolutionParams(0.02, 0.012, 10.0, 1.9)):
             got = gp_tong_closed_form(p, cycles_time(p, 3.4))
             assert set(got.diagnostics) == {
-                "abserr", "endpoint_amplitude", "panels", "refinements", "samples"
+                "abserr", "endpoint_amplitude", "panels", "refinements", "samples", "series_terms"
             }
 
     def test_infinite_sweep_raises_before_the_kernel(self):
@@ -407,7 +427,8 @@ class TestExactIntegral:
             # abs=0: pytest.approx otherwise passes anything within 1e-12
             assert got.nonunitary_part == pytest.approx(quasi.nonunitary_part, rel=1e-12, abs=0)
             assert got.total == got.unitary_part + got.nonunitary_part
-            assert got.diagnostics["panels"] >= 2
+            # the series here; panels >= 2 is checked past its radius
+            assert got.diagnostics["series_terms"] > 0 == got.diagnostics["panels"]
             assert got.diagnostics["abserr"] <= 1e-10 * abs(got.nonunitary_part)
 
     def test_unitary_part_keeps_tiny_initial_angles(self):
@@ -470,18 +491,29 @@ class TestKernelMemo:
     def test_engines_on_one_path_integrate_once(self, monkeypatch):
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
+        def counted(name):
+            kernel = getattr(geophase, name)
 
-        kernel = geophase._nonunitary_kernel
-        monkeypatch.setattr(geophase, "_nonunitary_kernel", counted)
-        geophase._phase_kernel.cache_clear()
+            def call(*args):
+                calls.append(name)
+                return kernel(*args)
+
+            return call
+
+        for name in ("_kernel_series", "_nonunitary_kernel"):
+            monkeypatch.setattr(geophase, name, counted(name))
         p = EvolutionParams(0.1, -0.05, 1.0, 2.0)
-        tong = gp_tong_closed_form(p, 1000.0)
-        exact = gp_exact_integral(p, 1000.0)
-        assert len(calls) == 1
-        assert tong.diagnostics["panels"] == exact.diagnostics["panels"] > 0
+        # 4 a T = 400 is past the series' radius, where the panels take over
+        for horizon, taken, count in (
+            (1000.0, ["_kernel_series", "_nonunitary_kernel"], "panels"),
+            (1e-3, ["_kernel_series"], "series_terms"),
+        ):
+            calls.clear()
+            geophase._phase_kernel.cache_clear()
+            tong = gp_tong_closed_form(p, horizon)
+            exact = gp_exact_integral(p, horizon)
+            assert calls == taken
+            assert tong.diagnostics[count] == exact.diagnostics[count] > 0
 
     @pytest.mark.parametrize(
         "first, second",
@@ -551,6 +583,132 @@ class TestKernelMemo:
             with pytest.raises(NumericsError, match="did not converge"):
                 gp_exact_integral(p, 10.0)
         assert geophase._phase_kernel.cache_info()[1:] == (2, geophase.KERNEL_CACHE_SIZE, 0)
+
+
+# K (s) of both presets at n = 5, 100, n_default and n_max, and of the first
+# 12 draws of the c02 test above (seed 7707), exact for the float inputs:
+# 50-digit mpmath quadrature, matched by the elementary antiderivative at 140
+PRESET_KERNELS = {
+    ("case1", 5): "5.04512280102424752234e-22",
+    ("case1", 100): "2.018049120409699226578e-19",
+    ("case1", 10**5): "2.018049120409698202791e-13",
+    ("case1", 10**6): "2.018049120409698737665e-11",
+    ("case2", 5): "1.322132621539432720468e-25",
+    ("case2", 100): "5.288530486157731452227e-23",
+    ("case2", 10**5): "5.288530486157728769276e-17",
+    ("case2", 10**7): "5.288530486157730170981e-13",
+    ("case2", 10**8): "5.288530486157728974859e-11",
+}
+C02_KERNELS = (
+    "-1.468456723800241311317e-3",
+    "2.040885849231265403127e-5",
+    "2.693671546660268495606e-3",
+    "9.376942632046688637109e-5",
+    "-3.553494079341014632279e-5",
+    "1.125153670988915281843e-2",
+    "-6.563932817897234090041e-5",
+    "-1.433271453104147026699e-4",
+    "-7.829099115166289711255e-5",
+    "4.880131279106901433044e-5",
+    "7.686881060718477894352e-4",
+    "1.252059367513216135572e-4",
+)
+
+
+@st.composite
+def series_draws(draw):
+    """theta0 and b/a, with the poles' c = +-0.999999, the presets' fl(pi/2)
+    and |b| = a or 0 among them, and an x_end = 4 a T inside the series'
+    radius, where it may still fall back on the panels."""
+    pole = math.acos(0.999999)
+    # from 1e-150, so that sin^2 theta0 stays normal: the on-axis closed form has no series
+    theta = draw(
+        st.one_of(st.sampled_from([pole, math.pi - pole, math.pi / 2]), st.floats(1e-150, math.pi))
+    )
+    ratio = draw(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)))
+    x_end = 10.0 ** draw(st.floats(-12.0, math.log10(math.log(math.sqrt(2.0)))))
+    return theta, ratio, x_end
+
+
+class TestKernelSeries:
+    def test_preset_points_take_the_series_within_1e_15_of_references(self):
+        for (name, n), want in PRESET_KERNELS.items():
+            p, horizon = _evolution(preset(name), n)
+            kernel, _, panels, _, terms = geophase._phase_kernel(p, horizon)
+            assert terms > 0 and panels == 0
+            exact = Fraction(want)
+            assert abs(Fraction(kernel) - exact) <= Fraction(1e-15) * abs(exact)
+
+    def test_c02_draws_take_the_series_within_1e_15_beyond_the_panels(self):
+        # where c + 2 b/a nearly cancels, rounding b/a and cos theta0 costs
+        # both paths alike, so the series answers for 1e-15 past the panels
+        rng = np.random.default_rng(7707)
+        for want in C02_KERNELS:
+            n = int(rng.integers(3, 61))
+            a = 10.0 ** rng.uniform(-7.0, -3.1) / (math.pi * n)
+            theta = rng.uniform(0.15, math.pi - 0.15)
+            p = EvolutionParams(a, a * rng.uniform(-1.0, 1.0), 1.0, theta)
+            horizon = cycles_time(p, n)
+            kernel, _, panels, _, terms = geophase._phase_kernel(p, horizon)
+            assert terms > 0 and panels == 0
+            panel = geophase._nonunitary_kernel(
+                4.0 * a, p.relaxation_exponent(horizon), p.b_coeff / a,
+                math.cos(theta), math.sin(theta) ** 2,
+            )[0]
+            exact = Fraction(want)
+            assert abs(Fraction(kernel) - exact) <= (
+                abs(Fraction(panel) - exact) + Fraction(1e-15) * abs(exact)
+            )
+
+    @pytest.mark.parametrize("x", [5.0, 10.0, 30.0])
+    def test_panels_match_the_elementary_antiderivative_past_the_series(self, x):
+        # the antiderivative keeps 7.3e-16 here, the panels a few ulps
+        for ratio, theta in itertools.product(
+            (-1.0, -0.6, -0.2, 0.35, 0.8, 1.0), (1.1, math.pi / 2, 2.3)
+        ):
+            p = EvolutionParams(0.25, 0.25 * ratio, 10.0, theta)  # 4 a T = T
+            tong, exact = gp_tong_closed_form(p, x), gp_exact_integral(p, x)
+            assert tong.diagnostics["samples"] == 24 * tong.diagnostics["panels"] > 0
+            assert exact.diagnostics["panels"] >= 2
+            assert tong.diagnostics["series_terms"] == exact.diagnostics["series_terms"] == 0
+            kernel = geophase._phase_kernel(p, x)[0]
+            assert kernel == pytest.approx(elementary_kernel(p, x), rel=1.5e-15, abs=0)
+
+    def test_series_gives_way_past_its_radius_and_budget(self):
+        shape = (0.9, math.cos(1.0), math.sin(1.0) ** 2)
+        assert geophase._kernel_series(1.0, math.sqrt(2.0) - 1.0, *shape) is None
+        # inside the radius, but SERIES_TERMS terms do not reach the tolerance
+        assert geophase._kernel_series(1.0, math.expm1(0.34), *shape) is None
+        p = EvolutionParams(0.25, 0.25 * 0.9, 10.0, 1.0)
+        assert geophase._phase_kernel(p, 0.3)[2:] == (0, 0, 38)
+        assert geophase._phase_kernel(p, 0.34)[2:] == (2, 1, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(draw=series_draws())
+    def test_series_matches_the_panels_and_joins_them_continuously(self, draw):
+        theta, ratio, x_end = draw
+        p = EvolutionParams(0.25, 0.25 * ratio, 10.0, theta)  # 4 a T = T
+        kernel = geophase._phase_kernel.__wrapped__
+        cos_t, sin2 = math.cos(theta), math.sin(theta) ** 2
+
+        def tolerance(x):
+            """1e-14 of about the integral of |integrand| over [0, x], which
+            both paths round against, and no digits below the normal range."""
+            grid = np.linspace(0.0, x, 65)
+            size = np.mean(np.abs(geophase._kernel_integrand(grid, x, ratio, cos_t, sin2)))
+            return x * (1e-14 * float(size) + sys.float_info.min)
+
+        series = geophase._kernel_series(1.0, math.expm1(x_end), ratio, cos_t, sin2)
+        if series is not None:
+            panels = geophase._nonunitary_kernel(1.0, x_end, ratio, cos_t, sin2)
+            assert abs(series[0] - panels[0]) <= tolerance(x_end)
+        # bisect for the x where the selection hands over to the panels
+        lo, hi = 1e-12, math.log(math.sqrt(2.0))
+        assert kernel(p, lo)[4] > 0 == kernel(p, hi)[4]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if kernel(p, mid)[4] > 0 else (lo, mid)
+        assert abs(kernel(p, hi)[0] - kernel(p, lo)[0]) <= tolerance(hi)
 
 
 class TestQuasiCycle:

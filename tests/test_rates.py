@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from rotodyne import rates
 from rotodyne import (
     DEFAULT_DIPOLE,
     AtomParams,
@@ -125,6 +126,20 @@ class TestFrameTransport:
         com = general_rates(**FAST)
         assert com.gamma_down == kin.lorentz_gamma * lab.gamma_down
         assert com.gamma_up == kin.lorentz_gamma * lab.gamma_up
+
+    def test_general_rates_derive_the_kinematics_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return derive(*args)
+
+        derive = rates.derive_kinematics
+        monkeypatch.setattr(rates, "derive_kinematics", counted)
+        for params in (FAST, SLOW):
+            calls.clear()
+            general_rates(**params)
+            assert len(calls) == 1
 
 
 class TestSplit:
