@@ -587,7 +587,8 @@ class TestKernelMemo:
 
 # K (s) of both presets at n = 5, 100, n_default and n_max, and of the first
 # 12 draws of the c02 test above (seed 7707), exact for the float inputs:
-# 50-digit mpmath quadrature, matched by the elementary antiderivative at 140
+# the elementary antiderivative in 140-digit mpmath, which mpmath quadrature
+# matched to 45 digits
 PRESET_KERNELS = {
     ("case1", 5): "5.04512280102424752234e-22",
     ("case1", 100): "2.018049120409699226578e-19",
