@@ -12,135 +12,32 @@ The package separates into layers that mirror the physics pipeline:
 ``svgplot``     standalone SVG line panels
 ``cli``         the ``rotodyne`` command
 
+Every name in the ``__all__`` of ``constants``, ``errors`` and the six
+physics layers above ``svgplot`` is re-exported here, and nothing else
+but ``__version__``.
+
 All frequencies are angular (rad/s) throughout.
 """
 
+from . import cavity, constants, dynamics, errors, geophase, kinematics, rates, scenarios
 from ._version import __version__
-from .cavity import CavitySpec, dos, dos_derivative
-from .constants import HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .dynamics import (
-    EvolutionParams,
-    OdeTrajectory,
-    check_density_matrix,
-    closed_form_bloch,
-    closed_form_rho,
-    evolve_ode,
-    initial_state,
-    lindblad_rhs,
-    trace_distance,
-)
-from .errors import NumericsError
-from .geophase import (
-    GPResult,
-    gp_case1,
-    gp_case2,
-    gp_exact_integral,
-    gp_quasi_cycle,
-    gp_split,
-    gp_tong_closed_form,
-)
-from .kinematics import (
-    AtomParams,
-    KinematicDerived,
-    TrajectoryParams,
-    derive_kinematics,
-    zeta_of,
-)
-from .rates import (
-    RateSet,
-    case1_rates,
-    case2_rates,
-    general_rates,
-    kossakowski,
-    lab_rates_general,
-    vacuum_coupling,
-)
-from .scenarios import (
-    DEFAULT_DIPOLE,
-    ENGINES,
-    Scenario,
-    SweepTable,
-    build_grid,
-    default_anchors,
-    default_n_grid,
-    figure1,
-    gp_vs_n,
-    gp_vs_n_chart,
-    load_scenario,
-    preset,
-    preset_names,
-    rates_sweep_chart,
-    save_scenario,
-    scenario_from_dict,
-    scenario_gp,
-    scenario_rates,
-    scenario_to_dict,
-    sweep_cavity,
-    table_to_csv_text,
-    table_to_json_text,
-    write_csv,
-    write_json,
-)
+from .cavity import *  # noqa: F403
+from .constants import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .geophase import *  # noqa: F403
+from .kinematics import *  # noqa: F403
+from .rates import *  # noqa: F403
+from .scenarios import *  # noqa: F403
 
 __all__ = [
-    "AtomParams",
-    "CavitySpec",
-    "DEFAULT_DIPOLE",
-    "ENGINES",
-    "EvolutionParams",
-    "GPResult",
-    "HBAR",
-    "KinematicDerived",
-    "NumericsError",
-    "OdeTrajectory",
-    "RateSet",
-    "Scenario",
-    "SPEED_OF_LIGHT",
-    "SweepTable",
-    "TrajectoryParams",
-    "VACUUM_PERMITTIVITY",
-    "build_grid",
-    "case1_rates",
-    "case2_rates",
-    "check_density_matrix",
-    "closed_form_bloch",
-    "closed_form_rho",
-    "default_anchors",
-    "default_n_grid",
-    "derive_kinematics",
-    "dos",
-    "dos_derivative",
-    "evolve_ode",
-    "figure1",
-    "general_rates",
-    "gp_case1",
-    "gp_case2",
-    "gp_exact_integral",
-    "gp_quasi_cycle",
-    "gp_split",
-    "gp_tong_closed_form",
-    "gp_vs_n",
-    "gp_vs_n_chart",
-    "initial_state",
-    "kossakowski",
-    "lab_rates_general",
-    "lindblad_rhs",
-    "load_scenario",
-    "preset",
-    "preset_names",
-    "rates_sweep_chart",
-    "save_scenario",
-    "scenario_from_dict",
-    "scenario_gp",
-    "scenario_rates",
-    "scenario_to_dict",
-    "sweep_cavity",
-    "table_to_csv_text",
-    "table_to_json_text",
-    "trace_distance",
-    "vacuum_coupling",
-    "write_csv",
-    "write_json",
-    "zeta_of",
+    *constants.__all__,
+    *errors.__all__,
+    *kinematics.__all__,
+    *cavity.__all__,
+    *rates.__all__,
+    *dynamics.__all__,
+    *geophase.__all__,
+    *scenarios.__all__,
     "__version__",
 ]

@@ -55,16 +55,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _out_root() -> Path | None:
-    root = os.environ.get("ROTODYNE_OUT")
-    return Path(root) if root else None
-
-
 def _resolve_out(raw: str) -> Path:
     path = Path(raw)
-    root = _out_root()
-    if root is not None and not path.is_absolute():
-        return root / path
+    root = os.environ.get("ROTODYNE_OUT")
+    if root and not path.is_absolute():
+        return Path(root) / path
     return path
 
 
@@ -240,11 +235,7 @@ def _cmd_gp_vs_n(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    if args.out is not None:
-        outdir = _resolve_out(args.out)
-    else:
-        root = _out_root()
-        outdir = (root / "figure1") if root is not None else Path("figure1")
+    outdir = _resolve_out(args.out if args.out is not None else "figure1")
     for path in figure1(outdir, points=args.points):
         print(path)
     return 0

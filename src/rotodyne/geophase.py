@@ -441,27 +441,46 @@ def _quasi_cycle_result(
     theta: float,
     omega0: float,
     a_coeff: float,
-    nonunitary: float,
-    inertial: float | None = None,
-    noninertial: float | None = None,
+    pairs: tuple[tuple[float, float], ...],
     warnings: tuple[str, ...] = (),
 ) -> GPResult:
-    """Assemble a quasi-cycle result around its non-unitary correction:
-    the pure-precession term -2 pi n sin^2(theta/2), exact down to
-    theta = 0 where 1 - cos(theta) rounds to 0, the expansion parameter
-    pi*n*a/omega0 (with a warning past 0.1) and the strict relaxation
-    bound 8 times it."""
+    """Quasi-cycle phase after n cycles: the pure-precession term -2 pi n
+    sin^2(theta/2), exact down to theta = 0 where 1 - cos(theta) rounds to
+    0, plus the non-unitary correction linear in each dissipator pair (a,
+    b) of ``pairs``, -(2 pi^2 n^2 / omega0) sin^2 theta (2 b + a cos
+    theta). ``pairs`` holds one pair, or the inertial and the non-inertial
+    pair, whose corrections are reported apart and summed. ``a_coeff`` is
+    the whole generator's a, for the expansion parameter pi*n*a/omega0
+    (with a warning past 0.1) and the strict relaxation bound 8 times it.
+    Raises ValueError unless 0 < n < inf, 0 < omega0 < inf and 0 <= theta
+    <= pi."""
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"n must be positive and finite, got {n}")
+    if not 0.0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    prefactor = -(2.0 * math.pi ** 2 * n ** 2 / omega0) * math.sin(theta) ** 2
+    cos_t = math.cos(theta)
+    inertial = noninertial = None
+    if len(pairs) == 1:
+        ((a, b),) = pairs
+        nonunitary = prefactor * (2.0 * b + a * cos_t)
+    else:
+        (a_in, b_in), (a_ni, b_ni) = pairs
+        inertial = prefactor * (2.0 * b_in + a_in * cos_t)
+        noninertial = prefactor * (2.0 * b_ni + a_ni * cos_t)
+        nonunitary = inertial + noninertial
     unitary = -(math.tau * n) * math.sin(theta / 2.0) ** 2
     expansion = math.pi * n * a_coeff / omega0
     if expansion >= 0.1:
         warnings = (
             f"quasi-cycle expansion parameter pi*n*a/omega0 = {expansion:.3e} >= 0.1",
         ) + warnings
-    total = unitary + nonunitary
     return GPResult(
         engine=engine,
         n_cycles=float(n),
-        total=total,
+        total=unitary + nonunitary,
         unitary_part=unitary,
         nonunitary_part=nonunitary,
         inertial_part=inertial,
@@ -474,15 +493,6 @@ def _quasi_cycle_result(
     )
 
 
-def _quasi_cycle_correction(
-    a_coeff: float, b_coeff: float, n: float, theta: float, omega0: float
-) -> float:
-    """Non-unitary phase after n quasi-cycles, linear in the dissipator
-    pair: -(2 pi^2 n^2 / omega0) sin^2 theta (2 b + a cos theta)."""
-    prefactor = -(2.0 * math.pi ** 2 * n ** 2 / omega0) * math.sin(theta) ** 2
-    return prefactor * (2.0 * b_coeff + a_coeff * math.cos(theta))
-
-
 def gp_quasi_cycle(p: EvolutionParams, n: float) -> GPResult:
     """Leading-order phase after n quasi-cycles (T = 2 pi n / omega_eff).
 
@@ -491,10 +501,9 @@ def gp_quasi_cycle(p: EvolutionParams, n: float) -> GPResult:
     Valid while pi n a / omega_eff stays small; the flag is stored in the
     diagnostics and a warning is attached past 0.1.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    correction = _quasi_cycle_correction(p.a_coeff, p.b_coeff, n, p.theta0, p.omega_eff)
-    return _quasi_cycle_result("quasi-cycle", n, p.theta0, p.omega_eff, p.a_coeff, correction)
+    return _quasi_cycle_result(
+        "quasi-cycle", n, p.theta0, p.omega_eff, p.a_coeff, ((p.a_coeff, p.b_coeff),)
+    )
 
 
 def _split_result(
@@ -502,28 +511,12 @@ def _split_result(
 ) -> GPResult:
     if rates.gamma_down_inertial is None or rates.gamma_down_ni is None:
         raise ValueError("RateSet carries no inertial/non-inertial decomposition")
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
     # the upward channel is entirely non-inertial
-    inertial = _quasi_cycle_correction(
-        *_dissipator_pair(rates.gamma_down_inertial, 0.0), n, theta, omega0
+    pairs = (
+        _dissipator_pair(rates.gamma_down_inertial, 0.0),
+        _dissipator_pair(rates.gamma_down_ni, rates.gamma_up),
     )
-    noninertial = _quasi_cycle_correction(
-        *_dissipator_pair(rates.gamma_down_ni, rates.gamma_up), n, theta, omega0
-    )
-    return _quasi_cycle_result(
-        engine,
-        n,
-        theta,
-        omega0,
-        rates.a_coeff,
-        inertial + noninertial,
-        inertial,
-        noninertial,
-        rates.warnings,
-    )
+    return _quasi_cycle_result(engine, n, theta, omega0, rates.a_coeff, pairs, rates.warnings)
 
 
 def gp_split(rates: RateSet, n: float, theta: float, omega0: float) -> GPResult:

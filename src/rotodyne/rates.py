@@ -62,12 +62,11 @@ class RateSet:
     rates of ``lab_rates_general``; the co-moving engines fill them. The
     upward channel is entirely non-inertial. With an array ``omega_c``
     each rate field is an array over it, or a float valid at every entry;
-    ``eta`` and ``warnings`` never depend on ``omega_c``.
+    ``warnings`` never depend on ``omega_c``.
     """
 
     gamma_down: float
     gamma_up: float
-    eta: float
     gamma_down_inertial: float | None = None
     gamma_down_ni: float | None = None
     warnings: tuple[str, ...] = ()
@@ -144,13 +143,13 @@ def lab_rates_general(
     omega > 0: a non-rotating emitter at fixed radius keeps the carrier
     term alone, recoil factor included.
     """
-    return _lab_rates(traj, atom, cavity, derive_kinematics(traj, atom))
+    kin = derive_kinematics(traj, atom)
+    return _lab_rates(traj, atom, cavity, kin, vacuum_coupling(atom, cavity))
 
 
 def _lab_rates(
-    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec, kin: KinematicDerived
+    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec, kin: KinematicDerived, eta: float
 ) -> RateSet:
-    eta = vacuum_coupling(atom, cavity)
     radius = traj.radius
     zeta_rot = kin.zeta
 
@@ -164,12 +163,7 @@ def _lab_rates(
     carrier = (1.0 - 0.4 * zeta_of(obar, radius)) * dos(cavity, obar) * obar
     gamma_down = eta * (carrier + sideband(obar + traj.omega) + sideband(obar - traj.omega))
     gamma_up = eta * sideband(traj.omega - obar)
-    return RateSet(
-        gamma_down=gamma_down,
-        gamma_up=gamma_up,
-        eta=eta,
-        warnings=_general_warnings(kin),
-    )
+    return RateSet(gamma_down=gamma_down, gamma_up=gamma_up, warnings=_general_warnings(kin))
 
 
 def general_rates(
@@ -185,9 +179,10 @@ def general_rates(
     channel is entirely non-inertial.
     """
     kin = derive_kinematics(traj, atom)
-    lab = _lab_rates(traj, atom, cavity, kin)
+    eta = vacuum_coupling(atom, cavity)
+    lab = _lab_rates(traj, atom, cavity, kin, eta)
     gamma_down = kin.lorentz_gamma * lab.gamma_down
-    gd_inertial = lab.eta * dos(cavity, atom.omega0) * atom.omega0
+    gd_inertial = eta * dos(cavity, atom.omega0) * atom.omega0
     return replace(
         lab,
         gamma_down=gamma_down,
@@ -225,7 +220,6 @@ def case1_rates(
     return RateSet(
         gamma_down=gd_inertial + gd_ni,
         gamma_up=gamma_up,
-        eta=eta,
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=gd_ni,
         warnings=tuple(warnings),
@@ -272,7 +266,6 @@ def case2_rates(
     return RateSet(
         gamma_down=gd_inertial + gd_ni,
         gamma_up=0.0,
-        eta=eta,
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=gd_ni,
         warnings=tuple(warnings),

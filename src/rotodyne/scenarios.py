@@ -43,7 +43,6 @@ from .cavity import CavitySpec
 from .dynamics import EvolutionParams
 from .geophase import (
     GPResult,
-    _split_result,
     gp_case1,
     gp_case2,
     gp_exact_integral,
@@ -499,42 +498,34 @@ ENGINES = {
 }
 
 
-def _family_engine(scenario: Scenario) -> str:
-    """The scenario's own engine: its family's case engine, or
-    ``quasi-cycle`` for the ``general`` family. Each is ``gp_split`` of
-    ``scenario_rates`` under that label."""
-    return "quasi-cycle" if scenario.family == "general" else scenario.family
-
-
 def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResult:
     """Geometric phase of the scenario after n cycles from a named engine
     in ``ENGINES``.
 
     By default the engine is the scenario's own family (``case1`` or
     ``case2``), and ``quasi-cycle`` on the scenario's rates for the
-    ``general`` family. Every engine other than the two case engines
-    evaluates the scenario's family rates.
+    ``general`` family: each is ``gp_split`` of ``scenario_rates`` under
+    that label. Every engine other than the two case engines evaluates
+    the scenario's family rates.
     """
     if engine is None:
-        engine = _family_engine(scenario)
+        engine = "quasi-cycle" if scenario.family == "general" else scenario.family
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; available: {', '.join(ENGINES)}")
     return ENGINES[engine](scenario, n)
 
 
 def gp_vs_n(scenario: Scenario, n_values=None) -> SweepTable:
-    """Geometric-phase contributions as the cycle count grows, from the
-    scenario's own engine (as ``scenario_gp``) on one rate evaluation."""
+    """Geometric-phase contributions as the cycle count grows: ``gp_split``
+    of one rate evaluation at each whole, positive cycle count, the parts
+    of the scenario's own engine (as ``scenario_gp``)."""
     if n_values is None:
         n_values = default_n_grid(scenario.n_max)
-    engine = _family_engine(scenario)
     rates = scenario_rates(scenario)
     rows = []
     for n in np.asarray(n_values):
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"cycle counts must be positive, got {n}")
-        res = _split_result(engine, rates, n, scenario.atom.theta0, scenario.atom.omega0)
+        n = _count(n, "cycle count")
+        res = gp_split(rates, n, scenario.atom.theta0, scenario.atom.omega0)
         rows.append(
             (
                 n,
@@ -669,8 +660,6 @@ def rates_sweep_chart(table: SweepTable, scenario: Scenario, path) -> Path:
         title=f"{scenario.name}: decay channels vs cavity frequency",
         xlabel="cavity frequency (rad/s)",
         ylabel="rate (1/s)",
-        xlog=True,
-        ylog=True,
         vlines=tuple(
             zip(("transition", "cavity"), (scenario.atom.omega0, scenario.cavity.omega_c))
         ),
@@ -695,8 +684,6 @@ def gp_vs_n_chart(table: SweepTable, scenario: Scenario, path) -> Path:
         title=f"{scenario.name}: dissipative phase corrections vs cycles",
         xlabel="precession cycles n",
         ylabel="|phase correction| (rad)",
-        xlog=True,
-        ylog=True,
     )
     return Path(path)
 

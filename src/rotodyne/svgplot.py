@@ -2,9 +2,9 @@
 
 Standalone vector panels with no external assets and no randomness or
 timestamps, so repeated runs over the same data produce byte-identical
-files. Supports log axes; points that cannot be drawn on a log axis
-(non-positive or non-finite) split the polyline instead of distorting
-it.
+files. Both axes are logarithmic, the only chart the package draws;
+points that cannot be drawn on them (non-positive or non-finite) split
+the polyline instead of distorting it.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ def _escape(text: str) -> str:
 
 
 class _Axis:
-    def __init__(self, lo: float, hi: float, log: bool):
-        self.log = log
-        if log:
-            lo, hi = math.log10(lo), math.log10(hi)
+    def __init__(self, lo: float, hi: float):
+        lo, hi = math.log10(lo), math.log10(hi)
         if hi <= lo:
             pad = 0.5 if lo == 0.0 else abs(lo) * 0.05 + 1e-12
             lo, hi = lo - pad, hi + pad
@@ -50,44 +48,35 @@ class _Axis:
         self.hi = hi + 0.04 * span
 
     def unit(self, values):
-        """Axis fraction of a value or of each value of an array; a log
-        axis takes libm's log10 of each value, as ``math.log10`` does."""
+        """Axis fraction of a value or of each value of an array, from
+        ``math.log10`` (libm's log10) of each value."""
         v = np.asarray(values, dtype=float)
-        if self.log:
-            v = np.reshape(list(map(math.log10, v.ravel().tolist())), v.shape)
+        v = np.reshape(list(map(math.log10, v.ravel().tolist())), v.shape)
         return (v - self.lo) / (self.hi - self.lo)
 
     def ticks(self) -> list[tuple[float, str]]:
-        if self.log:
-            decades = range(int(math.ceil(self.lo)), int(math.floor(self.hi)) + 1)
-            out = [(10.0 ** k, f"1e{k}") for k in decades]
-            if len(out) >= 2:
-                return out
-        raw = np.linspace(self.lo, self.hi, 5)
-        if self.log:
-            return [(10.0 ** v, f"{10.0 ** v:.2e}") for v in raw]
-        return [(v, f"{v:.3g}") for v in raw]
+        """One tick per decade, or five spread evenly across less than two."""
+        decades = range(int(math.ceil(self.lo)), int(math.floor(self.hi)) + 1)
+        out = [(10.0 ** k, f"1e{k}") for k in decades]
+        if len(out) >= 2:
+            return out
+        return [(10.0 ** v, f"{10.0 ** v:.2e}") for v in np.linspace(self.lo, self.hi, 5)]
 
 
-def _valid_mask(values: np.ndarray, log: bool) -> np.ndarray:
-    mask = np.isfinite(values)
-    if log:
-        mask &= values > 0.0
-    return mask
+def _valid_mask(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values > 0.0)
 
 
 def line_chart(
     path,
     series,
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    xlog: bool = False,
-    ylog: bool = False,
+    title: str,
+    xlabel: str,
+    ylabel: str,
     vlines=(),
 ) -> None:
-    """Write a polyline chart of (label, x, y) series to ``path``.
+    """Write a log-log polyline chart of (label, x, y) series to ``path``.
 
     vlines is a sequence of (label, x_value) dashed markers.
     """
@@ -97,7 +86,7 @@ def line_chart(
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError(f"series {label!r} needs matching 1-d x and y")
-        prepared.append((str(label), xs, ys, _valid_mask(xs, xlog) & _valid_mask(ys, ylog)))
+        prepared.append((str(label), xs, ys, _valid_mask(xs) & _valid_mask(ys)))
 
     x_vals = [xs[mask] for _, xs, _, mask in prepared]
     y_vals = [ys[mask] for _, _, ys, mask in prepared]
@@ -105,8 +94,8 @@ def line_chart(
     y_all = np.concatenate(y_vals) if y_vals else np.empty(0)
     if x_all.size == 0:
         raise ValueError("no drawable points in any series")
-    x_axis = _Axis(float(x_all.min()), float(x_all.max()), xlog)
-    y_axis = _Axis(float(y_all.min()), float(y_all.max()), ylog)
+    x_axis = _Axis(float(x_all.min()), float(x_all.max()))
+    y_axis = _Axis(float(y_all.min()), float(y_all.max()))
 
     box_x0, box_x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     box_y0, box_y1 = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
@@ -123,12 +112,9 @@ def line_chart(
         f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="white"/>',
         f'<rect x="{_fmt(box_x0)}" y="{_fmt(box_y0)}" width="{_fmt(box_x1 - box_x0)}" '
         f'height="{_fmt(box_y1 - box_y0)}" fill="none" stroke="#333" stroke-width="1"/>',
+        f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
-        )
 
     for value, label in x_axis.ticks():
         x = px(value)
@@ -154,23 +140,21 @@ def line_chart(
             f'<text x="{_fmt(box_x0 - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_fmt((box_x0 + box_x1) / 2)}" y="{_fmt(HEIGHT - 14)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-            f"{_escape(xlabel)}</text>"
-        )
-    if ylabel:
-        cy = (box_y0 + box_y1) / 2
-        parts.append(
-            f'<text x="20" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 20 {_fmt(cy)})">{_escape(ylabel)}</text>'
-        )
+    cy = (box_y0 + box_y1) / 2
+    parts.append(
+        f'<text x="{_fmt((box_x0 + box_x1) / 2)}" y="{_fmt(HEIGHT - 14)}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
+        f"{_escape(xlabel)}</text>"
+    )
+    parts.append(
+        f'<text x="20" y="{_fmt(cy)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 20 {_fmt(cy)})">{_escape(ylabel)}</text>'
+    )
 
     for label, xv in vlines:
         xv = float(xv)
-        if not np.isfinite(xv) or (xlog and xv <= 0.0):
+        if not 0.0 < xv < math.inf:
             continue
         x = px(xv)
         if not box_x0 <= x <= box_x1:
@@ -192,7 +176,7 @@ def line_chart(
         legend_entries.append((label, color))
         # series that share one x array (a sweep's frequency column) map it once
         if xs is not mapped_xs:
-            mapped_xs, x_ok = xs, _valid_mask(xs, xlog)
+            mapped_xs, x_ok = xs, _valid_mask(xs)
             x_px = px(xs[x_ok])
         # split the trace wherever points are not drawable: a run of
         # drawable points starts and stops at each change of the mask

@@ -593,8 +593,18 @@ class TestFigure1Command:
         assert len(out.strip().splitlines()) == len(self.EXPECTED)
 
     def test_default_out_under_env_root(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROTODYNE_OUT", str(tmp_path))
-        code, _, _ = run(capsys, ["figure1", "--points", "16"])
-        assert code == 0
-        for name in self.EXPECTED:
-            assert (tmp_path / "figure1" / name).exists(), name
+        # an empty or unset root leaves ./figure1 in the working directory
+        for case, root in (("set", str(tmp_path / "root")), ("empty", ""), ("unset", None)):
+            cwd = tmp_path / case
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            if root is None:
+                monkeypatch.delenv("ROTODYNE_OUT", raising=False)
+            else:
+                monkeypatch.setenv("ROTODYNE_OUT", root)
+            code, _, _ = run(capsys, ["figure1", "--points", "16"])
+            assert code == 0
+            base = tmp_path / "root" if root else cwd
+            for name in self.EXPECTED:
+                assert (base / "figure1" / name).exists(), (case, name)
+            assert any(cwd.iterdir()) == (not root), case

@@ -275,6 +275,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite|exceed"):
             EvolutionParams(a_coeff=a, b_coeff=b, omega_eff=omega, theta0=1.0)
 
+    @pytest.mark.parametrize("theta0", [-1e-300, math.nextafter(math.pi, 4.0), math.nan])
+    def test_params_require_theta_in_range(self, theta0):
+        with pytest.raises(ValueError, match=r"theta0 must lie in \[0, pi\]"):
+            EvolutionParams(a_coeff=1.0, b_coeff=0.5, omega_eff=1.0, theta0=theta0)
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
     def test_closed_forms_reject_bad_times(self, tau):
         for p in (EvolutionParams(0.3, 0.2, 5.0, 1.1), EvolutionParams(0.0, 0.0, 1.0, 1.0)):

@@ -767,6 +767,26 @@ class TestSplitEngines:
         with pytest.raises(ValueError):
             gp_split(rates, 10.0, math.pi / 2, 1.0e7)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rs, p: gp_split(rs, math.nan, math.pi / 2, 1.0e7),
+            lambda rs, p: gp_split(rs, 10.0, 1.0, math.nan),
+            lambda rs, p: gp_quasi_cycle(p, math.nan),
+            lambda rs, p: gp_quasi_cycle(p, math.inf),
+            lambda rs, p: gp_split(rs, 10.0, 1.0, 0.0),
+            lambda rs, p: gp_split(rs, 10.0, 1.0, -1.0e7),
+        ],
+        ids=["split-n-nan", "split-omega0-nan", "quasi-cycle-n-nan", "quasi-cycle-n-inf",
+             "split-omega0-zero", "split-omega0-negative"],
+    )
+    def test_quasi_cycle_engines_reject_counts_and_gaps_outside_their_range(self, call):
+        # each returned nan, inf or a finite wrong phase with validity ok, or
+        # divided by zero, before the one check in the quasi-cycle builder
+        rs, p = case2_rates(*SLOW), EvolutionParams(1.0e-5, 0.6e-5, 10.0, 1.2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            call(rs, p)
+
     def test_split_parts_sum_to_nonunitary_total(self):
         rs = case2_rates(*SLOW)
         got = gp_split(rs, 1000.0, math.pi / 2, 1.0e7)

@@ -161,6 +161,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (("family",), "case3", "family must be one of"),
+            (("n_default",), 0, "1 <= n_default <= n_max"),
+            (("n_max",), 10, "1 <= n_default <= n_max"),
+            (("sweep", "lo_rad_per_s"), 0.0, "0 < sweep_lo < sweep_hi < inf"),
+            (("sweep", "points"), 1, "at least 2 sweep points"),
+            (("atom", "omega0_rad_per_s"), 10**400, "omega0_rad_per_s must be a number"),
+        ],
+        ids=["family", "n-default", "n-max", "sweep-lo", "sweep-points", "integer-past-floats"],
+    )
+    def test_inconsistent_or_unrepresentable_values_rejected(self, key, value, message):
+        data = scenario_to_dict(preset("case1"))
+        *outer, last = key
+        block = data
+        for name in outer:
+            block = block[name]
+        block[last] = value
+        with pytest.raises(ValueError, match=message):
+            scenario_from_dict(data)
+
     def test_general_family_accepted(self):
         data = scenario_to_dict(preset("case2"))
         data["family"] = "general"
@@ -236,6 +258,9 @@ class TestGrids:
         for start, stop in ((1.0, math.inf), (math.nan, 2.0), (-math.inf, 2.0)):
             with pytest.raises(ValueError, match="finite"):
                 build_grid(start, stop, 3, log=False)
+        for start in (0.0, -1.0):
+            with pytest.raises(ValueError, match="log grid needs start > 0"):
+                build_grid(start, 2.0, 3)
 
 
 class TestSweeps:
@@ -288,6 +313,14 @@ class TestSweeps:
         row = tbl.rows[1]
         assert row[tbl.columns.index("phi_ni_rad")] == direct.noninertial_part
         assert row[tbl.columns.index("phi_in_rad")] == direct.inertial_part
+        # whole float counts are taken, and written as the integers they are
+        floats = gp_vs_n(s, np.array([10.0, 100.0]))
+        assert floats.rows == tbl.rows and type(floats.rows[1][0]) is int
+
+    @pytest.mark.parametrize("bad", [2.5, 3.9, 0, -2, math.nan, math.inf])
+    def test_gp_table_rejects_counts_that_are_not_whole_and_positive(self, bad):
+        with pytest.raises(ValueError, match="whole number|positive"):
+            gp_vs_n(preset("case1"), [10, bad])
 
     def test_gp_table_rows_are_scenario_gp_from_one_rate_evaluation(self, monkeypatch):
         import rotodyne.scenarios as scenarios
@@ -323,6 +356,8 @@ class TestSweeps:
         data = scenario_to_dict(s2)
         data["family"] = "general"
         general = scenario_from_dict(data)
+        with pytest.raises(ValueError, match="unknown engine"):
+            scenario_gp(s1, 100, "case3")
         g = scenario_gp(general, 100)
         assert g.engine == "quasi-cycle"
         assert g == scenario_gp(general, 100, "quasi-cycle")

@@ -14,23 +14,22 @@ POLYLINE = re.compile(r'<polyline points="([^"]*)"')
 CIRCLE = re.compile(r'<circle cx="([^"]*)" cy="([^"]*)"')
 
 
-def axis_map(values, log, lo_px, hi_px):
-    """Per-point pixel formula: the drawable range padded by 4 % on each
-    side, mapped linearly (in log10 on a log axis) onto [lo_px, hi_px]."""
-    vals = [math.log10(v) for v in values] if log else list(values)
+def axis_map(values, lo_px, hi_px):
+    """Per-point pixel formula: the drawable range in log10 padded by 4 % on
+    each side, mapped linearly onto [lo_px, hi_px]."""
+    vals = [math.log10(v) for v in values]
     lo, hi = min(vals), max(vals)
     lo, hi = lo - 0.04 * (hi - lo), hi + 0.04 * (hi - lo)
 
     def to_px(value):
-        v = math.log10(value) if log else value
-        return lo_px + (v - lo) / (hi - lo) * (hi_px - lo_px)
+        return lo_px + (math.log10(value) - lo) / (hi - lo) * (hi_px - lo_px)
 
     return to_px
 
 
 def chart(tmp_path, series, **kwargs):
     path = tmp_path / "chart.svg"
-    line_chart(path, series, **kwargs)
+    line_chart(path, series, **{"title": "t", "xlabel": "x", "ylabel": "y", **kwargs})
     return path.read_text()
 
 
@@ -64,31 +63,16 @@ class TestRuns:
         xs = np.geomspace(1.0, 1e4, 12)
         ys = np.geomspace(3e-3, 7.0, 12)
         ys[[2, 4, 5, 10]] = (math.nan, -1.0, 0.0, math.inf)
-        svg = chart(tmp_path, [("s", xs, ys)], xlog=True, ylog=True)
+        svg = chart(tmp_path, [("s", xs, ys)])
         drawable = np.isfinite(ys) & (ys > 0.0)
-        px = axis_map(xs[drawable], True, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-        py = axis_map(ys[drawable], True, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+        px = axis_map(xs[drawable], MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+        py = axis_map(ys[drawable], HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
         want = expected_runs(xs, ys, drawable, px, py)
         # runs of 2, 1, 4 and 1 points: polyline, circle, polyline, circle
         assert [len(run) for run in want] == [2, 1, 4, 1]
         assert drawn_runs(svg) == want
         assert len(POLYLINE.findall(svg)) == 2
         assert len(CIRCLE.findall(svg)) == 2
-
-    def test_linear_axes_draw_negative_values(self, tmp_path):
-        xs = np.linspace(-3.0, 5.0, 9)
-        ys = np.array([-2.0, 1.5, math.nan, 0.25, -0.75, 3.0, math.inf, 2.0, -1.0])
-        zs = np.cos(xs)
-        svg = chart(tmp_path, [("a", xs, ys), ("b", xs, zs)])
-        drawable = np.isfinite(ys)
-        all_y = np.concatenate([ys[drawable], zs])
-        px = axis_map(xs, False, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-        py = axis_map(all_y, False, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
-        want = expected_runs(xs, ys, drawable, px, py)
-        want += expected_runs(xs, zs, np.ones(9, bool), px, py)
-        assert [len(run) for run in want] == [2, 3, 2, 9]
-        assert drawn_runs(svg) == want
-        assert '<polyline points="' + " ".join(want[-1]) + '" fill="none" stroke="#d62728"' in svg
 
     def test_shared_and_distinct_x_arrays_map_per_point(self, tmp_path):
         # a and b share one x array but not their undrawable points; c has
@@ -99,11 +83,11 @@ class TestRuns:
         ya, yb = np.geomspace(1.0, 9.0, 8), np.geomspace(5.0, 0.5, 8)
         ya[3], yb[[0, 4]] = 0.0, (math.inf, -2.0)
         series = [("a", xs, ya), ("b", xs, yb), ("c", other, ya), ("d", xs, yb)]
-        svg = chart(tmp_path, series, xlog=True, ylog=True)
+        svg = chart(tmp_path, series)
         masks = [np.isfinite(x) & (x > 0.0) & np.isfinite(y) & (y > 0.0) for _, x, y in series]
-        px = axis_map(np.concatenate([x[m] for (_, x, _), m in zip(series, masks)]), True,
+        px = axis_map(np.concatenate([x[m] for (_, x, _), m in zip(series, masks)]),
                       MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-        py = axis_map(np.concatenate([y[m] for (_, _, y), m in zip(series, masks)]), True,
+        py = axis_map(np.concatenate([y[m] for (_, _, y), m in zip(series, masks)]),
                       HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
         want = []
         for (_, x, y), m in zip(series, masks):
@@ -112,7 +96,9 @@ class TestRuns:
 
     def test_undrawable_series_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no drawable points"):
-            chart(tmp_path, [("s", [1.0, 2.0], [-1.0, 0.0])], ylog=True)
+            chart(tmp_path, [("s", [1.0, 2.0], [-1.0, 0.0])])
+        with pytest.raises(ValueError, match="matching 1-d x and y"):
+            chart(tmp_path, [("s", [1.0, 2.0], [1.0, 2.0, 3.0])])
 
 
 class TestMarkers:
@@ -122,15 +108,14 @@ class TestMarkers:
         svg = chart(
             tmp_path,
             [("s", xs, ys)],
-            xlog=True,
             vlines=(("inside", 300.0), ("outside", 1e9), ("negative", -5.0), ("nan", math.nan)),
         )
-        px = axis_map(xs, True, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+        px = axis_map(xs, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
         dashed = re.findall(r'<line x1="([^"]*)" y1="[^"]*" x2="([^"]*)"[^>]*stroke-dasharray', svg)
         assert dashed == [(f"{px(300.0):.2f}", f"{px(300.0):.2f}")]
         assert ">inside</text>" in svg
         assert "outside" not in svg and "negative" not in svg
-        py = axis_map(ys, False, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+        py = axis_map(ys, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
         assert drawn_runs(svg) == expected_runs(xs, ys, np.ones(7, bool), px, py)
 
 
