@@ -8,10 +8,26 @@ centered on the cavity frequency, with half width omega_c / Q:
 
 The peak value is Q / omega_c. No negative-frequency support: resonance
 conditions that would sift a non-positive frequency contribute nothing.
+
+Each formula is written once and run by one of two libraries, chosen by
+the input: Python floats go through ``math`` when the frequency and the
+cavity center are both scalars, and arrays go through numpy otherwise.
+Both square through libm ``pow``, so the two give the same bits.
+
+Where the plain denominator leaves the float range (it overflows once
+the linewidth or the detuning passes about 1e154 rad/s for the density
+and 1e77 for the derivative), the same formula runs on the linewidth and
+the detuning divided by the larger of the two. Every value inside the
+plain form's range keeps its bits. Past it the result is finite, or
+rounds to 0 or infinity where the true value is past the float range;
+it is never NaN, and no OverflowError or numpy warning arises.
+``CavitySpec`` rejects a linewidth that is not positive and finite,
+which this relies on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +49,10 @@ class CavitySpec:
             value = np.asarray(getattr(self, name), dtype=float)
             if value.ndim > max_ndim or not np.all(np.isfinite(value) & (value > 0.0)):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        with np.errstate(over="ignore"):
+            linewidth = self.linewidth
+        if not np.all((linewidth > 0.0) & (linewidth < np.inf)):
+            raise ValueError(f"linewidth omega_c / q_factor must be positive and finite, got {linewidth}")
 
     @property
     def linewidth(self) -> float | np.ndarray:
@@ -40,36 +60,86 @@ class CavitySpec:
         return self.omega_c / self.q_factor
 
 
-def _float_if_scalar(value):
-    return float(value) if np.ndim(value) == 0 else value
+def _operands(cavity: CavitySpec, frequency):
+    """(lib, w, omega_c, Q): the library and its operands. ``math`` and
+    floats when the frequency and omega_c are both scalars (numpy scalars
+    and 0-d arrays included); numpy and arrays otherwise."""
+    w, center, q = frequency, cavity.omega_c, cavity.q_factor
+    # a type test first: np.asarray costs microseconds on every scalar call
+    if not type(w) is type(center) is type(q) is float:
+        w, center = np.asarray(w, dtype=float), np.asarray(center, dtype=float)
+        if w.ndim or center.ndim:
+            return np, w, center, q
+        w, center, q = float(w), float(center), float(q)
+    return math, w, center, q
+
+
+def _term(x, y, s, power: int, pow_):
+    """(numerator, denominator) of the Lorentzian term on the half width
+    x * s and the detuning y * s: hw / (hw**2 + d**2) at power 1 and its
+    slope -2 hw d / (hw**2 + d**2)**2 at power 2. Division by s = 1 is
+    exact, so the plain form is the scaled one at s = 1."""
+    # Both libraries square the detuning through libm pow. An array
+    # ``x ** 2`` squares exactly, an ulp off pow for ~0.4 % of inputs, which
+    # the cancelling non-inertial remainder amplifies to 1e-7 relative: one
+    # rounding for floats and arrays keeps each table's bytes.
+    total = x * x + pow_(y, 2)
+    if power == 1:
+        return x / s, total
+    return -2.0 * x * y / s / s, pow_(total, 2)
+
+
+def _lorentzian(w, center, q, power: int, lib):
+    """The ``_term`` at ``power`` from the half width hw = omega_c / Q and
+    the detuning d = w - omega_c where its denominator is a positive finite
+    float, and from hw / s and d / s with s = max(hw, |d|) elsewhere. The
+    scaled denominator lies in [1, 2**power], so the value neither
+    overflows nor divides by zero; it rounds to 0 or to a signed infinity
+    only where the true value is past the float range."""
+    if lib is math:
+        hw, d = center / q, w - center
+        try:
+            num, den = _term(hw, d, 1.0, power, math.pow)
+        except OverflowError:  # where numpy's float_power returns inf
+            den = math.inf
+        if 0.0 < den < math.inf:
+            return num / den
+        s = max(hw, abs(d))
+        num, den = _term(hw / s, d / s, s, power, math.pow)
+        return num / den
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hw, d = center / q, w - center  # an unphysical w may overflow d
+        num, den = _term(hw, d, 1.0, power, np.float_power)
+        fits = (den > 0.0) & (den < math.inf)
+        if fits.all():
+            return num / den
+        s = np.maximum(hw, abs(d))
+        scaled_num, scaled_den = _term(hw / s, d / s, s, power, np.float_power)
+        return np.where(fits, num / den, scaled_num / scaled_den)
 
 
 def dos(cavity: CavitySpec, frequency):
     """Density-of-states weight at ``frequency`` (rad/s; scalar or array).
 
     ``frequency`` broadcasts against an array ``omega_c``; the result is a
-    float when both are scalars. Non-positive frequencies return exactly 0.
+    float when both are scalars. Non-positive frequencies return exactly
+    0, and so do infinite or NaN ones.
     """
-    w = np.asarray(frequency, dtype=float)
-    hw = cavity.linewidth
-    # float_power squares through libm pow for scalars and arrays alike, as
-    # numpy's scalar ``x ** 2`` does. An array ``x ** 2`` squares exactly, an ulp
-    # off pow for ~0.4 % of inputs, which the cancelling non-inertial remainder
-    # amplifies to 1e-7 relative: one rounding for both keeps each table's bytes.
-    value = hw / (hw * hw + np.float_power(w - cavity.omega_c, 2))
-    return _float_if_scalar(np.where(w > 0.0, value, 0.0))
+    lib, w, center, q = _operands(cavity, frequency)
+    if lib is math:
+        return _lorentzian(w, center, q, 1, math) if 0.0 < w < math.inf else 0.0
+    return np.where((w > 0.0) & (w < math.inf), _lorentzian(w, center, q, 1, np), 0.0)
 
 
 def dos_derivative(cavity: CavitySpec, frequency):
     """Analytic d(dos)/dw at ``frequency`` (rad/s; scalar or array).
 
     Broadcasts like ``dos``. The derivative is only defined on the
-    physical domain: any non-positive frequency raises ValueError.
+    physical domain: any frequency that is not positive and finite raises
+    ValueError.
     """
-    w = np.asarray(frequency, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("dos_derivative requires strictly positive frequency")
-    hw = cavity.linewidth
-    detuning = w - cavity.omega_c
-    value = -2.0 * hw * detuning / np.float_power(hw * hw + np.float_power(detuning, 2), 2)
-    return _float_if_scalar(value)
+    lib, w, center, q = _operands(cavity, frequency)
+    inside = (w > 0.0) & (w < math.inf)
+    if not (inside if lib is math else inside.all()):
+        raise ValueError("dos_derivative requires strictly positive, finite frequency")
+    return _lorentzian(w, center, q, 2, lib)

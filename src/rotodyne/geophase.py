@@ -452,8 +452,9 @@ def _quasi_cycle_result(
     pair, whose corrections are reported apart and summed. ``a_coeff`` is
     the whole generator's a, for the expansion parameter pi*n*a/omega0
     (with a warning past 0.1) and the strict relaxation bound 8 times it.
-    Raises ValueError unless 0 < n < inf, 0 < omega0 < inf and 0 <= theta
-    <= pi."""
+    A cycle count that is not whole is evaluated but warned: the formula
+    holds on closed loops only. Raises ValueError unless 0 < n < inf,
+    0 < omega0 < inf and 0 <= theta <= pi."""
     if not 0.0 < n < math.inf:
         raise ValueError(f"n must be positive and finite, got {n}")
     if not 0.0 < omega0 < math.inf:
@@ -476,6 +477,11 @@ def _quasi_cycle_result(
     if expansion >= 0.1:
         warnings = (
             f"quasi-cycle expansion parameter pi*n*a/omega0 = {expansion:.3e} >= 0.1",
+        ) + warnings
+    if n % 1:
+        warnings = (
+            f"cycle count n = {n!r} is not whole: "
+            "the closed-loop formula does not hold on an open path",
         ) + warnings
     return GPResult(
         engine=engine,

@@ -105,11 +105,11 @@ def derive_kinematics(traj: TrajectoryParams, atom: AtomParams) -> KinematicDeri
             f"rim speed omega*R = {traj.rim_speed!r} m/s is not below c"
         )
     zeta = zeta_of(traj.omega, traj.radius)
-    gamma = 1.0 / math.sqrt(1.0 - zeta)
-    omega0_bar = atom.omega0 * math.sqrt(1.0 - zeta)
+    root = math.sqrt(1.0 - zeta)
+    omega0_bar = atom.omega0 * root
     return KinematicDerived(
         zeta=zeta,
-        lorentz_gamma=gamma,
+        lorentz_gamma=1.0 / root,
         omega0_bar=omega0_bar,
         omega_plus=traj.omega + omega0_bar,
         omega_minus=traj.omega - omega0_bar,

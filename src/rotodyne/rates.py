@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import CavitySpec, _float_if_scalar, dos, dos_derivative
+from .cavity import CavitySpec, dos, dos_derivative
 from .constants import HBAR, VACUUM_PERMITTIVITY
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics, zeta_of
 
@@ -82,7 +82,8 @@ class RateSet:
     @property
     def ratio(self):
         a, b = _dissipator_pair(self.gamma_down, self.gamma_up)
-        return _float_if_scalar(np.divide(b, a, out=np.zeros_like(a), where=a > 0.0))
+        value = np.divide(b, a, out=np.zeros_like(a), where=a > 0.0)
+        return float(value) if value.ndim == 0 else value
 
     @property
     def validity(self) -> str:

@@ -695,13 +695,15 @@ def figure1(outdir, points: int | None = None) -> tuple[Path, ...]:
     phase-versus-cycle-count table, each as CSV plus a standalone SVG
     panel. Returns the eight paths in a fixed order.
     """
+    if points is not None:
+        points = _count(points, "points")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for name in preset_names():
         scn = preset(name)
         if points is not None:
-            scn = replace(scn, sweep_points=int(points))
+            scn = replace(scn, sweep_points=points)
 
         rates_table = sweep_cavity(scn)
         rates_csv = outdir / f"{name}_rates_sweep.csv"

@@ -82,6 +82,53 @@ class TestArrayForm:
             assert dos(cav, w) == dos(cav, np.array([w]))[0]
             assert dos_derivative(cav, w) == dos_derivative(cav, np.array([w]))[0]
 
+    def test_float_path_equals_array_path_bit_for_bit(self):
+        # seeded draws over in-range and overflowing centers, with resonant,
+        # far-detuned and (for dos only) non-positive frequencies; one array
+        # call per quality factor against one float call per draw, signs too
+        rng = np.random.default_rng(2002)
+        size = 3000
+        for q in 10.0 ** rng.uniform(0.0, 12.0, 8):
+            centers = 10.0 ** rng.uniform(0.0, 307.0, size)
+            near = centers * (1.0 + rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-16.0, 0.0, size))
+            anywhere = 10.0 ** rng.uniform(-3.0, 308.0, size)
+            negative = -rng.uniform(0.0, 2.0, size) * centers
+            w = np.choose(rng.integers(0, 3, size), [near, anywhere, negative])
+            sweep = CavitySpec(omega_c=centers, q_factor=float(q), volume=1.0e-6)
+            points = [CavitySpec(omega_c=c, q_factor=float(q), volume=1.0e-6) for c in centers.tolist()]
+            values = [dos(cav, x) for cav, x in zip(points, w.tolist())]
+            assert all(type(v) is float for v in values)
+            np.testing.assert_array_equal(np.array(values).view(np.uint64), dos(sweep, w).view(np.uint64))
+            up = w > 0.0
+            slopes = [dos_derivative(cav, x) for cav, x, keep in zip(points, w.tolist(), up) if keep]
+            assert all(type(v) is float for v in slopes)
+            np.testing.assert_array_equal(
+                np.array(slopes).view(np.uint64),
+                dos_derivative(CavitySpec(centers[up], float(q), 1.0e-6), w[up]).view(np.uint64),
+            )
+            assert not np.isnan(values).any() and not np.isnan(slopes).any()
+
+    def test_numpy_scalars_and_0d_arrays_give_floats(self, cavity):
+        w = 1.0e7 * (1.0 + 3.0e-7)
+        want = (dos(cavity, w), dos_derivative(cavity, w))
+        for center in (1.0e7, np.float64(1.0e7), np.array(1.0e7), 10_000_000):
+            cav = CavitySpec(omega_c=center, q_factor=np.float64(1.0e7), volume=1.0e-6)
+            for x in (w, np.float64(w), np.array(w)):
+                got = (dos(cav, x), dos_derivative(cav, x))
+                assert got == want and all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_non_finite_frequency(self, cavity, w):
+        # dos is 0 there, as for w <= 0; the slope is undefined and raises
+        assert dos(cavity, w) == 0.0
+        assert dos(cavity, np.array([w, 1.0e7]))[0] == 0.0
+        # a frequency whose detuning overflows stays silent, as for floats
+        far = CavitySpec(omega_c=1.0e308, q_factor=1.0e7, volume=1.0e-6)
+        assert dos(far, np.array([-1.0e308]))[0] == dos(far, -1.0e308) == 0.0
+        for x in (w, np.array([1.0e7, w])):
+            with pytest.raises(ValueError, match="finite"):
+                dos_derivative(cavity, x)
+
     def test_array_of_centers_matches_scalar_centers(self):
         rng = np.random.default_rng(2001)
         w = 1.0e7
@@ -113,6 +160,14 @@ class TestValidation:
         ):
             with pytest.raises(ValueError, match="positive and finite"):
                 CavitySpec(**fields)
+
+    def test_linewidth_must_be_positive_and_finite(self):
+        # a zero half width divided 0 by 0 on resonance, and an infinite one
+        # divided inf by inf in the scaled form: both were NaN
+        bad = ((5e-324, 10.0), (np.array([1.0e7, 5e-324]), 10.0), (1e308, 0.5), (np.array([1.0e7, 1e308]), 0.5))
+        for center, q in bad:
+            with pytest.raises(ValueError, match="linewidth"):
+                CavitySpec(omega_c=center, q_factor=q, volume=1.0e-6)
 
     def test_centers_must_be_one_dimensional(self):
         with pytest.raises(ValueError):

@@ -286,6 +286,12 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert "finite" in err
 
+    def test_far_cavity_grid_prints_no_nan(self, capsys):
+        # the plain Lorentzian overflowed at 1e300: nan with validity ok
+        code, out, err = run(capsys, ["sweep-cavity", "--scenario", "case1", "--grid", "1e7:1e300:3"])
+        assert (code, err) == (0, "")
+        assert "nan" not in out and "1.0000000000000001e+300," in out
+
     def test_plot_requires_out(self, capsys):
         code, _, err = run(
             capsys, ["sweep-cavity", "--grid", "4.9e9:5.1e9:3:lin", "--plot"]

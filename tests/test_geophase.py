@@ -760,6 +760,18 @@ class TestQuasiCycle:
         assert hot.warnings
         assert "0.1" in hot.validity
 
+    def test_cycle_count_that_is_not_whole_is_warned(self):
+        # the closed-loop formula does not hold on an open path: at case2,
+        # n = 12345.5 gives -38784.532 where tong gives -38787.674
+        whole = scenario_gp(preset("case2"), 12345, "case2")
+        assert whole.validity == "ok"
+        for engine in ("quasi-cycle", "case2"):
+            got = scenario_gp(preset("case2"), 12345.5, engine)
+            assert "not whole" in got.validity
+        p = EvolutionParams(1.0e-8, 0.5e-8, 10.0, 1.2)
+        assert gp_quasi_cycle(p, 10.0).validity == "ok"
+        assert gp_quasi_cycle(p, 10.25).warnings[0].startswith("cycle count n = 10.25 is not whole")
+
 
 class TestSplitEngines:
     def test_split_requires_decomposed_rates(self):

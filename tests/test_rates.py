@@ -19,6 +19,7 @@ from rotodyne import (
     general_rates,
     kossakowski,
     lab_rates_general,
+    preset,
     vacuum_coupling,
     zeta_of,
 )
@@ -216,3 +217,52 @@ class TestRegimes:
         assert wrong.validity != "ok"
         right = case1_rates(**FAST)
         assert right.validity == "ok"
+
+
+ENGINES = (case1_rates, case2_rates, general_rates, lab_rates_general)
+RATE_FIELDS = ("gamma_down", "gamma_up", "gamma_down_inertial", "gamma_down_ni")
+# RateSet reprs of each engine on each preset, frozen before scalar calls
+# moved from numpy to math: the move keeps every bit
+FROZEN_REPRS = {
+    ("case1", "case1_rates"): "RateSet(gamma_down=1.0223556282804161e-10, gamma_up=6.389696092650071e-20, gamma_down_inertial=1.6367732673045388e-17, gamma_down_ni=1.0223554646030894e-10, warnings=())",
+    ("case1", "case2_rates"): "RateSet(gamma_down=1.0241749666903988e-10, gamma_up=0.0, gamma_down_inertial=1.6367732673045388e-17, gamma_down_ni=1.0241748030130721e-10, warnings=('slow-rotation regime strained: omega > omega0_bar / 10',))",
+    ("case1", "general_rates"): "RateSet(gamma_down=1.0241749667693935e-10, gamma_up=6.378347993278211e-20, gamma_down_inertial=1.6367732673045388e-17, gamma_down_ni=1.0241748030920668e-10, warnings=())",
+    ("case1", "lab_rates_general"): "RateSet(gamma_down=1.0241749666269498e-10, gamma_up=6.378347992391101e-20, gamma_down_inertial=None, gamma_down_ni=None, warnings=())",
+    ("case2", "case1_rates"): "RateSet(gamma_down=8.253296007728828e-15, gamma_up=0.0, gamma_down_inertial=8.2492065859622e-15, gamma_down_ni=4.089421766627555e-18, warnings=('fast-rotation regime strained: omega < 10 * omega0_bar',))",
+    ("case2", "case2_rates"): "RateSet(gamma_down=2.6792008429304463e-14, gamma_up=0.0, gamma_down_inertial=8.2492065859622e-15, gamma_down_ni=1.854280184334226e-14, warnings=())",
+    ("case2", "general_rates"): "RateSet(gamma_down=2.679200842930436e-14, gamma_up=0.0, gamma_down_inertial=8.2492065859622e-15, gamma_down_ni=1.854280184334216e-14, warnings=())",
+    ("case2", "lab_rates_general"): "RateSet(gamma_down=2.6792008429302866e-14, gamma_up=0.0, gamma_down_inertial=None, gamma_down_ni=None, warnings=())",
+}
+
+
+class TestScalarPath:
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_preset_rates_are_floats_with_frozen_reprs(self, name, engine):
+        scn = preset(name)
+        rs = engine(scn.trajectory, scn.atom, scn.cavity)
+        assert repr(rs) == FROZEN_REPRS[name, engine.__name__]
+        for field in RATE_FIELDS:
+            value = getattr(rs, field)
+            assert type(value) is float or (value is None and engine is lab_rates_general), field
+        assert type(rs.ratio) is float
+
+    def test_ratio_of_scalar_fields_is_a_float(self):
+        assert rates.RateSet(np.float64(3.0), np.float64(1.0)).ratio == 0.5
+        assert type(rates.RateSet(np.float64(3.0), np.float64(1.0)).ratio) is float
+        assert type(rates.RateSet(np.array(3.0), 1.0).ratio) is float
+        assert rates.RateSet(0.0, 0.0).ratio == 0.0
+
+
+class TestLorentzianOverflow:
+    @pytest.mark.parametrize("omega_c", [1.0e160, 1.0e300])
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_far_cavity_gives_finite_rates(self, engine, omega_c):
+        # the plain Lorentzian overflowed here: gamma_down was nan with
+        # validity ok, and numpy warned (an error under this suite)
+        for params in (FAST, SLOW):
+            cavity = CavitySpec(omega_c=omega_c, q_factor=1.0e7, volume=params["cavity"].volume)
+            rs = engine(params["traj"], params["atom"], cavity)
+            values = [getattr(rs, f) for f in RATE_FIELDS if getattr(rs, f) is not None]
+            assert all(type(v) is float and math.isfinite(v) for v in values), rs
+            assert 0.0 <= rs.gamma_down < 1e-150

@@ -461,3 +461,9 @@ class TestFigure:
         ]
         for p in paths:
             assert p.exists() and p.stat().st_size > 0
+
+    @pytest.mark.parametrize("points", [24.9, math.nan, math.inf])
+    def test_figure1_rejects_a_point_count_that_is_not_whole(self, tmp_path, points):
+        with pytest.raises(ValueError, match="whole number"):
+            figure1(tmp_path / "figure1", points=points)
+        assert not (tmp_path / "figure1").exists()
