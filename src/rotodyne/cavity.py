@@ -12,7 +12,9 @@ conditions that would sift a non-positive frequency contribute nothing.
 Each formula is written once and run by one of two libraries, chosen by
 the input: Python floats go through ``math`` when the frequency and the
 cavity center are both scalars, and arrays go through numpy otherwise.
-Both square through libm ``pow``, so the two give the same bits.
+Both square through libm ``pow``, so the two give the same bits. Numpy is
+imported only on that array branch: a ``CavitySpec`` of floats is
+validated by comparisons, and float calls never load it.
 
 Where the plain denominator leaves the float range (it overflows once
 the linewidth or the detuning passes about 1e154 rad/s for the density
@@ -30,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["CavitySpec", "dos", "dos_derivative"]
 
 
@@ -46,18 +46,31 @@ class CavitySpec:
 
     def __post_init__(self) -> None:
         for name, max_ndim in (("omega_c", 1), ("q_factor", 0), ("volume", 0)):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.ndim > max_ndim or not np.all(np.isfinite(value) & (value > 0.0)):
+            if not _positive_finite(getattr(self, name), max_ndim):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        with np.errstate(over="ignore"):
-            linewidth = self.linewidth
-        if not np.all((linewidth > 0.0) & (linewidth < np.inf)):
+        if type(self.omega_c) is type(self.q_factor) is float:
+            linewidth = self.linewidth  # a float quotient overflows to inf silently
+        else:
+            import numpy as np
+            with np.errstate(over="ignore"):
+                linewidth = self.linewidth
+        if not _positive_finite(linewidth, 1):
             raise ValueError(f"linewidth omega_c / q_factor must be positive and finite, got {linewidth}")
 
     @property
     def linewidth(self) -> float | np.ndarray:
         """Half width omega_c / Q, rad/s."""
         return self.omega_c / self.q_factor
+
+
+def _positive_finite(value, max_ndim: int) -> bool:
+    """Whether ``value`` is positive and finite at every entry, on at most
+    ``max_ndim`` dimensions: a float by comparison, the rest through numpy."""
+    if type(value) is float:
+        return 0.0 < value < math.inf
+    import numpy as np
+    value = np.asarray(value, dtype=float)
+    return value.ndim <= max_ndim and bool(((value > 0.0) & (value < math.inf)).all())
 
 
 def _operands(cavity: CavitySpec, frequency):
@@ -67,6 +80,7 @@ def _operands(cavity: CavitySpec, frequency):
     w, center, q = frequency, cavity.omega_c, cavity.q_factor
     # a type test first: np.asarray costs microseconds on every scalar call
     if not type(w) is type(center) is type(q) is float:
+        import numpy as np
         w, center = np.asarray(w, dtype=float), np.asarray(center, dtype=float)
         if w.ndim or center.ndim:
             return np, w, center, q
@@ -107,15 +121,15 @@ def _lorentzian(w, center, q, power: int, lib):
         s = max(hw, abs(d))
         num, den = _term(hw / s, d / s, s, power, math.pow)
         return num / den
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with lib.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hw, d = center / q, w - center  # an unphysical w may overflow d
-        num, den = _term(hw, d, 1.0, power, np.float_power)
+        num, den = _term(hw, d, 1.0, power, lib.float_power)
         fits = (den > 0.0) & (den < math.inf)
         if fits.all():
             return num / den
-        s = np.maximum(hw, abs(d))
-        scaled_num, scaled_den = _term(hw / s, d / s, s, power, np.float_power)
-        return np.where(fits, num / den, scaled_num / scaled_den)
+        s = lib.maximum(hw, abs(d))
+        scaled_num, scaled_den = _term(hw / s, d / s, s, power, lib.float_power)
+        return lib.where(fits, num / den, scaled_num / scaled_den)
 
 
 def dos(cavity: CavitySpec, frequency):
@@ -128,7 +142,7 @@ def dos(cavity: CavitySpec, frequency):
     lib, w, center, q = _operands(cavity, frequency)
     if lib is math:
         return _lorentzian(w, center, q, 1, math) if 0.0 < w < math.inf else 0.0
-    return np.where((w > 0.0) & (w < math.inf), _lorentzian(w, center, q, 1, np), 0.0)
+    return lib.where((w > 0.0) & (w < math.inf), _lorentzian(w, center, q, 1, lib), 0.0)
 
 
 def dos_derivative(cavity: CavitySpec, frequency):

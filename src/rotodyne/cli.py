@@ -24,6 +24,7 @@ from .errors import NumericsError
 from .scenarios import (
     ENGINES,
     Scenario,
+    _horizon,
     build_grid,
     default_anchors,
     default_n_grid,
@@ -190,10 +191,14 @@ def _cmd_gp(args) -> int:
     n = args.cycles if args.cycles is not None else scn.n_default
     if n < 1:
         raise ValueError(f"cycle count must be at least 1, got {n}")
-    try:
-        res = scenario_gp(scn, n, args.engine)
-    except OverflowError as exc:  # n, its horizon or its n^2 past the float range
+    try:  # the count's own range: the numeric engines take its horizon, the rest n^2
+        if args.engine in ("tong", "exact-integral"):
+            _horizon(scn, n)
+        else:  # every default engine is a quasi-cycle one
+            float(n * n)
+    except OverflowError as exc:
         raise ValueError(f"cycle count of {len(str(n))} digits is too large: {exc}") from None
+    res = scenario_gp(scn, n, args.engine)
     payload = {
         "scenario": scn.name,
         "engine": res.engine,

@@ -18,7 +18,9 @@ superoperator, by one eigendecomposition per call that gives every
 sample time at once. A growth guard raises NumericsError when the
 initial state's eigenvector expansion is too large for that eigen-sum to
 be accurate to rounding. Times must be non-negative and finite;
-anything else, NaN included, is a ValueError. Basis convention: |e> =
+anything else, NaN included, is a ValueError. Each function that takes or
+builds an array imports numpy itself, and the Pauli matrices are made on
+first use, so importing this module loads no numpy. Basis convention: |e> =
 (1, 0), sigma3 |e> = +|e>. hbar cancels from the generator, so only
 angular frequencies appear.
 """
@@ -28,8 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NumericsError
 from .rates import RateSet, kossakowski
@@ -46,10 +46,6 @@ __all__ = [
     "check_density_matrix",
 ]
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PAULI = (SIGMA1, SIGMA2, SIGMA3)
 # what check_density_matrix accepts: max |rho - rho^dag|, |tr rho - 1| and
 # the lowest eigenvalue
 HERM_TOL = 1e-12
@@ -108,6 +104,7 @@ def initial_state(theta0: float) -> np.ndarray:
     """Density matrix of the pure state cos(t/2)|e> + sin(t/2)|g>."""
     if not 0.0 <= theta0 <= math.pi:
         raise ValueError(f"theta0 must lie in [0, pi], got {theta0}")
+    import numpy as np
     c, s = math.cos(theta0 / 2.0), math.sin(theta0 / 2.0)
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
@@ -127,6 +124,7 @@ def _decay_factors(p: EvolutionParams, tau, lib):
 
 def closed_form_bloch(p: EvolutionParams, tau):
     """Bloch components (r1, r2, r3) of the closed-form state, vectorized."""
+    import numpy as np
     tau = np.asarray(tau, dtype=float)
     if not ((tau >= 0.0) & (tau < math.inf)).all():
         raise ValueError("tau must be non-negative and finite")
@@ -154,6 +152,7 @@ def closed_form_rho(p: EvolutionParams, tau: float) -> np.ndarray:
     r_perp = 0.5 * math.sqrt(e4) * math.sin(p.theta0)
     phase = p.omega_eff * tau
     re, im = r_perp * math.cos(phase), r_perp * math.sin(phase)
+    import numpy as np
     return np.array([[rho11, complex(re, -im)], [complex(re, im), 1.0 - rho11]], dtype=complex)
 
 
@@ -164,14 +163,16 @@ def lindblad_rhs(rho: np.ndarray, p: EvolutionParams) -> np.ndarray:
     Written as the literal double sum over the coefficient matrix; this
     is the reference generator the ODE oracle propagates.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
-    out = -0.5j * p.omega_eff * (SIGMA3 @ rho - rho @ SIGMA3)
+    pauli = _pauli()
+    out = -0.5j * p.omega_eff * (pauli[2] @ rho - rho @ pauli[2])
     a = kossakowski(p.a_coeff, p.b_coeff)
     for i in range(3):
         for j in range(3):
             if a[i, j] == 0.0:
                 continue
-            si, sj = _PAULI[i], _PAULI[j]
+            si, sj = pauli[i], pauli[j]
             out = out + 0.5 * a[i, j] * (
                 2.0 * sj @ rho @ si - si @ sj @ rho - rho @ si @ sj
             )
@@ -187,6 +188,14 @@ class OdeTrajectory:
 
 
 @functools.cache
+def _pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma1, sigma2, sigma3), made on first use like ``_generator_parts``."""
+    import numpy as np
+    rows = ([[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]])
+    return tuple(np.array(m, dtype=complex) for m in rows)
+
+
+@functools.cache
 def _generator_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H, A, B) with generator omega H + a A + b B; column k of each is the
     image of the k-th matrix unit under ``lindblad_rhs``. Their entries are
@@ -196,6 +205,7 @@ def _generator_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stationary eigenvalue to exactly 0. Probed on first use, not at
     import: the first matrix product makes the BLAS library touch about
     0.4 MB, which importers that never propagate would pay."""
+    import numpy as np
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
     h, a, ab = (
         lindblad_rhs(units, EvolutionParams(a_coeff, b_coeff, 1.0, 0.0)).reshape(4, 4).T
@@ -239,6 +249,7 @@ def evolve_ode(
         raise ValueError(f"rtol must lie in [1e-13, 1e-6], got {rtol}")
     if not 0.0 <= t_final < math.inf:
         raise ValueError(f"t_final must be non-negative and finite, got {t_final}")
+    import numpy as np
     if t_eval is None:
         t_eval = np.linspace(0.0, t_final, 201)
     else:
@@ -277,12 +288,14 @@ def evolve_ode(
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) tr |rho - sigma| for Hermitian 2x2 inputs."""
+    import numpy as np
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is Hermitian, unit trace and positive
     within HERM_TOL, TRACE_TOL and EIG_FLOOR."""
+    import numpy as np
     rho = np.asarray(rho)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")

@@ -43,8 +43,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cavity import CavitySpec
 from .dynamics import EvolutionParams
 from .errors import NumericsError
@@ -78,27 +76,6 @@ KERNEL_CACHE_SIZE = 8
 # stops, the terms it may take before the panels take over, and an |e| below which no
 # singularity lies for any |b| <= a and theta0
 SERIES_REL_TOL, SERIES_TERMS, SERIES_RADIUS = 2.0 ** -56, 40, math.sqrt(2.0) - 1.0
-# 16-point Gauss-Legendre rule on [-1, 1]: positive nodes and their weights, correctly rounded
-_GL_HALF = np.array(
-    [
-        (0.09501250983763744, 0.1894506104550685),
-        (0.2816035507792589, 0.18260341504492358),
-        (0.45801677765722737, 0.16915651939500254),
-        (0.6178762444026438, 0.14959598881657674),
-        (0.755404408355003, 0.12462897125553388),
-        (0.8656312023878318, 0.09515851168249279),
-        (0.9445750230732326, 0.062253523938647894),
-        (0.9894009349916499, 0.027152459411754096),
-    ]
-)
-_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
-_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
-# the rule on the unit panel, then on its two halves: 48 nodes in [0, 1],
-# with a weight column for the whole panel and one for its halves
-_PANEL_NODES = np.concatenate([1.0 + _GL_NODES, 0.5 + 0.5 * _GL_NODES, 1.5 + 0.5 * _GL_NODES]) / 2.0
-_PANEL_WEIGHTS = np.kron([[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]], _GL_WEIGHTS[:, None] / 2.0)
-# (left end, width) of a panel times this gives its 48 nodes
-_PANEL_BASIS = np.stack([np.ones_like(_PANEL_NODES), _PANEL_NODES])
 
 
 @dataclass(frozen=True)
@@ -159,6 +136,32 @@ def _unitary_open_path(theta0: float, sweep: float) -> float:
     return math.atan2(s2 * math.sin(sweep), c2 + s2 * math.cos(sweep)) - sweep * s2
 
 
+@functools.cache
+def _panel_rule():
+    """The 16-point Gauss-Legendre rule on the unit panel and on its two halves,
+    made on first use: weight columns for the whole panel and for its halves
+    at 48 nodes in [0, 1], and the basis that takes (left end, width) to them."""
+    import numpy as np
+    # positive nodes on [-1, 1] and their weights, correctly rounded
+    gl_half = np.array(
+        [
+            (0.09501250983763744, 0.1894506104550685),
+            (0.2816035507792589, 0.18260341504492358),
+            (0.45801677765722737, 0.16915651939500254),
+            (0.6178762444026438, 0.14959598881657674),
+            (0.755404408355003, 0.12462897125553388),
+            (0.8656312023878318, 0.09515851168249279),
+            (0.9445750230732326, 0.062253523938647894),
+            (0.9894009349916499, 0.027152459411754096),
+        ]
+    )
+    gl_nodes = np.concatenate([-gl_half[::-1, 0], gl_half[:, 0]])
+    gl_weights = np.concatenate([gl_half[::-1, 1], gl_half[:, 1]])
+    nodes = np.concatenate([1.0 + gl_nodes, 0.5 + 0.5 * gl_nodes, 1.5 + 0.5 * gl_nodes]) / 2.0
+    weights = np.kron([[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]], gl_weights[:, None] / 2.0)
+    return weights, np.stack([np.ones_like(nodes), nodes])
+
+
 def _kernel_integrand(x, x_max: float, ratio: float, cos_t: float, sin2: float):
     """cos theta0 - cos(angle) at the points x <= x_max of x = 4 a tau.
     With eps = expm1(x), g = cos theta0 - ratio eps and R = sqrt((1 + eps)
@@ -167,6 +170,7 @@ def _kernel_integrand(x, x_max: float, ratio: float, cos_t: float, sin2: float):
     - ratio^2 eps) / (R (c R + g)), elsewhere c - g / R adds two terms of
     one sign. g is linear in eps and starts at c, so if it keeps the sign
     of c at x_max it does so at every point."""
+    import numpy as np
     eps = np.expm1(x)
     g = cos_t - ratio * eps
     big_r2 = (1.0 + eps) * sin2 + g * g
@@ -207,6 +211,7 @@ def _kernel_panels(x_end: float, x_k: float, delta: float) -> np.ndarray:
     x_k at most as wide as the distance from it, so they grow
     geometrically once the integrand has relaxed. Each panel keeps the
     singularity a panel width away."""
+    import numpy as np
     panels, x = [], 0.0
     while x < x_end:
         d = x - x_k
@@ -230,18 +235,20 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     count, the halvings taken and 0 series terms. The accepted pass
     evaluated the integrand 24 times per panel of the halved set: its own
     16 nodes and half of the 16 of the panel it halves."""
+    import numpy as np
+    rule, basis = _panel_rule()
     panels = _kernel_panels(x_end, *_knee(ratio, cos_t, sin2))
     for halvings in range(1, MAX_HALVINGS + 2):
-        values = _kernel_integrand(panels @ _PANEL_BASIS, x_end, ratio, cos_t, sin2)
+        values = _kernel_integrand(panels @ basis, x_end, ratio, cos_t, sin2)
         # weights in tau, so that a tiny a4 cannot underflow the sums
         weights = panels[:, 1] / a4
-        coarse, fine = (weights @ (values @ _PANEL_WEIGHTS)).tolist()
+        coarse, fine = (weights @ (values @ rule)).tolist()
         gap = abs(fine - coarse)
         # |fine| bounds the integral of |integrand| from below, which is summed
         # only if needed; integrand values below the normal range carry no digits
         floor = max(KERNEL_REL_TOL * abs(fine), x_end / a4 * sys.float_info.min)
         if gap <= floor or gap <= KERNEL_REL_TOL * float(
-            weights @ (np.abs(values) @ _PANEL_WEIGHTS[:, 1])
+            weights @ (np.abs(values) @ rule[:, 1])
         ):
             return fine, gap, 2 * len(panels), halvings, 0
         half = 0.5 * panels[:, 1]
@@ -315,6 +322,7 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
         a4, math.expm1(x_end), ratio, cos_t, sin2
     ) or _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
     if four_a_t > SATURATION_EXPONENT:
+        import numpy as np
         saturated = _kernel_integrand(
             np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
         )[0]

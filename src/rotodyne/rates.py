@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .cavity import CavitySpec, dos, dos_derivative
 from .constants import HBAR, VACUUM_PERMITTIVITY
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics, zeta_of
@@ -82,6 +80,9 @@ class RateSet:
     @property
     def ratio(self):
         a, b = _dissipator_pair(self.gamma_down, self.gamma_up)
+        if type(a) is type(b) is float:  # the type test of cavity._operands
+            return b / a if a > 0.0 else 0.0
+        import numpy as np
         value = np.divide(b, a, out=np.zeros_like(a), where=a > 0.0)
         return float(value) if value.ndim == 0 else value
 
@@ -99,9 +100,20 @@ def _dissipator_pair(gamma_down, gamma_up):
 def vacuum_coupling(atom: AtomParams, cavity: CavitySpec) -> float:
     """Coupling strength eta = dipole**2 / (3 pi hbar eps0 V).
 
-    Units are such that eta * dos * frequency is a rate in 1/s.
+    Units are such that eta * dos * frequency is a rate in 1/s. Raises
+    ValueError unless eta is positive and finite: a dipole or a volume far
+    enough out leaves the float range.
     """
-    return atom.dipole ** 2 / (3.0 * math.pi * HBAR * VACUUM_PERMITTIVITY * cavity.volume)
+    try:
+        eta = atom.dipole ** 2 / (3.0 * math.pi * HBAR * VACUUM_PERMITTIVITY * cavity.volume)
+    except (OverflowError, ZeroDivisionError):  # dipole**2 overflows or the denominator underflows
+        eta = math.inf
+    if not 0.0 < eta < math.inf:
+        raise ValueError(
+            f"coupling eta = dipole**2 / (3 pi hbar eps0 volume) must be positive and finite, "
+            f"got {eta} from dipole = {atom.dipole} and volume = {cavity.volume}"
+        )
+    return eta
 
 
 def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
@@ -117,6 +129,7 @@ def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
         raise ValueError(
             f"|b_coeff| must not exceed a_coeff = {a_coeff}, got {b_coeff}; matrix not PSD"
         )
+    import numpy as np
     return np.array(
         [
             [a_coeff, -1j * b_coeff, 0.0],

@@ -36,8 +36,6 @@ from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
 from .cavity import CavitySpec
 from .dynamics import EvolutionParams
@@ -347,6 +345,7 @@ def build_grid(
         raise ValueError(f"need at least 2 grid points, got {points}")
     if not -math.inf < start < stop < math.inf:
         raise ValueError(f"need finite stop > start, got [{start}, {stop}]")
+    import numpy as np
     if log:
         if start <= 0.0:
             raise ValueError(f"log grid needs start > 0, got {start}")
@@ -360,6 +359,7 @@ def build_grid(
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """Sorted 1-d values with repeats dropped: the steps numpy's ``unique``
     takes on 1-d input, without the ``numpy.ma`` import it makes first."""
+    import numpy as np
     values = np.sort(values)
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
@@ -408,6 +408,7 @@ class SweepTable:
         return tuple(zip(*self.rows)) if self.rows else ((),) * len(self.columns)
 
     def column(self, name: str) -> np.ndarray:
+        import numpy as np
         values = self._cells_by_column[self.columns.index(name)]
         if values and isinstance(values[0], str):
             return np.asarray(values, dtype=object)
@@ -446,6 +447,7 @@ def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTab
             log=True,
             anchors=default_anchors(scenario),
         )
+    import numpy as np
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
@@ -471,17 +473,24 @@ def default_n_grid(n_max: int, points: int = 25) -> np.ndarray:
         raise ValueError(f"need at least 1 grid point, got {points}")
     if not 1 <= n_max <= 2**53:
         raise ValueError(f"n_max must lie in [1, 2**53], got {n_max}")
+    import numpy as np
     raw = np.geomspace(1.0, float(n_max), points)
     return _sorted_distinct(np.round(raw).astype(np.int64))
 
 
-def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:
-    """Generator of the scenario's rates and the horizon of n cycles.
-    Raises OverflowError when the horizon is past the float range, as
-    converting a too large integer n to float already does."""
+def _horizon(scenario: Scenario, n: float) -> float:
+    """2 pi n / omega0, the horizon of n cycles. Raises OverflowError when it
+    is past the float range, as converting a too large integer n to float
+    already does."""
     horizon = math.tau * n / scenario.atom.omega0
     if math.isinf(horizon):
         raise OverflowError("horizon 2 pi n / omega0 is past the float range")
+    return horizon
+
+
+def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:
+    """Generator of the scenario's rates and the ``_horizon`` of n cycles."""
+    horizon = _horizon(scenario, n)
     params = EvolutionParams.from_rates(
         scenario_rates(scenario), scenario.atom.theta0, scenario.atom.omega0
     )
@@ -521,6 +530,7 @@ def gp_vs_n(scenario: Scenario, n_values=None) -> SweepTable:
     of the scenario's own engine (as ``scenario_gp``)."""
     if n_values is None:
         n_values = default_n_grid(scenario.n_max)
+    import numpy as np
     rates = scenario_rates(scenario)
     rows = []
     for n in np.asarray(n_values):
@@ -548,9 +558,9 @@ def _column_kind(cells) -> str:
     kinds = set(map(type, cells))
     if all(issubclass(k, str) for k in kinds):
         return "text"
-    if all(issubclass(k, (int, np.integer)) for k in kinds):
+    if all(issubclass(k, numbers.Integral) for k in kinds):
         return "int"
-    if any(issubclass(k, (str, int, np.integer)) for k in kinds):
+    if any(issubclass(k, (str, numbers.Integral)) for k in kinds):
         return "mixed"
     return "float"
 
@@ -558,7 +568,7 @@ def _column_kind(cells) -> str:
 def _cell_text(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return f"{float(value):.16e}"
 
@@ -678,8 +688,8 @@ def gp_vs_n_chart(table: SweepTable, scenario: Scenario, path) -> Path:
     line_chart(
         path,
         [
-            ("|non-inertial|", n_col, np.abs(table.column("phi_ni_rad"))),
-            ("|inertial|", n_col, np.abs(table.column("phi_in_rad"))),
+            ("|non-inertial|", n_col, abs(table.column("phi_ni_rad"))),
+            ("|inertial|", n_col, abs(table.column("phi_in_rad"))),
         ],
         title=f"{scenario.name}: dissipative phase corrections vs cycles",
         xlabel="precession cycles n",

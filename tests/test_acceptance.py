@@ -1,6 +1,6 @@
 """Acceptance checks.
 
-One test per shipped guarantee, numbered c01..c12 so that ``pytest -v``
+One test per shipped guarantee, numbered c01..c13 so that ``pytest -v``
 prints a single pass/fail line for each.  Tolerances and reference values
 are frozen here; loosening them is a contract change, not a test fix.
 
@@ -333,3 +333,40 @@ def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
         m for m in added if m.split(".")[0] in UNUSED_ROOTS or m.split(".")[:2] == ["numpy", "ma"]
     ]
     assert unused == [], unused
+
+
+def test_c13_scalar_commands_load_no_numpy(tmp_path):
+    """``import rotodyne`` and the scalar commands (``presets``, ``rates``,
+    ``gp`` with every engine, and bad input) in a fresh interpreter load no
+    numpy module: it is imported only where arrays are taken or made."""
+    src = str(Path(rotodyne.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    general = tmp_path / "general.json"
+    general.write_text(json.dumps(dict(rotodyne.scenario_to_dict(preset("case2")), family="general")))
+    commands = [["presets"], ["presets", "--format", "json"]]
+    commands += [["rates", "--scenario", "case1"], ["rates", "--scenario", "case2"]]
+    commands += [["rates", "--config", str(general)], ["gp", "--config", str(general)]]
+    for name in ("case1", "case2"):
+        for engine in rotodyne.ENGINES:
+            commands.append(["gp", "--scenario", name, "--engine", engine])
+            commands.append(["gp", "--scenario", name, "--engine", engine, "-n", "1000"])
+    bad = [["gp", "-n", "0"], ["rates", "--scenario", "no-such-preset"], ["sweep-cavity", "--grid", "1e7:2e7"]]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded(), loaded()\n"
+        "import rotodyne\n"
+        "after_import = loaded()\n"
+        "from rotodyne.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands + bad!r}]\n"
+        "print(json.dumps([after_import, codes, loaded()]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    after_import, codes, after_commands = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands) + [1] * len(bad)
+    assert after_import == [] and after_commands == [], after_import or after_commands

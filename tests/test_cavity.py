@@ -169,6 +169,55 @@ class TestValidation:
             with pytest.raises(ValueError, match="linewidth"):
                 CavitySpec(omega_c=center, q_factor=q, volume=1.0e-6)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(omega_c=1.0e7), None),
+            (dict(omega_c=10_000_000), None),
+            (dict(omega_c=np.float64(1.0e7)), None),
+            (dict(omega_c=np.array(1.0e7)), None),
+            (dict(omega_c=np.array([1.0e7, 2.0e7])), None),
+            (dict(omega_c=0.0), "omega_c must be positive and finite, got 0.0"),
+            (dict(q_factor=0), "q_factor must be positive and finite, got 0"),
+            (dict(volume=-1.0e-6), "volume must be positive and finite, got -1e-06"),
+            (dict(omega_c=math.nan), "omega_c must be positive and finite, got nan"),
+            (dict(q_factor=math.inf), "q_factor must be positive and finite, got inf"),
+            (dict(volume=-math.inf), "volume must be positive and finite, got -inf"),
+            (
+                dict(omega_c=np.full((2, 2), 1.0e7)),
+                "omega_c must be positive and finite, got "
+                "[[10000000. 10000000.]\n [10000000. 10000000.]]",
+            ),
+            (dict(q_factor=np.array([1.0e7])), "q_factor must be positive and finite, got [10000000.]"),
+            (
+                dict(omega_c=5e-324, q_factor=10.0),
+                "linewidth omega_c / q_factor must be positive and finite, got 0.0",
+            ),
+            (
+                dict(omega_c=1e308, q_factor=0.5),
+                "linewidth omega_c / q_factor must be positive and finite, got inf",
+            ),
+            (
+                dict(omega_c=np.float64(1e308), q_factor=0.5),
+                "linewidth omega_c / q_factor must be positive and finite, got inf",
+            ),
+            (
+                dict(omega_c=np.array([1.0e7, 1e308]), q_factor=0.5),
+                "linewidth omega_c / q_factor must be positive and finite, got [20000000.       inf]",
+            ),
+        ],
+    )
+    def test_floats_and_arrays_are_judged_alike(self, fields, message):
+        # floats are compared directly and anything else goes through numpy;
+        # the messages are literals from the all-numpy validation
+        fields = dict(dict(omega_c=1.0e7, q_factor=1.0e7, volume=1.0e-6), **fields)
+        if message is None:
+            CavitySpec(**fields)
+            return
+        with pytest.raises(ValueError) as caught:
+            CavitySpec(**fields)
+        assert str(caught.value) == message
+
     def test_centers_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
             CavitySpec(omega_c=np.full((2, 2), 1.0e7), q_factor=1.0e7, volume=1.0e-6)

@@ -216,6 +216,24 @@ class TestBadInput:
         )
         assert err == f"rotodyne: error: cycle count of {digits} digits is too large: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["rates", "gp"])
+    @pytest.mark.parametrize(
+        "block, key, value, field",
+        [("atom", "dipole_C_m", 1e200, "dipole = 1e+200"), ("cavity", "volume_m3", 1e-300, "volume = 1e-300")],
+        ids=["dipole", "volume"],
+    )
+    def test_coupling_past_the_float_range_exits_1(self, capsys, tmp_path, command, block, key, value, field):
+        # the dipole's square overflows, or the volume underflows the coupling's
+        # denominator: no traceback, and gp does not blame the cycle count
+        data = scenario_to_dict(preset("case1"))
+        data[block][key] = value
+        cfg = tmp_path / "coupling.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, [command, "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error: coupling eta") and err.count("\n") == 1, err
+        assert field in err
+
     @pytest.mark.parametrize("spec", ["nonsense", "1e7:2e7", "1e7:2e7:5:quad"])
     def test_bad_grid_spec(self, capsys, spec):
         code, _, err = run(capsys, ["sweep-cavity", "--grid", spec])

@@ -1,6 +1,7 @@
 """Rate engines: general resonance evaluation, regime expansions, splits."""
 
 import math
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -91,6 +92,21 @@ class TestVacuumCoupling:
     def test_known_values(self):
         assert vacuum_coupling(FAST["atom"], FAST["cavity"]) == pytest.approx(8.16753127397255e-08, rel=1e-12)
         assert vacuum_coupling(SLOW["atom"], SLOW["cavity"]) == pytest.approx(8.167531273972548e-12, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dipole, volume, value",
+        [(1e200, 1.0e-7, "inf"), (DEFAULT_DIPOLE, 1e-300, "inf"), (1e-200, 1.0e-7, "0.0")],
+        ids=["dipole-squared-overflows", "volume-underflows-the-denominator", "dipole-squared-underflows"],
+    )
+    def test_coupling_outside_the_float_range_raises(self, dipole, volume, value):
+        atom = AtomParams(omega0=1.0e7, dipole=dipole, theta0=1.0)
+        cavity = CavitySpec(omega_c=1.0e7, q_factor=1.0e7, volume=volume)
+        with pytest.raises(ValueError) as caught:
+            vacuum_coupling(atom, cavity)
+        assert str(caught.value) == (
+            "coupling eta = dipole**2 / (3 pi hbar eps0 volume) must be positive and finite, "
+            f"got {value} from dipole = {dipole} and volume = {volume}"
+        )
 
 
 class TestStaticLimit:
@@ -252,6 +268,19 @@ class TestScalarPath:
         assert type(rates.RateSet(np.float64(3.0), np.float64(1.0)).ratio) is float
         assert type(rates.RateSet(np.array(3.0), 1.0).ratio) is float
         assert rates.RateSet(0.0, 0.0).ratio == 0.0
+
+    def test_float_ratio_is_the_numpy_quotient_bit_for_bit(self):
+        # floats take b / a where a > 0 and 0.0 elsewhere; numpy scalars and
+        # arrays take np.divide with the same where-mask
+        rng = np.random.default_rng(20261019)
+        down = np.concatenate([10.0 ** rng.uniform(-300, 300, 2000), [0.0, 1.0, -3.0, math.nan, 5e-324]])
+        up = np.concatenate([down[:2000] * rng.uniform(-1.5, 1.5, 2000), [0.0, -1.0, 1.0, 1.0, 0.0]])
+        array_ratio = rates.RateSet(down, up).ratio
+        for gd, gu, expected in zip(down.tolist(), up.tolist(), array_ratio.tolist()):
+            value = rates.RateSet(gd, gu).ratio
+            scalar = rates.RateSet(np.float64(gd), np.float64(gu)).ratio
+            assert type(value) is float
+            assert struct.pack("<d", value) == struct.pack("<d", scalar) == struct.pack("<d", expected)
 
 
 class TestLorentzianOverflow:
