@@ -5,11 +5,11 @@ malformed scenario files, an output directory that cannot be made or
 written), 2 numerical failure while producing results.
 
 Output conventions: table commands print CSV to stdout unless ``--out
-<dir>`` is given, in which case files with canonical names land in that
-directory (``<scenario>_rates_sweep.csv``, ``<scenario>_gp_vs_n.csv``,
-matching what ``figure1`` emits). ``--plot`` adds an SVG panel next to
-each written table. A relative ``--out`` is resolved against the
-ROTODYNE_OUT environment variable when set.
+<dir>`` is given, in which case the table lands in that directory under
+the name ``scenarios`` gives it, as for ``figure1``
+(``<scenario>_rates_sweep.csv``, ``<scenario>_gp_vs_n.csv``). ``--plot``
+adds an SVG panel next to each written table. A relative ``--out`` is
+resolved against the ROTODYNE_OUT environment variable when set.
 """
 
 from __future__ import annotations
@@ -20,29 +20,25 @@ import os
 import sys
 from pathlib import Path
 
+from . import scenarios
 from .errors import NumericsError
 from .scenarios import (
     ENGINES,
     Scenario,
-    _horizon,
     build_grid,
     default_anchors,
     default_n_grid,
     figure1,
     gp_vs_n,
-    gp_vs_n_chart,
     load_scenario,
     preset,
     preset_names,
-    rates_sweep_chart,
     scenario_gp,
     scenario_rates,
     scenario_to_dict,
     sweep_cavity,
     table_to_csv_text,
     table_to_json_text,
-    write_csv,
-    write_json,
 )
 
 __all__ = ["main"]
@@ -105,25 +101,15 @@ def _resolve_scenario(args) -> Scenario:
     )
 
 
-def _emit_table(table, scn: Scenario, stem: str, chart_fn, args) -> None:
+def _emit_table(table, scn: Scenario, args) -> None:
     if args.out is None:
         if args.plot:
             raise ValueError("--plot requires --out (no directory to write the SVG into)")
-        if args.format == "json":
-            sys.stdout.write(table_to_json_text(table))
-        else:
-            sys.stdout.write(table_to_csv_text(table))
+        text = table_to_json_text if args.format == "json" else table_to_csv_text
+        sys.stdout.write(text(table))
         return
-    outdir = _resolve_out(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{stem}.{args.format}"
-    if args.format == "json":
-        write_json(table, path)
-    else:
-        write_csv(table, path)
-    print(path)
-    if args.plot:
-        print(chart_fn(table, scn, outdir / f"{stem}.svg"))
+    for path in scenarios._write_table(table, scn, _resolve_out(args.out), args.format, args.plot):
+        print(path)
 
 
 def _mapping_text(payload: dict, fmt: str) -> str:
@@ -191,13 +177,6 @@ def _cmd_gp(args) -> int:
     n = args.cycles if args.cycles is not None else scn.n_default
     if n < 1:
         raise ValueError(f"cycle count must be at least 1, got {n}")
-    try:  # the count's own range: the numeric engines take its horizon, the rest n^2
-        if args.engine in ("tong", "exact-integral"):
-            _horizon(scn, n)
-        else:  # every default engine is a quasi-cycle one
-            float(n * n)
-    except OverflowError as exc:
-        raise ValueError(f"cycle count of {len(str(n))} digits is too large: {exc}") from None
     res = scenario_gp(scn, n, args.engine)
     payload = {
         "scenario": scn.name,
@@ -220,22 +199,18 @@ def _cmd_gp(args) -> int:
 
 def _cmd_sweep_cavity(args) -> int:
     scn = _resolve_scenario(args)
+    grid = None
     if args.grid is not None:
         start, stop, points, log = _parse_grid_spec(args.grid)
         grid = build_grid(start, stop, points, log=log, anchors=default_anchors(scn))
-    else:
-        grid = None
-    table = sweep_cavity(scn, grid)
-    _emit_table(table, scn, f"{scn.name}_rates_sweep", rates_sweep_chart, args)
+    _emit_table(sweep_cavity(scn, grid), scn, args)
     return 0
 
 
 def _cmd_gp_vs_n(args) -> int:
     scn = _resolve_scenario(args)
     n_max = args.n_max if args.n_max is not None else scn.n_max
-    grid = default_n_grid(n_max, args.points)
-    table = gp_vs_n(scn, grid)
-    _emit_table(table, scn, f"{scn.name}_gp_vs_n", gp_vs_n_chart, args)
+    _emit_table(gp_vs_n(scn, default_n_grid(n_max, args.points)), scn, args)
     return 0
 
 

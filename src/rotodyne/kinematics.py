@@ -91,8 +91,17 @@ class KinematicDerived:
 
 
 def zeta_of(frequency: float, radius: float) -> float:
-    """Recoil/velocity weight zeta(x) = x**2 R**2 / c**2 at frequency x."""
-    return (frequency * radius / SPEED_OF_LIGHT) ** 2
+    """Recoil/velocity weight zeta(x) = x**2 R**2 / c**2 at frequency x.
+
+    Raises ValueError when a float zeta is past the float range.
+    """
+    try:
+        return (frequency * radius / SPEED_OF_LIGHT) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"zeta = (frequency * radius / c)**2 is past the float range "
+            f"at frequency = {frequency:g} rad/s and radius = {radius:g} m"
+        ) from None
 
 
 def derive_kinematics(traj: TrajectoryParams, atom: AtomParams) -> KinematicDerived:
@@ -107,6 +116,10 @@ def derive_kinematics(traj: TrajectoryParams, atom: AtomParams) -> KinematicDeri
     zeta = zeta_of(traj.omega, traj.radius)
     root = math.sqrt(1.0 - zeta)
     omega0_bar = atom.omega0 * root
+    try:
+        acceleration = traj.omega ** 2 * traj.radius
+    except OverflowError:  # omega**2 is past the float range, omega * (omega * R) may not be
+        acceleration = traj.omega * traj.rim_speed
     return KinematicDerived(
         zeta=zeta,
         lorentz_gamma=1.0 / root,
@@ -115,5 +128,5 @@ def derive_kinematics(traj: TrajectoryParams, atom: AtomParams) -> KinematicDeri
         omega_minus=traj.omega - omega0_bar,
         obar_plus=omega0_bar + traj.omega,
         obar_minus=omega0_bar - traj.omega,
-        acceleration=traj.omega ** 2 * traj.radius,
+        acceleration=acceleration,
     )

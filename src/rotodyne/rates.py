@@ -140,6 +140,16 @@ def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
     )
 
 
+def _square(value: float, name: str) -> float:
+    """value**2; ValueError naming the value when it is past the float range."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise ValueError(
+            f"{name} = {value!r} is too large: its square is past the float range"
+        ) from None
+
+
 def _general_warnings(kin: KinematicDerived) -> tuple[str, ...]:
     if kin.zeta > ZETA_WARN_THRESHOLD:
         return (f"zeta(omega)={kin.zeta:.3e} above {ZETA_WARN_THRESHOLD:g}",)
@@ -223,7 +233,7 @@ def case1_rates(
 
     gd_inertial = eta * dos(cavity, omega0) * omega0
     gd_ni = eta * (zeta_rot / 2.0) * (
-        -omega0 ** 2 * dos_derivative(cavity, omega0)
+        -_square(omega0, "omega0") * dos_derivative(cavity, omega0)
         + 0.9 * kin.omega_plus * dos(cavity, kin.omega_plus)
     )
     gamma_up = eta * 0.45 * zeta_rot * dos(cavity, kin.omega_minus) * max(kin.omega_minus, 0.0)
@@ -260,7 +270,7 @@ def case2_rates(
     dos_up, dos_lo = dos(cavity, up), dos(cavity, lo)
 
     carrier = dos(cavity, omega0) * omega0
-    slope = -(zeta_rot / 2.0) * omega0 ** 2 * dos_derivative(cavity, omega0)
+    slope = -(zeta_rot / 2.0) * _square(omega0, "omega0") * dos_derivative(cavity, omega0)
     sidebands = (zeta_rot / 4.0) * (dos_up * up + dos_lo * max(lo, 0.0))
     recoil = -0.4 * (1.0 + zeta_rot / 2.0) * (
         zeta_of(obar, radius) * dos(cavity, obar) * obar

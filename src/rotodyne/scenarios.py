@@ -19,9 +19,11 @@ reference is the static rate eta * dos(omega0) * omega0.
 
 Scenario JSON uses unit-bearing keys (e.g. ``omega0_rad_per_s``) and is
 strict: unknown or missing keys, values of the wrong type and counts that
-are not whole numbers raise ValueError. CSV output is
-deterministic byte-for-byte: floats are written with 17 significant
-digits and LF line endings.
+are not whole numbers raise ValueError. The table ``_SCHEMA`` states the
+format once: each block's record type and its (JSON key, field, reader)
+triples, which ``scenario_from_dict`` reads and ``scenario_to_dict``
+writes. CSV output is deterministic byte-for-byte: floats are written
+with 17 significant digits and LF line endings.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from ._version import __version__
 from .cavity import CavitySpec
@@ -98,9 +101,6 @@ GP_VS_N_COLUMNS = (
     "pi_n_A_over_Omega0",
 )
 
-_PRESETS = ("case1", "case2")
-_FAMILIES = ("case1", "case2", "general")
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -117,7 +117,7 @@ class Scenario:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+            raise ValueError(f"family must be one of {tuple(_FAMILIES)}, got {self.family!r}")
         if self.n_default < 1 or self.n_max < self.n_default:
             raise ValueError("need 1 <= n_default <= n_max")
         if not 0.0 < self.sweep_lo < self.sweep_hi < math.inf:
@@ -126,8 +126,38 @@ class Scenario:
             raise ValueError("need at least 2 sweep points")
 
 
+class _Family(NamedTuple):
+    rates: Callable  # fn(trajectory, atom, cavity) -> RateSet, looked up when called
+    engine: str  # the default engine of scenario_gp
+    anchors: tuple[str, ...]  # KinematicDerived fields a sweep grid keeps, besides omega0
+
+
+# The fast-rotation family leaves out the redshifted gap: it sits within
+# the cavity linewidth of the gap itself, where the density-of-states
+# derivative term responds far more strongly than the sideband resonance
+# and would mask it.
+_FAMILIES = {
+    "case1": _Family(lambda *a: case1_rates(*a), "case1", ("omega_minus", "omega_plus")),
+    "case2": _Family(
+        lambda *a: case2_rates(*a), "case2", ("omega0_bar", "obar_minus", "obar_plus")
+    ),
+    "general": _Family(
+        lambda *a: general_rates(*a),
+        "quasi-cycle",
+        ("omega0_bar", "omega_minus", "omega_plus", "obar_minus", "obar_plus"),
+    ),
+}
+
+# preset, of the family of its name -> (radius in m, omega in rad/s, the
+# KinematicDerived sideband of the cavity, volume in m^3, n_default, n_max)
+_PRESETS = {
+    "case1": (1.0e-6, 5.0e9, "omega_plus", 1.0e-7, 100_000, 1_000_000),
+    "case2": (1.0e-3, 1.0e5, "obar_plus", 1.0e-3, 10_000_000, 100_000_000),
+}
+
+
 def preset_names() -> tuple[str, ...]:
-    return _PRESETS
+    return tuple(_PRESETS)
 
 
 def _sweep_bounds(
@@ -143,54 +173,28 @@ def _sweep_bounds(
 
 def preset(name: str) -> Scenario:
     """Built-in scenario by name ('case1' or 'case2')."""
-    if name == "case1":
-        atom = AtomParams(omega0=1.0e7, dipole=DEFAULT_DIPOLE, theta0=math.pi / 2.0)
-        traj = TrajectoryParams(radius=1.0e-6, omega=5.0e9)
-        kin = derive_kinematics(traj, atom)
-        cavity = CavitySpec(omega_c=kin.omega_plus, q_factor=1.0e7, volume=1.0e-7)
-        sweep_lo, sweep_hi = _sweep_bounds("case1", atom, kin)
-        return Scenario(
-            name="case1",
-            atom=atom,
-            trajectory=traj,
-            cavity=cavity,
-            family="case1",
-            n_default=100_000,
-            n_max=1_000_000,
-            sweep_lo=sweep_lo,
-            sweep_hi=sweep_hi,
-        )
-    if name == "case2":
-        atom = AtomParams(omega0=1.0e7, dipole=DEFAULT_DIPOLE, theta0=math.pi / 2.0)
-        traj = TrajectoryParams(radius=1.0e-3, omega=1.0e5)
-        kin = derive_kinematics(traj, atom)
-        cavity = CavitySpec(omega_c=kin.obar_plus, q_factor=1.0e7, volume=1.0e-3)
-        sweep_lo, sweep_hi = _sweep_bounds("case2", atom, kin)
-        return Scenario(
-            name="case2",
-            atom=atom,
-            trajectory=traj,
-            cavity=cavity,
-            family="case2",
-            n_default=10_000_000,
-            n_max=100_000_000,
-            sweep_lo=sweep_lo,
-            sweep_hi=sweep_hi,
-        )
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
+    radius, omega, sideband, volume, n_default, n_max = _PRESETS[name]
+    atom = AtomParams(omega0=1.0e7, dipole=DEFAULT_DIPOLE, theta0=math.pi / 2.0)
+    traj = TrajectoryParams(radius=radius, omega=omega)
+    kin = derive_kinematics(traj, atom)
+    cavity = CavitySpec(omega_c=getattr(kin, sideband), q_factor=1.0e7, volume=volume)
+    bounds = _sweep_bounds(name, atom, kin)
+    return Scenario(name, atom, traj, cavity, name, n_default, n_max, *bounds)
 
 
-def _require_keys(block, allowed: dict, where: str) -> dict:
-    """allowed maps key -> required flag; returns the validated block."""
+def _require_keys(block, keys, where: str) -> None:
+    """ValueError unless the block is a JSON object with no key outside
+    keys and every one of them that is not in ``_OPTIONAL``."""
     if not isinstance(block, dict):
         raise ValueError(f"{where} must be a JSON object, got {block!r}")
-    unknown = sorted(set(block) - set(allowed))
+    unknown = sorted(set(block) - set(keys))
     if unknown:
         raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
-    missing = sorted(k for k, req in allowed.items() if req and k not in block)
+    missing = sorted(k for k in keys if k not in _OPTIONAL and k not in block)
     if missing:
         raise ValueError(f"missing keys in {where}: {', '.join(missing)}")
-    return block
 
 
 def _number(value, name: str) -> float:
@@ -210,6 +214,13 @@ def _count(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _point(value, name: str) -> tuple[float, float]:
+    """Two coordinates as a pair of floats; ValueError for anything else."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} must hold two coordinates")
+    return tuple(_number(v, name) for v in value)
+
+
 def _name(value) -> str:
     """A scenario name, which output file names embed: a non-empty string
     with no path separator and no '..'; ValueError for anything else."""
@@ -220,103 +231,64 @@ def _name(value) -> str:
     return value
 
 
+# The blocks of a scenario file: the record type each one fills and its
+# (JSON key, field, reader) triples. The sweep block fills fields of the
+# Scenario itself; it and the keys in _OPTIONAL may be left out.
+_SCHEMA = {
+    "atom": (AtomParams, (
+        ("omega0_rad_per_s", "omega0", _number),
+        ("dipole_C_m", "dipole", _number),
+        ("theta0_rad", "theta0", _number),
+    )),
+    "trajectory": (TrajectoryParams, (
+        ("radius_m", "radius", _number),
+        ("omega_rad_per_s", "omega", _number),
+        ("center_m", "center", _point),
+    )),
+    "cavity": (CavitySpec, (
+        ("omega_c_rad_per_s", "omega_c", _number),
+        ("q_factor", "q_factor", _number),
+        ("volume_m3", "volume", _number),
+    )),
+    "sweep": (Scenario, (
+        ("lo_rad_per_s", "sweep_lo", _number),
+        ("hi_rad_per_s", "sweep_hi", _number),
+        ("points", "sweep_points", _count),
+    )),
+}
+_OPTIONAL = {"sweep", "center_m", "lo_rad_per_s", "hi_rad_per_s", "points"}
+
+
+def _read(data: dict, block: str) -> dict:
+    """Field values of one block of a scenario file, each key that is
+    present through its reader."""
+    values, triples = data.get(block, {}), _SCHEMA[block][1]
+    _require_keys(values, [key for key, _, _ in triples], f"scenario.{block}")
+    return {field: read(values[key], key) for key, field, read in triples if key in values}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    data = _require_keys(
-        data,
-        {
-            "name": True,
-            "family": True,
-            "atom": True,
-            "trajectory": True,
-            "cavity": True,
-            "n_default": True,
-            "n_max": True,
-            "sweep": False,
-        },
-        "scenario",
-    )
-    atom_block = _require_keys(
-        data["atom"],
-        {"omega0_rad_per_s": True, "dipole_C_m": True, "theta0_rad": True},
-        "scenario.atom",
-    )
-    traj_block = _require_keys(
-        data["trajectory"],
-        {"radius_m": True, "omega_rad_per_s": True, "center_m": False},
-        "scenario.trajectory",
-    )
-    cavity_block = _require_keys(
-        data["cavity"],
-        {"omega_c_rad_per_s": True, "q_factor": True, "volume_m3": True},
-        "scenario.cavity",
-    )
-    atom = AtomParams(
-        omega0=_number(atom_block["omega0_rad_per_s"], "omega0_rad_per_s"),
-        dipole=_number(atom_block["dipole_C_m"], "dipole_C_m"),
-        theta0=_number(atom_block["theta0_rad"], "theta0_rad"),
-    )
-    center = traj_block.get("center_m", [0.0, 0.0])
-    if not isinstance(center, (list, tuple)) or len(center) != 2:
-        raise ValueError("scenario.trajectory.center_m must hold two coordinates")
-    traj = TrajectoryParams(
-        radius=_number(traj_block["radius_m"], "radius_m"),
-        omega=_number(traj_block["omega_rad_per_s"], "omega_rad_per_s"),
-        center=tuple(_number(v, "center_m") for v in center),
-    )
-    cavity = CavitySpec(
-        omega_c=_number(cavity_block["omega_c_rad_per_s"], "omega_c_rad_per_s"),
-        q_factor=_number(cavity_block["q_factor"], "q_factor"),
-        volume=_number(cavity_block["volume_m3"], "volume_m3"),
+    _require_keys(data, ("name", "family", "n_default", "n_max", *_SCHEMA), "scenario")
+    atom, traj, cavity = (
+        record(**_read(data, block))
+        for block, (record, _) in _SCHEMA.items()
+        if record is not Scenario
     )
     kin = derive_kinematics(traj, atom)
-    sweep_block = _require_keys(
-        data.get("sweep", {}),
-        {"lo_rad_per_s": False, "hi_rad_per_s": False, "points": False},
-        "scenario.sweep",
-    )
     family = str(data["family"])
-    lo_default, hi_default = _sweep_bounds(family, atom, kin)
-    return Scenario(
-        name=_name(data["name"]),
-        atom=atom,
-        trajectory=traj,
-        cavity=cavity,
-        family=family,
-        n_default=_count(data["n_default"], "n_default"),
-        n_max=_count(data["n_max"], "n_max"),
-        sweep_lo=_number(sweep_block.get("lo_rad_per_s", lo_default), "lo_rad_per_s"),
-        sweep_hi=_number(sweep_block.get("hi_rad_per_s", hi_default), "hi_rad_per_s"),
-        sweep_points=_count(sweep_block.get("points", 400), "points"),
-    )
+    lo, hi = _sweep_bounds(family, atom, kin)
+    n_default, n_max = (_count(data[key], key) for key in ("n_default", "n_max"))
+    sweep = {"sweep_lo": lo, "sweep_hi": hi, **_read(data, "sweep")}
+    return Scenario(_name(data["name"]), atom, traj, cavity, family, n_default, n_max, **sweep)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "name": s.name,
-        "family": s.family,
-        "atom": {
-            "omega0_rad_per_s": s.atom.omega0,
-            "dipole_C_m": s.atom.dipole,
-            "theta0_rad": s.atom.theta0,
-        },
-        "trajectory": {
-            "radius_m": s.trajectory.radius,
-            "omega_rad_per_s": s.trajectory.omega,
-            "center_m": list(s.trajectory.center),
-        },
-        "cavity": {
-            "omega_c_rad_per_s": s.cavity.omega_c,
-            "q_factor": s.cavity.q_factor,
-            "volume_m3": s.cavity.volume,
-        },
-        "n_default": s.n_default,
-        "n_max": s.n_max,
-        "sweep": {
-            "lo_rad_per_s": s.sweep_lo,
-            "hi_rad_per_s": s.sweep_hi,
-            "points": s.sweep_points,
-        },
-    }
+    data = {"name": s.name, "family": s.family, "n_default": s.n_default, "n_max": s.n_max}
+    for block, (record, triples) in _SCHEMA.items():
+        holder = s if record is Scenario else getattr(s, block)
+        values = ((key, getattr(holder, field)) for key, field, _ in triples)
+        data[block] = {key: list(v) if isinstance(v, tuple) else v for key, v in values}
+    return data
 
 
 def load_scenario(path) -> Scenario:
@@ -365,27 +337,11 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 
 def default_anchors(scenario: Scenario) -> tuple[float, ...]:
-    """Rate-structure frequencies the sweep grid must not miss.
-
-    The fast-rotation family anchors the unshifted gap and the two
-    rotational sidebands. The redshifted gap is deliberately absent
-    there: it sits within the cavity linewidth of the gap itself, where
-    the density-of-states derivative term responds far more strongly
-    than the sideband resonance and would mask it.
-    """
+    """Rate-structure frequencies the sweep grid must not miss: the gap
+    and the family's sidebands."""
     kin = derive_kinematics(scenario.trajectory, scenario.atom)
-    if scenario.family == "case1":
-        return (scenario.atom.omega0, kin.omega_minus, kin.omega_plus)
-    if scenario.family == "case2":
-        return (scenario.atom.omega0, kin.omega0_bar, kin.obar_minus, kin.obar_plus)
-    return (
-        scenario.atom.omega0,
-        kin.omega0_bar,
-        kin.omega_minus,
-        kin.omega_plus,
-        kin.obar_minus,
-        kin.obar_plus,
-    )
+    anchors = _FAMILIES[scenario.family].anchors
+    return (scenario.atom.omega0, *(getattr(kin, name) for name in anchors))
 
 
 @dataclass(frozen=True)
@@ -427,13 +383,8 @@ def _table_metadata(scenario: Scenario, axis: str, points: int) -> dict:
 def scenario_rates(scenario: Scenario, cavity: CavitySpec | None = None) -> RateSet:
     """Co-moving rates for the scenario's formula family, optionally at a
     substituted cavity (used by frequency sweeps)."""
-    if cavity is None:
-        cavity = scenario.cavity
-    if scenario.family == "case1":
-        return case1_rates(scenario.trajectory, scenario.atom, cavity)
-    if scenario.family == "case2":
-        return case2_rates(scenario.trajectory, scenario.atom, cavity)
-    return general_rates(scenario.trajectory, scenario.atom, cavity)
+    rates = _FAMILIES[scenario.family].rates
+    return rates(scenario.trajectory, scenario.atom, scenario.cavity if cavity is None else cavity)
 
 
 def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTable:
@@ -505,6 +456,8 @@ ENGINES = {
     "case1": lambda s, n: gp_case1(s.trajectory, s.atom, s.cavity, n),
     "case2": lambda s, n: gp_case2(s.trajectory, s.atom, s.cavity, n),
 }
+# the engines on the phase kernel: they take the horizon of n cycles, the rest n**2
+_KERNEL_ENGINES = ("tong", "exact-integral")
 
 
 def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResult:
@@ -516,11 +469,22 @@ def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResu
     ``general`` family: each is ``gp_split`` of ``scenario_rates`` under
     that label. Every engine other than the two case engines evaluates
     the scenario's family rates.
+
+    Raises ValueError for an unknown engine and for a count past the
+    engine's float range: the horizon 2 pi n / omega0 of a kernel engine,
+    n**2 for the others.
     """
     if engine is None:
-        engine = "quasi-cycle" if scenario.family == "general" else scenario.family
+        engine = _FAMILIES[scenario.family].engine
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; available: {', '.join(ENGINES)}")
+    try:
+        if engine in _KERNEL_ENGINES:
+            _horizon(scenario, n)
+        else:
+            float(n * n)
+    except OverflowError as exc:
+        raise ValueError(f"cycle count of {len(str(n))} digits is too large: {exc}") from None
     return ENGINES[engine](scenario, n)
 
 
@@ -698,6 +662,28 @@ def gp_vs_n_chart(table: SweepTable, scenario: Scenario, path) -> Path:
     return Path(path)
 
 
+# table columns -> (file name after the scenario's, SVG panel writer)
+_TABLE_FILES = {
+    RATE_SWEEP_COLUMNS: ("rates_sweep", rates_sweep_chart),
+    GP_VS_N_COLUMNS: ("gp_vs_n", gp_vs_n_chart),
+}
+
+
+def _write_table(
+    table: SweepTable, scenario: Scenario, outdir: Path, fmt: str = "csv", plot: bool = True
+) -> list[Path]:
+    """Write a rate-sweep or phase-versus-cycles table into outdir as
+    ``<scenario>_rates_sweep.<fmt>`` or ``<scenario>_gp_vs_n.<fmt>``, with
+    ``plot`` its SVG panel beside it; returns the paths written."""
+    kind, chart = _TABLE_FILES[table.columns]
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / f"{scenario.name}_{kind}.{fmt}"
+    (write_json if fmt == "json" else write_csv)(table, path)
+    if not plot:
+        return [path]
+    return [path, chart(table, scenario, outdir / f"{scenario.name}_{kind}.svg")]
+
+
 def figure1(outdir, points: int | None = None) -> tuple[Path, ...]:
     """Regenerate the four-panel summary at desk scale.
 
@@ -708,22 +694,11 @@ def figure1(outdir, points: int | None = None) -> tuple[Path, ...]:
     if points is not None:
         points = _count(points, "points")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for name in preset_names():
         scn = preset(name)
         if points is not None:
             scn = replace(scn, sweep_points=points)
-
-        rates_table = sweep_cavity(scn)
-        rates_csv = outdir / f"{name}_rates_sweep.csv"
-        write_csv(rates_table, rates_csv)
-        written.append(rates_csv)
-        written.append(rates_sweep_chart(rates_table, scn, outdir / f"{name}_rates_sweep.svg"))
-
-        gp_table = gp_vs_n(scn)
-        gp_csv = outdir / f"{name}_gp_vs_n.csv"
-        write_csv(gp_table, gp_csv)
-        written.append(gp_csv)
-        written.append(gp_vs_n_chart(gp_table, scn, outdir / f"{name}_gp_vs_n.svg"))
+        written += _write_table(sweep_cavity(scn), scn, outdir)
+        written += _write_table(gp_vs_n(scn), scn, outdir)
     return tuple(written)

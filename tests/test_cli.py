@@ -7,6 +7,7 @@ domain errors return 1; numerical failures return 2.
 """
 
 import json
+import math
 import re
 
 import pytest
@@ -233,6 +234,38 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err.startswith("rotodyne: error: coupling eta") and err.count("\n") == 1, err
         assert field in err
+
+    @pytest.mark.parametrize("command", ["rates", "gp"])
+    @pytest.mark.parametrize("family", ["case1", "case2", "general"])
+    def test_gap_past_the_float_range_exits_1(self, capsys, tmp_path, command, family):
+        # the case families square omega0, the general one the zeta of the
+        # redshifted gap: no OverflowError traceback, and gp does not blame the count
+        data = dict(scenario_to_dict(preset("case1")), family=family)
+        data["atom"]["omega0_rad_per_s"] = 1e300
+        cfg = tmp_path / "gap.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, [command, "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error: ") and err.count("\n") == 1, err
+        if family == "general":
+            assert "frequency = 1e+300 rad/s and radius = 1e-06 m" in err, err
+        else:
+            assert "omega0 = 1e+300" in err, err
+
+    @pytest.mark.parametrize("command", ["rates", "gp"])
+    @pytest.mark.parametrize("family", ["case1", "case2", "general"])
+    def test_rotation_whose_square_overflows_runs(self, capsys, tmp_path, command, family):
+        # omega**2 is past the float range, but the acceleration omega**2 R =
+        # 1e100 and every printed number are not
+        data = dict(scenario_to_dict(preset("case1")), family=family)
+        data["trajectory"].update(omega_rad_per_s=1e200, radius_m=1e-300)
+        cfg = tmp_path / "orbit.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, [command, "--config", str(cfg)])
+        assert (code, err) == (0, "")
+        values = parse_kv(out)[1]
+        numbers = [float(v) for v in values.values() if FLOAT_CELL.match(v)]
+        assert numbers and all(map(math.isfinite, numbers)), out
 
     @pytest.mark.parametrize("spec", ["nonsense", "1e7:2e7", "1e7:2e7:5:quad"])
     def test_bad_grid_spec(self, capsys, spec):

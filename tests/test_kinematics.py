@@ -98,6 +98,19 @@ class TestAcceleration:
         kin = kin_of(1.0e-6, 5.0e9)
         assert kin.acceleration == pytest.approx((5.0e9) ** 2 * 1.0e-6, rel=1e-15)
 
+    def test_finite_value_whose_rotation_square_overflows(self):
+        # omega**2 is past the float range, omega**2 R is not
+        assert kin_of(1.0e-300, 1.0e200).acceleration == pytest.approx(1.0e100, rel=1e-15)
+
+
+class TestZetaRange:
+    def test_zeta_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="frequency = 1e\\+300 rad/s and radius = 1e-06 m"):
+            zeta_of(1.0e300, 1.0e-6)
+
+    def test_largest_finite_zeta_is_returned(self):
+        assert zeta_of(1.0e154, SPEED_OF_LIGHT) == pytest.approx(1.0e308, rel=1e-15)
+
 
 class TestValidation:
     def test_superluminal_rim_rejected(self):

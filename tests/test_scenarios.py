@@ -349,6 +349,26 @@ class TestSweeps:
                 for n, res in zip(ns, want)
             )
 
+    @pytest.mark.parametrize(
+        "engine, digits, reason",
+        [
+            ("tong", 401, "int too large to convert to float"),
+            ("exact-integral", 309, "horizon 2 pi n / omega0 is past the float range"),
+            ("quasi-cycle", 201, "int too large to convert to float"),
+            ("case1", 201, "int too large to convert to float"),
+        ],
+    )
+    def test_cycle_count_past_the_engine_range_raises(self, engine, digits, reason):
+        # the kernel engines take the horizon 2 pi n / omega0, the others n**2
+        message = f"cycle count of {digits} digits is too large: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scenario_gp(preset("case1"), 10 ** (digits - 1), engine)
+
+    def test_cycle_count_in_the_kernel_range_runs(self):
+        # n**2 is past the float range, the horizon of n = 10^200 cycles is not
+        res = scenario_gp(preset("case1"), 10**200, "tong")
+        assert math.isfinite(res.total)
+
     def test_engine_dispatch_follows_family(self):
         s1, s2 = preset("case1"), preset("case2")
         assert scenario_gp(s1, 100).engine == "case1"
