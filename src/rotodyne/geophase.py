@@ -15,9 +15,11 @@ Engines
     well inside its radius, which covers the quasi-cycle regime, and past
     it checked composite Gauss-Legendre quadrature of the closed-form phase
     integrand. The non-unitary part is integrated directly, not taken as a
-    difference. The engines are compared on one path, so the kernel is
-    memoized per (generator, horizon), for the last KERNEL_CACHE_SIZE
-    pairs; a hit is bit-identical to a fresh evaluation.
+    difference. One function forms the decaying state's geometry for the
+    panels' arrays and, on floats with the same bits, for ``tong``'s
+    endpoint and the saturated tail. The engines are compared on one path,
+    so the kernel is memoized per (generator, horizon), for the last
+    KERNEL_CACHE_SIZE pairs; a hit is bit-identical to a fresh evaluation.
 
 ``gp_quasi_cycle``
     Leading-order closed form for n quasi-cycles: the pure-precession
@@ -40,6 +42,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -162,26 +166,30 @@ def _panel_rule():
     return weights, np.stack([np.ones_like(nodes), nodes])
 
 
-def _kernel_integrand(x, x_max: float, ratio: float, cos_t: float, sin2: float):
-    """cos theta0 - cos(angle) at the points x <= x_max of x = 4 a tau.
-    With eps = expm1(x), g = cos theta0 - ratio eps and R = sqrt((1 + eps)
-    sin^2 + g^2), cos(angle) = g / R; where cos theta0 and g share a sign
-    the difference is taken in the cancelled form s^2 eps (c (c + 2 ratio)
-    - ratio^2 eps) / (R (c R + g)), elsewhere c - g / R adds two terms of
-    one sign. g is linear in eps and starts at c, so if it keeps the sign
-    of c at x_max it does so at every point."""
-    import numpy as np
-    eps = np.expm1(x)
-    g = cos_t - ratio * eps
-    big_r2 = (1.0 + eps) * sin2 + g * g
-    big_r = np.sqrt(big_r2)
-    numer = eps * (sin2 * cos_t * (cos_t + 2.0 * ratio) - (sin2 * ratio * ratio) * eps)
+def _decay_geometry(e, e_max: float, ratio: float, cos_t: float, sin2: float):
+    """(g, R, cos theta0 - cos(angle)) at e = expm1(4 a tau), on ``math`` for a
+    float e and on numpy for an array, by the same operations, so both give
+    the same bits: g = cos theta0 - ratio e, R = sqrt((1 + e) sin^2 + g^2),
+    cos(angle) = g / R. Where c g > 0, c = cos theta0, the drop is taken in
+    the cancelled form s^2 e (c (c + 2 ratio) - ratio^2 e) / (R (c R + g)),
+    elsewhere c - g / R adds two terms of one sign. g is linear in e and
+    starts at c, so if it keeps the sign of c at e_max, the largest e of the
+    call, it does so at every e; a float call passes e_max = e."""
+    lib = math
+    if type(e) is not float:
+        import numpy as lib
+    keeps = operator.gt if cos_t > 0.0 else operator.lt  # keeps(g, 0.0): c g > 0
+    g = cos_t - ratio * e
+    big_r2 = (1.0 + e) * sin2 + g * g
+    big_r = lib.sqrt(big_r2)
+    numer = e * (sin2 * cos_t * (cos_t + 2.0 * ratio) - (sin2 * ratio * ratio) * e)
     denom = cos_t * big_r2 + g * big_r
-    if cos_t * (cos_t - ratio * math.expm1(x_max)) >= 0.0:
-        return numer / denom
-    out = cos_t - g / big_r
-    np.divide(numer, denom, out=out, where=g >= 0.0 if cos_t >= 0.0 else g <= 0.0)
-    return out
+    if keeps(cos_t - ratio * e_max, 0.0):
+        return g, big_r, numer / denom
+    drop = cos_t - g / big_r
+    if lib is not math:
+        lib.divide(numer, denom, out=drop, where=keeps(g, 0.0))
+    return g, big_r, drop
 
 
 def _knee(ratio: float, cos_t: float, sin2: float) -> tuple[float, float]:
@@ -238,8 +246,9 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     import numpy as np
     rule, basis = _panel_rule()
     panels = _kernel_panels(x_end, *_knee(ratio, cos_t, sin2))
+    e_end = math.expm1(x_end)
     for halvings in range(1, MAX_HALVINGS + 2):
-        values = _kernel_integrand(panels @ basis, x_end, ratio, cos_t, sin2)
+        values = _decay_geometry(np.expm1(panels @ basis), e_end, ratio, cos_t, sin2)[2]
         # weights in tau, so that a tiny a4 cannot underflow the sums
         weights = panels[:, 1] / a4
         coarse, fine = (weights @ (values @ rule)).tolist()
@@ -303,7 +312,7 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
     estimate, the panels, the halvings and the series terms, as Python
     numbers whatever the input types: keys that compare equal across +-0.0
     or numpy scalars give the same numbers, so a memo hit returns what a
-    fresh call would."""
+    fresh call would. Raises NumericsError where K is past the float range."""
     if p.a_coeff == 0.0:
         return 0.0, 0.0, 0, 0, 0  # pure precession: the angle never leaves theta0
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
@@ -312,21 +321,21 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
     a4 = 4.0 * p.a_coeff
     if sin2 < sys.float_info.min:
         # cos(angle) = sign(g) leaves cos theta0 = +-1 for -cos theta0 at the knee
-        kernel = 0.0
+        kernel, err, panels, halvings, terms = 0.0, 0.0, 0, 0, 0
         if ratio != 0.0 and cos_t / ratio > 0.0:
             kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
-        return float(kernel), 0.0, 0, 0, 0
-    four_a_t = p.relaxation_exponent(total_time)
-    x_end = min(four_a_t, SATURATION_EXPONENT)
-    kernel, err, panels, halvings, terms = _kernel_series(
-        a4, math.expm1(x_end), ratio, cos_t, sin2
-    ) or _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
-    if four_a_t > SATURATION_EXPONENT:
-        import numpy as np
-        saturated = _kernel_integrand(
-            np.array([SATURATION_EXPONENT]), SATURATION_EXPONENT, ratio, cos_t, sin2
-        )[0]
-        kernel += float(saturated) * (total_time - SATURATION_EXPONENT / a4)
+    else:
+        four_a_t = p.relaxation_exponent(total_time)
+        x_end = min(four_a_t, SATURATION_EXPONENT)
+        e_end = math.expm1(x_end)
+        kernel, err, panels, halvings, terms = _kernel_series(
+            a4, e_end, ratio, cos_t, sin2
+        ) or _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
+        if four_a_t > SATURATION_EXPONENT:
+            saturated = _decay_geometry(e_end, e_end, ratio, cos_t, sin2)[2]
+            kernel += saturated * (total_time - x_end / a4)
+    if not math.isfinite(kernel):  # the integrand is at most 2: only T near the float range
+        raise NumericsError(f"phase kernel over T = {total_time!r} is past the float range")
     return float(kernel), float(err), panels, halvings, terms
 
 
@@ -365,20 +374,16 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     ratio = p.b_coeff / p.a_coeff if p.a_coeff else 0.0
     # the endpoint state, taken at SATURATION_EXPONENT beyond it as in the kernel
     eps = math.expm1(min(p.relaxation_exponent(total_time), SATURATION_EXPONENT))
-    u, g = 1.0 + eps, cos_t - ratio * eps
-    big_r2 = u * sin2 + g * g
-    big_r = math.sqrt(big_r2)
+    u = 1.0 + eps
+    try:
+        g, big_r, drop = _decay_geometry(eps, eps, ratio, cos_t, sin2)
+    except ZeroDivisionError:  # R = 0: the centre of the Bloch ball
+        big_r = 0.0
     _require_eigenbasis(big_r / u)
     # R + |g| and R - |g| = u sin^2 theta0 / (R + |g|), free of cancellation
     wide = big_r + abs(g)
     halves = (wide, u * sin2 / wide) if g >= 0.0 else (u * sin2 / wide, wide)
     cos_h1, sin_h1 = (math.sqrt(h / (2.0 * big_r)) for h in halves)
-    # cos theta0 - cos(angle), the scalar twin of _kernel_integrand
-    if cos_t * g > 0.0:
-        numer = eps * (sin2 * cos_t * (cos_t + 2.0 * ratio) - (sin2 * ratio * ratio) * eps)
-        drop = numer / (cos_t * big_r2 + g * big_r)
-    else:
-        drop = cos_t - g / big_r
     kernel, err, panels, halvings, terms = _phase_kernel(p, total_time)
 
     c0, s0 = math.cos(p.theta0 / 2.0), math.sin(p.theta0 / 2.0)
@@ -443,6 +448,16 @@ def gp_exact_integral(
     )
 
 
+def _plain_count(n):
+    """A cycle count as a Python int when it is integral, numpy integers
+    included, and as a Python float when it is another real number: n**2
+    then cannot wrap around in a fixed-width type. The type test first
+    keeps Python numbers off the slower ABC checks."""
+    if type(n) in (int, float) or not isinstance(n, numbers.Real):
+        return n
+    return int(n) if isinstance(n, numbers.Integral) else float(n)
+
+
 def _quasi_cycle_result(
     engine: str,
     n: float,
@@ -462,14 +477,22 @@ def _quasi_cycle_result(
     (with a warning past 0.1) and the strict relaxation bound 8 times it.
     A cycle count that is not whole is evaluated but warned: the formula
     holds on closed loops only. Raises ValueError unless 0 < n < inf,
-    0 < omega0 < inf and 0 <= theta <= pi."""
+    0 < omega0 < inf and 0 <= theta <= pi, and where 2 pi^2 n^2 / omega0 is
+    past the float range."""
+    n = _plain_count(n)
     if not 0.0 < n < math.inf:
         raise ValueError(f"n must be positive and finite, got {n}")
     if not 0.0 < omega0 < math.inf:
         raise ValueError(f"omega0 must be positive and finite, got {omega0}")
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    prefactor = -(2.0 * math.pi ** 2 * n ** 2 / omega0) * math.sin(theta) ** 2
+    try:
+        scale = 2.0 * math.pi ** 2 * n ** 2 / omega0
+    except OverflowError:  # a float n**2, or an int one converted to float
+        scale = math.inf
+    if scale == math.inf:
+        raise ValueError(f"n = {n!r} is too large: 2 pi^2 n^2 / omega0 is past the float range")
+    prefactor = -scale * math.sin(theta) ** 2
     cos_t = math.cos(theta)
     inertial = noninertial = None
     if len(pairs) == 1:

@@ -44,6 +44,7 @@ from .cavity import CavitySpec
 from .dynamics import EvolutionParams
 from .geophase import (
     GPResult,
+    _plain_count,
     gp_case1,
     gp_case2,
     gp_exact_integral,
@@ -472,12 +473,14 @@ def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResu
 
     Raises ValueError for an unknown engine and for a count past the
     engine's float range: the horizon 2 pi n / omega0 of a kernel engine,
-    n**2 for the others.
+    n**2 for the others. A numpy count is taken as the Python number of
+    its value, so its square cannot wrap.
     """
     if engine is None:
         engine = _FAMILIES[scenario.family].engine
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; available: {', '.join(ENGINES)}")
+    n = _plain_count(n)
     try:
         if engine in _KERNEL_ENGINES:
             _horizon(scenario, n)

@@ -3,12 +3,13 @@
 import itertools
 import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import eigenpath_from_closed_form, eigensystem, elementary_kernel, gp_tong
@@ -297,6 +298,10 @@ class TestTongFunctional:
         p = EvolutionParams(1.0, 0.0, 10.0, 1.0)
         with pytest.raises(NumericsError, match="degenerate state"):
             gp_tong_closed_form(p, 20.0)
+        # on the axis at the knee, e = 1 with b = a: g = R = 0 exactly
+        p = EvolutionParams(1.0, 1.0, 10.0, 0.0)
+        with pytest.raises(NumericsError, match="degenerate state"):
+            gp_tong_closed_form(p, math.log(2.0) / 4.0)
 
     def test_dense_polygon_error_is_flagged(self):
         # the adjacent-overlap polygon is second order in the azimuth step
@@ -696,7 +701,8 @@ class TestKernelSeries:
             """1e-14 of about the integral of |integrand| over [0, x], which
             both paths round against, and no digits below the normal range."""
             grid = np.linspace(0.0, x, 65)
-            size = np.mean(np.abs(geophase._kernel_integrand(grid, x, ratio, cos_t, sin2)))
+            drop = geophase._decay_geometry(np.expm1(grid), math.expm1(x), ratio, cos_t, sin2)[2]
+            size = np.mean(np.abs(drop))
             return x * (1e-14 * float(size) + sys.float_info.min)
 
         series = geophase._kernel_series(1.0, math.expm1(x_end), ratio, cos_t, sin2)
@@ -710,6 +716,54 @@ class TestKernelSeries:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if kernel(p, mid)[4] > 0 else (lo, mid)
         assert abs(kernel(p, hi)[0] - kernel(p, lo)[0]) <= tolerance(hi)
+
+
+def geometry_args(theta_kind, theta, ratio_kind, ratio, es):
+    """cos theta0, sin^2 theta0, b/a and the e = expm1(4 a tau) of one call:
+    theta0 at 0, pi, 1e-6 from either pole, fl(pi/2), subnormal or generic;
+    b/a at +-1, +-0.0 or uniform; e at 0, subnormal, log-uniform from 1e-12
+    to 0.4, expm1 of a uniform 4 a tau up to SATURATION_EXPONENT, or at the
+    knee cos theta0 / ratio, where g is 0 or a rounding away from it."""
+    poles = (0.0, math.pi, 1e-6, math.pi - 1e-6, math.pi / 2, 5e-324, 1e-310, theta)
+    cos_t = math.cos(poles[theta_kind])
+    ratio = (1.0, -1.0, 0.0, -0.0, ratio)[ratio_kind]
+    knee = cos_t / ratio if ratio and cos_t / ratio > 0.0 else 0.0
+    top = geophase.SATURATION_EXPONENT
+    es = [(0.0, 5e-324, 1e-310, 1e-12 * 4e11 ** u, math.expm1(top * u), knee)[k] for k, u in es]
+    return cos_t, math.sin(poles[theta_kind]) ** 2, ratio, es
+
+
+# flat tuples: each one_of or composite draw costs hypothesis more than the call
+geometry_draws = st.tuples(
+    st.integers(0, 7),
+    st.floats(0.0, math.pi),
+    st.integers(0, 4),
+    st.floats(-1.0, 1.0),
+    st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+).map(lambda args: geometry_args(*args))
+
+
+class TestDecayGeometry:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(draw=geometry_draws)
+    def test_float_path_equals_array_path_bit_for_bit(self, draw):
+        # one array call up to the largest e against one float call per e, in
+        # all three outputs; R = 0 (theta0 on an axis and g = 0) divides by
+        # zero on either path and is left out
+        cos_t, sin2, ratio, es = draw
+        singles = []
+        for e in es:
+            try:
+                singles.append(geophase._decay_geometry(e, e, ratio, cos_t, sin2))
+            except ZeroDivisionError:
+                assert sin2 == 0.0 and cos_t - ratio * e == 0.0
+        es = [e for e in es if sin2 or cos_t - ratio * e]
+        if not es:
+            return
+        assert all(type(v) is float for single in singles for v in single)
+        arrays = geophase._decay_geometry(np.array(es), max(es), ratio, cos_t, sin2)
+        for floats, array in zip(zip(*singles), arrays):
+            np.testing.assert_array_equal(np.array(floats).view(np.uint64), array.view(np.uint64))
 
 
 class TestQuasiCycle:
@@ -772,6 +826,33 @@ class TestQuasiCycle:
         assert gp_quasi_cycle(p, 10.0).validity == "ok"
         assert gp_quasi_cycle(p, 10.25).warnings[0].startswith("cycle count n = 10.25 is not whole")
 
+    @pytest.mark.parametrize("engine", ["quasi-cycle", "case1", "case2"])
+    def test_numpy_integer_count_gives_the_python_int_bits(self, engine):
+        # n**2 in int64 wraps past n = 3.04e9: case1 at 10**10 gave
+        # nonunitary -783.64 with validity ok, where a Python int gives -10090.25
+        scn, p = preset("case1"), EvolutionParams(1.0e-5, 0.6e-5, 10.0, 1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scenario_gp(scn, np.int64(10**10), engine)
+            direct = gp_quasi_cycle(p, np.int64(10**10))
+        assert repr(got) == repr(scenario_gp(scn, 10**10, engine))
+        assert repr(direct) == repr(gp_quasi_cycle(p, 10**10))
+
+    @pytest.mark.parametrize(
+        "n", [np.float64(1e200), 1e200, 10**200], ids=["float64", "float", "int"]
+    )
+    def test_count_whose_square_overflows_raises(self, n):
+        # a float64 square gave nan with validity ok, the others a bare OverflowError
+        calls = [
+            lambda: gp_quasi_cycle(EvolutionParams(0.0, 0.0, 1.0, 1.0), n),
+            lambda: gp_split(case2_rates(*SLOW), n, math.pi / 2, 1.0e7),
+            lambda: gp_case1(*FAST, n=n),
+            lambda: gp_case2(*SLOW, n=n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^n = .* is too large: 2 pi\^2 n\^2 / omega0"):
+                call()
+
 
 class TestSplitEngines:
     def test_split_requires_decomposed_rates(self):
@@ -833,3 +914,52 @@ class TestSplitEngines:
         assert gp_quasi_cycle(p, 1.0).engine == "quasi-cycle"
         assert gp_exact_integral(p, 1.0).engine == "exact-integral"
         assert gp_tong_closed_form(p, 1.0).engine == "tong"
+
+
+def contract_params(exponents, b_kind, factor, theta_kind, theta):
+    """A generator and a horizon from the whole float range: a, omega and T
+    log-uniform, b = a times +-1, 0 or a uniform factor, theta0 at 0, pi,
+    subnormal, fl(pi/2) or generic."""
+    a, omega, horizon = (10.0 ** x for x in exponents)
+    b = a * (1.0, -1.0, 0.0, factor)[b_kind]
+    theta = (0.0, math.pi, 5e-324, math.pi / 2, theta)[theta_kind]
+    return EvolutionParams(a, b, omega, theta), horizon
+
+
+contract_draws = st.tuples(
+    st.tuples(*[st.floats(-323.0, 308.0)] * 3),
+    st.integers(0, 3),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 4),
+    st.floats(0.0, math.pi),
+).map(lambda args: contract_params(*args))
+
+
+class TestEngineContract:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(draw=contract_draws)
+    # kernels of about 2 T past the float range, off and on the axis: both
+    # engines returned an infinite non-unitary part with validity ok
+    @example(draw=(EvolutionParams(8.6e108, 8.6e108, 6e-20, 0.1432), 1e308))
+    @example(draw=(EvolutionParams(5.07e-198, 4.73e-198, 1e-323, 0.0), 1e308))
+    def test_engines_return_finite_parts_or_say_why_not(self, draw):
+        # each engine returns finite parts, attaches a warning, or raises
+        # ValueError or NumericsError; no numpy warning, no other exception.
+        # The quasi-cycle engine takes the whole cycles that cover T.
+        p, horizon = draw
+        cycles = p.omega_eff * horizon / math.tau
+        n = max(1, math.ceil(cycles)) if cycles < math.inf else cycles
+        calls = (
+            lambda: gp_tong_closed_form(p, horizon),
+            lambda: gp_exact_integral(p, horizon),
+            lambda: gp_quasi_cycle(p, n),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                try:
+                    res = call()
+                except (ValueError, NumericsError):
+                    continue
+                parts = (res.total, res.unitary_part, res.nonunitary_part)
+                assert all(map(math.isfinite, parts)) or res.warnings, res
