@@ -1,9 +1,12 @@
 """Exception types shared across modules.
 
 Input/contract violations raise plain ValueError; anything that fails
-while the numbers are being produced (integrator breakdown, quadrature
-non-convergence, unresolvable eigenpaths, degenerate states) raises
-NumericsError so the CLI can map it to its own exit code.
+while the numbers are being produced raises NumericsError, so the CLI can
+map it to its own exit code. That is, in the phase engines: a precession
+angle omega T that is not finite, a phase kernel that is not finite, a
+degenerate state (no eigenbasis) and kernel panels that do not converge;
+in the ODE oracle: a failed eigendecomposition of the generator, an
+eigenvector expansion past its growth guard and non-finite states.
 """
 
 from __future__ import annotations

@@ -249,9 +249,11 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     e_end = math.expm1(x_end)
     for halvings in range(1, MAX_HALVINGS + 2):
         values = _decay_geometry(np.expm1(panels @ basis), e_end, ratio, cos_t, sin2)[2]
-        # weights in tau, so that a tiny a4 cannot underflow the sums
+        # weights in tau, so that a tiny a4 cannot underflow the sums; the panels
+        # are summed exactly, since hundreds of them (a tiny ratio's far knee)
+        # lose about 20 ulps in a dot product, unseen by the gap
         weights = panels[:, 1] / a4
-        coarse, fine = (weights @ (values @ rule)).tolist()
+        coarse, fine = map(math.fsum, (weights[:, None] * (values @ rule)).T.tolist())
         gap = abs(fine - coarse)
         # |fine| bounds the integral of |integrand| from below, which is summed
         # only if needed; integrand values below the normal range carry no digits

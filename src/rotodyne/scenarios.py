@@ -306,16 +306,28 @@ def save_scenario(s: Scenario, path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+# The most points a sweep or cycle-count grid may ask for, checked before
+# numpy allocates: 2500 times the 400-point sweep default, 8 MB per array.
+_MAX_GRID_POINTS = 10**6
+
+
+def _check_points(points: int, least: int) -> None:
+    if points < least:
+        raise ValueError(f"need at least {least} grid point{'s' * (least > 1)}, got {points}")
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"need at most {_MAX_GRID_POINTS} grid points, got {points}")
+
+
 def build_grid(
     start: float, stop: float, points: int, log: bool = True, anchors=()
 ) -> np.ndarray:
     """Frequency grid with guaranteed sample points.
 
     Narrow cavity lines are easily stepped over by a bare log grid, so
-    any anchor falling inside [start, stop] is inserted exactly.
+    any anchor falling inside [start, stop] is inserted exactly. At most
+    10**6 points may be asked for.
     """
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
+    _check_points(points, 2)
     if not -math.inf < start < stop < math.inf:
         raise ValueError(f"need finite stop > start, got [{start}, {stop}]")
     import numpy as np
@@ -419,10 +431,10 @@ def default_n_grid(n_max: int, points: int = 25) -> np.ndarray:
     """Log-spaced integer cycle counts from 1 to n_max, deduplicated.
 
     n_max may not exceed 2**53: past it float(n_max) need not equal
-    n_max, and past 2**63 the int64 cast wraps.
+    n_max, and past 2**63 the int64 cast wraps. At most 10**6 points may
+    be asked for.
     """
-    if points < 1:
-        raise ValueError(f"need at least 1 grid point, got {points}")
+    _check_points(points, 1)
     if not 1 <= n_max <= 2**53:
         raise ValueError(f"n_max must lie in [1, 2**53], got {n_max}")
     import numpy as np

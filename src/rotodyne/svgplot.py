@@ -26,8 +26,9 @@ MARGIN_TOP = 42.0
 MARGIN_BOTTOM = 58.0
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _fmt(x) -> str:
+    """Pixel value to two decimals; an int is an exact position, written as is."""
+    return str(x) if isinstance(x, int) else f"{x:.2f}"
 
 
 def _escape(text: str) -> str:
@@ -65,6 +66,23 @@ class _Axis:
 
 def _valid_mask(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (values > 0.0)
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: int, dash: str = "") -> str:
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
+    )
+
+
+def _text(x, y, size: int, label: str, before: str = "", after: str = "") -> str:
+    """Sans-serif text; ``before`` and ``after`` are the attributes, each with
+    its leading space, written before and after the font's."""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{before} font-family="sans-serif" '
+        f'font-size="{size}"{after}>{_escape(label)}</text>'
+    )
 
 
 def line_chart(
@@ -106,74 +124,41 @@ def line_chart(
     def py(values):
         return box_y1 - y_axis.unit(values) * (box_y1 - box_y0)
 
+    middle = ' text-anchor="middle"'
+    cy = (box_y0 + box_y1) / 2
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
         f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">',
         f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="white"/>',
         f'<rect x="{_fmt(box_x0)}" y="{_fmt(box_y0)}" width="{_fmt(box_x1 - box_x0)}" '
         f'height="{_fmt(box_y1 - box_y0)}" fill="none" stroke="#333" stroke-width="1"/>',
-        f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
+        _text(WIDTH / 2, 24, 15, title, middle),
     ]
-
     for value, label in x_axis.ticks():
         x = px(value)
-        if not box_x0 - 0.5 <= x <= box_x1 + 0.5:
-            continue
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(box_y1)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(box_y1 + 5)}" stroke="#333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(box_y1 + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
-        )
+        if box_x0 - 0.5 <= x <= box_x1 + 0.5:
+            parts.append(_line(x, box_y1, x, box_y1 + 5, "#333", 1))
+            parts.append(_text(x, box_y1 + 20, 11, label, middle))
     for value, label in y_axis.ticks():
         y = py(value)
-        if not box_y0 - 0.5 <= y <= box_y1 + 0.5:
-            continue
-        parts.append(
-            f'<line x1="{_fmt(box_x0 - 5)}" y1="{_fmt(y)}" x2="{_fmt(box_x0)}" '
-            f'y2="{_fmt(y)}" stroke="#333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(box_x0 - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
-        )
-    cy = (box_y0 + box_y1) / 2
-    parts.append(
-        f'<text x="{_fmt((box_x0 + box_x1) / 2)}" y="{_fmt(HEIGHT - 14)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f"{_escape(xlabel)}</text>"
-    )
-    parts.append(
-        f'<text x="20" y="{_fmt(cy)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_fmt(cy)})">{_escape(ylabel)}</text>'
-    )
+        if box_y0 - 0.5 <= y <= box_y1 + 0.5:
+            parts.append(_line(box_x0 - 5, y, box_x0, y, "#333", 1))
+            parts.append(_text(box_x0 - 8, y + 4, 11, label, ' text-anchor="end"'))
+    parts.append(_text((box_x0 + box_x1) / 2, HEIGHT - 14, 13, xlabel, middle))
+    parts.append(_text(20, cy, 13, ylabel, middle, f' transform="rotate(-90 20 {_fmt(cy)})"'))
 
     for label, xv in vlines:
         xv = float(xv)
-        if not 0.0 < xv < math.inf:
-            continue
-        x = px(xv)
-        if not box_x0 <= x <= box_x1:
-            continue
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(box_y0)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(box_y1)}" stroke="#999" stroke-width="1" '
-            'stroke-dasharray="4 3"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x + 3)}" y="{_fmt(box_y0 + 12)}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="10" fill="#666">{_escape(str(label))}</text>'
-        )
+        # math.log10 raises on non-positive values; NaN and inf fall outside
+        x = px(xv) if xv > 0.0 else math.nan
+        if box_x0 <= x <= box_x1:
+            parts.append(_line(x, box_y0, x, box_y1, "#999", 1, "4 3"))
+            anchor, fill = ' text-anchor="start"', ' fill="#666"'
+            parts.append(_text(x + 3, box_y0 + 12, 10, str(label), anchor, fill))
 
-    legend_entries = []
     mapped_xs = x_px = None
-    for idx, (label, xs, ys, mask) in enumerate(prepared):
+    for idx, (_, xs, ys, mask) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
-        legend_entries.append((label, color))
         # series that share one x array (a sweep's frequency column) map it once
         if xs is not mapped_xs:
             mapped_xs, x_ok = xs, _valid_mask(xs)
@@ -199,17 +184,11 @@ def line_chart(
                     f'r="2.2" fill="{color}"/>'
                 )
 
-    for idx, (label, color) in enumerate(legend_entries):
+    lx = box_x1 - 188
+    for idx, (label, *_) in enumerate(prepared):
         ly = box_y0 + 14 + 16 * idx
-        lx = box_x1 - 188
-        parts.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 22)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="11">{_escape(label)}</text>'
-        )
+        parts.append(_line(lx, ly - 4, lx + 22, ly - 4, PALETTE[idx % len(PALETTE)], 2))
+        parts.append(_text(lx + 28, ly, 11, label))
 
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")

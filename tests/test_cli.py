@@ -575,6 +575,23 @@ class TestTableCommands:
         assert (code, out) == (1, "")
         assert err.startswith("rotodyne: error:")
 
+    def test_point_counts_past_memory_exit_1(self, capsys, tmp_path):
+        # 10**12 points is 8 TB a column: each command must stop at the grid
+        # bound with one error line, before numpy is asked for the memory
+        config = tmp_path / "huge-sweep.json"
+        data = scenario_to_dict(preset("case1"))
+        data["sweep"]["points"] = 10**12
+        config.write_text(json.dumps(data))
+        for argv in (
+            ["sweep-cavity", "--config", str(config)],
+            ["sweep-cavity", "--grid", "1e7:2e7:1000000000000"],
+            ["gp-vs-n", "--points", "1000000000000"],
+            ["figure1", "--out", str(tmp_path / "fig"), "--points", "1000000000000"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (1, ""), argv
+            assert err == "rotodyne: error: need at most 1000000 grid points, got 1000000000000\n"
+
     def test_out_dir_with_plot(self, capsys, tmp_path):
         outdir = tmp_path / "tables"
         code, out, _ = run(

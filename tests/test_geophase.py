@@ -934,6 +934,15 @@ contract_draws = st.tuples(
     st.floats(0.0, math.pi),
 ).map(lambda args: contract_params(*args))
 
+# a log-uniform with 4 a and T = x / (4 a) finite, x = 4 a T log-uniform in [5, 300]
+# (past about 354 the oracle's u^2 overflows), theta0 and b/a where the oracle holds
+kernel_draws = st.tuples(
+    st.floats(-306.0, 307.0),
+    st.floats(math.log10(5.0), math.log10(300.0)),
+    st.floats(0.8, math.pi - 0.8),
+    st.one_of(st.sampled_from([1.0, -1.0, 0.0]), st.floats(-1.0, 1.0)),
+)
+
 
 class TestEngineContract:
     @settings(max_examples=500, deadline=None, derandomize=True)
@@ -963,3 +972,37 @@ class TestEngineContract:
                     continue
                 parts = (res.total, res.unitary_part, res.nonunitary_part)
                 assert all(map(math.isfinite, parts)) or res.warnings, res
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(draw=kernel_draws)
+    # a tiny b/a puts the knee far past x: 712 half-unit panels across a flat
+    # stretch, whose dot-product sum was 8.6 eps T off with a gap of 0
+    @example(draw=(0.0, 2.25, 1.0625, 4.8882470176654375e-295))
+    def test_kernel_matches_the_elementary_antiderivative(self, draw):
+        # absolute, on the scale of the antiderivative's terms (4 a K ~ c x):
+        # at theta0 near pi/2 with b = 0 K nearly vanishes, and there the
+        # oracle's own cancellation leaves a relative gap of about 5e-14
+        log_a, log_x, theta, ratio = draw
+        a = 10.0 ** log_a
+        p = EvolutionParams(a, a * ratio, 1.0, theta)
+        horizon = 10.0 ** log_x / (4.0 * a)
+        kernel = geophase._phase_kernel(p, horizon)[0]
+        assert abs(kernel - elementary_kernel(p, horizon)) <= 8.0 * sys.float_info.epsilon * horizon
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(draw=contract_draws, log_cycles=st.floats(0.0, 12.0))
+    def test_numeric_engines_agree_on_whole_cycles(self, draw, log_cycles):
+        # on T = 2 pi k / omega tong's endpoint arg is left only by the
+        # rounding of omega T, at most |sin omega T| / endpoint_amplitude
+        p = draw[0]
+        horizon = math.tau * round(10.0 ** log_cycles) / p.omega_eff
+        try:
+            tong, exact = gp_tong_closed_form(p, horizon), gp_exact_integral(p, horizon)
+        except (ValueError, NumericsError):
+            return
+        if tong.validity != "ok" or exact.validity != "ok":
+            return
+        abserr = (tong.diagnostics["abserr"], exact.diagnostics["abserr"])
+        bound = max(1e-12 * abs(exact.nonunitary_part), *abserr)
+        endpoint = abs(math.sin(p.omega_eff * horizon)) / tong.diagnostics["endpoint_amplitude"]
+        assert abs(tong.nonunitary_part - exact.nonunitary_part) <= bound + endpoint, (p, horizon)

@@ -250,6 +250,14 @@ class TestGrids:
         with pytest.raises(ValueError):
             default_n_grid(n_max, points)
 
+    def test_point_bound_is_checked_before_numpy_allocates(self):
+        # the bound + 1 raises from the count alone, before any array exists;
+        # counts far past it would otherwise end in numpy's MemoryError
+        with pytest.raises(ValueError, match="at most 1000000 grid points, got 1000001"):
+            build_grid(1.0, 2.0, 10**6 + 1)
+        with pytest.raises(ValueError, match="at most 1000000 grid points, got 1000001"):
+            default_n_grid(100, 10**6 + 1)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             build_grid(10.0, 5.0, 3)

@@ -135,3 +135,55 @@ class TestText:
         # title, both axis labels, the legend entry and the marker label
         assert svg.count(f">{escape(text)}</text>") == 5
         assert text not in svg
+
+
+# Every coordinate is a power of ten, whose log10 is exact on any libm, so
+# these bytes do not depend on the platform.
+GOLDEN = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="760.00" height="500.00" viewBox="0 0 760.00 500.00">
+<rect x="0" y="0" width="760.00" height="500.00" fill="white"/>
+<rect x="78.00" y="42.00" width="664.00" height="400.00" fill="none" stroke="#333" stroke-width="1"/>
+<text x="380.00" y="24" text-anchor="middle" font-family="sans-serif" font-size="15">T &amp; &lt;t&gt;</text>
+<line x1="102.59" y1="442.00" x2="102.59" y2="447.00" stroke="#333" stroke-width="1"/>
+<text x="102.59" y="462.00" text-anchor="middle" font-family="sans-serif" font-size="11">1e0</text>
+<line x1="307.53" y1="442.00" x2="307.53" y2="447.00" stroke="#333" stroke-width="1"/>
+<text x="307.53" y="462.00" text-anchor="middle" font-family="sans-serif" font-size="11">1e1</text>
+<line x1="512.47" y1="442.00" x2="512.47" y2="447.00" stroke="#333" stroke-width="1"/>
+<text x="512.47" y="462.00" text-anchor="middle" font-family="sans-serif" font-size="11">1e2</text>
+<line x1="717.41" y1="442.00" x2="717.41" y2="447.00" stroke="#333" stroke-width="1"/>
+<text x="717.41" y="462.00" text-anchor="middle" font-family="sans-serif" font-size="11">1e3</text>
+<line x1="73.00" y1="427.19" x2="78.00" y2="427.19" stroke="#333" stroke-width="1"/>
+<text x="70.00" y="431.19" text-anchor="end" font-family="sans-serif" font-size="11">1e0</text>
+<line x1="73.00" y1="303.73" x2="78.00" y2="303.73" stroke="#333" stroke-width="1"/>
+<text x="70.00" y="307.73" text-anchor="end" font-family="sans-serif" font-size="11">1e1</text>
+<line x1="73.00" y1="180.27" x2="78.00" y2="180.27" stroke="#333" stroke-width="1"/>
+<text x="70.00" y="184.27" text-anchor="end" font-family="sans-serif" font-size="11">1e2</text>
+<line x1="73.00" y1="56.81" x2="78.00" y2="56.81" stroke="#333" stroke-width="1"/>
+<text x="70.00" y="60.81" text-anchor="end" font-family="sans-serif" font-size="11">1e3</text>
+<text x="410.00" y="486.00" text-anchor="middle" font-family="sans-serif" font-size="13">x</text>
+<text x="20" y="242.00" text-anchor="middle" font-family="sans-serif" font-size="13" transform="rotate(-90 20 242.00)">y</text>
+<line x1="512.47" y1="42.00" x2="512.47" y2="442.00" stroke="#999" stroke-width="1" stroke-dasharray="4 3"/>
+<text x="515.47" y="54.00" text-anchor="start" font-family="sans-serif" font-size="10" fill="#666">in</text>
+<polyline points="102.59,427.19 307.53,303.73" fill="none" stroke="#1f77b4" stroke-width="1.6"/>
+<circle cx="717.41" cy="56.81" r="2.2" fill="#1f77b4"/>
+<polyline points="102.59,303.73 717.41,180.27" fill="none" stroke="#d62728" stroke-width="1.6"/>
+<line x1="554.00" y1="52.00" x2="576.00" y2="52.00" stroke="#1f77b4" stroke-width="2"/>
+<text x="582.00" y="56.00" font-family="sans-serif" font-size="11">rate &lt;in&gt; &amp; out</text>
+<line x1="554.00" y1="68.00" x2="576.00" y2="68.00" stroke="#d62728" stroke-width="2"/>
+<text x="582.00" y="72.00" font-family="sans-serif" font-size="11">flat</text>
+</svg>
+"""
+
+
+class TestGolden:
+    def test_chart_bytes(self, tmp_path):
+        # an escaped title and legend label, a vline inside the box and one
+        # past it, a one-point run drawn as a circle, and a two-entry legend
+        series = [
+            ("rate <in> & out", [1.0, 10.0, 100.0, 1000.0], [1.0, 10.0, math.nan, 1000.0]),
+            ("flat", [1.0, 1000.0], [10.0, 100.0]),
+        ]
+        path = tmp_path / "golden.svg"
+        line_chart(path, series, title="T & <t>", xlabel="x", ylabel="y",
+                   vlines=(("in", 100.0), ("out", 1e4)))
+        assert path.read_bytes() == GOLDEN.encode()
