@@ -192,41 +192,47 @@ def _decay_geometry(e, e_max: float, ratio: float, cos_t: float, sin2: float):
     return g, big_r, drop
 
 
-def _knee(ratio: float, cos_t: float, sin2: float) -> tuple[float, float]:
-    """Real part x_k and distance delta from the real axis of the
-    integrand's nearest singularity in x = 4 a tau, where R^2 = 0, a
-    quadratic in u = e^x. A complex pair lies at |u| = 1 + cos theta0 /
-    ratio, the knee where g changes sign; it nears the real axis as sin
-    theta0 -> 0. Otherwise the roots are negative reals, at distance pi;
-    x_k is then the larger log-modulus, past which the integrand relaxes."""
+def _knee(ratio: float, cos_t: float, sin2: float) -> tuple[tuple[float, float], float]:
+    """((x_0, x_k), delta) in x = 4 a tau from the integrand's
+    singularities, where R^2 = 0, a quadratic in u = e^x. A complex pair
+    lies at |u| = 1 + cos theta0 / ratio, the knee x_k = x_0 where g
+    changes sign, a distance delta from the real axis; it nears the axis as
+    sin theta0 -> 0. Otherwise the roots are negative reals, at distance
+    pi, of log-moduli x_0 <= x_k: past x_0 the integrand relaxes toward cos
+    theta0 and turns again only near x_k, which b = 0 puts at infinity."""
     q = ratio * (cos_t + ratio)
     if 4.0 * q > sin2:
         delta = math.atan2(math.sqrt(sin2 * (4.0 * q - sin2)), 2.0 * q - sin2)
         x_k = math.log1p(cos_t / ratio)
         # below a few ulps of x_k no panel edge can follow it
-        return x_k, max(delta, 1e-14 * max(1.0, x_k))
+        return (x_k, x_k), max(delta, 1e-14 * max(1.0, x_k))
     if ratio == 0.0:
-        return (math.log(cos_t * cos_t / sin2) if cos_t else -math.inf), math.pi
-    # the larger root: (b + sqrt(b^2 - 4 q^2)) / (2 ratio^2), b = sin^2 - 2 q
+        return (math.log(cos_t * cos_t / sin2) if cos_t else -math.inf, math.inf), math.pi
+    # the larger root: (b + sqrt(b^2 - 4 q^2)) / (2 ratio^2), b = sin^2 - 2 q; the
+    # roots' product is (cos theta0 + ratio)^2 / ratio^2
     larger = (sin2 - 2.0 * q + math.sqrt(sin2 * (sin2 - 4.0 * q))) / 2.0
-    return math.log(larger) - 2.0 * math.log(abs(ratio)), math.pi
+    x_k = math.log(larger) - 2.0 * math.log(abs(ratio))
+    alpha = cos_t + ratio
+    return (2.0 * math.log(abs(alpha)) - math.log(larger) if alpha else -math.inf, x_k), math.pi
 
 
-def _kernel_panels(x_end: float, x_k: float, delta: float) -> np.ndarray:
-    """(left end, width) rows of panels tiling [0, x_end]: at most
-    KERNEL_PANEL wide, shrinking geometrically toward a sharp knee x_k
-    (delta < KERNEL_PANEL, a breakpoint) down to about delta, and past
-    x_k at most as wide as the distance from it, so they grow
-    geometrically once the integrand has relaxed. Each panel keeps the
-    singularity a panel width away."""
+def _kernel_panels(x_end: float, turns: tuple[float, float], delta: float) -> np.ndarray:
+    """(left end, width) rows of panels tiling [0, x_end], from ``_knee``'s
+    turns (x_0, x_k) and delta: at most KERNEL_PANEL wide, shrinking
+    geometrically toward a sharp knee x_k (delta < KERNEL_PANEL, a
+    breakpoint) down to about delta; past x_0 or x_k at most as wide as
+    the distance from it, and before x_k at most half the distance to it,
+    so that they grow geometrically once the integrand has relaxed and
+    shrink again toward its next turn. Each panel keeps the singularities
+    a panel width away."""
     import numpy as np
-    panels, x = [], 0.0
+    (x_0, x_k), panels, x = turns, [], 0.0
     while x < x_end:
         d = x - x_k
         if d < 0.0 and delta < KERNEL_PANEL:
             nxt = min(x + min(KERNEL_PANEL, 0.5 * math.hypot(d, delta)), x_k)
         else:
-            nxt = x + min(max(KERNEL_PANEL, d), math.hypot(d, delta))
+            nxt = x + min(max(KERNEL_PANEL, d, min(x - x_0, -0.5 * d)), math.hypot(d, delta))
         nxt = min(nxt, x_end)
         panels.append((x, nxt - x))
         x = nxt
@@ -249,26 +255,24 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     e_end = math.expm1(x_end)
     for halvings in range(1, MAX_HALVINGS + 2):
         values = _decay_geometry(np.expm1(panels @ basis), e_end, ratio, cos_t, sin2)[2]
-        # weights in tau, so that a tiny a4 cannot underflow the sums; the panels
-        # are summed exactly, since hundreds of them (a tiny ratio's far knee)
-        # lose about 20 ulps in a dot product, unseen by the gap
-        weights = panels[:, 1] / a4
-        coarse, fine = map(math.fsum, (weights[:, None] * (values @ rule)).T.tolist())
+        # summed in x, where |integrand| <= 2 keeps every sum within 2 x_end; only
+        # the division by a4, on Python floats, may overflow, to an inf the caller reports
+        coarse, fine = (panels[:, 1] @ (values @ rule)).tolist()
         gap = abs(fine - coarse)
         # |fine| bounds the integral of |integrand| from below, which is summed
         # only if needed; integrand values below the normal range carry no digits
-        floor = max(KERNEL_REL_TOL * abs(fine), x_end / a4 * sys.float_info.min)
+        floor = max(KERNEL_REL_TOL * abs(fine), x_end * sys.float_info.min)
         if gap <= floor or gap <= KERNEL_REL_TOL * float(
-            weights @ (np.abs(values) @ rule[:, 1])
+            panels[:, 1] @ (np.abs(values) @ rule[:, 1])
         ):
-            return fine, gap, 2 * len(panels), halvings, 0
+            return fine / float(a4), gap / float(a4), 2 * len(panels), halvings, 0
         half = 0.5 * panels[:, 1]
         panels = np.concatenate(
             [np.column_stack([panels[:, 0], half]), np.column_stack([panels[:, 0] + half, half])]
         )
     raise NumericsError(
         f"phase quadrature did not converge: the last halving, to {len(panels)} panels, "
-        f"moved the integral by {gap:.3e}"
+        f"moved the integral by {gap / float(a4):.3e}"
     )
 
 

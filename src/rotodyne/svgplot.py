@@ -26,9 +26,8 @@ MARGIN_TOP = 42.0
 MARGIN_BOTTOM = 58.0
 
 
-def _fmt(x) -> str:
-    """Pixel value to two decimals; an int is an exact position, written as is."""
-    return str(x) if isinstance(x, int) else f"{x:.2f}"
+def _fmt(x: float) -> str:
+    return f"{x:.2f}"
 
 
 def _escape(text: str) -> str:
@@ -77,10 +76,12 @@ def _line(x1, y1, x2, y2, stroke: str, width: int, dash: str = "") -> str:
 
 
 def _text(x, y, size: int, label: str, before: str = "", after: str = "") -> str:
-    """Sans-serif text; ``before`` and ``after`` are the attributes, each with
-    its leading space, written before and after the font's."""
+    """Sans-serif text at x, y, pixel values or exact positions given as str;
+    ``before`` and ``after`` are the attributes, each with its leading space,
+    written before and after the font's."""
+    x, y = (v if isinstance(v, str) else _fmt(v) for v in (x, y))
     return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{before} font-family="sans-serif" '
+        f'<text x="{x}" y="{y}"{before} font-family="sans-serif" '
         f'font-size="{size}"{after}>{_escape(label)}</text>'
     )
 
@@ -132,7 +133,7 @@ def line_chart(
         f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="white"/>',
         f'<rect x="{_fmt(box_x0)}" y="{_fmt(box_y0)}" width="{_fmt(box_x1 - box_x0)}" '
         f'height="{_fmt(box_y1 - box_y0)}" fill="none" stroke="#333" stroke-width="1"/>',
-        _text(WIDTH / 2, 24, 15, title, middle),
+        _text(WIDTH / 2, "24", 15, title, middle),
     ]
     for value, label in x_axis.ticks():
         x = px(value)
@@ -145,7 +146,7 @@ def line_chart(
             parts.append(_line(box_x0 - 5, y, box_x0, y, "#333", 1))
             parts.append(_text(box_x0 - 8, y + 4, 11, label, ' text-anchor="end"'))
     parts.append(_text((box_x0 + box_x1) / 2, HEIGHT - 14, 13, xlabel, middle))
-    parts.append(_text(20, cy, 13, ylabel, middle, f' transform="rotate(-90 20 {_fmt(cy)})"'))
+    parts.append(_text("20", cy, 13, ylabel, middle, f' transform="rotate(-90 20 {_fmt(cy)})"'))
 
     for label, xv in vlines:
         xv = float(xv)

@@ -976,7 +976,7 @@ class TestEngineContract:
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(draw=kernel_draws)
     # a tiny b/a puts the knee far past x: 712 half-unit panels across a flat
-    # stretch, whose dot-product sum was 8.6 eps T off with a gap of 0
+    # stretch, whose sum was 8.6 eps T off with a gap of 0; now 16 panels grow there
     @example(draw=(0.0, 2.25, 1.0625, 4.8882470176654375e-295))
     def test_kernel_matches_the_elementary_antiderivative(self, draw):
         # absolute, on the scale of the antiderivative's terms (4 a K ~ c x):
@@ -988,6 +988,16 @@ class TestEngineContract:
         horizon = 10.0 ** log_x / (4.0 * a)
         kernel = geophase._phase_kernel(p, horizon)[0]
         assert abs(kernel - elementary_kernel(p, horizon)) <= 8.0 * sys.float_info.epsilon * horizon
+
+    def test_panel_sum_past_the_float_range_raises(self):
+        # T within a factor of 2 of the float maximum, 4 a T = 6 on the panels:
+        # each panel's share of the kernel is finite, their sum is not
+        p = EvolutionParams(1e-308, 1e-308, 1.0, 0.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for engine in (gp_tong_closed_form, gp_exact_integral):
+                with pytest.raises(NumericsError, match="past the float range"):
+                    engine(p, 1.5e308)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(draw=contract_draws, log_cycles=st.floats(0.0, 12.0))
