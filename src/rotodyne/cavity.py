@@ -14,7 +14,10 @@ the input: Python floats go through ``math`` when the frequency and the
 cavity center are both scalars, and arrays go through numpy otherwise.
 Both square through libm ``pow``, so the two give the same bits. Numpy is
 imported only on that array branch: a ``CavitySpec`` of floats is
-validated by comparisons, and float calls never load it.
+validated by comparisons, and float calls never load it. A cavity sweep
+in ``scenarios`` relies on both: where numpy is not loaded and the grid is
+small it takes the float branch once per point, and its rows are those of
+the array branch bit for bit.
 
 Where the plain denominator leaves the float range (it overflows once
 the linewidth or the detuning passes about 1e154 rad/s for the density

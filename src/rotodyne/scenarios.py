@@ -33,11 +33,13 @@ import io
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import ne
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from ._version import __version__
 from .cavity import CavitySpec
@@ -306,8 +308,9 @@ def save_scenario(s: Scenario, path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-# The most points a sweep or cycle-count grid may ask for, checked before
-# numpy allocates: 2500 times the 400-point sweep default, 8 MB per array.
+# The most points a sweep or cycle-count grid may ask for, checked from the
+# count alone before the grid's list is built: 2500 times the 400-point
+# sweep default, 8 MB as a float array.
 _MAX_GRID_POINTS = 10**6
 
 
@@ -320,33 +323,41 @@ def _check_points(points: int, least: int) -> None:
 
 def build_grid(
     start: float, stop: float, points: int, log: bool = True, anchors=()
-) -> np.ndarray:
-    """Frequency grid with guaranteed sample points.
+) -> tuple[float, ...]:
+    """Frequency grid with guaranteed sample points, as a sorted tuple of
+    distinct floats.
 
     Narrow cavity lines are easily stepped over by a bare log grid, so
     any anchor falling inside [start, stop] is inserted exactly. At most
-    10**6 points may be asked for.
+    10**6 points may be asked for. The cells are numpy's ``linspace`` and
+    ``geomspace`` constructions run on floats, with libm's ``log10`` and
+    ``pow`` in the log grid (``_geomspace``).
     """
     _check_points(points, 2)
     if not -math.inf < start < stop < math.inf:
         raise ValueError(f"need finite stop > start, got [{start}, {stop}]")
-    import numpy as np
-    if log:
-        if start <= 0.0:
-            raise ValueError(f"log grid needs start > 0, got {start}")
-        base = np.geomspace(start, stop, points)
-    else:
-        base = np.linspace(start, stop, points)
-    inside = [a for a in anchors if start <= a <= stop]
-    return _sorted_distinct(np.concatenate([base, np.asarray(inside, dtype=float)]))
+    if log and start <= 0.0:
+        raise ValueError(f"log grid needs start > 0, got {start}")
+    # svgplot is imported where it is used, so that the scalar commands do
+    # not load it: without a bytecode cache, compiling it takes about 3 ms
+    from .svgplot import _linspace
+
+    start, stop = float(start), float(stop)
+    cells = (_geomspace if log else _linspace)(start, stop, points)
+    cells += [float(a) for a in anchors if start <= a <= stop]
+    return _sorted_distinct(cells)
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted 1-d values with repeats dropped: the steps numpy's ``unique``
-    takes on 1-d input, without the ``numpy.ma`` import it makes first."""
-    import numpy as np
-    values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+def _geomspace(start: float, stop: float, points: int) -> list[float]:
+    """numpy's ``geomspace`` of positive endpoints, on libm: the ``_linspace``
+    of their ``math.log10`` values, 10.0 ** y at each inner cell, and both
+    endpoints themselves."""
+    from .svgplot import _linspace
+
+    if points == 1:
+        return [start]
+    logs = _linspace(math.log10(start), math.log10(stop), points)
+    return [start, *[10.0 ** y for y in logs[1:-1]], stop]
 
 
 def default_anchors(scenario: Scenario) -> tuple[float, ...]:
@@ -377,6 +388,8 @@ class SweepTable:
         return tuple(zip(*self.rows)) if self.rows else ((),) * len(self.columns)
 
     def column(self, name: str) -> np.ndarray:
+        """The named column as a numpy array (``object`` for text); the
+        chart writers read ``_cells_by_column`` and load no numpy."""
         import numpy as np
         values = self._cells_by_column[self.columns.index(name)]
         if values and isinstance(values[0], str):
@@ -400,9 +413,23 @@ def scenario_rates(scenario: Scenario, cavity: CavitySpec | None = None) -> Rate
     return rates(scenario.trajectory, scenario.atom, scenario.cavity if cavity is None else cavity)
 
 
-def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTable:
-    """Transition rates as a function of the cavity resonance frequency,
-    from one rate evaluation with the whole grid as an array ``omega_c``."""
+# The most points a sweep takes one scalar rate call per point for, while
+# numpy is not loaded yet. On an x86-64 Xeon with Python 3.11 and numpy 2.4,
+# importing numpy took 76 ms (quartiles 72-90 ms over 15 fresh processes)
+# and a scalar ``scenario_rates`` call 12.2 us (11.7-13.3 us) on the preset
+# grids, so past about 6000 points the array call pays for the import.
+_SCALAR_SWEEP_MAX = 6000
+
+
+def sweep_cavity(scenario: Scenario, grid: Sequence[float] | None = None) -> SweepTable:
+    """Transition rates as a function of the cavity resonance frequency.
+
+    One rate evaluation takes the whole grid as an array ``omega_c`` when
+    numpy is loaded already or the grid has more than ``_SCALAR_SWEEP_MAX``
+    points; otherwise each point takes one scalar ``scenario_rates`` call.
+    Both give the same rows bit for bit (the ``cavity`` float/array
+    contract); the scalar path loads no numpy.
+    """
     if grid is None:
         grid = build_grid(
             scenario.sweep_lo,
@@ -411,15 +438,10 @@ def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTab
             log=True,
             anchors=default_anchors(scenario),
         )
-    import numpy as np
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
+    if len(grid) == 0:
         raise ValueError("sweep grid is empty")
-    rates = scenario_rates(scenario, replace(scenario.cavity, omega_c=grid))
-    columns = np.broadcast_arrays(
-        grid, rates.gamma_down, rates.gamma_down_inertial, rates.gamma_down_ni, rates.gamma_up
-    )
-    rows = tuple(zip(*(c.tolist() for c in columns), repeat(rates.validity)))
+    arrays = "numpy" in sys.modules or len(grid) > _SCALAR_SWEEP_MAX
+    rows = (_array_rows if arrays else _scalar_rows)(scenario, grid)
     return SweepTable(
         columns=RATE_SWEEP_COLUMNS,
         rows=rows,
@@ -427,19 +449,48 @@ def sweep_cavity(scenario: Scenario, grid: np.ndarray | None = None) -> SweepTab
     )
 
 
-def default_n_grid(n_max: int, points: int = 25) -> np.ndarray:
-    """Log-spaced integer cycle counts from 1 to n_max, deduplicated.
+def _array_rows(scenario: Scenario, grid: Sequence[float]) -> tuple[tuple, ...]:
+    """Sweep rows from one rate evaluation on the grid as an array."""
+    import numpy as np
+    grid = np.asarray(grid, dtype=float)
+    rates = scenario_rates(scenario, replace(scenario.cavity, omega_c=grid))
+    columns = np.broadcast_arrays(
+        grid, rates.gamma_down, rates.gamma_down_inertial, rates.gamma_down_ni, rates.gamma_up
+    )
+    return tuple(zip(*(c.tolist() for c in columns), repeat(rates.validity)))
+
+
+def _scalar_rows(scenario: Scenario, grid: Sequence[float]) -> tuple[tuple, ...]:
+    """Sweep rows from one scalar rate evaluation per grid point, with the
+    validity of the first: warnings never depend on ``omega_c``."""
+    q, volume = scenario.cavity.q_factor, scenario.cavity.volume
+    rates = [(w, scenario_rates(scenario, CavitySpec(w, q, volume))) for w in map(float, grid)]
+    validity = rates[0][1].validity
+    return tuple(
+        (w, r.gamma_down, r.gamma_down_inertial, r.gamma_down_ni, r.gamma_up, validity)
+        for w, r in rates
+    )
+
+
+def default_n_grid(n_max: int, points: int = 25) -> tuple[int, ...]:
+    """Log-spaced integer cycle counts from 1 to n_max, deduplicated, as a
+    sorted tuple: the cells of ``_geomspace(1, n_max)`` rounded half to even.
 
     n_max may not exceed 2**53: past it float(n_max) need not equal
-    n_max, and past 2**63 the int64 cast wraps. At most 10**6 points may
-    be asked for.
+    n_max. At most 10**6 points may be asked for.
     """
     _check_points(points, 1)
     if not 1 <= n_max <= 2**53:
         raise ValueError(f"n_max must lie in [1, 2**53], got {n_max}")
-    import numpy as np
-    raw = np.geomspace(1.0, float(n_max), points)
-    return _sorted_distinct(np.round(raw).astype(np.int64))
+    return _sorted_distinct(list(map(round, _geomspace(1.0, float(n_max), points))))
+
+
+def _sorted_distinct(values: list) -> tuple:
+    """Sort the list in place and return its distinct values as a tuple:
+    the steps numpy's ``unique`` takes on 1-d input, keeping each value
+    that differs from the one before it."""
+    values.sort()
+    return (values[0], *compress(values[1:], map(ne, values[1:], values)))
 
 
 def _horizon(scenario: Scenario, n: float) -> float:
@@ -509,10 +560,9 @@ def gp_vs_n(scenario: Scenario, n_values=None) -> SweepTable:
     of the scenario's own engine (as ``scenario_gp``)."""
     if n_values is None:
         n_values = default_n_grid(scenario.n_max)
-    import numpy as np
     rates = scenario_rates(scenario)
     rows = []
-    for n in np.asarray(n_values):
+    for n in n_values:
         n = _count(n, "cycle count")
         res = gp_split(rates, n, scenario.atom.theta0, scenario.atom.omega0)
         rows.append(
@@ -637,14 +687,15 @@ def rates_sweep_chart(table: SweepTable, scenario: Scenario, path) -> Path:
     """Render a rate-sweep table as a standalone log-log SVG panel."""
     from .svgplot import line_chart
 
-    omega_c = table.column("omega_c_rad_per_s")
+    cells = dict(zip(table.columns, table._cells_by_column))
+    omega_c = cells["omega_c_rad_per_s"]
     line_chart(
         path,
         [
-            ("total downward", omega_c, table.column("gamma_down_total_per_s")),
-            ("inertial part", omega_c, table.column("gamma_down_inertial_per_s")),
-            ("non-inertial part", omega_c, table.column("gamma_down_noninertial_per_s")),
-            ("upward", omega_c, table.column("gamma_up_per_s")),
+            ("total downward", omega_c, cells["gamma_down_total_per_s"]),
+            ("inertial part", omega_c, cells["gamma_down_inertial_per_s"]),
+            ("non-inertial part", omega_c, cells["gamma_down_noninertial_per_s"]),
+            ("upward", omega_c, cells["gamma_up_per_s"]),
         ],
         title=f"{scenario.name}: decay channels vs cavity frequency",
         xlabel="cavity frequency (rad/s)",
@@ -663,12 +714,13 @@ def gp_vs_n_chart(table: SweepTable, scenario: Scenario, path) -> Path:
     """
     from .svgplot import line_chart
 
-    n_col = table.column("n")
+    cells = dict(zip(table.columns, table._cells_by_column))
+    n_col = cells["n"]
     line_chart(
         path,
         [
-            ("|non-inertial|", n_col, abs(table.column("phi_ni_rad"))),
-            ("|inertial|", n_col, abs(table.column("phi_in_rad"))),
+            ("|non-inertial|", n_col, tuple(map(abs, cells["phi_ni_rad"]))),
+            ("|inertial|", n_col, tuple(map(abs, cells["phi_in_rad"]))),
         ],
         title=f"{scenario.name}: dissipative phase corrections vs cycles",
         xlabel="precession cycles n",

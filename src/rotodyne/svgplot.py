@@ -5,14 +5,20 @@ timestamps, so repeated runs over the same data produce byte-identical
 files. Both axes are logarithmic, the only chart the package draws;
 points that cannot be drawn on them (non-positive or non-finite) split
 the polyline instead of distorting it.
+
+The module is plain Python on floats and loads no numpy: a chart takes
+any sequences of real numbers, numpy arrays included, and maps each
+value through libm's ``log10`` and float arithmetic in one order, so a
+chart's bytes do not depend on the type of its input. ``_linspace``,
+numpy's own linspace construction in floats, also builds the cells of
+``scenarios``' grids.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, compress, groupby
 from pathlib import Path
-
-import numpy as np
 
 __all__ = ["line_chart"]
 
@@ -38,7 +44,10 @@ def _escape(text: str) -> str:
 
 
 class _Axis:
-    def __init__(self, lo: float, hi: float):
+    """A log10 axis over [lo, hi], padded by 4 % of its span on each side,
+    laid onto the pixels from p0 (at the padded lo) to p1."""
+
+    def __init__(self, lo: float, hi: float, p0: float, p1: float):
         lo, hi = math.log10(lo), math.log10(hi)
         if hi <= lo:
             pad = 0.5 if lo == 0.0 else abs(lo) * 0.05 + 1e-12
@@ -46,13 +55,17 @@ class _Axis:
         span = hi - lo
         self.lo = lo - 0.04 * span
         self.hi = hi + 0.04 * span
+        self.p0, self.p1 = p0, p1
 
-    def unit(self, values):
-        """Axis fraction of a value or of each value of an array, from
-        ``math.log10`` (libm's log10) of each value."""
-        v = np.asarray(values, dtype=float)
-        v = np.reshape(list(map(math.log10, v.ravel().tolist())), v.shape)
-        return (v - self.lo) / (self.hi - self.lo)
+    def pixels(self, values) -> list[float]:
+        """Pixel of each value: p0 + (log10(v) - lo) / (hi - lo) * (p1 - p0),
+        with ``math.log10`` (libm's log10)."""
+        lo, span, p0, length = self.lo, self.hi - self.lo, self.p0, self.p1 - self.p0
+        log10 = math.log10
+        return [p0 + (log10(v) - lo) / span * length for v in values]
+
+    def pixel(self, value: float) -> float:
+        return self.pixels((value,))[0]
 
     def ticks(self) -> list[tuple[float, str]]:
         """One tick per decade, or five spread evenly across less than two."""
@@ -60,11 +73,31 @@ class _Axis:
         out = [(10.0 ** k, f"1e{k}") for k in decades]
         if len(out) >= 2:
             return out
-        return [(10.0 ** v, f"{10.0 ** v:.2e}") for v in np.linspace(self.lo, self.hi, 5)]
+        return [(10.0 ** v, f"{10.0 ** v:.2e}") for v in _linspace(self.lo, self.hi, 5)]
 
 
-def _valid_mask(values: np.ndarray) -> np.ndarray:
-    return np.isfinite(values) & (values > 0.0)
+def _linspace(start: float, stop: float, points: int) -> list[float]:
+    """numpy's ``linspace`` of two or more points, in floats: cell i is
+    i * step + start with step = (stop - start) / (points - 1), or
+    i / (points - 1) * (stop - start) + start where that step rounds to 0,
+    and the last cell is stop itself."""
+    div = points - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        cells = [i / div * delta + start for i in range(div)]
+    else:
+        cells = [i * step + start for i in range(div)]
+    cells.append(stop)
+    return cells
+
+
+def _floats(values, label: str) -> tuple[float, ...]:
+    """The values of a 1-d sequence as floats; ValueError for a nested one."""
+    try:
+        return tuple(map(float, values))
+    except TypeError:
+        raise ValueError(f"series {label!r} needs matching 1-d x and y") from None
 
 
 def _line(x1, y1, x2, y2, stroke: str, width: int, dash: str = "") -> str:
@@ -99,31 +132,30 @@ def line_chart(
 
     vlines is a sequence of (label, x_value) dashed markers.
     """
-    prepared = []
+    prepared, given_xs = [], None
+    inf = math.inf  # a local: the masks below compare every value with it
     for label, xs, ys in series:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.shape != ys.shape or xs.ndim != 1:
+        label = str(label)
+        # series that share one x sequence (a sweep's frequency column)
+        # convert it and test it once, and share the objects below
+        if xs is not given_xs:
+            given_xs, xs_floats = xs, _floats(xs, label)
+            x_ok = [0.0 < x < inf for x in xs_floats]
+        ys = _floats(ys, label)
+        if len(xs_floats) != len(ys):
             raise ValueError(f"series {label!r} needs matching 1-d x and y")
-        prepared.append((str(label), xs, ys, _valid_mask(xs) & _valid_mask(ys)))
+        # a point is drawable where both coordinates are positive and finite
+        mask = [ok and 0.0 < y < inf for ok, y in zip(x_ok, ys)]
+        prepared.append((label, xs_floats, x_ok, ys, mask))
 
-    x_vals = [xs[mask] for _, xs, _, mask in prepared]
-    y_vals = [ys[mask] for _, _, ys, mask in prepared]
-    x_all = np.concatenate(x_vals) if x_vals else np.empty(0)
-    y_all = np.concatenate(y_vals) if y_vals else np.empty(0)
-    if x_all.size == 0:
+    x_all = list(chain.from_iterable(compress(xs, mask) for _, xs, _, _, mask in prepared))
+    y_all = list(chain.from_iterable(compress(ys, mask) for _, _, _, ys, mask in prepared))
+    if not x_all:
         raise ValueError("no drawable points in any series")
-    x_axis = _Axis(float(x_all.min()), float(x_all.max()))
-    y_axis = _Axis(float(y_all.min()), float(y_all.max()))
-
     box_x0, box_x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     box_y0, box_y1 = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
-
-    def px(values):
-        return box_x0 + x_axis.unit(values) * (box_x1 - box_x0)
-
-    def py(values):
-        return box_y1 - y_axis.unit(values) * (box_y1 - box_y0)
+    x_axis = _Axis(min(x_all), max(x_all), box_x0, box_x1)
+    y_axis = _Axis(min(y_all), max(y_all), box_y1, box_y0)
 
     middle = ' text-anchor="middle"'
     cy = (box_y0 + box_y1) / 2
@@ -136,12 +168,12 @@ def line_chart(
         _text(WIDTH / 2, "24", 15, title, middle),
     ]
     for value, label in x_axis.ticks():
-        x = px(value)
+        x = x_axis.pixel(value)
         if box_x0 - 0.5 <= x <= box_x1 + 0.5:
             parts.append(_line(x, box_y1, x, box_y1 + 5, "#333", 1))
             parts.append(_text(x, box_y1 + 20, 11, label, middle))
     for value, label in y_axis.ticks():
-        y = py(value)
+        y = y_axis.pixel(value)
         if box_y0 - 0.5 <= y <= box_y1 + 0.5:
             parts.append(_line(box_x0 - 5, y, box_x0, y, "#333", 1))
             parts.append(_text(box_x0 - 8, y + 4, 11, label, ' text-anchor="end"'))
@@ -151,26 +183,28 @@ def line_chart(
     for label, xv in vlines:
         xv = float(xv)
         # math.log10 raises on non-positive values; NaN and inf fall outside
-        x = px(xv) if xv > 0.0 else math.nan
+        x = x_axis.pixel(xv) if xv > 0.0 else math.nan
         if box_x0 <= x <= box_x1:
             parts.append(_line(x, box_y0, x, box_y1, "#999", 1, "4 3"))
             anchor, fill = ' text-anchor="start"', ' fill="#666"'
             parts.append(_text(x + 3, box_y0 + 12, 10, str(label), anchor, fill))
 
-    mapped_xs = x_px = None
-    for idx, (_, xs, ys, mask) in enumerate(prepared):
+    mapped_xs = None
+    for idx, (_, xs, x_ok, ys, mask) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
-        # series that share one x array (a sweep's frequency column) map it once
         if xs is not mapped_xs:
-            mapped_xs, x_ok = xs, _valid_mask(xs)
-            x_px = px(xs[x_ok])
-        # split the trace wherever points are not drawable: a run of
-        # drawable points starts and stops at each change of the mask
-        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
-        coords = np.column_stack((x_px[mask[x_ok]], py(ys[mask]))).ravel().tolist()
+            mapped_xs, x_px = xs, x_axis.pixels(compress(xs, x_ok))
+        # x_px holds the points whose x is drawable; the mask at those
+        # points picks the ones whose y is drawable too
+        y_px = y_axis.pixels(compress(ys, mask))
+        coords = list(chain.from_iterable(zip(compress(x_px, compress(mask, x_ok)), y_px)))
+        # split the trace wherever points are not drawable: one run per
+        # stretch of consecutive drawable points
         first = 0
-        for start, stop in zip(edges[::2], edges[1::2]):
-            count = stop - start
+        for drawable, run in groupby(mask):
+            count = len(list(run))
+            if not drawable:
+                continue
             run = coords[2 * first : 2 * (first + count)]
             first += count
             if count >= 2:

@@ -8,6 +8,8 @@ Wall-clock guards use generous desk-scale budgets so they hold on slow
 machines without masking real regressions.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -44,6 +46,7 @@ from rotodyne import (
     sweep_cavity,
     trace_distance,
 )
+from rotodyne.cli import main
 from rotodyne.constants import SPEED_OF_LIGHT
 
 
@@ -305,11 +308,9 @@ UNUSED_ROOTS = ("xml", "urllib", "http", "email", "ssl", "socket", "hashlib")
 def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
     """``figure1``, ``sweep-cavity`` and ``gp-vs-n`` in a fresh interpreter load
     nothing under ``numpy.ma`` and none of UNUSED_ROOTS beyond what
-    ``import numpy, argparse, csv, json, pathlib`` already loaded (pathlib
-    imports ``urllib.parse``)."""
-    src = str(Path(rotodyne.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    ``import argparse, csv, json, pathlib`` already loaded (pathlib imports
+    ``urllib.parse``). Numpy is not in that baseline, so a module it loads
+    would count here."""
     commands = [
         ["figure1", "--out", str(tmp_path / "figure1")],
         ["sweep-cavity", "--plot", "--out", str(tmp_path / "sweep")],
@@ -317,17 +318,13 @@ def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
         ["gp-vs-n", "--out", str(tmp_path / "gp_vs_n")],
     ]
     probe = (
-        "import sys, numpy, argparse, csv, json, pathlib\n"
+        "import sys, argparse, csv, json, pathlib\n"
         "baseline = set(sys.modules)\n"
         "from rotodyne.cli import main\n"
         f"codes = [main(argv) for argv in {commands!r}]\n"
         "print(json.dumps([codes, sorted(set(sys.modules) - baseline)]))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    codes, added = json.loads(done.stdout.splitlines()[-1])
+    codes, added = _fresh_interpreter(probe)
     assert codes == [0, 0, 0, 0]
     unused = [
         m for m in added if m.split(".")[0] in UNUSED_ROOTS or m.split(".")[:2] == ["numpy", "ma"]
@@ -335,13 +332,46 @@ def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
     assert unused == [], unused
 
 
-def test_c13_scalar_commands_load_no_numpy(tmp_path):
-    """``import rotodyne`` and the scalar commands (``presets``, ``rates``,
-    ``gp`` with every engine, and bad input) in a fresh interpreter load no
-    numpy module: it is imported only where arrays are taken or made."""
+def _fresh_interpreter(probe: str):
+    """The JSON the probe prints last, run in a fresh interpreter on this
+    checkout's package."""
     src = str(Path(rotodyne.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# the table and figure commands of c13, "{out}" standing for an output root:
+# each sweep-cavity grid form and format, the plotted tables, and figure1
+TABLE_COMMANDS = [
+    ["sweep-cavity"],
+    ["sweep-cavity", "--scenario", "case2", "--grid", "9.5e6:1.05e7:300:log"],
+    ["sweep-cavity", "--grid", "4.9e9:5.1e9:40:lin"],
+    ["sweep-cavity", "--scenario", "case2", "--format", "json"],
+    ["sweep-cavity", "--plot", "--out", "{out}/sweep"],
+    ["sweep-cavity", "--scenario", "case2", "--format", "json", "--plot", "--out", "{out}/sweep2"],
+    ["gp-vs-n", "--scenario", "case2"],
+    ["gp-vs-n", "--plot", "--out", "{out}/gp_vs_n"],
+    ["figure1", "--out", "{out}/figure1"],
+]
+
+
+def _table_commands(out: Path) -> list[list[str]]:
+    return [[arg.format(out=out) for arg in argv] for argv in TABLE_COMMANDS]
+
+
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """Every c13 command in one fresh interpreter: the numpy modules loaded
+    after ``import rotodyne`` and after the commands, each command's exit
+    code and stdout, the table commands' output root, and the counts of
+    commands that must exit 0 and 1."""
+    tmp_path = tmp_path_factory.mktemp("c13")
+    out = tmp_path / "fresh"
     general = tmp_path / "general.json"
     general.write_text(json.dumps(dict(rotodyne.scenario_to_dict(preset("case2")), family="general")))
     commands = [["presets"], ["presets", "--format", "json"]]
@@ -351,6 +381,7 @@ def test_c13_scalar_commands_load_no_numpy(tmp_path):
         for engine in rotodyne.ENGINES:
             commands.append(["gp", "--scenario", name, "--engine", engine])
             commands.append(["gp", "--scenario", name, "--engine", engine, "-n", "1000"])
+    commands += _table_commands(out)
     bad = [["gp", "-n", "0"], ["rates", "--scenario", "no-such-preset"], ["sweep-cavity", "--grid", "1e7:2e7"]]
     probe = (
         "import contextlib, io, json, sys\n"
@@ -359,14 +390,52 @@ def test_c13_scalar_commands_load_no_numpy(tmp_path):
         "import rotodyne\n"
         "after_import = loaded()\n"
         "from rotodyne.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    codes = [main(argv) for argv in {commands + bad!r}]\n"
-        "print(json.dumps([after_import, codes, loaded()]))\n"
+        "runs = []\n"
+        f"for argv in {commands + bad!r}:\n"
+        "    stdout = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        runs.append((main(argv), stdout.getvalue()))\n"
+        "print(json.dumps([after_import, runs, loaded()]))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    after_import, runs, after_commands = _fresh_interpreter(probe)
+    return {
+        "after_import": after_import,
+        "after_commands": after_commands,
+        "runs": runs,
+        "out": out,
+        "counts": (len(commands), len(bad)),
+    }
+
+
+def test_c13_commands_load_no_numpy(fresh_run):
+    """``import rotodyne``, the scalar commands (``presets``, ``rates``,
+    ``gp`` with every engine, and bad input) and the table and figure
+    commands of TABLE_COMMANDS in a fresh interpreter load no numpy module:
+    it is imported only where arrays are taken, or where a grid is large
+    enough that one array call pays for the import."""
+    good, bad = fresh_run["counts"]
+    assert [code for code, _ in fresh_run["runs"]] == [0] * good + [1] * bad
+    assert fresh_run["after_import"] == [] and fresh_run["after_commands"] == [], (
+        fresh_run["after_import"] or fresh_run["after_commands"]
     )
-    assert done.returncode == 0, done.stderr
-    after_import, codes, after_commands = json.loads(done.stdout.splitlines()[-1])
-    assert codes == [0] * len(commands) + [1] * len(bad)
-    assert after_import == [] and after_commands == [], after_import or after_commands
+
+
+def test_c13_table_commands_write_the_bytes_of_a_numpy_run(fresh_run, tmp_path):
+    """Each table and figure command of the fresh, numpy-free interpreter
+    wrote the stdout and the files that the same command writes in this
+    process, where numpy is loaded and the sweeps take the array path."""
+    assert "numpy" in sys.modules
+    good, _ = fresh_run["counts"]
+    fresh = fresh_run["runs"][good - len(TABLE_COMMANDS) : good]
+    out = tmp_path / "numpy"
+    for argv, (code, stdout) in zip(_table_commands(out), fresh):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == code == 0
+        assert stdout.replace(str(fresh_run["out"]), str(out)) == buf.getvalue(), argv
+
+    def written(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    want, got = written(out), written(fresh_run["out"])
+    assert len(want) == 2 + 2 + 2 + 8 and got == want

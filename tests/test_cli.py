@@ -577,7 +577,7 @@ class TestTableCommands:
 
     def test_point_counts_past_memory_exit_1(self, capsys, tmp_path):
         # 10**12 points is 8 TB a column: each command must stop at the grid
-        # bound with one error line, before numpy is asked for the memory
+        # bound with one error line, before the grid's list is built
         config = tmp_path / "huge-sweep.json"
         data = scenario_to_dict(preset("case1"))
         data["sweep"]["points"] = 10**12

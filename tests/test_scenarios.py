@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from rotodyne import (
     table_to_csv_text,
     table_to_json_text,
 )
+from rotodyne.constants import SPEED_OF_LIGHT
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -61,6 +63,44 @@ def reference_json(table) -> str:
         "metadata": table.metadata,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def libm_geomspace(start: float, stop: float, points: int) -> list:
+    """np.geomspace's construction on libm, written out: 10.0 ** y at each
+    y = i * step + log10(start), with step = (log10(stop) - log10(start)) /
+    (points - 1), and both endpoints pinned. The step is never 0 here."""
+    lo, hi = math.log10(start), math.log10(stop)
+    step = (hi - lo) / (points - 1)
+    cells = [10.0 ** (i * step + lo) for i in range(points)]
+    cells[0], cells[-1] = start, stop
+    return cells
+
+
+def seeded_general_scenario(rng, name: str):
+    """A general-family scenario: a fast or a slow orbit at a squared rim
+    speed zeta from 1e-10 to 1e-2 (past 1e-3 the rates carry a warning),
+    the cavity near the upper sideband."""
+    omega0 = 10.0 ** rng.uniform(6.5, 7.5)
+    fast = rng.uniform() < 0.5
+    omega = omega0 * 10.0 ** (rng.uniform(1.0, 2.0) if fast else rng.uniform(-3.0, -1.5))
+    zeta = 10.0 ** rng.uniform(-10.0, -2.0)
+    sideband = (omega0 * math.sqrt(1.0 - zeta) + omega) * (1.0 + rng.uniform(-1e-6, 1e-6))
+    data = scenario_to_dict(preset("case1"))
+    data.update(name=name, family="general")
+    data["atom"].update(omega0_rad_per_s=omega0, theta0_rad=rng.uniform(0.2, math.pi - 0.2))
+    radius = math.sqrt(zeta) * SPEED_OF_LIGHT / omega
+    data["trajectory"].update(radius_m=radius, omega_rad_per_s=omega)
+    data["cavity"].update(omega_c_rad_per_s=sideband, q_factor=10.0 ** rng.uniform(5.0, 7.0))
+    del data["sweep"]
+    return scenario_from_dict(data)
+
+
+def assert_cycle_grid_equals_np_unique(n_max: int, points: int) -> None:
+    raw = np.round(np.geomspace(1.0, float(n_max), points)).astype(np.int64)
+    want = np.unique(raw)
+    got = default_n_grid(n_max, points)
+    assert type(got) is tuple and all(type(n) is int for n in got)
+    assert np.asarray(got, dtype=np.int64).tobytes() == want.tobytes(), (n_max, points)
 
 
 SUBNORMAL = 5e-324
@@ -229,21 +269,69 @@ class TestGrids:
         ids=["rounding-repeats", "anchors-on-grid", "anchors-outside", "unsorted", "linear"],
     )
     def test_grid_equals_np_unique(self, start, stop, points, log, anchors):
-        base = (np.geomspace if log else np.linspace)(start, stop, points)
+        # the log grid against its construction written out on libm, the
+        # linear grid against numpy's own linspace
+        base = libm_geomspace(start, stop, points) if log else np.linspace(start, stop, points)
         picked = anchors(base)
         inside = np.asarray([a for a in picked if start <= a <= stop], dtype=float)
         want = np.unique(np.concatenate([base, inside]))
         got = build_grid(start, stop, points, log=log, anchors=picked)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+    def test_log_grid_is_within_an_ulp_of_np_geomspace(self):
+        # Where math.log10 and np.log10 agree on both endpoints the two grids
+        # share every exponent y and differ only in the power: by at most an
+        # ulp. Elsewhere an endpoint's log10 differs by an ulp, which moves
+        # each y by a few ulps of the larger |log10| and the cell by ln(10)
+        # times that, relative.
+        rng = np.random.default_rng(20261019)
+        shared = 0
+        for _ in range(400):
+            start = 10.0 ** rng.uniform(-300.0, 300.0)
+            stop = min(start * 10.0 ** rng.uniform(1e-6, 8.0), 1e308)
+            points = int(rng.integers(2, 400))
+            got = np.asarray(build_grid(start, stop, points))
+            want = np.geomspace(start, stop, points)
+            if all(math.log10(v) == np.log10(v) for v in (start, stop)):
+                shared += 1
+                assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
+            y_max = max(abs(math.log10(start)), abs(math.log10(stop)))
+            bound = 4.0 * math.log(10.0) * math.ulp(y_max) + 2.0 * np.finfo(float).eps
+            assert np.all(np.abs(got - want) <= bound * want)
+        assert shared >= 300
+
+    def test_log_grid_cells_are_within_an_ulp_of_the_exact_power(self):
+        # each inner cell is 10**y for the float y of its linspace; the
+        # endpoints are the given start and stop themselves
+        rng = np.random.default_rng(20261020)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for _ in range(60):
+                start = 10.0 ** rng.uniform(-300.0, 300.0)
+                stop = min(start * 10.0 ** rng.uniform(1e-6, 8.0), 1e308)
+                points = int(rng.integers(3, 60))
+                cells = build_grid(start, stop, points)
+                assert (cells[0], cells[-1]) == (start, stop)
+                ys = np.linspace(math.log10(start), math.log10(stop), points)[1:-1].tolist()
+                for y, cell in zip(ys, cells[1:-1]):
+                    exact = Decimal(10) ** Decimal(y)
+                    assert abs(Decimal(cell) - exact) <= Decimal(math.ulp(cell)), (y, cell)
 
     @pytest.mark.parametrize(
         "n_max, points", [(1, 1), (1, 5), (10, 40), (100, 3), (10**6, 13), (12345, 400), (2**53, 25)]
     )
     def test_cycle_grid_equals_np_unique(self, n_max, points):
-        raw = np.round(np.geomspace(1.0, float(n_max), points)).astype(np.int64)
-        want = np.unique(raw)
-        got = default_n_grid(n_max, points)
-        assert got.dtype == want.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert_cycle_grid_equals_np_unique(n_max, points)
+
+    def test_cycle_grid_equals_np_unique_on_seeded_pairs(self):
+        # n_max log-uniform up to 1e12: past it a count near a half integer
+        # can round the other way where numpy's power and libm's pow differ
+        # by an ulp (19 of 4000 grids over 1e12..2**53, each by one count)
+        rng = np.random.default_rng(20261021)
+        for _ in range(2500):
+            n_max = int(round(10.0 ** rng.uniform(0.0, 12.0)))
+            assert_cycle_grid_equals_np_unique(n_max, int(rng.integers(1, 61)))
 
     @pytest.mark.parametrize("n_max, points", [(100, 0), (100, -2), (0, 5), (2**53 + 1, 5), (10**26, 5)])
     def test_cycle_grid_bounds(self, n_max, points):
@@ -251,8 +339,8 @@ class TestGrids:
             default_n_grid(n_max, points)
 
     def test_point_bound_is_checked_before_numpy_allocates(self):
-        # the bound + 1 raises from the count alone, before any array exists;
-        # counts far past it would otherwise end in numpy's MemoryError
+        # the bound + 1 raises from the count alone, before the grid's list
+        # is built; counts far past it would otherwise end in a MemoryError
         with pytest.raises(ValueError, match="at most 1000000 grid points, got 1000001"):
             build_grid(1.0, 2.0, 10**6 + 1)
         with pytest.raises(ValueError, match="at most 1000000 grid points, got 1000001"):
@@ -300,9 +388,36 @@ class TestSweeps:
                 )
         assert tbl.rows[0][-1] != "ok"
 
+    def test_scalar_and_array_rows_agree_bit_for_bit(self):
+        # the two paths of sweep_cavity over whole anchored grids of 2 to
+        # 5000 points: both presets, case1 formulas out of their regime (a
+        # warning on every row), and 50 seeded general-family scenarios
+        from rotodyne.scenarios import _array_rows, _scalar_rows
+
+        rng = np.random.default_rng(20261022)
+        slow = scenario_to_dict(preset("case2"))
+        cases = [(preset(name), points) for name in ("case1", "case2") for points in (2, 400, 5000)]
+        cases.append((scenario_from_dict(dict(slow, family="case1")), 300))
+        counts = np.geomspace(2.0, 5000.0, 50).round().astype(int)
+        cases += [(seeded_general_scenario(rng, f"g{k}"), int(n)) for k, n in enumerate(counts)]
+        validities = set()
+        for s, points in cases:
+            grid = build_grid(s.sweep_lo, s.sweep_hi, points, anchors=default_anchors(s))
+            scalar, array = _scalar_rows(s, grid), _array_rows(s, grid)
+            assert len(scalar) == len(grid) and all(type(v) is float for v in scalar[0][:-1])
+            # the bytes of the numbers tell a zero's sign apart, which == does not
+            numbers = [np.array([row[:-1] for row in rows]).tobytes() for rows in (scalar, array)]
+            assert numbers[0] == numbers[1], (s.name, points)
+            assert [row[-1] for row in scalar] == [row[-1] for row in array]
+            validities.add(scalar[0][-1])
+        # rows without a warning, and rows of more than one kind of warning
+        assert "ok" in validities and len(validities) >= 3, validities
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_cavity(preset("case1"), np.array([]))
+        with pytest.raises(ValueError, match="empty"):
+            sweep_cavity(preset("case1"), ())
 
     @pytest.mark.parametrize("bad", [0.0, -1.0e7, math.nan, math.inf])
     def test_unphysical_grid_entry_rejected(self, bad):
