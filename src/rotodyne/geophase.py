@@ -15,11 +15,12 @@ Engines
     well inside its radius, which covers the quasi-cycle regime, and past
     it checked composite Gauss-Legendre quadrature of the closed-form phase
     integrand. The non-unitary part is integrated directly, not taken as a
-    difference. One function forms the decaying state's geometry for the
-    panels' arrays and, on floats with the same bits, for ``tong``'s
-    endpoint and the saturated tail. The engines are compared on one path,
-    so the kernel is memoized per (generator, horizon), for the last
-    KERNEL_CACHE_SIZE pairs; a hit is bit-identical to a fresh evaluation.
+    difference, on Python floats alone: one function forms the decaying
+    state's geometry at each panel node, at ``tong``'s endpoint and in the
+    saturated tail, and ``math.fsum`` adds the panels' shares, so no
+    numpy is loaded. The engines are compared on one path, so the kernel
+    is memoized per (generator, horizon), for the last KERNEL_CACHE_SIZE
+    pairs; a hit is bit-identical to a fresh evaluation.
 
 ``gp_quasi_cycle``
     Leading-order closed form for n quasi-cycles: the pure-precession
@@ -43,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -140,56 +140,38 @@ def _unitary_open_path(theta0: float, sweep: float) -> float:
     return math.atan2(s2 * math.sin(sweep), c2 + s2 * math.cos(sweep)) - sweep * s2
 
 
-@functools.cache
-def _panel_rule():
-    """The 16-point Gauss-Legendre rule on the unit panel and on its two halves,
-    made on first use: weight columns for the whole panel and for its halves
-    at 48 nodes in [0, 1], and the basis that takes (left end, width) to them."""
-    import numpy as np
-    # positive nodes on [-1, 1] and their weights, correctly rounded
-    gl_half = np.array(
-        [
-            (0.09501250983763744, 0.1894506104550685),
-            (0.2816035507792589, 0.18260341504492358),
-            (0.45801677765722737, 0.16915651939500254),
-            (0.6178762444026438, 0.14959598881657674),
-            (0.755404408355003, 0.12462897125553388),
-            (0.8656312023878318, 0.09515851168249279),
-            (0.9445750230732326, 0.062253523938647894),
-            (0.9894009349916499, 0.027152459411754096),
-        ]
-    )
-    gl_nodes = np.concatenate([-gl_half[::-1, 0], gl_half[:, 0]])
-    gl_weights = np.concatenate([gl_half[::-1, 1], gl_half[:, 1]])
-    nodes = np.concatenate([1.0 + gl_nodes, 0.5 + 0.5 * gl_nodes, 1.5 + 0.5 * gl_nodes]) / 2.0
-    weights = np.kron([[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]], gl_weights[:, None] / 2.0)
-    return weights, np.stack([np.ones_like(nodes), nodes])
+# positive nodes of the 16-point Gauss-Legendre rule on [-1, 1] and their weights,
+# correctly rounded
+_GL_HALF = (
+    (0.09501250983763744, 0.1894506104550685),
+    (0.2816035507792589, 0.18260341504492358),
+    (0.45801677765722737, 0.16915651939500254),
+    (0.6178762444026438, 0.14959598881657674),
+    (0.755404408355003, 0.12462897125553388),
+    (0.8656312023878318, 0.09515851168249279),
+    (0.9445750230732326, 0.062253523938647894),
+    (0.9894009349916499, 0.027152459411754096),
+)
+_GL = tuple((-x, w) for x, w in reversed(_GL_HALF)) + _GL_HALF
+# (node, weight) of the rule on the unit panel [0, 1], and of the rule on each of its halves
+_WHOLE_PANEL = tuple(((1.0 + x) / 2.0, w / 2.0) for x, w in _GL)
+_HALF_PANELS = tuple(((mid + 0.5 * x) / 2.0, w / 4.0) for mid in (0.5, 1.5) for x, w in _GL)
 
 
-def _decay_geometry(e, e_max: float, ratio: float, cos_t: float, sin2: float):
-    """(g, R, cos theta0 - cos(angle)) at e = expm1(4 a tau), on ``math`` for a
-    float e and on numpy for an array, by the same operations, so both give
-    the same bits: g = cos theta0 - ratio e, R = sqrt((1 + e) sin^2 + g^2),
-    cos(angle) = g / R. Where c g > 0, c = cos theta0, the drop is taken in
-    the cancelled form s^2 e (c (c + 2 ratio) - ratio^2 e) / (R (c R + g)),
-    elsewhere c - g / R adds two terms of one sign. g is linear in e and
-    starts at c, so if it keeps the sign of c at e_max, the largest e of the
-    call, it does so at every e; a float call passes e_max = e."""
-    lib = math
-    if type(e) is not float:
-        import numpy as lib
-    keeps = operator.gt if cos_t > 0.0 else operator.lt  # keeps(g, 0.0): c g > 0
+def _decay_geometry(e: float, ratio: float, cos_t: float, sin2: float):
+    """(g, R, cos theta0 - cos(angle)) at e = expm1(4 a tau): g = cos theta0
+    - ratio e, R = sqrt((1 + e) sin^2 + g^2), cos(angle) = g / R. Where c g
+    > 0, c = cos theta0, the drop is taken in the cancelled form s^2 e (c (c
+    + 2 ratio) - ratio^2 e) / (R (c R + g)), elsewhere c - g / R adds two
+    terms of one sign. The sign of c g is read from g's side of 0, so that
+    the product cannot underflow. R = 0 raises ZeroDivisionError."""
     g = cos_t - ratio * e
     big_r2 = (1.0 + e) * sin2 + g * g
-    big_r = lib.sqrt(big_r2)
-    numer = e * (sin2 * cos_t * (cos_t + 2.0 * ratio) - (sin2 * ratio * ratio) * e)
-    denom = cos_t * big_r2 + g * big_r
-    if keeps(cos_t - ratio * e_max, 0.0):
-        return g, big_r, numer / denom
-    drop = cos_t - g / big_r
-    if lib is not math:
-        lib.divide(numer, denom, out=drop, where=keeps(g, 0.0))
-    return g, big_r, drop
+    big_r = math.sqrt(big_r2)
+    if g > 0.0 if cos_t > 0.0 else g < 0.0:
+        numer = e * (sin2 * cos_t * (cos_t + 2.0 * ratio) - (sin2 * ratio * ratio) * e)
+        return g, big_r, numer / (cos_t * big_r2 + g * big_r)
+    return g, big_r, cos_t - g / big_r
 
 
 def _knee(ratio: float, cos_t: float, sin2: float) -> tuple[tuple[float, float], float]:
@@ -216,8 +198,10 @@ def _knee(ratio: float, cos_t: float, sin2: float) -> tuple[tuple[float, float],
     return (2.0 * math.log(abs(alpha)) - math.log(larger) if alpha else -math.inf, x_k), math.pi
 
 
-def _kernel_panels(x_end: float, turns: tuple[float, float], delta: float) -> np.ndarray:
-    """(left end, width) rows of panels tiling [0, x_end], from ``_knee``'s
+def _kernel_panels(
+    x_end: float, turns: tuple[float, float], delta: float
+) -> list[tuple[float, float]]:
+    """(left end, width) tuples of panels tiling [0, x_end], from ``_knee``'s
     turns (x_0, x_k) and delta: at most KERNEL_PANEL wide, shrinking
     geometrically toward a sharp knee x_k (delta < KERNEL_PANEL, a
     breakpoint) down to about delta; past x_0 or x_k at most as wide as
@@ -225,7 +209,6 @@ def _kernel_panels(x_end: float, turns: tuple[float, float], delta: float) -> np
     so that they grow geometrically once the integrand has relaxed and
     shrink again toward its next turn. Each panel keeps the singularities
     a panel width away."""
-    import numpy as np
     (x_0, x_k), panels, x = turns, [], 0.0
     while x < x_end:
         d = x - x_k
@@ -236,7 +219,7 @@ def _kernel_panels(x_end: float, turns: tuple[float, float], delta: float) -> np
         nxt = min(nxt, x_end)
         panels.append((x, nxt - x))
         x = nxt
-    return np.array(panels).reshape(-1, 2)
+    return panels
 
 
 def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2: float):
@@ -245,31 +228,33 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
     panel set and its halving are evaluated together; while their gap
     exceeds KERNEL_REL_TOL times the integral of |integrand| the panels
     are halved again, at most MAX_HALVINGS times, else NumericsError.
-    Returns the halved set's integral, the gap, the halved set's panel
-    count, the halvings taken and 0 series terms. The accepted pass
-    evaluated the integrand 24 times per panel of the halved set: its own
-    16 nodes and half of the 16 of the panel it halves."""
-    import numpy as np
-    rule, basis = _panel_rule()
+    Each estimate is the ``math.fsum`` of its nodes' shares, width times
+    weight times integrand. Returns the halved set's integral, the gap,
+    the halved set's panel count, the halvings taken and 0 series terms.
+    The accepted pass evaluated the integrand 24 times per panel of the
+    halved set: its own 16 nodes and half of the 16 of the panel it halves."""
     panels = _kernel_panels(x_end, *_knee(ratio, cos_t, sin2))
-    e_end = math.expm1(x_end)
+
+    def shares(rule):
+        return [
+            width * weight * _decay_geometry(math.expm1(left + width * node), ratio, cos_t, sin2)[2]
+            for left, width in panels
+            for node, weight in rule
+        ]
+
     for halvings in range(1, MAX_HALVINGS + 2):
-        values = _decay_geometry(np.expm1(panels @ basis), e_end, ratio, cos_t, sin2)[2]
-        # summed in x, where |integrand| <= 2 keeps every sum within 2 x_end; only
-        # the division by a4, on Python floats, may overflow, to an inf the caller reports
-        coarse, fine = (panels[:, 1] @ (values @ rule)).tolist()
+        # summed in x, where |integrand| <= 2 keeps every sum within 2 x_end, so that
+        # math.fsum cannot overflow; only the division by a4 may, to an inf the caller reports
+        fine_shares = shares(_HALF_PANELS)
+        coarse, fine = math.fsum(shares(_WHOLE_PANEL)), math.fsum(fine_shares)
         gap = abs(fine - coarse)
         # |fine| bounds the integral of |integrand| from below, which is summed
         # only if needed; integrand values below the normal range carry no digits
         floor = max(KERNEL_REL_TOL * abs(fine), x_end * sys.float_info.min)
-        if gap <= floor or gap <= KERNEL_REL_TOL * float(
-            panels[:, 1] @ (np.abs(values) @ rule[:, 1])
-        ):
+        if gap <= floor or gap <= KERNEL_REL_TOL * math.fsum(map(abs, fine_shares)):
             return fine / float(a4), gap / float(a4), 2 * len(panels), halvings, 0
-        half = 0.5 * panels[:, 1]
-        panels = np.concatenate(
-            [np.column_stack([panels[:, 0], half]), np.column_stack([panels[:, 0] + half, half])]
-        )
+        halves = [(left, 0.5 * width) for left, width in panels]
+        panels = halves + [(left + half, half) for left, half in halves]
     raise NumericsError(
         f"phase quadrature did not converge: the last halving, to {len(panels)} panels, "
         f"moved the integral by {gap / float(a4):.3e}"
@@ -338,7 +323,7 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
             a4, e_end, ratio, cos_t, sin2
         ) or _nonunitary_kernel(a4, x_end, ratio, cos_t, sin2)
         if four_a_t > SATURATION_EXPONENT:
-            saturated = _decay_geometry(e_end, e_end, ratio, cos_t, sin2)[2]
+            saturated = _decay_geometry(e_end, ratio, cos_t, sin2)[2]
             kernel += saturated * (total_time - x_end / a4)
     if not math.isfinite(kernel):  # the integrand is at most 2: only T near the float range
         raise NumericsError(f"phase kernel over T = {total_time!r} is past the float range")
@@ -365,9 +350,10 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     omega T sin^2(theta0/2) cancel, and nonunitary = arg(overlap conj(c0^2
     + s0^2 e^{i omega T})) - (omega / 2) K with K from ``_phase_kernel``:
     the cost never grows with the cycle count. The endpoint half-angles
-    sqrt((R +- g) / 2R) come from the kernel's closed form, and the arg
-    from sin((angle - theta0) / 2) = (cos theta0 - cos angle) / (2
-    sin((angle + theta0) / 2)), free of cancellation. No path is sampled.
+    sqrt((R +- g) / 2R) come from ``_decay_geometry``, which also gives
+    the kernel its integrand, and the arg from sin((angle - theta0) / 2) =
+    (cos theta0 - cos angle) / (2 sin((angle + theta0) / 2)), free of
+    cancellation. No path is sampled, and all of it runs on Python floats.
     The diagnostics are ``abserr`` (the kernel's error estimate, in rad),
     ``endpoint_amplitude``, and the kernel's ``series_terms`` or, past the
     series, ``panels``, ``refinements`` (halvings taken) and ``samples``
@@ -382,7 +368,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     eps = math.expm1(min(p.relaxation_exponent(total_time), SATURATION_EXPONENT))
     u = 1.0 + eps
     try:
-        g, big_r, drop = _decay_geometry(eps, eps, ratio, cos_t, sin2)
+        g, big_r, drop = _decay_geometry(eps, ratio, cos_t, sin2)
     except ZeroDivisionError:  # R = 0: the centre of the Bloch ball
         big_r = 0.0
     _require_eigenbasis(big_r / u)

@@ -43,6 +43,7 @@ from rotodyne import (
     kossakowski,
     lab_rates_general,
     preset,
+    scenario_gp,
     sweep_cavity,
     trace_distance,
 )
@@ -360,6 +361,10 @@ TABLE_COMMANDS = [
 ]
 
 
+# a case2 horizon past the kernel's series, so that gp sums the panels
+PANEL_CYCLES, PANEL_ENGINES = 99999999999999999999, ("tong", "exact-integral")
+
+
 def _table_commands(out: Path) -> list[list[str]]:
     return [[arg.format(out=out) for arg in argv] for argv in TABLE_COMMANDS]
 
@@ -381,6 +386,8 @@ def fresh_run(tmp_path_factory):
         for engine in rotodyne.ENGINES:
             commands.append(["gp", "--scenario", name, "--engine", engine])
             commands.append(["gp", "--scenario", name, "--engine", engine, "-n", "1000"])
+    for engine in PANEL_ENGINES:
+        commands.append(["gp", "--scenario", "case2", "--engine", engine, "-n", str(PANEL_CYCLES)])
     commands += _table_commands(out)
     bad = [["gp", "-n", "0"], ["rates", "--scenario", "no-such-preset"], ["sweep-cavity", "--grid", "1e7:2e7"]]
     probe = (
@@ -412,7 +419,10 @@ def test_c13_commands_load_no_numpy(fresh_run):
     ``gp`` with every engine, and bad input) and the table and figure
     commands of TABLE_COMMANDS in a fresh interpreter load no numpy module:
     it is imported only where arrays are taken, or where a grid is large
-    enough that one array call pays for the import."""
+    enough that one array call pays for the import. The numeric engines'
+    runs at PANEL_CYCLES take the kernel's panels."""
+    for engine in PANEL_ENGINES:
+        assert scenario_gp(preset("case2"), PANEL_CYCLES, engine).diagnostics["panels"] > 0
     good, bad = fresh_run["counts"]
     assert [code for code, _ in fresh_run["runs"]] == [0] * good + [1] * bad
     assert fresh_run["after_import"] == [] and fresh_run["after_commands"] == [], (
