@@ -252,12 +252,12 @@ def _nonunitary_kernel(a4: float, x_end: float, ratio: float, cos_t: float, sin2
         # only if needed; integrand values below the normal range carry no digits
         floor = max(KERNEL_REL_TOL * abs(fine), x_end * sys.float_info.min)
         if gap <= floor or gap <= KERNEL_REL_TOL * math.fsum(map(abs, fine_shares)):
-            return fine / float(a4), gap / float(a4), 2 * len(panels), halvings, 0
+            return fine / a4, gap / a4, 2 * len(panels), halvings, 0
         halves = [(left, 0.5 * width) for left, width in panels]
         panels = halves + [(left + half, half) for left, half in halves]
     raise NumericsError(
         f"phase quadrature did not converge: the last halving, to {len(panels)} panels, "
-        f"moved the integral by {gap / float(a4):.3e}"
+        f"moved the integral by {gap / a4:.3e}"
     )
 
 
@@ -299,24 +299,23 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
     kernel of both numeric engines: ``_kernel_series``, or past it
     ``_nonunitary_kernel``, up to SATURATION_EXPONENT in x = 4 a tau plus
     the integrand there for the rest of the horizon; closed forms for a = 0
-    and on-axis states (sin^2 theta0 subnormal). Returns K, its error
-    estimate, the panels, the halvings and the series terms, as Python
-    numbers whatever the input types: keys that compare equal across +-0.0
-    or numpy scalars give the same numbers, so a memo hit returns what a
-    fresh call would. Raises NumericsError where K is past the float range."""
-    if p.a_coeff == 0.0:
+    and on-axis states (sin^2 theta0 subnormal); on a, b and T as Python
+    floats, so that a memo hit across +-0.0 or numpy scalars returns what a
+    fresh call would. Returns K, its error estimate, the panels, the
+    halvings and the series terms. Raises NumericsError past the float range."""
+    a, total_time = float(p.a_coeff), float(total_time)
+    if a == 0.0:
         return 0.0, 0.0, 0, 0, 0  # pure precession: the angle never leaves theta0
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
     sin2 = sin_t * sin_t
-    ratio = p.b_coeff / p.a_coeff
-    a4 = 4.0 * p.a_coeff
+    ratio, a4 = float(p.b_coeff) / a, 4.0 * a
     if sin2 < sys.float_info.min:
         # cos(angle) = sign(g) leaves cos theta0 = +-1 for -cos theta0 at the knee
         kernel, err, panels, halvings, terms = 0.0, 0.0, 0, 0, 0
         if ratio != 0.0 and cos_t / ratio > 0.0:
             kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
     else:
-        four_a_t = p.relaxation_exponent(total_time)
+        four_a_t = float(p.relaxation_exponent(total_time))
         x_end = min(four_a_t, SATURATION_EXPONENT)
         e_end = math.expm1(x_end)
         kernel, err, panels, halvings, terms = _kernel_series(
@@ -327,7 +326,7 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
             kernel += saturated * (total_time - x_end / a4)
     if not math.isfinite(kernel):  # the integrand is at most 2: only T near the float range
         raise NumericsError(f"phase kernel over T = {total_time!r} is past the float range")
-    return float(kernel), float(err), panels, halvings, terms
+    return kernel, err, panels, halvings, terms
 
 
 def _sweep(p: EvolutionParams, total_time: float) -> float:
@@ -363,7 +362,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     sweep = _sweep(p, total_time)
     cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
     sin2 = sin_t * sin_t
-    ratio = p.b_coeff / p.a_coeff if p.a_coeff else 0.0
+    ratio = float(p.b_coeff) / float(p.a_coeff) if p.a_coeff else 0.0
     # the endpoint state, taken at SATURATION_EXPONENT beyond it as in the kernel
     eps = math.expm1(min(p.relaxation_exponent(total_time), SATURATION_EXPONENT))
     u = 1.0 + eps

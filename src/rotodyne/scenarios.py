@@ -138,7 +138,8 @@ class _Family(NamedTuple):
 # The fast-rotation family leaves out the redshifted gap: it sits within
 # the cavity linewidth of the gap itself, where the density-of-states
 # derivative term responds far more strongly than the sideband resonance
-# and would mask it.
+# and would mask it. Each lambda looks its rate function up here when called,
+# so that the wrappers bench/tracing.py sets on these names see the call.
 _FAMILIES = {
     "case1": _Family(lambda *a: case1_rates(*a), "case1", ("omega_minus", "omega_plus")),
     "case2": _Family(

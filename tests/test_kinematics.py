@@ -1,10 +1,9 @@
 """Orbit kinematics: redshift, recoil factor, sideband frequencies."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rotodyne import (
     DEFAULT_DIPOLE,
@@ -14,6 +13,11 @@ from rotodyne import (
     derive_kinematics,
     zeta_of,
 )
+
+
+# every random-input loop below draws from random.Random(SEED); a failing
+# case reports SEED, its index in the loop and its inputs
+SEED = 20261019
 
 
 def atom(omega0=1.0e7, theta0=math.pi / 2):
@@ -47,15 +51,18 @@ class TestRedshift:
 
 
 class TestRecoilFactor:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(beta=st.floats(min_value=0.35, max_value=0.995))
-    def test_roundtrip_against_lorentz_gamma(self, beta):
-        # v = omega * R fixed by beta; zeta must equal beta^2 and 1 - 1/gamma^2
+    def test_roundtrip_against_lorentz_gamma(self):
+        # v = omega * R fixed by beta; zeta must equal beta^2 and 1 - 1/gamma^2.
+        # beta at both ends of its range, then 60 seeded uniform draws
         radius = 0.5
-        omega = beta * SPEED_OF_LIGHT / radius
-        kin = kin_of(radius, omega)
-        assert kin.zeta == pytest.approx(beta * beta, rel=1e-14)
-        assert 1.0 - 1.0 / kin.lorentz_gamma**2 == pytest.approx(kin.zeta, rel=1e-14)
+        rng = random.Random(SEED)
+        betas = [0.35, 0.995] + [rng.uniform(0.35, 0.995) for _ in range(60)]
+        for index, beta in enumerate(betas):
+            omega = beta * SPEED_OF_LIGHT / radius
+            kin = kin_of(radius, omega)
+            assert kin.zeta == pytest.approx(beta * beta, rel=1e-14), (SEED, index, beta)
+            gap = 1.0 - 1.0 / kin.lorentz_gamma**2
+            assert gap == pytest.approx(kin.zeta, rel=1e-14), (SEED, index, beta)
 
     def test_zeta_of_matches_orbit_zeta(self):
         kin = kin_of(1.0e-3, 1.0e5)
