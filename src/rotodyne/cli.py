@@ -15,7 +15,6 @@ resolved against the ROTODYNE_OUT environment variable when set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -114,6 +113,8 @@ def _emit_table(table, scn: Scenario, args) -> None:
 
 def _mapping_text(payload: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = []
     for key, value in payload.items():
@@ -137,6 +138,8 @@ def _parse_grid_spec(spec: str) -> tuple[float, float, int, bool]:
 
 def _cmd_presets(args) -> int:
     if args.format == "json":
+        import json
+
         payload = {name: scenario_to_dict(preset(name)) for name in preset_names()}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0

@@ -47,10 +47,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 
-from .cavity import CavitySpec
-from .dynamics import EvolutionParams
 from .errors import NumericsError
-from .kinematics import AtomParams, TrajectoryParams
 from .rates import RateSet, _dissipator_pair, case1_rates, case2_rates
 
 __all__ = [
@@ -329,13 +326,13 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
     return kernel, err, panels, halvings, terms
 
 
-def _sweep(p: EvolutionParams, total_time: float) -> float:
+def _sweep(omega: float, total_time: float) -> float:
     """omega T, the azimuth the numeric engines precess through. Raises
     ValueError for a negative horizon and NumericsError where omega T is
     not finite, before any kernel work: no phase survives that sweep."""
     if total_time < 0.0:
         raise ValueError(f"total_time must be non-negative, got {total_time}")
-    sweep = p.omega_eff * total_time
+    sweep = omega * total_time
     if not math.isfinite(sweep):
         raise NumericsError(f"precession angle omega T = {sweep} is not finite")
     return sweep
@@ -357,10 +354,12 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     ``endpoint_amplitude``, and the kernel's ``series_terms`` or, past the
     series, ``panels``, ``refinements`` (halvings taken) and ``samples``
     (integrand evaluations of the accepted pass, 24 per panel), 0 on the
-    path not taken.
+    path not taken. Every result field is a Python float: omega, theta0
+    and T are taken as floats at entry.
     """
-    sweep = _sweep(p, total_time)
-    cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
+    omega, theta0, total_time = float(p.omega_eff), float(p.theta0), float(total_time)
+    sweep = _sweep(omega, total_time)
+    cos_t, sin_t = math.cos(theta0), math.sin(theta0)
     sin2 = sin_t * sin_t
     ratio = float(p.b_coeff) / float(p.a_coeff) if p.a_coeff else 0.0
     # the endpoint state, taken at SATURATION_EXPONENT beyond it as in the kernel
@@ -377,7 +376,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     cos_h1, sin_h1 = (math.sqrt(h / (2.0 * big_r)) for h in halves)
     kernel, err, panels, halvings, terms = _phase_kernel(p, total_time)
 
-    c0, s0 = math.cos(p.theta0 / 2.0), math.sin(p.theta0 / 2.0)
+    c0, s0 = math.cos(theta0 / 2.0), math.sin(theta0 / 2.0)
     cos_s, sin_s = math.cos(sweep), math.sin(sweep)
     across = s0 * cos_h1 + c0 * sin_h1  # sin((angle + theta0) / 2)
     drift = drop / (2.0 * across) if across else 0.0  # sin((angle - theta0) / 2)
@@ -386,8 +385,8 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     endpoint = math.atan2(sin_s * s0 * c0 * drift, real)
     overlap = abs(complex(c0 * cos_h1 + s0 * sin_h1 * cos_s, s0 * sin_h1 * sin_s))
     amplitude = math.sqrt((1.0 + big_r / u) / 2.0) * overlap
-    unitary = _unitary_open_path(p.theta0, sweep)
-    nonunitary = endpoint - (p.omega_eff / 2.0) * kernel
+    unitary = _unitary_open_path(theta0, sweep)
+    nonunitary = endpoint - (omega / 2.0) * kernel
     return GPResult(
         engine="tong",
         n_cycles=sweep / math.tau,
@@ -396,7 +395,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
         nonunitary_part=nonunitary,
         warnings=_endpoint_warnings(amplitude),
         diagnostics={
-            "abserr": (p.omega_eff / 2.0) * err,
+            "abserr": (omega / 2.0) * err,
             "endpoint_amplitude": amplitude,
             "panels": panels,
             "refinements": halvings,
@@ -415,14 +414,15 @@ def gp_exact_integral(
     integrated directly in a form free of cancellation. ``abserr`` is the
     series' tail bound or the panels' halving gap, in rad; ``series_terms``
     or ``panels`` counts the path taken, the other is 0, both for the
-    closed forms.
+    closed forms. Every result field but a given ``n_cycles`` is a Python
+    float: omega, theta0 and T are taken as floats at entry.
     """
-    sweep = _sweep(p, total_time)
-    omega = p.omega_eff
+    omega, theta0, total_time = float(p.omega_eff), float(p.theta0), float(total_time)
+    sweep = _sweep(omega, total_time)
     kernel, err, panels, _, terms = _phase_kernel(p, total_time)
     if n_cycles is None:
         n_cycles = sweep / math.tau
-    unitary = -sweep * math.sin(p.theta0 / 2.0) ** 2
+    unitary = -sweep * math.sin(theta0 / 2.0) ** 2
     nonunitary = 0.0 - (omega / 2.0) * kernel  # 0.0 - keeps a vanishing part at +0.0
     return GPResult(
         engine="exact-integral",
@@ -431,7 +431,7 @@ def gp_exact_integral(
         unitary_part=unitary,
         nonunitary_part=nonunitary,
         diagnostics={
-            "four_a_t": p.relaxation_exponent(total_time),
+            "four_a_t": float(p.relaxation_exponent(total_time)),
             "panels": panels,
             "series_terms": terms,
             "abserr": (omega / 2.0) * err,

@@ -28,9 +28,7 @@ with 17 significant digits and LF line endings.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import numbers
 import sys
@@ -43,16 +41,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from ._version import __version__
 from .cavity import CavitySpec
-from .dynamics import EvolutionParams
-from .geophase import (
-    GPResult,
-    _plain_count,
-    gp_case1,
-    gp_case2,
-    gp_exact_integral,
-    gp_split,
-    gp_tong_closed_form,
-)
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics
 from .rates import RateSet, case1_rates, case2_rates, general_rates
 
@@ -296,6 +284,8 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -305,6 +295,8 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(s: Scenario, path) -> None:
+    import json
+
     text = json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
@@ -339,8 +331,6 @@ def build_grid(
         raise ValueError(f"need finite stop > start, got [{start}, {stop}]")
     if log and start <= 0.0:
         raise ValueError(f"log grid needs start > 0, got {start}")
-    # svgplot is imported where it is used, so that the scalar commands do
-    # not load it: without a bytecode cache, compiling it takes about 3 ms
     from .svgplot import _linspace
 
     start, stop = float(start), float(stop)
@@ -506,6 +496,8 @@ def _horizon(scenario: Scenario, n: float) -> float:
 
 def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:
     """Generator of the scenario's rates and the ``_horizon`` of n cycles."""
+    from .dynamics import EvolutionParams
+
     horizon = _horizon(scenario, n)
     params = EvolutionParams.from_rates(
         scenario_rates(scenario), scenario.atom.theta0, scenario.atom.omega0
@@ -513,13 +505,24 @@ def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:
     return params, horizon
 
 
+def _geophase():
+    """The geophase layer, imported when an engine runs."""
+    from . import geophase
+
+    return geophase
+
+
 # engine name -> fn(scenario, n) -> GPResult
 ENGINES = {
-    "tong": lambda s, n: gp_tong_closed_form(*_evolution(s, n)),
-    "exact-integral": lambda s, n: gp_exact_integral(*_evolution(s, n), n_cycles=float(n)),
-    "quasi-cycle": lambda s, n: gp_split(scenario_rates(s), n, s.atom.theta0, s.atom.omega0),
-    "case1": lambda s, n: gp_case1(s.trajectory, s.atom, s.cavity, n),
-    "case2": lambda s, n: gp_case2(s.trajectory, s.atom, s.cavity, n),
+    "tong": lambda s, n: _geophase().gp_tong_closed_form(*_evolution(s, n)),
+    "exact-integral": lambda s, n: _geophase().gp_exact_integral(
+        *_evolution(s, n), n_cycles=float(n)
+    ),
+    "quasi-cycle": lambda s, n: _geophase().gp_split(
+        scenario_rates(s), n, s.atom.theta0, s.atom.omega0
+    ),
+    "case1": lambda s, n: _geophase().gp_case1(s.trajectory, s.atom, s.cavity, n),
+    "case2": lambda s, n: _geophase().gp_case2(s.trajectory, s.atom, s.cavity, n),
 }
 # the engines on the phase kernel: they take the horizon of n cycles, the rest n**2
 _KERNEL_ENGINES = ("tong", "exact-integral")
@@ -544,7 +547,7 @@ def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResu
         engine = _FAMILIES[scenario.family].engine
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; available: {', '.join(ENGINES)}")
-    n = _plain_count(n)
+    n = _geophase()._plain_count(n)
     try:
         if engine in _KERNEL_ENGINES:
             _horizon(scenario, n)
@@ -559,6 +562,8 @@ def gp_vs_n(scenario: Scenario, n_values=None) -> SweepTable:
     """Geometric-phase contributions as the cycle count grows: ``gp_split``
     of one rate evaluation at each whole, positive cycle count, the parts
     of the scenario's own engine (as ``scenario_gp``)."""
+    from .geophase import gp_split
+
     if n_values is None:
         n_values = default_n_grid(scenario.n_max)
     rates = scenario_rates(scenario)
@@ -610,6 +615,8 @@ def table_to_csv_text(table: SweepTable) -> str:
     Each column picks its format once and each distinct string is quoted
     once; the body is one ``%`` over a row template.
     """
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
@@ -644,6 +651,8 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json_cells(cells) -> list[str]:
     """JSON text of each cell of a column, as ``json.dumps`` writes it:
     strings as they are, every other cell as a float."""
+    import json
+
     kind = _column_kind(cells)
     if kind == "text":
         texts = {text: json.dumps(text) for text in set(cells)}
@@ -664,6 +673,8 @@ def table_to_json_text(table: SweepTable) -> str:
     Only the columns and metadata go through ``json.dumps`` whole; the
     rows are one ``%`` over a row template of per-column cell texts.
     """
+    import json
+
     head = json.dumps(
         {"columns": list(table.columns), "metadata": table.metadata}, indent=2, sort_keys=True
     )

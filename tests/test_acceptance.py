@@ -346,6 +346,60 @@ def _fresh_interpreter(probe: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# c14's commands in order of growing module sets, each step with the modules
+# it and every step before it must leave unloaded
+LOAD_STEPS = [
+    (
+        [["presets"], ["gp", "-n", "0"], ["rates", "--scenario", "no-such-preset"]]
+        + [["sweep-cavity", "--grid", "1e7:2e7"], ["rates"], ["rates", "--scenario", "case2"]],
+        ["rotodyne.geophase", "rotodyne.dynamics", "json", "csv"],
+    ),
+    ([["sweep-cavity"]], ["rotodyne.geophase", "rotodyne.dynamics"]),
+    (
+        [
+            ["gp", "--scenario", name, "--engine", engine]
+            for name in ("case1", "case2")
+            for engine in ("case1", "case2", "quasi-cycle")
+        ]
+        + [["gp-vs-n"], ["figure1", "--out", "{out}"]],
+        ["rotodyne.dynamics"],
+    ),
+    ([["gp", "--engine", "tong"]], []),
+]
+
+
+def test_c14_each_command_loads_only_the_layers_it_calls(tmp_path):
+    """In one fresh interpreter, ``import rotodyne`` loads no layer; the
+    scalar commands and bad input load neither ``geophase`` nor
+    ``dynamics`` nor ``json`` and ``csv``; a sweep loads no phase engine;
+    the quasi-cycle engines and the phase tables load no ``dynamics``,
+    which ``tong`` loads. The commands run in the order of LOAD_STEPS, and
+    the modules are read after each step."""
+    steps = [
+        ([[arg.format(out=tmp_path) for arg in argv] for argv in argvs], absent)
+        for argvs, absent in LOAD_STEPS
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import rotodyne\n"
+        "layers = sorted(m for m in sys.modules if m.startswith('rotodyne.'))\n"
+        "from rotodyne.cli import main\n"
+        "runs = []\n"
+        f"for argvs, absent in {steps!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes = [main(argv) for argv in argvs]\n"
+        "    runs.append((codes, [m for m in absent if m in sys.modules]))\n"
+        "loaded = 'rotodyne.dynamics' in sys.modules\n"
+        "import json\n"
+        "print(json.dumps([layers, runs, loaded]))\n"
+    )
+    layers, runs, loaded = _fresh_interpreter(probe)
+    assert layers == ["rotodyne._version"]
+    assert [codes for codes, _ in runs] == [[0, 1, 1, 1, 0, 0], [0], [0] * 8, [0]]
+    assert [unwanted for _, unwanted in runs] == [[]] * len(LOAD_STEPS)
+    assert loaded
+
+
 # the table and figure commands of c13, "{out}" standing for an output root:
 # each sweep-cavity grid form and format, the plotted tables, and figure1
 TABLE_COMMANDS = [

@@ -601,6 +601,21 @@ class TestKernelMemo:
         assert ratios == [float]
         assert float(tong.nonunitary_part).hex() == gp_tong_closed_form(*twin).nonunitary_part.hex()
 
+    def test_numpy_scalar_generator_gives_float_fields(self):
+        # omega, theta0 and T in float64 took the sweep, the phases, abserr
+        # and four_a_t through numpy scalar arithmetic into the result
+        twin = (EvolutionParams(0.25, 0.1, 1.0, 1.0), 10.0)
+        key = (EvolutionParams(*map(F64, (0.25, 0.1, 1.0, 1.0))), F64(10.0))
+        fields = ("total", "unitary_part", "nonunitary_part", "n_cycles")
+        cases = ((gp_tong_closed_form, ("abserr",)), (gp_exact_integral, ("abserr", "four_a_t")))
+        for engine, diagnostics in cases:
+            got, want = (
+                [getattr(res, name) for name in fields] + [res.diagnostics[d] for d in diagnostics]
+                for res in (engine(*key), engine(*twin))
+            )
+            assert set(map(type, got)) == {float}, (engine, got)
+            assert kernel_bits(got) == kernel_bits(want), engine
+
     def test_errors_are_not_kept(self, monkeypatch):
         geophase._phase_kernel.cache_clear()
         monkeypatch.setattr(
@@ -733,6 +748,7 @@ class TestKernelSeries:
 
     def test_series_matches_the_panels_and_joins_them_continuously(self):
         kernel = geophase._phase_kernel.__wrapped__
+        joined = set()  # the bits of each (theta0, b/a) whose handover is checked
         for index, (theta, ratio, x_end) in enumerate(series_cases()):
             case = (SEED, index, theta, ratio, x_end)
             p = EvolutionParams(0.25, 0.25 * ratio, 10.0, theta)  # 4 a T = T
@@ -741,7 +757,11 @@ class TestKernelSeries:
             if series is not None:
                 panels = geophase._nonunitary_kernel(1.0, x_end, *shape)
                 assert abs(series[0] - panels[0]) <= series_tolerance(x_end, *shape), case
-            # bisect for the x where the selection hands over to the panels
+            if (theta.hex(), ratio.hex()) in joined:
+                continue
+            joined.add((theta.hex(), ratio.hex()))
+            # bisect for the x where the selection hands over to the panels,
+            # which depends on theta0 and b/a alone, not on x_end
             lo, hi = 1e-12, math.log(math.sqrt(2.0))
             assert kernel(p, lo)[4] > 0 == kernel(p, hi)[4], case
             for _ in range(60):
