@@ -1,15 +1,18 @@
-"""Command line front end.
+"""Command line front end. Each command, with its handler, help and
+options, is one entry of the ``_COMMANDS`` table that ``build_parser``
+builds the parser from.
 
 Exit codes: 0 success, 1 bad input (usage errors, invalid parameters,
 malformed scenario files, an output directory that cannot be made or
 written), 2 numerical failure while producing results.
 
-Output conventions: table commands print CSV to stdout unless ``--out
-<dir>`` is given, in which case the table lands in that directory under
-the name ``scenarios`` gives it, as for ``figure1``
-(``<scenario>_rates_sweep.csv``, ``<scenario>_gp_vs_n.csv``). ``--plot``
-adds an SVG panel next to each written table. A relative ``--out`` is
-resolved against the ROTODYNE_OUT environment variable when set.
+Output conventions: table commands print CSV or JSON (by ``--format``)
+to stdout unless ``--out <dir>`` is given, in which case the table lands
+in that directory under the name ``scenarios`` gives it, as for
+``figure1`` (``<scenario>_rates_sweep.csv``, ``<scenario>_gp_vs_n.csv``).
+``--plot`` adds an SVG panel next to each written table. A relative
+``--out`` is resolved against the ROTODYNE_OUT environment variable when
+set.
 """
 
 from __future__ import annotations
@@ -59,40 +62,13 @@ def _resolve_out(raw: str) -> Path:
     return path
 
 
-def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument(
-        "--scenario",
-        help="built-in preset name or scenario JSON path (default: case1)",
-    )
-    group.add_argument("--config", help="scenario JSON file")
-
-
-def _add_table_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--out",
-        help="output directory for the table file (default: CSV to stdout)",
-    )
-    sub.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="table serialization (default: csv)",
-    )
-    sub.add_argument(
-        "--plot",
-        action="store_true",
-        help="also write an SVG panel next to the table (requires --out)",
-    )
-
-
 def _resolve_scenario(args) -> Scenario:
     if args.config is not None:
         return load_scenario(args.config)
-    raw = args.scenario or "case1"
+    raw = "case1" if args.scenario is None else args.scenario
     if raw in preset_names():
         return preset(raw)
-    if Path(raw).exists():
+    if raw and Path(raw).exists():  # Path("") is the working directory
         return load_scenario(raw)
     raise ValueError(
         f"unknown scenario {raw!r}: not a preset ({', '.join(preset_names())}) "
@@ -111,18 +87,13 @@ def _emit_table(table, scn: Scenario, args) -> None:
         print(path)
 
 
-def _mapping_text(payload: dict, fmt: str) -> str:
+def _print_mapping(payload: dict, fmt: str) -> None:
+    """Print a mapping as JSON, or as one ``key,value`` line per item with
+    the cells of a CSV table."""
     if fmt == "json":
-        import json
-
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = []
-    for key, value in payload.items():
-        if isinstance(value, float):
-            lines.append(f"{key},{value:.16e}")
-        else:
-            lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+        sys.stdout.write(scenarios._json_text(payload))
+    else:
+        sys.stdout.write("".join(f"{k},{scenarios._cell_text(v)}\n" for k, v in payload.items()))
 
 
 def _parse_grid_spec(spec: str) -> tuple[float, float, int, bool]:
@@ -136,13 +107,10 @@ def _parse_grid_spec(spec: str) -> tuple[float, float, int, bool]:
     return start, stop, points, scale == "log"
 
 
-def _cmd_presets(args) -> int:
+def _cmd_presets(args) -> None:
     if args.format == "json":
-        import json
-
-        payload = {name: scenario_to_dict(preset(name)) for name in preset_names()}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
+        _print_mapping({name: scenario_to_dict(preset(name)) for name in preset_names()}, "json")
+        return
     for name in preset_names():
         scn = preset(name)
         print(
@@ -153,10 +121,9 @@ def _cmd_presets(args) -> int:
             f"(Q={scn.cavity.q_factor:.1e}, V={scn.cavity.volume:.1e} m^3), "
             f"n_default={scn.n_default}"
         )
-    return 0
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args) -> None:
     scn = _resolve_scenario(args)
     fam = scenario_rates(scn)
     payload = {
@@ -171,11 +138,10 @@ def _cmd_rates(args) -> int:
         "asymmetry_ratio": fam.ratio,
         "validity": fam.validity,
     }
-    sys.stdout.write(_mapping_text(payload, args.format))
-    return 0
+    _print_mapping(payload, args.format)
 
 
-def _cmd_gp(args) -> int:
+def _cmd_gp(args) -> None:
     scn = _resolve_scenario(args)
     n = args.cycles if args.cycles is not None else scn.n_default
     if n < 1:
@@ -193,35 +159,67 @@ def _cmd_gp(args) -> int:
     if res.inertial_part is not None:
         payload["inertial_rad"] = res.inertial_part
         payload["noninertial_rad"] = res.noninertial_part
-    for key, value in sorted(res.diagnostics.items()):
-        payload[key] = value
+    payload.update(sorted(res.diagnostics.items()))
     payload["validity"] = res.validity
-    sys.stdout.write(_mapping_text(payload, args.format))
-    return 0
+    _print_mapping(payload, args.format)
 
 
-def _cmd_sweep_cavity(args) -> int:
+def _cmd_sweep_cavity(args) -> None:
     scn = _resolve_scenario(args)
     grid = None
     if args.grid is not None:
         start, stop, points, log = _parse_grid_spec(args.grid)
         grid = build_grid(start, stop, points, log=log, anchors=default_anchors(scn))
     _emit_table(sweep_cavity(scn, grid), scn, args)
-    return 0
 
 
-def _cmd_gp_vs_n(args) -> int:
+def _cmd_gp_vs_n(args) -> None:
     scn = _resolve_scenario(args)
     n_max = args.n_max if args.n_max is not None else scn.n_max
     _emit_table(gp_vs_n(scn, default_n_grid(n_max, args.points)), scn, args)
-    return 0
 
 
-def _cmd_figure1(args) -> int:
+def _cmd_figure1(args) -> None:
     outdir = _resolve_out(args.out if args.out is not None else "figure1")
     for path in figure1(outdir, points=args.points):
         print(path)
-    return 0
+
+
+_FORMAT = (("--format",), dict(choices=("csv", "json"), default="csv"))
+_TABLE_OPTIONS = (
+    (("--out",), dict(help="output directory for the table file (default: CSV to stdout)")),
+    (_FORMAT[0], dict(_FORMAT[1], help="table serialization (default: csv)")),
+    (("--plot",), dict(action="store_true",
+                       help="also write an SVG panel next to the table (requires --out)")),
+)
+
+# command -> (handler, help, whether it takes --scenario or --config, its
+# other options as (flags, add_argument keywords) in --help order). Only
+# the _cmd_* handlers sit here, and they look library functions up when
+# they run, so a wrapper set on a module attribute still sees each call.
+_COMMANDS = {
+    "presets": (_cmd_presets, "list built-in scenarios", False, (_FORMAT,)),
+    "rates": (_cmd_rates, "transition rates for one scenario", True, (_FORMAT,)),
+    "gp": (_cmd_gp, "geometric phase after n precession cycles", True, (
+        (("--engine",), dict(choices=tuple(ENGINES), help="default: scenario family")),
+        (("-n", "--cycles"), dict(type=int, help="default: scenario n_default")),
+        _FORMAT,
+    )),
+    "sweep-cavity": (_cmd_sweep_cavity, "rates as a function of the cavity frequency", True, (
+        (("--grid",), dict(help="start:stop:points[:log|lin] cavity-frequency grid "
+                                "(resonance anchors are always inserted)")),
+        *_TABLE_OPTIONS,
+    )),
+    "gp-vs-n": (_cmd_gp_vs_n, "phase contributions vs cycle count", True, (
+        (("--n-max",), dict(type=int, help="default: scenario n_max")),
+        (("--points",), dict(type=int, default=25)),
+        *_TABLE_OPTIONS,
+    )),
+    "figure1": (_cmd_figure1, "write the four-panel summary (CSV + SVG per panel)", False, (
+        (("--out",), dict(help="default: $ROTODYNE_OUT/figure1 or ./figure1")),
+        (("--points",), dict(type=int, help="sweep points per rate panel")),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,64 +231,29 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_presets = sub.add_parser("presets", help="list built-in scenarios")
-    p_presets.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_presets.set_defaults(func=_cmd_presets)
-
-    p_rates = sub.add_parser("rates", help="transition rates for one scenario")
-    _add_scenario_args(p_rates)
-    p_rates.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_rates.set_defaults(func=_cmd_rates)
-
-    p_gp = sub.add_parser("gp", help="geometric phase after n precession cycles")
-    _add_scenario_args(p_gp)
-    p_gp.add_argument("--engine", choices=tuple(ENGINES), help="default: scenario family")
-    p_gp.add_argument("-n", "--cycles", type=int, help="default: scenario n_default")
-    p_gp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_gp.set_defaults(func=_cmd_gp)
-
-    p_sweep = sub.add_parser(
-        "sweep-cavity", help="rates as a function of the cavity frequency"
-    )
-    _add_scenario_args(p_sweep)
-    p_sweep.add_argument(
-        "--grid",
-        help="start:stop:points[:log|lin] cavity-frequency grid "
-        "(resonance anchors are always inserted)",
-    )
-    _add_table_args(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep_cavity)
-
-    p_gpn = sub.add_parser("gp-vs-n", help="phase contributions vs cycle count")
-    _add_scenario_args(p_gpn)
-    p_gpn.add_argument("--n-max", type=int, help="default: scenario n_max")
-    p_gpn.add_argument("--points", type=int, default=25)
-    _add_table_args(p_gpn)
-    p_gpn.set_defaults(func=_cmd_gp_vs_n)
-
-    p_fig = sub.add_parser(
-        "figure1", help="write the four-panel summary (CSV + SVG per panel)"
-    )
-    p_fig.add_argument("--out", help="default: $ROTODYNE_OUT/figure1 or ./figure1")
-    p_fig.add_argument("--points", type=int, help="sweep points per rate panel")
-    p_fig.set_defaults(func=_cmd_figure1)
-
+    for name, (handler, help_text, takes_scenario, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if takes_scenario:
+            group = command.add_mutually_exclusive_group()
+            group.add_argument(
+                "--scenario",
+                help="built-in preset name or scenario JSON path (default: case1)",
+            )
+            group.add_argument("--config", help="scenario JSON file")
+        for flags, keywords in options:
+            command.add_argument(*flags, **keywords)
+        command.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError) as exc:
         print(f"rotodyne: error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:
         print(f"rotodyne: numerical failure: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return 0

@@ -328,10 +328,11 @@ def _phase_kernel(p: EvolutionParams, total_time: float):
 
 def _sweep(omega: float, total_time: float) -> float:
     """omega T, the azimuth the numeric engines precess through. Raises
-    ValueError for a negative horizon and NumericsError where omega T is
-    not finite, before any kernel work: no phase survives that sweep."""
-    if total_time < 0.0:
-        raise ValueError(f"total_time must be non-negative, got {total_time}")
+    ValueError for a negative or non-finite horizon and NumericsError where
+    omega T is not finite, before any kernel work: no phase survives that
+    sweep."""
+    if not 0.0 <= total_time < math.inf:
+        raise ValueError(f"total_time must be non-negative and finite, got {total_time}")
     sweep = omega * total_time
     if not math.isfinite(sweep):
         raise NumericsError(f"precession angle omega T = {sweep} is not finite")

@@ -294,11 +294,16 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data)
 
 
-def save_scenario(s: Scenario, path) -> None:
+def _json_text(data) -> str:
+    """The JSON text the package writes: indented by 2, keys sorted, and a
+    final newline."""
     import json
 
-    text = json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def save_scenario(s: Scenario, path) -> None:
+    Path(path).write_text(_json_text(scenario_to_dict(s)), encoding="utf-8", newline="\n")
 
 
 # The most points a sweep or cycle-count grid may ask for, checked from the
@@ -538,16 +543,18 @@ def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResu
     that label. Every engine other than the two case engines evaluates
     the scenario's family rates.
 
-    Raises ValueError for an unknown engine and for a count past the
-    engine's float range: the horizon 2 pi n / omega0 of a kernel engine,
-    n**2 for the others. A numpy count is taken as the Python number of
-    its value, so its square cannot wrap.
+    Raises ValueError for an unknown engine, a count that is nan or
+    infinite, and a count past the engine's float range: the horizon 2 pi
+    n / omega0 of a kernel engine, n**2 for the others. A numpy count is
+    taken as the Python number of its value, so its square cannot wrap.
     """
     if engine is None:
         engine = _FAMILIES[scenario.family].engine
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; available: {', '.join(ENGINES)}")
     n = _geophase()._plain_count(n)
+    if isinstance(n, float) and not math.isfinite(n):
+        raise ValueError(f"cycle count must be finite, got {n}")
     try:
         if engine in _KERNEL_ENGINES:
             _horizon(scenario, n)
@@ -667,24 +674,20 @@ def _json_cells(cells) -> list[str]:
 
 
 def table_to_json_text(table: SweepTable) -> str:
-    """The table as ``json.dumps`` writes ``{"columns", "metadata", "rows"}``
-    with ``indent=2, sort_keys=True``, every non-string cell as a float.
+    """The table as ``_json_text`` writes ``{"columns", "metadata", "rows"}``,
+    every non-string cell as a float.
 
-    Only the columns and metadata go through ``json.dumps`` whole; the
+    Only the columns and metadata go through ``_json_text`` whole; the
     rows are one ``%`` over a row template of per-column cell texts.
     """
-    import json
-
-    head = json.dumps(
-        {"columns": list(table.columns), "metadata": table.metadata}, indent=2, sort_keys=True
-    )
+    head = _json_text({"columns": list(table.columns), "metadata": table.metadata})
     rows = "[]"
     if table.rows:
         columns = [_json_cells(cells) for cells in table._cells_by_column]
         row = "    [\n      " + ",\n      ".join(["%s"] * len(columns)) + "\n    ]"
         template = ",\n".join([row if columns else "    []"] * len(table.rows))
         rows = "[\n" + template % tuple(chain.from_iterable(zip(*columns))) + "\n  ]"
-    return head[: -len("\n}")] + f',\n  "rows": {rows}\n}}\n'
+    return head[: -len("\n}\n")] + f',\n  "rows": {rows}\n}}\n'
 
 
 def write_csv(table: SweepTable, path) -> None:

@@ -9,6 +9,7 @@ domain errors return 1; numerical failures return 2.
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +128,59 @@ def gp_mapping_text(scn, res):
     )
 
 
+# each command's options in --help order as (option strings, default, choices)
+FORMAT_OPTION = (("--format",), "csv", ("csv", "json"))
+SCENARIO_OPTIONS = [(("--scenario",), None, None), (("--config",), None, None)]
+TABLE_OPTIONS = [(("--out",), None, None), FORMAT_OPTION, (("--plot",), False, None)]
+CLI_SURFACE = {
+    "presets": [FORMAT_OPTION],
+    "rates": [*SCENARIO_OPTIONS, FORMAT_OPTION],
+    "gp": [
+        *SCENARIO_OPTIONS,
+        (("--engine",), None, ("tong", "exact-integral", "quasi-cycle", "case1", "case2")),
+        (("-n", "--cycles"), None, None),
+        FORMAT_OPTION,
+    ],
+    "sweep-cavity": [*SCENARIO_OPTIONS, (("--grid",), None, None), *TABLE_OPTIONS],
+    "gp-vs-n": [
+        *SCENARIO_OPTIONS, (("--n-max",), None, None), (("--points",), 25, None), *TABLE_OPTIONS
+    ],
+    "figure1": [(("--out",), None, None), (("--points",), None, None)],
+}
+
+
+def readme_synopsis() -> dict:
+    """command -> the options its README synopsis line names, in order;
+    ``[--scenario ...]`` stands for the scenario group."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    named = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        if words[0] == "rotodyne":
+            command, words = words[1], words[2:]
+        line = " ".join(words).replace("[--scenario ...]", "[--scenario | --config]")
+        named.setdefault(command, []).extend(re.findall(r"(?<![\w-])--?[a-z][-a-z]*", line))
+    return named
+
+
+class TestSurface:
+    def test_options_defaults_and_choices(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert list(commands) == list(CLI_SURFACE)
+        for name, sub in commands.items():
+            got = [
+                (tuple(a.option_strings), a.default, a.choices and tuple(a.choices))
+                for a in sub._actions
+                if a.dest != "help"
+            ]
+            assert got == CLI_SURFACE[name], name
+
+    def test_readme_synopsis_names_every_option(self):
+        want = {name: [opts[0] for opts, _, _ in options] for name, options in CLI_SURFACE.items()}
+        assert readme_synopsis() == want
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -163,6 +217,13 @@ class TestBadInput:
         assert code == 1
         assert "rotodyne: error:" in err
         assert "case99" in err
+
+    @pytest.mark.parametrize("command", ["rates", "gp", "sweep-cavity", "gp-vs-n"])
+    def test_empty_scenario_name(self, capsys, command):
+        # an empty name is given, not absent: it ran case1
+        code, out, err = run(capsys, [command, "--scenario", ""])
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error: unknown scenario '': not a preset")
 
     def test_missing_scenario_file(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"

@@ -1081,6 +1081,16 @@ class TestEngineContract:
             gap = abs(kernel - elementary_kernel(p, horizon))
             assert gap <= 8.0 * sys.float_info.epsilon * horizon, (SEED, index, p, horizon)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon_is_bad_input(self, horizon):
+        # bad input (ValueError) as in the quasi-cycle engines, not a
+        # numerical failure: no omega T is formed from it
+        p = EvolutionParams(1e-3, 5e-4, 10.0, 1.0)
+        message = f"^total_time must be non-negative and finite, got {horizon}$"
+        for engine in (gp_tong_closed_form, gp_exact_integral):
+            with pytest.raises(ValueError, match=message):
+                engine(p, horizon)
+
     def test_panel_sum_past_the_float_range_raises(self):
         # T within a factor of 2 of the float maximum, 4 a T = 6 on the panels:
         # each panel's share of the kernel is finite, their sum is not

@@ -487,6 +487,12 @@ class TestSweeps:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scenario_gp(preset("case1"), 10 ** (digits - 1), engine)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    @pytest.mark.parametrize("engine", ["tong", "exact-integral", "quasi-cycle", "case1", "case2"])
+    def test_non_finite_cycle_count_raises(self, engine, n):
+        with pytest.raises(ValueError, match=f"^cycle count must be finite, got {n}$"):
+            scenario_gp(preset("case1"), n, engine)
+
     def test_cycle_count_in_the_kernel_range_runs(self):
         # n**2 is past the float range, the horizon of n = 10^200 cycles is not
         res = scenario_gp(preset("case1"), 10**200, "tong")
