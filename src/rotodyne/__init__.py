@@ -23,7 +23,8 @@ command loads only what it calls; ``scenarios`` imports ``rates`` and the
 layers below it at its top, since every command but ``presets`` calls
 them. Reading a module's name here (``rotodyne.scenarios``) imports that
 module alone; reading any other public name, or ``__all__``, imports every
-layer and binds all their public names at once.
+layer and binds all their public names at once. The value types are
+``_record`` records (no ``dataclasses``); the CLI builds one subparser.
 
 All frequencies are angular (rad/s) throughout.
 """

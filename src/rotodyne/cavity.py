@@ -33,13 +33,13 @@ which this relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = ["CavitySpec", "dos", "dos_derivative"]
 
 
-@dataclass(frozen=True)
-class CavitySpec:
+class CavitySpec(Record):
     """Cavity mode: center frequency (rad/s; a float, or a 1-d array for one
     mode per entry), quality factor, mode volume (m^3)."""
 

@@ -223,6 +223,11 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The parser of the commands ``names``; its usage names every command."""
     parser = _Parser(
         prog="rotodyne",
         description=(
@@ -231,7 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, takes_scenario, options) in _COMMANDS.items():
+    if len(names) < len(_COMMANDS):  # not on the full parser: it renames `command` in errors
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name in names:
+        handler, help_text, takes_scenario, options = _COMMANDS[name]
         command = sub.add_parser(name, help=help_text)
         if takes_scenario:
             group = command.add_mutually_exclusive_group()
@@ -247,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named first needs its own subparser alone
+    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    args = _parser(names).parse_args(argv)
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import NumericsError
 from .rates import RateSet, kossakowski
 
@@ -57,8 +57,7 @@ EIG_FLOOR = -1e-10
 GROWTH_LIMIT = 1e6
 
 
-@dataclass(frozen=True)
-class EvolutionParams:
+class EvolutionParams(Record):
     """Generator coefficients: dissipator pair (a, b), effective precession
     frequency (rad/s), and the initial superposition angle (rad)."""
 
@@ -179,8 +178,7 @@ def lindblad_rhs(rho: np.ndarray, p: EvolutionParams) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class OdeTrajectory:
+class OdeTrajectory(Record):
     """Sampled numerical trajectory: times (N,) and states (N, 2, 2)."""
 
     times: np.ndarray

@@ -45,8 +45,8 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
 
+from ._record import Factory, Record
 from .errors import NumericsError
 from .rates import RateSet, _dissipator_pair, case1_rates, case2_rates
 
@@ -79,8 +79,7 @@ KERNEL_CACHE_SIZE = 8
 SERIES_REL_TOL, SERIES_TERMS, SERIES_RADIUS = 2.0 ** -56, 40, math.sqrt(2.0) - 1.0
 
 
-@dataclass(frozen=True)
-class GPResult:
+class GPResult(Record):
     """One geometric-phase evaluation.
 
     ``total`` is the unwrapped phase (rad); the property
@@ -100,7 +99,7 @@ class GPResult:
     inertial_part: float | None = None
     noninertial_part: float | None = None
     warnings: tuple[str, ...] = ()
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = Factory(dict)
 
     @property
     def principal_value(self) -> float:

@@ -13,8 +13,9 @@ speed over c) or at a field frequency appearing in a resonance condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
+from ._record import Record
 from .constants import SPEED_OF_LIGHT
 
 __all__ = [
@@ -26,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AtomParams:
+class AtomParams(Record):
     """Two-level emitter: gap ``omega0`` (rad/s), dipole norm (C*m), initial
     superposition angle ``theta0`` (rad) of cos(t/2)|e> + sin(t/2)|g>."""
 
@@ -44,8 +44,7 @@ class AtomParams:
             raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
 
 
-@dataclass(frozen=True)
-class TrajectoryParams:
+class TrajectoryParams(Record):
     """Circular orbit: radius (m), angular frequency (rad/s), and the orbit
     center in the rotation plane (m, metadata only)."""
 
@@ -58,6 +57,12 @@ class TrajectoryParams:
             raise ValueError(f"radius must be non-negative and finite, got {self.radius}")
         if not 0.0 <= self.omega < math.inf:
             raise ValueError(f"omega must be non-negative and finite, got {self.omega}")
+        if not (
+            isinstance(self.center, tuple)
+            and len(self.center) == 2
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.center)
+        ):
+            raise ValueError(f"center must be a tuple of two coordinates, got {self.center!r}")
         if not all(map(math.isfinite, self.center)):
             raise ValueError(f"center must be finite, got {self.center}")
 
@@ -66,8 +71,7 @@ class TrajectoryParams:
         return self.omega * self.radius
 
 
-@dataclass(frozen=True)
-class KinematicDerived:
+class KinematicDerived(Record):
     """Derived kinematic quantities for one (trajectory, atom) pair.
 
     zeta          squared rim speed over c**2, zeta(omega)

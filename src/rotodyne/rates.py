@@ -28,8 +28,8 @@ Regime violations set warnings, they never raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
+from ._record import Record
 from .cavity import CavitySpec, dos, dos_derivative
 from .constants import HBAR, VACUUM_PERMITTIVITY
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics, zeta_of
@@ -51,8 +51,7 @@ ZETA_WARN_THRESHOLD = 1e-3
 REGIME_SEPARATION = 10.0
 
 
-@dataclass(frozen=True)
-class RateSet:
+class RateSet(Record):
     """Decay/excitation rates (1/s); the dissipator coefficients and their
     ratio b/a (0 where a = 0) are read-only properties of the two rates.
 
@@ -207,12 +206,12 @@ def general_rates(
     lab = _lab_rates(traj, atom, cavity, kin, eta)
     gamma_down = kin.lorentz_gamma * lab.gamma_down
     gd_inertial = eta * dos(cavity, atom.omega0) * atom.omega0
-    return replace(
-        lab,
+    return RateSet(
         gamma_down=gamma_down,
         gamma_up=kin.lorentz_gamma * lab.gamma_up,
         gamma_down_inertial=gd_inertial,
         gamma_down_ni=gamma_down - gd_inertial,
+        warnings=lab.warnings,
     )
 
 

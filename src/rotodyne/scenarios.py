@@ -32,13 +32,13 @@ import io
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import ne
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
+from ._record import Factory, Record
 from ._version import __version__
 from .cavity import CavitySpec
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics
@@ -93,8 +93,10 @@ GP_VS_N_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
+    """Atom, orbit, cavity, rate family, cycle counts and cavity sweep under
+    one name, held to the scenario file's rules (``_name``, ``_count``)."""
+
     name: str
     atom: AtomParams
     trajectory: TrajectoryParams
@@ -107,6 +109,9 @@ class Scenario:
     sweep_points: int = 400
 
     def __post_init__(self):
+        object.__setattr__(self, "name", _name(self.name))
+        for key in ("n_default", "n_max", "sweep_points"):
+            object.__setattr__(self, key, _count(getattr(self, key), key))
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {tuple(_FAMILIES)}, got {self.family!r}")
         if self.n_default < 1 or self.n_max < self.n_default:
@@ -271,7 +276,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     lo, hi = _sweep_bounds(family, atom, kin)
     n_default, n_max = (_count(data[key], key) for key in ("n_default", "n_max"))
     sweep = {"sweep_lo": lo, "sweep_hi": hi, **_read(data, "sweep")}
-    return Scenario(_name(data["name"]), atom, traj, cavity, family, n_default, n_max, **sweep)
+    return Scenario(data["name"], atom, traj, cavity, family, n_default, n_max, **sweep)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -364,8 +369,7 @@ def default_anchors(scenario: Scenario) -> tuple[float, ...]:
     return (scenario.atom.omega0, *(getattr(kin, name) for name in anchors))
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(Record):
     """Result table stored as row tuples, with deterministic serialization.
 
     ``metadata`` (scenario snapshot, tool version, axis name) rides along
@@ -376,7 +380,7 @@ class SweepTable:
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = Factory(dict)
 
     @cached_property
     def _cells_by_column(self) -> tuple[tuple, ...]:
@@ -449,7 +453,7 @@ def _array_rows(scenario: Scenario, grid: Sequence[float]) -> tuple[tuple, ...]:
     """Sweep rows from one rate evaluation on the grid as an array."""
     import numpy as np
     grid = np.asarray(grid, dtype=float)
-    rates = scenario_rates(scenario, replace(scenario.cavity, omega_c=grid))
+    rates = scenario_rates(scenario, scenario.cavity._replace(omega_c=grid))
     columns = np.broadcast_arrays(
         grid, rates.gamma_down, rates.gamma_down_inertial, rates.gamma_down_ni, rates.gamma_up
     )
@@ -773,14 +777,12 @@ def figure1(outdir, points: int | None = None) -> tuple[Path, ...]:
     phase-versus-cycle-count table, each as CSV plus a standalone SVG
     panel. Returns the eight paths in a fixed order.
     """
-    if points is not None:
-        points = _count(points, "points")
     outdir = Path(outdir)
     written: list[Path] = []
     for name in preset_names():
         scn = preset(name)
         if points is not None:
-            scn = replace(scn, sweep_points=points)
+            scn = scn._replace(sweep_points=points)
         written += _write_table(sweep_cavity(scn), scn, outdir)
         written += _write_table(gp_vs_n(scn), scn, outdir)
     return tuple(written)

@@ -152,3 +152,16 @@ class TestValidation:
         ):
             with pytest.raises(ValueError):
                 make()
+
+    @pytest.mark.parametrize(
+        "center", [(0.0,), (0.0, 0.0, 0.0), "ab", ("a", "b"), 5.0, (True, 0.0), None, [0.0, 0.0]],
+        ids=["one", "three", "text", "text-pair", "scalar", "bool", "none", "list"],
+    )
+    def test_center_must_be_a_tuple_of_two_coordinates(self, center):
+        """The loader's pair of floats; a list would leave the record unhashable."""
+        with pytest.raises(ValueError, match="center must be a tuple of two coordinates"):
+            TrajectoryParams(radius=1.0, omega=1.0, center=center)
+
+    def test_center_message_for_a_non_finite_pair_is_kept(self):
+        with pytest.raises(ValueError, match=r"^center must be finite, got \(inf, 0.0\)$"):
+            TrajectoryParams(radius=1.0, omega=1.0, center=(math.inf, 0.0))

@@ -1,6 +1,7 @@
 """Scenario presets, serialization, sweep tables, deterministic text output."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -222,6 +223,34 @@ class TestSerialization:
         block[last] = value
         with pytest.raises(ValueError, match=message):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sweep_points", 2.5, "sweep_points must be a whole number"),
+            ("sweep_points", math.nan, "sweep_points must be a whole number"),
+            ("n_default", math.nan, "n_default must be a whole number"),
+            ("n_max", math.inf, "n_max must be a whole number"),
+            ("n_default", True, "n_default must be a number"),
+            ("name", "../escaped", "name must be a non-empty string"),
+            ("name", "a/b", "name must be a non-empty string"),
+            ("name", "", "name must be a non-empty string"),
+        ],
+    )
+    def test_record_holds_to_the_loader_rules(self, field, value, message):
+        """A Scenario the loader would refuse cannot be made, so none can be
+        saved to a file that does not load or written outside its directory."""
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(preset("case1"), **{field: value})
+
+    def test_whole_float_counts_are_stored_as_ints(self, tmp_path):
+        s = dataclasses.replace(preset("case1"), sweep_points=400.0, n_default=1e5, n_max=1e6)
+        assert s == preset("case1")
+        assert [type(v) for v in (s.sweep_points, s.n_default, s.n_max)] == [int] * 3
+        reference = sweep_cavity(preset("case1"))
+        assert table_to_csv_text(sweep_cavity(s)) == table_to_csv_text(reference)
+        save_scenario(s, tmp_path / "s.json")
+        assert load_scenario(tmp_path / "s.json") == s
 
     def test_general_family_accepted(self):
         data = scenario_to_dict(preset("case2"))
