@@ -88,12 +88,12 @@ def _emit_table(table, scn: Scenario, args) -> None:
 
 
 def _print_mapping(payload: dict, fmt: str) -> None:
-    """Print a mapping as JSON, or as one ``key,value`` line per item with
-    the cells of a CSV table."""
+    """Print a mapping as JSON, or as one ``key,value`` line per item, each
+    value a CSV table's cell (``_csv_cell``: text quoted where it must be)."""
     if fmt == "json":
         sys.stdout.write(scenarios._json_text(payload))
     else:
-        sys.stdout.write("".join(f"{k},{scenarios._cell_text(v)}\n" for k, v in payload.items()))
+        sys.stdout.write("".join(f"{k},{scenarios._csv_cell(v)}\n" for k, v in payload.items()))
 
 
 def _parse_grid_spec(spec: str) -> tuple[float, float, int, bool]:

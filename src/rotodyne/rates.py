@@ -19,6 +19,11 @@ Three rate engines share one structure:
     First order in zeta(omega), co-moving frame, with both sidebands and
     the recoil bracket kept at their exact sideband frequencies.
 
+Each family is one formula of (trajectory, atom, cavity, kinematics, eta)
+that returns the rates in the order of a sweep table's columns (total
+down, inertial, non-inertial, up) and its regime warning or None. All
+share one set-up (``_setup``) and one assembly (``_assemble``).
+
 The dissipator pair (a, b) and the ratio b/a derive from the two rates.
 The inertial part of the downward rate is the zero-rotation limit
 eta * dos(omega0) * omega0; the non-inertial part is the remainder.
@@ -149,15 +154,30 @@ def _square(value: float, name: str) -> float:
         ) from None
 
 
-def _general_warnings(kin: KinematicDerived) -> tuple[str, ...]:
+def _setup(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec):
+    """(kinematics, eta): the set-up of every family, in that order, so that
+    a bad orbit is reported before a bad coupling. Eta reads only the mode
+    volume, so a cavity sweep forms both once."""
+    return derive_kinematics(traj, atom), vacuum_coupling(atom, cavity)
+
+
+def _assemble(kin: KinematicDerived, rates: tuple) -> RateSet:
+    """The RateSet of a formula's rates, with the rim-speed warning first
+    and the family's regime warning second."""
+    down, inertial, noninertial, up, regime = rates
+    warnings = (regime,) if regime else ()
     if kin.zeta > ZETA_WARN_THRESHOLD:
-        return (f"zeta(omega)={kin.zeta:.3e} above {ZETA_WARN_THRESHOLD:g}",)
-    return ()
+        warnings = (f"zeta(omega)={kin.zeta:.3e} above {ZETA_WARN_THRESHOLD:g}", *warnings)
+    return RateSet(down, up, inertial, noninertial, warnings)
 
 
-def lab_rates_general(
-    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec
-) -> RateSet:
+def _rates(formula, traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
+    """The RateSet of ``formula`` after the shared set-up."""
+    kin, eta = _setup(traj, atom, cavity)
+    return _assemble(kin, formula(traj, atom, cavity, kin, eta))
+
+
+def lab_rates_general(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
     """Lab-frame rates from the resonance-condition evaluation.
 
     Each sideband enters with weight zeta(omega)/4 + zeta(w_sifted)/5 and
@@ -166,13 +186,10 @@ def lab_rates_general(
     omega > 0: a non-rotating emitter at fixed radius keeps the carrier
     term alone, recoil factor included.
     """
-    kin = derive_kinematics(traj, atom)
-    return _lab_rates(traj, atom, cavity, kin, vacuum_coupling(atom, cavity))
+    return _rates(_lab, traj, atom, cavity)
 
 
-def _lab_rates(
-    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec, kin: KinematicDerived, eta: float
-) -> RateSet:
+def _lab(traj, atom, cavity, kin, eta):
     radius = traj.radius
     zeta_rot = kin.zeta
 
@@ -185,13 +202,10 @@ def _lab_rates(
     obar = kin.omega0_bar
     carrier = (1.0 - 0.4 * zeta_of(obar, radius)) * dos(cavity, obar) * obar
     gamma_down = eta * (carrier + sideband(obar + traj.omega) + sideband(obar - traj.omega))
-    gamma_up = eta * sideband(traj.omega - obar)
-    return RateSet(gamma_down=gamma_down, gamma_up=gamma_up, warnings=_general_warnings(kin))
+    return gamma_down, None, None, eta * sideband(traj.omega - obar), None
 
 
-def general_rates(
-    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec
-) -> RateSet:
+def general_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
     """Co-moving rates from the resonance-condition engine, split against
     the static reference.
 
@@ -201,23 +215,17 @@ def general_rates(
     the frame factor all land in the non-inertial remainder. The upward
     channel is entirely non-inertial.
     """
-    kin = derive_kinematics(traj, atom)
-    eta = vacuum_coupling(atom, cavity)
-    lab = _lab_rates(traj, atom, cavity, kin, eta)
-    gamma_down = kin.lorentz_gamma * lab.gamma_down
+    return _rates(_general, traj, atom, cavity)
+
+
+def _general(traj, atom, cavity, kin, eta):
+    lab_down, _, _, lab_up, _ = _lab(traj, atom, cavity, kin, eta)
+    gamma_down = kin.lorentz_gamma * lab_down
     gd_inertial = eta * dos(cavity, atom.omega0) * atom.omega0
-    return RateSet(
-        gamma_down=gamma_down,
-        gamma_up=kin.lorentz_gamma * lab.gamma_up,
-        gamma_down_inertial=gd_inertial,
-        gamma_down_ni=gamma_down - gd_inertial,
-        warnings=lab.warnings,
-    )
+    return gamma_down, gd_inertial, gamma_down - gd_inertial, kin.lorentz_gamma * lab_up, None
 
 
-def case1_rates(
-    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec
-) -> RateSet:
+def case1_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
     """Co-moving rates in the fast-rotation regime, first order in zeta.
 
     Downward channel: inertial part eta * dos(omega0) * omega0 plus the
@@ -225,8 +233,10 @@ def case1_rates(
     upper sideband). Upward channel: the lower sideband only, entirely
     non-inertial.
     """
-    kin = derive_kinematics(traj, atom)
-    eta = vacuum_coupling(atom, cavity)
+    return _rates(_case1, traj, atom, cavity)
+
+
+def _case1(traj, atom, cavity, kin, eta):
     omega0 = atom.omega0
     zeta_rot = kin.zeta
 
@@ -236,22 +246,12 @@ def case1_rates(
         + 0.9 * kin.omega_plus * dos(cavity, kin.omega_plus)
     )
     gamma_up = eta * 0.45 * zeta_rot * dos(cavity, kin.omega_minus) * max(kin.omega_minus, 0.0)
-
-    warnings = list(_general_warnings(kin))
-    if traj.omega < REGIME_SEPARATION * kin.omega0_bar:
-        warnings.append("fast-rotation regime strained: omega < 10 * omega0_bar")
-    return RateSet(
-        gamma_down=gd_inertial + gd_ni,
-        gamma_up=gamma_up,
-        gamma_down_inertial=gd_inertial,
-        gamma_down_ni=gd_ni,
-        warnings=tuple(warnings),
-    )
+    strained = traj.omega < REGIME_SEPARATION * kin.omega0_bar
+    regime = "fast-rotation regime strained: omega < 10 * omega0_bar" if strained else None
+    return gd_inertial + gd_ni, gd_inertial, gd_ni, gamma_up, regime
 
 
-def case2_rates(
-    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec
-) -> RateSet:
+def case2_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
     """Co-moving rates in the slow-rotation regime, first order in zeta.
 
     Six downward terms: carrier, dos-derivative correction, the two
@@ -260,8 +260,10 @@ def case2_rates(
     The recoil bracket vanishes identically at omega = 0, so the
     zero-rotation limit is exactly the inertial rate.
     """
-    kin = derive_kinematics(traj, atom)
-    eta = vacuum_coupling(atom, cavity)
+    return _rates(_case2, traj, atom, cavity)
+
+
+def _case2(traj, atom, cavity, kin, eta):
     omega0 = atom.omega0
     radius = traj.radius
     zeta_rot = kin.zeta
@@ -282,15 +284,6 @@ def case2_rates(
 
     gd_inertial = eta * carrier
     gd_ni = eta * (slope + sidebands + recoil)
-
-    warnings = list(_general_warnings(kin))
-    if traj.omega > kin.omega0_bar / REGIME_SEPARATION:
-        warnings.append("slow-rotation regime strained: omega > omega0_bar / 10")
-    return RateSet(
-        gamma_down=gd_inertial + gd_ni,
-        gamma_up=0.0,
-        gamma_down_inertial=gd_inertial,
-        gamma_down_ni=gd_ni,
-        warnings=tuple(warnings),
-    )
-
+    strained = traj.omega > kin.omega0_bar / REGIME_SEPARATION
+    regime = "slow-rotation regime strained: omega > omega0_bar / 10" if strained else None
+    return gd_inertial + gd_ni, gd_inertial, gd_ni, 0.0, regime

@@ -28,7 +28,6 @@ with 17 significant digits and LF line endings.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 import sys
@@ -36,13 +35,14 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import ne
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
 
 from ._record import Factory, Record
 from ._version import __version__
 from .cavity import CavitySpec
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics
-from .rates import RateSet, case1_rates, case2_rates, general_rates
+from .rates import (
+    RateSet, _assemble, _case1, _case2, _general, _setup, case1_rates, case2_rates, general_rates
+)
 
 __all__ = [
     "DEFAULT_DIPOLE",
@@ -122,8 +122,9 @@ class Scenario(Record):
             raise ValueError("need at least 2 sweep points")
 
 
-class _Family(NamedTuple):
+class _Family(Record):
     rates: Callable  # fn(trajectory, atom, cavity) -> RateSet, looked up when called
+    formula: Callable  # its formula in ``rates``, which a sweep runs after one set-up
     engine: str  # the default engine of scenario_gp
     anchors: tuple[str, ...]  # KinematicDerived fields a sweep grid keeps, besides omega0
 
@@ -134,12 +135,13 @@ class _Family(NamedTuple):
 # and would mask it. Each lambda looks its rate function up here when called,
 # so that the wrappers bench/tracing.py sets on these names see the call.
 _FAMILIES = {
-    "case1": _Family(lambda *a: case1_rates(*a), "case1", ("omega_minus", "omega_plus")),
+    "case1": _Family(lambda *a: case1_rates(*a), _case1, "case1", ("omega_minus", "omega_plus")),
     "case2": _Family(
-        lambda *a: case2_rates(*a), "case2", ("omega0_bar", "obar_minus", "obar_plus")
+        lambda *a: case2_rates(*a), _case2, "case2", ("omega0_bar", "obar_minus", "obar_plus")
     ),
     "general": _Family(
         lambda *a: general_rates(*a),
+        _general,
         "quasi-cycle",
         ("omega0_bar", "omega_minus", "omega_plus", "obar_minus", "obar_plus"),
     ),
@@ -219,12 +221,16 @@ def _point(value, name: str) -> tuple[float, float]:
 
 
 def _name(value) -> str:
-    """A scenario name, which output file names embed: a non-empty string
-    with no path separator and no '..'; ValueError for anything else."""
+    """A scenario name, which output file names and the one-path-per-line
+    listing of ``--out`` embed: a non-empty string with no path separator,
+    no '..' and no control character (below U+0020, and U+007F); ValueError
+    for anything else."""
     if not isinstance(value, str) or not value or any(t in value for t in ("/", "\\", "..")):
         raise ValueError(
             f"name must be a non-empty string with no path separator or '..', got {value!r}"
         )
+    if any(c < " " or c == "\x7f" for c in value):
+        raise ValueError(f"name must hold no control character, got {value!r}")
     return value
 
 
@@ -413,22 +419,24 @@ def scenario_rates(scenario: Scenario, cavity: CavitySpec | None = None) -> Rate
     return rates(scenario.trajectory, scenario.atom, scenario.cavity if cavity is None else cavity)
 
 
-# The most points a sweep takes one scalar rate call per point for, while
-# numpy is not loaded yet. On an x86-64 Xeon with Python 3.11 and numpy 2.4,
-# importing numpy took 76 ms (quartiles 72-90 ms over 15 fresh processes)
-# and a scalar ``scenario_rates`` call 12.2 us (11.7-13.3 us) on the preset
-# grids, so past about 6000 points the array call pays for the import.
-_SCALAR_SWEEP_MAX = 6000
+# The most points a sweep evaluates one float point at a time for, while
+# numpy is not loaded yet. On an x86-64 Xeon with Python 3.11 and numpy 2.4
+# (10 fresh processes, each timing both presets' 6000-point grids), importing
+# numpy took 155 ms (quartiles 142-161 ms), and a float point 6.5 us
+# (6.3-7.5 us) against 0.61 us on the array path, so past about 25000 points
+# (quartiles 21000-27000, least 19000) one array call pays for the import.
+_SCALAR_SWEEP_MAX = 20000
 
 
 def sweep_cavity(scenario: Scenario, grid: Sequence[float] | None = None) -> SweepTable:
     """Transition rates as a function of the cavity resonance frequency.
 
-    One rate evaluation takes the whole grid as an array ``omega_c`` when
-    numpy is loaded already or the grid has more than ``_SCALAR_SWEEP_MAX``
-    points; otherwise each point takes one scalar ``scenario_rates`` call.
-    Both give the same rows bit for bit (the ``cavity`` float/array
-    contract); the scalar path loads no numpy.
+    The scenario's cavity-independent set-up (kinematics, coupling,
+    validity) is formed once. Its family formula then runs once on the
+    grid as an array ``omega_c`` when numpy is loaded already or the grid
+    has more than ``_SCALAR_SWEEP_MAX`` points, and once per float point
+    otherwise. Both give the same rows bit for bit (the ``cavity``
+    float/array contract); the float path loads no numpy.
     """
     if grid is None:
         grid = build_grid(
@@ -441,7 +449,7 @@ def sweep_cavity(scenario: Scenario, grid: Sequence[float] | None = None) -> Swe
     if len(grid) == 0:
         raise ValueError("sweep grid is empty")
     arrays = "numpy" in sys.modules or len(grid) > _SCALAR_SWEEP_MAX
-    rows = (_array_rows if arrays else _scalar_rows)(scenario, grid)
+    rows = _sweep_rows(scenario, grid, arrays)
     return SweepTable(
         columns=RATE_SWEEP_COLUMNS,
         rows=rows,
@@ -449,27 +457,25 @@ def sweep_cavity(scenario: Scenario, grid: Sequence[float] | None = None) -> Swe
     )
 
 
-def _array_rows(scenario: Scenario, grid: Sequence[float]) -> tuple[tuple, ...]:
-    """Sweep rows from one rate evaluation on the grid as an array."""
-    import numpy as np
-    grid = np.asarray(grid, dtype=float)
-    rates = scenario_rates(scenario, scenario.cavity._replace(omega_c=grid))
-    columns = np.broadcast_arrays(
-        grid, rates.gamma_down, rates.gamma_down_inertial, rates.gamma_down_ni, rates.gamma_up
-    )
-    return tuple(zip(*(c.tolist() for c in columns), repeat(rates.validity)))
-
-
-def _scalar_rows(scenario: Scenario, grid: Sequence[float]) -> tuple[tuple, ...]:
-    """Sweep rows from one scalar rate evaluation per grid point, with the
-    validity of the first: warnings never depend on ``omega_c``."""
-    q, volume = scenario.cavity.q_factor, scenario.cavity.volume
-    rates = [(w, scenario_rates(scenario, CavitySpec(w, q, volume))) for w in map(float, grid)]
-    validity = rates[0][1].validity
-    return tuple(
-        (w, r.gamma_down, r.gamma_down_inertial, r.gamma_down_ni, r.gamma_up, validity)
-        for w, r in rates
-    )
+def _sweep_rows(scenario: Scenario, grid: Sequence[float], arrays: bool) -> tuple[tuple, ...]:
+    """Sweep rows of the family formula after one set-up, run once on the
+    grid as an array (``arrays``) or once per float point with its own
+    ``CavitySpec``. The grid is checked first, so a bad grid point is
+    reported before a bad set-up; warnings never depend on ``omega_c``."""
+    traj, atom, cavity = scenario.trajectory, scenario.atom, scenario.cavity
+    if arrays:
+        import numpy as np
+        cavities = [cavity._replace(omega_c=np.asarray(grid, dtype=float))]
+    else:
+        cavities = [CavitySpec(w, cavity.q_factor, cavity.volume) for w in map(float, grid)]
+    kin, eta = _setup(traj, atom, cavity)
+    formula = _FAMILIES[scenario.family].formula
+    rates = [formula(traj, atom, c, kin, eta) for c in cavities]
+    validity = _assemble(kin, rates[0]).validity
+    if arrays:
+        columns = np.broadcast_arrays(cavities[0].omega_c, *rates[0][:4])
+        return tuple(zip(*(c.tolist() for c in columns), repeat(validity)))
+    return tuple((c.omega_c, *r[:4], validity) for c, r in zip(cavities, rates))
 
 
 def default_n_grid(n_max: int, points: int = 25) -> tuple[int, ...]:
@@ -611,8 +617,14 @@ def _column_kind(cells) -> str:
     return "float"
 
 
-def _cell_text(value) -> str:
+def _csv_cell(value, alone: bool = False) -> str:
+    """One CSV cell: a float as %.16e, an integer as %d, and text as
+    ``csv.writer`` quotes it by default: in double quotes, each one inside
+    doubled, where it holds a comma, a double quote or a line break, or
+    where it is empty and the only field of its row (``alone``)."""
     if isinstance(value, str):
+        if (alone and not value) or any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, numbers.Integral):
         return str(int(value))
@@ -620,36 +632,21 @@ def _cell_text(value) -> str:
 
 
 def table_to_csv_text(table: SweepTable) -> str:
-    """CSV with one row per table row: floats as %.16e, integers as %d and
-    text quoted by ``csv.writer``.
+    """CSV with one row per table row, each cell as ``_csv_cell`` writes it.
 
     Each column picks its format once and each distinct string is quoted
     once; the body is one ``%`` over a row template.
     """
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    header = buf.getvalue()
-    # csv.writer writes a row of one empty field as "", so in a wider row
-    # a field is quoted next to an empty one
-    pad = ("",) if len(table.columns) > 1 else ()
-
-    def quote(text: str) -> str:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((text, *pad))
-        return buf.getvalue()[: -1 - len(pad)]
-
+    alone = len(table.columns) == 1
+    header = ",".join(_csv_cell(name, alone) for name in table.columns) + "\n"
     fields, columns = [], []
     for cells in table._cells_by_column:
         kind = _column_kind(cells)
         if kind == "text":
-            quoted = {text: quote(text) for text in set(cells)}
+            quoted = {text: _csv_cell(text, alone) for text in set(cells)}
             cells = list(map(quoted.__getitem__, cells))
         elif kind == "mixed":
-            cells = [quote(_cell_text(v)) for v in cells]
+            cells = [_csv_cell(v, alone) for v in cells]
         fields.append({"int": "%d", "float": "%.16e"}.get(kind, "%s"))
         columns.append(cells)
     template = (",".join(fields) + "\n") * len(table.rows)

@@ -325,7 +325,7 @@ def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
         f"codes = [main(argv) for argv in {commands!r}]\n"
         "print(json.dumps([codes, sorted(set(sys.modules) - baseline)]))\n"
     )
-    codes, added = _fresh_interpreter(probe)
+    codes, added = _fresh_interpreter("-c", probe)
     assert codes == [0, 0, 0, 0]
     unused = [
         m for m in added if m.split(".")[0] in UNUSED_ROOTS or m.split(".")[:2] == ["numpy", "ma"]
@@ -333,74 +333,32 @@ def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
     assert unused == [], unused
 
 
-def _fresh_interpreter(probe: str):
-    """The JSON the probe prints last, run in a fresh interpreter on this
-    checkout's package."""
+def _fresh_interpreter(*args: str):
+    """The JSON that ``python *args`` prints last, run in a fresh
+    interpreter on this checkout's package."""
     src = str(Path(rotodyne.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
-# what no command loads: the value types are records of rotodyne._record
-NEVER_LOADED = ["dataclasses", "inspect"]
-# c14's commands in order of growing module sets, each step with the modules
-# it and every step before it must leave unloaded
-LOAD_STEPS = [
-    (
-        [["presets"], ["gp", "-n", "0"], ["rates", "--scenario", "no-such-preset"]]
-        + [["sweep-cavity", "--grid", "1e7:2e7"], ["rates"], ["rates", "--scenario", "case2"]],
-        ["rotodyne.geophase", "rotodyne.dynamics", "json", "csv", *NEVER_LOADED],
-    ),
-    ([["sweep-cavity"]], ["rotodyne.geophase", "rotodyne.dynamics", *NEVER_LOADED]),
-    (
-        [
-            ["gp", "--scenario", name, "--engine", engine]
-            for name in ("case1", "case2")
-            for engine in ("case1", "case2", "quasi-cycle")
-        ]
-        + [["gp-vs-n"], ["figure1", "--out", "{out}"]],
-        ["rotodyne.dynamics", *NEVER_LOADED],
-    ),
-    ([["gp", "--engine", "tong"]], NEVER_LOADED),
-]
-
-
 def test_c14_each_command_loads_only_the_layers_it_calls(tmp_path):
-    """In one fresh interpreter, ``import rotodyne`` loads no layer; the
+    """In one fresh interpreter started with ``-S``, so that no ``.pth``
+    file loads a module first, ``import rotodyne`` loads no layer; the
     scalar commands and bad input load neither ``geophase`` nor
     ``dynamics`` nor ``json`` and ``csv``; a sweep loads no phase engine;
     the quasi-cycle engines and the phase tables load no ``dynamics``,
-    which ``tong`` loads; no command loads ``dataclasses`` or ``inspect``.
-    The commands run in the order of LOAD_STEPS, and the modules are read
-    after each step."""
-    steps = [
-        ([[arg.format(out=tmp_path) for arg in argv] for argv in argvs], absent)
-        for argvs, absent in LOAD_STEPS
-    ]
-    probe = (
-        "import contextlib, io, sys\n"
-        "import rotodyne\n"
-        "layers = sorted(m for m in sys.modules if m.startswith('rotodyne.'))\n"
-        "from rotodyne.cli import main\n"
-        "runs = []\n"
-        f"for argvs, absent in {steps!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "        codes = [main(argv) for argv in argvs]\n"
-        "    runs.append((codes, [m for m in absent if m in sys.modules]))\n"
-        "loaded = 'rotodyne.dynamics' in sys.modules\n"
-        "import json\n"
-        "print(json.dumps([layers, runs, loaded]))\n"
-    )
-    layers, runs, loaded = _fresh_interpreter(probe)
-    assert layers == ["rotodyne._version"]
-    assert [codes for codes, _ in runs] == [[0, 1, 1, 1, 0, 0], [0], [0] * 8, [0]]
-    assert [unwanted for _, unwanted in runs] == [[]] * len(LOAD_STEPS)
-    assert loaded
+    which ``tong`` loads; no command loads ``dataclasses``, ``inspect`` or
+    ``typing``. ``tests/module_sets.py`` runs the commands in the order of
+    its LOAD_STEPS and reads the modules after each step."""
+    from module_sets import problems
+
+    script = str(Path(__file__).with_name("module_sets.py"))
+    assert problems(_fresh_interpreter("-S", script, str(tmp_path))) == []
 
 
 # the table and figure commands of c13, "{out}" standing for an output root:
@@ -461,7 +419,7 @@ def fresh_run(tmp_path_factory):
         "        runs.append((main(argv), stdout.getvalue()))\n"
         "print(json.dumps([after_import, runs, loaded()]))\n"
     )
-    after_import, runs, after_commands = _fresh_interpreter(probe)
+    after_import, runs, after_commands = _fresh_interpreter("-c", probe)
     return {
         "after_import": after_import,
         "after_commands": after_commands,

@@ -372,9 +372,14 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err.startswith("rotodyne: error:")
 
-    @pytest.mark.parametrize("name", [None, "nodir/x", "../x"], ids=["null", "separator", "parent"])
+    @pytest.mark.parametrize(
+        "name",
+        [None, "nodir/x", "../x", "two\nlines", "tab\there", "\x1f", "del\x7f"],
+        ids=["null", "separator", "parent", "newline", "tab", "unit-separator", "delete"],
+    )
     def test_unsafe_scenario_name_exits_1(self, capsys, tmp_path, name):
-        # the name becomes part of the output file names
+        # the name becomes part of the output file names and of the
+        # one-path-per-line listing of --out, which a newline would split
         data = scenario_to_dict(preset("case2"))
         data["name"] = name
         cfg = tmp_path / "bad.json"
@@ -490,6 +495,28 @@ class TestRatesCommand:
         assert payload["gamma_down_inertial_per_s"] == fam.gamma_down_inertial
         assert payload["gamma_down_noninertial_per_s"] == fam.gamma_down_ni
         assert payload["b_coeff_per_s"] == fam.b_coeff
+
+    @pytest.mark.parametrize("command", ["rates", "gp"])
+    def test_text_values_are_quoted_as_csv_cells(self, capsys, tmp_path, command):
+        # each line is one key,value row of two fields that csv reads back
+        import csv
+
+        name = 'run "A", cold'
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(dict(scenario_to_dict(preset("case1")), name=name)))
+        code, out, _ = run(capsys, [command, "--config", str(cfg)])
+        assert code == 0
+        assert out.splitlines()[0] == 'scenario,"run ""A"", cold"'
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["scenario", name] and all(len(row) == 2 for row in rows)
+
+    def test_scenario_path_loads_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(dict(scenario_to_dict(preset("case2")), name="from-file")))
+        code, out, err = run(capsys, ["rates", "--scenario", str(cfg)])
+        assert (code, err) == (0, "")
+        assert run(capsys, ["rates", "--config", str(cfg)]) == (0, out, "")
+        assert parse_kv(out)[1]["scenario"] == "from-file"
 
     def test_config_file_scenario(self, capsys, tmp_path):
         cfg = tmp_path / "scn.json"

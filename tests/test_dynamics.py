@@ -269,6 +269,8 @@ class TestStateChecks:
             check_density_matrix(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
         with pytest.raises(ValueError):
             check_density_matrix(np.diag([1.2, -0.2]).astype(complex))
+        with pytest.raises(ValueError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
+            check_density_matrix(np.eye(3) / 3.0)
 
     def test_positivity_survives_long_evolution(self):
         rng = np.random.default_rng(14)
@@ -280,6 +282,12 @@ class TestStateChecks:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("rtol", [1e-14, 1e-5, math.nan])
+    def test_ode_rtol_outside_its_range_is_refused(self, rtol):
+        p = EvolutionParams(a_coeff=0.01, b_coeff=0.004, omega_eff=10.0, theta0=1.0)
+        with pytest.raises(ValueError, match=r"rtol must lie in \[1e-13, 1e-6\]"):
+            evolve_ode(p, 1.0, rtol=rtol)
+
     def test_params_require_contractive_coefficients(self):
         with pytest.raises(ValueError):
             EvolutionParams(a_coeff=1.0, b_coeff=1.5, omega_eff=1.0, theta0=0.5)

@@ -927,6 +927,11 @@ class TestSplitEngines:
         with pytest.raises(ValueError, match="positive and finite"):
             call(rs, p)
 
+    @pytest.mark.parametrize("theta", [4.0, -0.5, math.nan])
+    def test_split_refuses_an_angle_outside_zero_to_pi(self, theta):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            gp_split(case2_rates(*SLOW), 10.0, theta, 1.0e7)
+
     def test_split_parts_sum_to_nonunitary_total(self):
         rs = case2_rates(*SLOW)
         got = gp_split(rs, 1000.0, math.pi / 2, 1.0e7)

@@ -235,6 +235,10 @@ class TestSerialization:
             ("name", "../escaped", "name must be a non-empty string"),
             ("name", "a/b", "name must be a non-empty string"),
             ("name", "", "name must be a non-empty string"),
+            ("name", "two\nlines", "name must hold no control character"),
+            ("name", "\x00", "name must hold no control character"),
+            ("name", "tab\there", "name must hold no control character"),
+            ("name", "del\x7f", "name must hold no control character"),
         ],
     )
     def test_record_holds_to_the_loader_rules(self, field, value, message):
@@ -421,7 +425,7 @@ class TestSweeps:
         # the two paths of sweep_cavity over whole anchored grids of 2 to
         # 5000 points: both presets, case1 formulas out of their regime (a
         # warning on every row), and 50 seeded general-family scenarios
-        from rotodyne.scenarios import _array_rows, _scalar_rows
+        from rotodyne.scenarios import _sweep_rows
 
         rng = np.random.default_rng(20261022)
         slow = scenario_to_dict(preset("case2"))
@@ -432,7 +436,7 @@ class TestSweeps:
         validities = set()
         for s, points in cases:
             grid = build_grid(s.sweep_lo, s.sweep_hi, points, anchors=default_anchors(s))
-            scalar, array = _scalar_rows(s, grid), _array_rows(s, grid)
+            scalar, array = _sweep_rows(s, grid, arrays=False), _sweep_rows(s, grid, arrays=True)
             assert len(scalar) == len(grid) and all(type(v) is float for v in scalar[0][:-1])
             # the bytes of the numbers tell a zero's sign apart, which == does not
             numbers = [np.array([row[:-1] for row in rows]).tobytes() for rows in (scalar, array)]
@@ -441,6 +445,19 @@ class TestSweeps:
             validities.add(scalar[0][-1])
         # rows without a warning, and rows of more than one kind of warning
         assert "ok" in validities and len(validities) >= 3, validities
+
+    @pytest.mark.parametrize("arrays", [False, True], ids=["floats", "array"])
+    def test_bad_grid_point_is_reported_before_a_bad_set_up(self, arrays):
+        # the coupling overflows, and the second grid point is no frequency
+        from rotodyne.scenarios import _sweep_rows
+
+        s = dataclasses.replace(
+            preset("case1"), atom=dataclasses.replace(preset("case1").atom, dipole=1e200)
+        )
+        with pytest.raises(ValueError, match="coupling eta"):
+            sweep_cavity(s, (1.0e7, 2.0e7))
+        with pytest.raises(ValueError, match="omega_c must be positive and finite"):
+            _sweep_rows(s, (1.0e7, 0.0), arrays)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -598,6 +615,19 @@ class TestWritersMatchPerCellReference:
     def test_json_bytes(self, name):
         table = self.TABLES[name]
         assert table_to_json_text(table) == reference_json(table)
+
+    def test_text_cells_are_quoted_as_csv_writer_quotes_them(self):
+        # every character below U+0180 inside a text cell, beside a float
+        # cell and alone in its row; csv.writer leaves a carriage return bare
+        # before Python 3.13 (and refuses NUL on 3.10), where 3.13 quotes it
+        chars = [chr(i) for i in range(0x180) if chr(i) not in "\r\x00"]
+        pair = SweepTable(columns=("t", "x"), rows=tuple((f"a{c}b", 1.5) for c in chars))
+        alone = SweepTable(columns=("t",), rows=tuple((f"a{c}b",) for c in chars))
+        for table in (pair, alone):
+            assert table_to_csv_text(table) == reference_csv(table)
+        text = table_to_csv_text(SweepTable(columns=("t", "x"), rows=(("a\rb", 1.5),)))
+        assert text.split("\n")[1] == '"a\rb",1.5000000000000000e+00'
+        assert list(csv.reader(io.StringIO(text)))[1] == ["a\rb", "1.5000000000000000e+00"]
 
     def test_special_values_are_written_as_csv_and_json_spell_them(self):
         table = self.TABLES["specials"]

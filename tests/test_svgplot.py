@@ -100,6 +100,21 @@ class TestRuns:
         with pytest.raises(ValueError, match="matching 1-d x and y"):
             chart(tmp_path, [("s", [1.0, 2.0], [1.0, 2.0, 3.0])])
 
+    def test_nested_series_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^series 'a' needs matching 1-d x and y$"):
+            chart(tmp_path, [("a", [[1.0, 2.0]], [[1.0, 2.0]])])
+
+    def test_one_point_spans_a_padded_axis(self, tmp_path):
+        # gp-vs-n at n_max = 1 has one cycle count: each axis spans a
+        # single value, and each of the two series is one marker
+        from rotodyne.cli import main
+
+        assert main(["gp-vs-n", "--n-max", "1", "--plot", "--out", str(tmp_path)]) == 0
+        svg = (tmp_path / "case1_gp_vs_n.svg").read_text()
+        circles = CIRCLE.findall(svg)
+        assert len(circles) == 2 and len(set(circles)) == 2
+        assert all(math.isfinite(float(v)) for point in circles for v in point)
+
 
 class TestMarkers:
     def test_vlines_inside_the_box_only(self, tmp_path):
