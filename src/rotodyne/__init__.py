@@ -18,13 +18,14 @@ but ``__version__``.
 
 Import rule: ``import rotodyne`` loads ``__version__`` and no layer. What
 some commands do not call (``geophase``, ``dynamics``, ``svgplot``, numpy,
-``json``) is imported inside the function that calls it, and no module
-imports ``csv`` or ``typing``, so each command loads only what it calls;
-``scenarios`` imports ``rates`` and the layers below it at its top, since
-every command but ``presets`` calls them. Reading a module's name here (``rotodyne.scenarios``) imports that
-module alone; reading any other public name, or ``__all__``, imports every
-layer and binds all their public names at once. The value types are
-``_record`` records (no ``dataclasses``); the CLI builds one subparser.
+``json``) is imported inside the function that calls it, so each command
+loads only what it calls; ``LOAD_STEPS`` in ``tests/module_sets.py`` states
+which modules each command loads. ``scenarios`` imports ``rates`` and the
+layers below it at its top, since every command but ``presets`` calls them.
+Reading a module's name here (``rotodyne.scenarios``) imports that module
+alone; reading any other public name, or ``__all__``, imports every layer
+and binds all their public names at once. The value types are ``_record``
+records (no ``dataclasses``); the CLI builds one subparser.
 
 All frequencies are angular (rad/s) throughout.
 """

@@ -485,15 +485,9 @@ def _quasi_cycle_result(
         raise ValueError(f"n = {n!r} is too large: 2 pi^2 n^2 / omega0 is past the float range")
     prefactor = -scale * math.sin(theta) ** 2
     cos_t = math.cos(theta)
-    inertial = noninertial = None
-    if len(pairs) == 1:
-        ((a, b),) = pairs
-        nonunitary = prefactor * (2.0 * b + a * cos_t)
-    else:
-        (a_in, b_in), (a_ni, b_ni) = pairs
-        inertial = prefactor * (2.0 * b_in + a_in * cos_t)
-        noninertial = prefactor * (2.0 * b_ni + a_ni * cos_t)
-        nonunitary = inertial + noninertial
+    parts = [prefactor * (2.0 * b + a * cos_t) for a, b in pairs]
+    inertial, noninertial = parts if len(parts) == 2 else (None, None)
+    nonunitary = parts[0] if noninertial is None else inertial + noninertial
     unitary = -(math.tau * n) * math.sin(theta / 2.0) ** 2
     expansion = math.pi * n * a_coeff / omega0
     if expansion >= 0.1:

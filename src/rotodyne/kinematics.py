@@ -120,6 +120,7 @@ def derive_kinematics(traj: TrajectoryParams, atom: AtomParams) -> KinematicDeri
     zeta = zeta_of(traj.omega, traj.radius)
     root = math.sqrt(1.0 - zeta)
     omega0_bar = atom.omega0 * root
+    omega_plus = traj.omega + omega0_bar
     try:
         acceleration = traj.omega ** 2 * traj.radius
     except OverflowError:  # omega**2 is past the float range, omega * (omega * R) may not be
@@ -128,9 +129,9 @@ def derive_kinematics(traj: TrajectoryParams, atom: AtomParams) -> KinematicDeri
         zeta=zeta,
         lorentz_gamma=1.0 / root,
         omega0_bar=omega0_bar,
-        omega_plus=traj.omega + omega0_bar,
+        omega_plus=omega_plus,
         omega_minus=traj.omega - omega0_bar,
-        obar_plus=omega0_bar + traj.omega,
+        obar_plus=omega_plus,
         obar_minus=omega0_bar - traj.omega,
         acceleration=acceleration,
     )

@@ -201,8 +201,8 @@ def _lab(traj, atom, cavity, kin, eta):
 
     obar = kin.omega0_bar
     carrier = (1.0 - 0.4 * zeta_of(obar, radius)) * dos(cavity, obar) * obar
-    gamma_down = eta * (carrier + sideband(obar + traj.omega) + sideband(obar - traj.omega))
-    return gamma_down, None, None, eta * sideband(traj.omega - obar), None
+    gamma_down = eta * (carrier + sideband(kin.obar_plus) + sideband(kin.obar_minus))
+    return gamma_down, None, None, eta * sideband(kin.omega_minus), None
 
 
 def general_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:

@@ -143,7 +143,7 @@ _FAMILIES = {
         lambda *a: general_rates(*a),
         _general,
         "quasi-cycle",
-        ("omega0_bar", "omega_minus", "omega_plus", "obar_minus", "obar_plus"),
+        ("omega0_bar", "omega_minus", "omega_plus", "obar_minus"),
     ),
 }
 
@@ -167,7 +167,7 @@ def _sweep_bounds(
     the gap to twice the highest sideband."""
     if family == "case2" and kin.obar_minus > 0.0:
         return 0.9 * kin.obar_minus, 1.1 * kin.obar_plus
-    return atom.omega0 / 2.0, 2.0 * max(kin.omega_plus, kin.obar_plus)
+    return atom.omega0 / 2.0, 2.0 * kin.omega_plus
 
 
 def preset(name: str) -> Scenario:
@@ -223,13 +223,14 @@ def _point(value, name: str) -> tuple[float, float]:
 def _name(value) -> str:
     """A scenario name, which output file names and the one-path-per-line
     listing of ``--out`` embed: a non-empty string with no path separator,
-    no '..' and no control character (below U+0020, and U+007F); ValueError
+    no '..' and no control character (below U+0020, and U+007F) or other
+    line break of ``str.splitlines`` (U+0085, U+2028, U+2029); ValueError
     for anything else."""
     if not isinstance(value, str) or not value or any(t in value for t in ("/", "\\", "..")):
         raise ValueError(
             f"name must be a non-empty string with no path separator or '..', got {value!r}"
         )
-    if any(c < " " or c == "\x7f" for c in value):
+    if any(c < " " or c in "\x7f\x85\u2028\u2029" for c in value):
         raise ValueError(f"name must hold no control character, got {value!r}")
     return value
 

@@ -1,6 +1,6 @@
 """Acceptance checks.
 
-One test per shipped guarantee, numbered c01..c13 so that ``pytest -v``
+One test per shipped guarantee, numbered c01..c14 so that ``pytest -v``
 prints a single pass/fail line for each.  Tolerances and reference values
 are frozen here; loosening them is a contract change, not a test fix.
 
@@ -10,10 +10,7 @@ machines without masking real regressions.
 
 import contextlib
 import io
-import json
 import math
-import os
-import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -49,6 +46,17 @@ from rotodyne import (
 )
 from rotodyne.cli import main
 from rotodyne.constants import SPEED_OF_LIGHT
+
+from module_sets import (
+    CONFIG,
+    LOAD_STEPS,
+    NUMPY,
+    PANEL_CYCLES,
+    PANEL_ENGINES,
+    TABLE_COMMANDS,
+    UNUSED,
+    problems,
+)
 
 
 def test_c01_closed_form_matches_ode_over_random_draws():
@@ -287,180 +295,90 @@ def test_c10_figure_outputs_are_byte_reproducible(tmp_path):
         assert p1.read_bytes() == p2.read_bytes(), p1.name
 
 
-def test_c11_import_needs_numpy_only():
+# c11 to c14 read the report of tests/module_sets.py, which runs every
+# command of its LOAD_STEPS in one fresh ``python -S`` interpreter (the
+# ``module_report`` fixture of conftest.py)
+
+
+def test_c11_import_needs_numpy_only(module_report):
     """A fresh ``import rotodyne`` loads no scipy module."""
-    src = str(Path(rotodyne.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, rotodyne; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    report, _ = module_report
+    assert "scipy" not in report["imported"], report["imported"]
 
 
-# modules that no table or figure command uses: numpy's masked arrays
-# (``np.unique`` imports them) and the stdlib network, e-mail and TLS stack
-# (``xml.sax.saxutils`` imports it through ``urllib.request``)
-UNUSED_ROOTS = ("xml", "urllib", "http", "email", "ssl", "socket", "hashlib")
+def test_c12_table_and_figure_commands_load_no_unused_modules(module_report):
+    """The table and figure commands (module_sets.TABLE_COMMANDS, among
+    them ``figure1``, ``sweep-cavity --plot`` and ``gp-vs-n`` written to a
+    directory) exit 0 and load nothing under ``numpy.ma`` and none of
+    module_sets.UNUSED: the stdlib network, e-mail and TLS stack, which
+    ``xml.sax.saxutils`` imports through ``urllib.request``."""
+    report, _ = module_report
+    ran = 0
+    for (_, argvs, absent), (codes, loaded) in zip(LOAD_STEPS, report["runs"]):
+        tables = [code for argv, code in zip(argvs, codes) if argv in TABLE_COMMANDS]
+        if tables:
+            ran += len(tables)
+            assert tables == [0] * len(tables) and set(UNUSED) <= set(absent), argvs
+            assert set(loaded).isdisjoint(UNUSED), loaded
+    assert ran == len(TABLE_COMMANDS)
 
 
-def test_c12_table_and_figure_commands_load_no_unused_modules(tmp_path):
-    """``figure1``, ``sweep-cavity`` and ``gp-vs-n`` in a fresh interpreter load
-    nothing under ``numpy.ma`` and none of UNUSED_ROOTS beyond what
-    ``import argparse, csv, json, pathlib`` already loaded (pathlib imports
-    ``urllib.parse``). Numpy is not in that baseline, so a module it loads
-    would count here."""
-    commands = [
-        ["figure1", "--out", str(tmp_path / "figure1")],
-        ["sweep-cavity", "--plot", "--out", str(tmp_path / "sweep")],
-        ["sweep-cavity", "--grid", "4.9e9:5.1e9:40:lin", "--out", str(tmp_path / "grid")],
-        ["gp-vs-n", "--out", str(tmp_path / "gp_vs_n")],
-    ]
-    probe = (
-        "import sys, argparse, csv, json, pathlib\n"
-        "baseline = set(sys.modules)\n"
-        "from rotodyne.cli import main\n"
-        f"codes = [main(argv) for argv in {commands!r}]\n"
-        "print(json.dumps([codes, sorted(set(sys.modules) - baseline)]))\n"
-    )
-    codes, added = _fresh_interpreter("-c", probe)
-    assert codes == [0, 0, 0, 0]
-    unused = [
-        m for m in added if m.split(".")[0] in UNUSED_ROOTS or m.split(".")[:2] == ["numpy", "ma"]
-    ]
-    assert unused == [], unused
-
-
-def _fresh_interpreter(*args: str):
-    """The JSON that ``python *args`` prints last, run in a fresh
-    interpreter on this checkout's package."""
-    src = str(Path(rotodyne.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-def test_c14_each_command_loads_only_the_layers_it_calls(tmp_path):
-    """In one fresh interpreter started with ``-S``, so that no ``.pth``
-    file loads a module first, ``import rotodyne`` loads no layer; the
-    scalar commands and bad input load neither ``geophase`` nor
-    ``dynamics`` nor ``json`` and ``csv``; a sweep loads no phase engine;
-    the quasi-cycle engines and the phase tables load no ``dynamics``,
-    which ``tong`` loads; no command loads ``dataclasses``, ``inspect`` or
-    ``typing``. ``tests/module_sets.py`` runs the commands in the order of
-    its LOAD_STEPS and reads the modules after each step."""
-    from module_sets import problems
-
-    script = str(Path(__file__).with_name("module_sets.py"))
-    assert problems(_fresh_interpreter("-S", script, str(tmp_path))) == []
-
-
-# the table and figure commands of c13, "{out}" standing for an output root:
-# each sweep-cavity grid form and format, the plotted tables, and figure1
-TABLE_COMMANDS = [
-    ["sweep-cavity"],
-    ["sweep-cavity", "--scenario", "case2", "--grid", "9.5e6:1.05e7:300:log"],
-    ["sweep-cavity", "--grid", "4.9e9:5.1e9:40:lin"],
-    ["sweep-cavity", "--scenario", "case2", "--format", "json"],
-    ["sweep-cavity", "--plot", "--out", "{out}/sweep"],
-    ["sweep-cavity", "--scenario", "case2", "--format", "json", "--plot", "--out", "{out}/sweep2"],
-    ["gp-vs-n", "--scenario", "case2"],
-    ["gp-vs-n", "--plot", "--out", "{out}/gp_vs_n"],
-    ["figure1", "--out", "{out}/figure1"],
-]
-
-
-# a case2 horizon past the kernel's series, so that gp sums the panels
-PANEL_CYCLES, PANEL_ENGINES = 99999999999999999999, ("tong", "exact-integral")
-
-
-def _table_commands(out: Path) -> list[list[str]]:
-    return [[arg.format(out=out) for arg in argv] for argv in TABLE_COMMANDS]
-
-
-@pytest.fixture(scope="module")
-def fresh_run(tmp_path_factory):
-    """Every c13 command in one fresh interpreter: the numpy modules loaded
-    after ``import rotodyne`` and after the commands, each command's exit
-    code and stdout, the table commands' output root, and the counts of
-    commands that must exit 0 and 1."""
-    tmp_path = tmp_path_factory.mktemp("c13")
-    out = tmp_path / "fresh"
-    general = tmp_path / "general.json"
-    general.write_text(json.dumps(dict(rotodyne.scenario_to_dict(preset("case2")), family="general")))
-    commands = [["presets"], ["presets", "--format", "json"]]
-    commands += [["rates", "--scenario", "case1"], ["rates", "--scenario", "case2"]]
-    commands += [["rates", "--config", str(general)], ["gp", "--config", str(general)]]
+def test_c13_commands_load_no_numpy(module_report):
+    """``import rotodyne``, the scalar commands (``presets``, ``rates``,
+    ``gp`` with every engine on both presets, at the default n and at
+    n = 1000, and bad input) and the table and figure commands of
+    TABLE_COMMANDS in a fresh interpreter load no numpy module, though
+    numpy is on its path: it is imported only where arrays are taken, or
+    where a grid is large enough that one array call pays for the import.
+    The numeric engines' runs at PANEL_CYCLES take the kernel's panels."""
+    argvs = [argv for _, step, _ in LOAD_STEPS for argv in step]
     for name in ("case1", "case2"):
         for engine in rotodyne.ENGINES:
-            commands.append(["gp", "--scenario", name, "--engine", engine])
-            commands.append(["gp", "--scenario", name, "--engine", engine, "-n", "1000"])
+            assert ["gp", "--scenario", name, "--engine", engine] in argvs
+            assert ["gp", "--scenario", name, "--engine", engine, "-n", "1000"] in argvs
     for engine in PANEL_ENGINES:
-        commands.append(["gp", "--scenario", "case2", "--engine", engine, "-n", str(PANEL_CYCLES)])
-    commands += _table_commands(out)
-    bad = [["gp", "-n", "0"], ["rates", "--scenario", "no-such-preset"], ["sweep-cavity", "--grid", "1e7:2e7"]]
-    probe = (
-        "import contextlib, io, json, sys\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
-        "assert not loaded(), loaded()\n"
-        "import rotodyne\n"
-        "after_import = loaded()\n"
-        "from rotodyne.cli import main\n"
-        "runs = []\n"
-        f"for argv in {commands + bad!r}:\n"
-        "    stdout = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):\n"
-        "        runs.append((main(argv), stdout.getvalue()))\n"
-        "print(json.dumps([after_import, runs, loaded()]))\n"
-    )
-    after_import, runs, after_commands = _fresh_interpreter("-c", probe)
-    return {
-        "after_import": after_import,
-        "after_commands": after_commands,
-        "runs": runs,
-        "out": out,
-        "counts": (len(commands), len(bad)),
-    }
-
-
-def test_c13_commands_load_no_numpy(fresh_run):
-    """``import rotodyne``, the scalar commands (``presets``, ``rates``,
-    ``gp`` with every engine, and bad input) and the table and figure
-    commands of TABLE_COMMANDS in a fresh interpreter load no numpy module:
-    it is imported only where arrays are taken, or where a grid is large
-    enough that one array call pays for the import. The numeric engines'
-    runs at PANEL_CYCLES take the kernel's panels."""
-    for engine in PANEL_ENGINES:
+        assert ["gp", "--scenario", "case2", "--engine", engine, "-n", str(PANEL_CYCLES)] in argvs
         assert scenario_gp(preset("case2"), PANEL_CYCLES, engine).diagnostics["panels"] > 0
-    good, bad = fresh_run["counts"]
-    assert [code for code, _ in fresh_run["runs"]] == [0] * good + [1] * bad
-    assert fresh_run["after_import"] == [] and fresh_run["after_commands"] == [], (
-        fresh_run["after_import"] or fresh_run["after_commands"]
-    )
+    assert all(set(NUMPY) <= set(absent) for *_, absent in LOAD_STEPS)
+    report, _ = module_report
+    assert [codes for codes, _ in report["runs"]] == [[c] * len(s) for c, s, _ in LOAD_STEPS]
+    loaded = [m for _, step in report["runs"] for m in step if m in NUMPY]
+    assert [*report["imported"], *loaded] == []
 
 
-def test_c13_table_commands_write_the_bytes_of_a_numpy_run(fresh_run, tmp_path):
+def test_c13_table_commands_write_the_bytes_of_a_numpy_run(module_report, tmp_path):
     """Each table and figure command of the fresh, numpy-free interpreter
     wrote the stdout and the files that the same command writes in this
     process, where numpy is loaded and the sweeps take the array path."""
     assert "numpy" in sys.modules
-    good, _ = fresh_run["counts"]
-    fresh = fresh_run["runs"][good - len(TABLE_COMMANDS) : good]
+    report, fresh_out = module_report
     out = tmp_path / "numpy"
-    for argv, (code, stdout) in zip(_table_commands(out), fresh):
+    for argv in TABLE_COMMANDS:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(argv) == code == 0
-        assert stdout.replace(str(fresh_run["out"]), str(out)) == buf.getvalue(), argv
+            assert main([arg.format(out=out) for arg in argv]) == 0
+        stdout = report["stdout"][" ".join(argv)]
+        assert stdout.replace(str(fresh_out), str(out)) == buf.getvalue(), argv
 
     def written(root):
         return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-    want, got = written(out), written(fresh_run["out"])
-    assert len(want) == 2 + 2 + 2 + 8 and got == want
+    want, got = written(out), written(fresh_out)
+    del got[Path(CONFIG).name]  # the scenario of the --config runs
+    # sweep, sweep2 and gp_vs_n: a table and a panel each; figure1: 8; grid
+    # and gp_vs_n_table: a table each
+    assert len(want) == 2 + 2 + 2 + 8 + 1 + 1 and got == want
+
+
+def test_c14_each_command_loads_only_the_layers_it_calls(module_report):
+    """In one fresh interpreter started with ``-S``, so that no ``.pth``
+    file loads a module first, ``import rotodyne`` loads no layer; bad
+    input and the scalar commands load neither ``geophase`` nor
+    ``dynamics`` nor ``json``; a sweep loads no phase engine; the
+    quasi-cycle engines and the phase tables load no ``dynamics``, which
+    ``tong`` loads; no command loads ``dataclasses``, ``inspect``,
+    ``typing`` or ``csv``. ``tests/module_sets.py`` runs the commands in the
+    order of its LOAD_STEPS and reads the modules after each step; this is
+    its whole verdict."""
+    report, _ = module_report
+    assert problems(report) == []

@@ -374,12 +374,15 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "name",
-        [None, "nodir/x", "../x", "two\nlines", "tab\there", "\x1f", "del\x7f"],
-        ids=["null", "separator", "parent", "newline", "tab", "unit-separator", "delete"],
+        [None, "nodir/x", "../x", "two\nlines", "tab\there", "\x1f", "del\x7f"]
+        + ["next\x85line", "line\u2028separator", "paragraph\u2029separator"],
+        ids=["null", "separator", "parent", "newline", "tab", "unit-separator", "delete"]
+        + ["next-line", "line-separator", "paragraph-separator"],
     )
     def test_unsafe_scenario_name_exits_1(self, capsys, tmp_path, name):
         # the name becomes part of the output file names and of the
-        # one-path-per-line listing of --out, which a newline would split
+        # one-path-per-line listing of --out, which a newline, or a line
+        # break that str.splitlines() splits on, would split
         data = scenario_to_dict(preset("case2"))
         data["name"] = name
         cfg = tmp_path / "bad.json"

@@ -224,6 +224,12 @@ class TestOdeCrossCheck:
             assert gap <= 1e-15 * np.abs(probed).max()
 
     def test_defective_generator_raises(self, monkeypatch):
+        # a generator past the float range fails the eigendecomposition, and
+        # a phase omega * t past it makes e^{lam t} non-finite
+        with pytest.raises(NumericsError, match="generator eigendecomposition failed"):
+            evolve_ode(EvolutionParams(1e308, 0.0, 1.0, 1.0), 1.0)
+        with pytest.raises(NumericsError, match="produced non-finite states"):
+            evolve_ode(EvolutionParams(1e-3, 0.0, 1e308, 1.0), 10.0)
         jordan = np.diag([-1.0, -1.0, -2.0, 0.0]).astype(complex)
         jordan[0, 1] = 1.0
         monkeypatch.setattr(dynamics, "_superoperator", lambda p: jordan)

@@ -190,30 +190,11 @@ class TestRecordContract:
                 dataclasses.replace(sample, **dict([bad]))
 
 
-def test_records_are_no_dataclasses_until_dataclasses_is_loaded():
+def test_records_are_no_dataclasses_until_dataclasses_is_loaded(module_report):
     """A record answers the ``dataclasses`` functions only through the module
-    its caller has loaded: in a fresh ``-S`` interpreter, which loads no
+    its caller has loaded: at the end of ``tests/module_sets.py``, in a fresh
+    ``-S`` interpreter where every command has run and none loaded
     ``dataclasses``, ``hasattr(record, "__dataclass_fields__")`` is False;
     once the caller imports it, the record is a dataclass."""
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    probe = (
-        "import json, sys\n"
-        "from rotodyne.kinematics import AtomParams\n"
-        "atom = AtomParams(1.0e7, 8.478e-30, 1.5)\n"
-        "before = ['dataclasses' in sys.modules, hasattr(atom, '__dataclass_fields__')]\n"
-        "import dataclasses\n"
-        "after = [dataclasses.is_dataclass(atom), hasattr(atom, '__dataclass_fields__')]\n"
-        "print(json.dumps([before, after]))\n"
-    )
-    src = str(Path(rotodyne.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[False, False], [True, True]]
+    report, _ = module_report
+    assert report["records"] == [[False, False], [True, True]]

@@ -239,6 +239,9 @@ class TestSerialization:
             ("name", "\x00", "name must hold no control character"),
             ("name", "tab\there", "name must hold no control character"),
             ("name", "del\x7f", "name must hold no control character"),
+            ("name", "next\x85line", "name must hold no control character"),
+            ("name", "line\u2028separator", "name must hold no control character"),
+            ("name", "paragraph\u2029separator", "name must hold no control character"),
         ],
     )
     def test_record_holds_to_the_loader_rules(self, field, value, message):
