@@ -16,15 +16,17 @@ Every name in the ``__all__`` of ``constants``, ``errors`` and the six
 physics layers above ``svgplot`` is re-exported here, and nothing else
 but ``__version__``.
 
-Import rule: ``import rotodyne`` loads ``__version__`` and no layer. What
-some commands do not call (``geophase``, ``dynamics``, ``svgplot``, numpy,
-``json``) is imported inside the function that calls it, so each command
-loads only what it calls; ``LOAD_STEPS`` in ``tests/module_sets.py`` states
-which modules each command loads. ``scenarios`` imports ``rates`` and the
-layers below it at its top, since every command but ``presets`` calls them.
-Reading a module's name here (``rotodyne.scenarios``) imports that module
-alone; reading any other public name, or ``__all__``, imports every layer
-and binds all their public names at once. The value types are ``_record``
+Import rule: ``import rotodyne`` loads ``__version__`` and no layer, and
+each command compiles only what it runs (``LOAD_STEPS`` in
+``tests/module_sets.py``). ``cli`` imports the scenario core ``_scenario``,
+and with it ``rates`` and the layers below, at its top; ``scenarios``,
+``geophase``, ``dynamics``, ``svgplot``, numpy, ``json`` and ``numbers``
+are imported by the functions that call them, the phase kernel
+``_kernel`` by the numeric engines' first call. Reading a module's name
+here (a layer, or one of ``_MODULES``) imports that module alone; any other
+public name, or ``__all__``, imports every layer and the kernel and binds
+all their public names. ``from . import _x`` reads ``_x`` here first, so a
+private module must be in ``_MODULES``. The value types are ``_record``
 records (no ``dataclasses``); the CLI builds one subparser.
 
 All frequencies are angular (rad/s) throughout.
@@ -36,16 +38,18 @@ from ._version import __version__
 _LAYERS = (
     "constants", "errors", "kinematics", "cavity", "rates", "dynamics", "geophase", "scenarios"
 )
+_MODULES = ("svgplot", "cli", "_scenario", "_kernel")  # the other modules, read by name
 
 
 def __getattr__(name: str):
     """A module of the package by name, imported alone; any other name
-    after binding every layer's public names and ``__all__``. The builtin
+    after binding every layer's public names and ``__all__``, the kernel
+    imported too, so that no engine call pays for it. The builtin
     ``__import__`` binds each module here and shows in ``-X importtime``."""
-    if name in _LAYERS or name in ("svgplot", "cli"):
+    if name in _LAYERS or name in _MODULES:
         __import__(f"{__name__}.{name}")
         return globals()[name]
-    for layer in _LAYERS:
+    for layer in (*_LAYERS, "_kernel"):
         __import__(f"{__name__}.{layer}")
     modules = [globals()[layer] for layer in _LAYERS]
     public = {key: getattr(module, key) for module in modules for key in module.__all__}

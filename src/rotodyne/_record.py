@@ -3,9 +3,10 @@
 A ``Record`` subclass declares fields and defaults as a frozen dataclass
 does (``Factory(make)``: a fresh default per instance) and gets the same
 straight-line ``__init__`` (calling ``__post_init__``), ``__eq__`` and
-``__hash__`` over the field tuple; assignment and deletion raise
-AttributeError. ``dataclasses.fields``, ``asdict``, ``replace`` and
-``is_dataclass`` work through ``__dataclass_fields__``.
+``__hash__`` over the field tuple, the last two written on first use;
+assignment and deletion raise AttributeError. ``dataclasses.fields``,
+``asdict``, ``replace`` and ``is_dataclass`` work through
+``__dataclass_fields__``.
 """
 
 _set = object.__setattr__
@@ -42,6 +43,21 @@ class _DataclassFields:
         return cls.__dataclass_fields__
 
 
+def _compare(cls) -> None:
+    """Write the class's own ``__eq__`` and ``__hash__``, which few commands call."""
+    mine, theirs = ("".join(f"{who}.{n}," for n in cls.__match_args__) for who in ("self", "other"))
+    scope = {}
+    exec(
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n",
+        scope,
+    )
+    cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
+
+
 class Record:
     """Base of the value types; ``__match_args__`` names each one's fields."""
 
@@ -61,17 +77,17 @@ class Record:
             body.append(f"    _set(self, {name!r}, {value})\n")
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()\n")
-        mine, theirs = ("".join(f"{who}.{name}," for name in names) for who in ("self", "other"))
-        exec(
-            f"def __init__(self, {', '.join(params)}):\n{''.join(body)}"
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is self.__class__:\n"
-            f"        return ({mine}) == ({theirs})\n"
-            "    return NotImplemented\n"
-            f"def __hash__(self):\n    return hash(({mine}))\n",
-            scope,
-        )
-        cls.__init__, cls.__eq__, cls.__hash__ = (scope[f"__{m}__"] for m in ("init", "eq", "hash"))
+        exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__eq__, cls.__hash__ = Record.__eq__, Record.__hash__  # each class gets its own
+
+    def __eq__(self, other):
+        _compare(self.__class__)
+        return self.__eq__(other)
+
+    def __hash__(self):
+        _compare(self.__class__)
+        return self.__hash__()
 
     def _replace(self, **changes):
         """A copy with the given fields changed, validated again."""

@@ -10,7 +10,8 @@ Output conventions: table commands print CSV or JSON (by ``--format``)
 to stdout unless ``--out <dir>`` is given, in which case the table lands
 in that directory under the name ``scenarios`` gives it, as for
 ``figure1`` (``<scenario>_rates_sweep.csv``, ``<scenario>_gp_vs_n.csv``).
-``--plot`` adds an SVG panel next to each written table. A relative
+``--plot`` adds an SVG panel next to each written table; without
+``--out`` it is refused before any grid or table is built. A relative
 ``--out`` is resolved against the ROTODYNE_OUT environment variable when
 set.
 """
@@ -22,26 +23,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import scenarios
-from .errors import NumericsError
-from .scenarios import (
-    ENGINES,
-    Scenario,
-    build_grid,
-    default_anchors,
-    default_n_grid,
-    figure1,
-    gp_vs_n,
-    load_scenario,
-    preset,
-    preset_names,
-    scenario_gp,
-    scenario_rates,
-    scenario_to_dict,
-    sweep_cavity,
-    table_to_csv_text,
-    table_to_json_text,
+from ._scenario import (
+    ENGINES, Scenario, _csv_cell, _json_text, load_scenario, preset, preset_names, scenario_gp,
+    scenario_rates, scenario_to_dict,
 )
+from .errors import NumericsError
 
 __all__ = ["main"]
 
@@ -76,12 +62,18 @@ def _resolve_scenario(args) -> Scenario:
     )
 
 
-def _emit_table(table, scn: Scenario, args) -> None:
+def _check_plot(args) -> None:
+    """Refuse ``--plot`` without ``--out`` before any grid or table is built."""
+    if args.plot and args.out is None:
+        raise ValueError("--plot requires --out (no directory to write the SVG into)")
+
+
+def _emit_table(scenarios, table, scn: Scenario, args) -> None:
     if args.out is None:
-        if args.plot:
-            raise ValueError("--plot requires --out (no directory to write the SVG into)")
-        text = table_to_json_text if args.format == "json" else table_to_csv_text
-        sys.stdout.write(text(table))
+        if args.format == "json":
+            sys.stdout.write(scenarios.table_to_json_text(table))
+        else:
+            sys.stdout.write(scenarios.table_to_csv_text(table))
         return
     for path in scenarios._write_table(table, scn, _resolve_out(args.out), args.format, args.plot):
         print(path)
@@ -91,9 +83,9 @@ def _print_mapping(payload: dict, fmt: str) -> None:
     """Print a mapping as JSON, or as one ``key,value`` line per item, each
     value a CSV table's cell (``_csv_cell``: text quoted where it must be)."""
     if fmt == "json":
-        sys.stdout.write(scenarios._json_text(payload))
+        sys.stdout.write(_json_text(payload))
     else:
-        sys.stdout.write("".join(f"{k},{scenarios._csv_cell(v)}\n" for k, v in payload.items()))
+        sys.stdout.write("".join(f"{k},{_csv_cell(v)}\n" for k, v in payload.items()))
 
 
 def _parse_grid_spec(spec: str) -> tuple[float, float, int, bool]:
@@ -166,22 +158,31 @@ def _cmd_gp(args) -> None:
 
 def _cmd_sweep_cavity(args) -> None:
     scn = _resolve_scenario(args)
+    spec = None if args.grid is None else _parse_grid_spec(args.grid)
+    _check_plot(args)
+    from . import scenarios
+
     grid = None
-    if args.grid is not None:
-        start, stop, points, log = _parse_grid_spec(args.grid)
-        grid = build_grid(start, stop, points, log=log, anchors=default_anchors(scn))
-    _emit_table(sweep_cavity(scn, grid), scn, args)
+    if spec is not None:  # start, stop, points, log
+        grid = scenarios.build_grid(*spec, anchors=scenarios.default_anchors(scn))
+    _emit_table(scenarios, scenarios.sweep_cavity(scn, grid), scn, args)
 
 
 def _cmd_gp_vs_n(args) -> None:
     scn = _resolve_scenario(args)
     n_max = args.n_max if args.n_max is not None else scn.n_max
-    _emit_table(gp_vs_n(scn, default_n_grid(n_max, args.points)), scn, args)
+    _check_plot(args)
+    from . import scenarios
+
+    table = scenarios.gp_vs_n(scn, scenarios.default_n_grid(n_max, args.points))
+    _emit_table(scenarios, table, scn, args)
 
 
 def _cmd_figure1(args) -> None:
+    from . import scenarios
+
     outdir = _resolve_out(args.out if args.out is not None else "figure1")
-    for path in figure1(outdir, points=args.points):
+    for path in scenarios.figure1(outdir, points=args.points):
         print(path)
 
 

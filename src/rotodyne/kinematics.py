@@ -13,7 +13,6 @@ speed over c) or at a field frequency appearing in a resonance condition.
 from __future__ import annotations
 
 import math
-import numbers
 
 from ._record import Record
 from .constants import SPEED_OF_LIGHT
@@ -25,6 +24,15 @@ __all__ = [
     "derive_kinematics",
     "zeta_of",
 ]
+
+
+def _is_real(value) -> bool:
+    """A real number but no bool? Only types other than int and float import ``numbers``."""
+    if type(value) in (int, float):
+        return True
+    import numbers
+
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class AtomParams(Record):
@@ -60,7 +68,7 @@ class TrajectoryParams(Record):
         if not (
             isinstance(self.center, tuple)
             and len(self.center) == 2
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.center)
+            and all(map(_is_real, self.center))
         ):
             raise ValueError(f"center must be a tuple of two coordinates, got {self.center!r}")
         if not all(map(math.isfinite, self.center)):

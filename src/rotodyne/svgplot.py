@@ -9,9 +9,10 @@ the polyline instead of distorting it.
 The module is plain Python on floats and loads no numpy: a chart takes
 any sequences of real numbers, numpy arrays included, and maps each
 value through libm's ``log10`` and float arithmetic in one order, so a
-chart's bytes do not depend on the type of its input. ``_linspace``,
-numpy's own linspace construction in floats, also builds the cells of
-``scenarios``' grids.
+chart's bytes do not depend on the type of its input. An axis that spans
+less than two decades takes its five ticks from ``scenarios``' grid cells
+(``_linspace``), the one thing this module imports from the package: no
+table command loads it without ``--plot``.
 """
 
 from __future__ import annotations
@@ -73,23 +74,9 @@ class _Axis:
         out = [(10.0 ** k, f"1e{k}") for k in decades]
         if len(out) >= 2:
             return out
+        from .scenarios import _linspace
+
         return [(10.0 ** v, f"{10.0 ** v:.2e}") for v in _linspace(self.lo, self.hi, 5)]
-
-
-def _linspace(start: float, stop: float, points: int) -> list[float]:
-    """numpy's ``linspace`` of two or more points, in floats: cell i is
-    i * step + start with step = (stop - start) / (points - 1), or
-    i / (points - 1) * (stop - start) + start where that step rounds to 0,
-    and the last cell is stop itself."""
-    div = points - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0.0:
-        cells = [i / div * delta + start for i in range(div)]
-    else:
-        cells = [i * step + start for i in range(div)]
-    cells.append(stop)
-    return cells
 
 
 def _floats(values, label: str) -> tuple[float, ...]:

@@ -10,8 +10,10 @@ figure commands write under OUTDIR) and, after each step, checks the exit
 codes and that the step's modules are still unloaded. It ends with the
 record check: a record is no dataclass until its caller loads
 ``dataclasses``. It prints its report as one JSON line, with the stdout of
-each command of TABLE_COMMANDS, and exits 1, with the problems on stderr,
-when any check fails.
+each command of TABLE_COMMANDS and the sorted ``rotodyne.*`` modules loaded
+after each step, and exits 1, with the problems on stderr, when any check
+fails; a step that loaded a module of its list is reported with the
+package modules loaded after it.
 
 ``-S`` keeps ``site`` and the ``.pth`` files it runs from loading modules
 first, which would hide a module that a command loads. SITE keeps numpy and
@@ -25,8 +27,9 @@ it the same way.
 import sys
 
 # what no command loads: the value types are records of rotodyne._record,
-# and no module of the package needs ``typing`` or ``csv``
-NEVER_LOADED = ["dataclasses", "inspect", "typing", "csv"]
+# no module of the package needs ``typing`` or ``csv``, and only a number of
+# another type than int and float (a numpy scalar, a Fraction) needs ``numbers``
+NEVER_LOADED = ["dataclasses", "inspect", "typing", "csv", "numbers"]
 # numpy, which only a grid of more than 20000 points imports, and scipy,
 # which only the tests use
 NUMPY = ["numpy", "scipy"]
@@ -56,6 +59,12 @@ TABLE_COMMANDS = [
     ["gp-vs-n", "--plot", "--out", "{out}/gp_vs_n"],
     ["figure1", "--out", "{out}/figure1"],
 ]
+# --plot without --out, refused before the million-point grid or the 2**53
+# cycle-count grid is built
+PLOT_WITHOUT_OUT = [
+    ["gp-vs-n", "--points", "1000000", "--n-max", "9007199254740992", "--plot"],
+    ["sweep-cavity", "--grid", "1e7:2e7:1000000", "--plot"],
+]
 # a case2 horizon past the phase kernel's series, so that gp sums the panels
 PANEL_CYCLES, PANEL_ENGINES = 99999999999999999999, ("tong", "exact-integral")
 # the case2 preset as a general scenario, written before the step that reads it
@@ -72,6 +81,16 @@ def _gp(engines):
     ]
 
 
+def _tables(command, plotted):
+    """The TABLE_COMMANDS of a command, with or without an SVG panel."""
+    return [c for c in TABLE_COMMANDS if c[0] == command and ("--plot" in c) == plotted]
+
+
+# what only gp with a numeric engine loads: the phase kernel and the generator
+KERNEL = ["rotodyne._kernel", "rotodyne.dynamics"]
+# what bad input, presets and rates load none of besides: the tables, the
+# panels, the phase engines and json
+SCALAR = ["rotodyne.scenarios", "rotodyne.svgplot", "rotodyne.geophase", *KERNEL, "json"]
 # the commands in order of growing module sets: each step with the exit code
 # of its commands and the modules that it and every step before it leave
 # unloaded
@@ -79,24 +98,29 @@ LOAD_STEPS = [
     (
         1,
         [["gp", "-n", "0"], ["rates", "--scenario", "no-such-preset"]]
-        + [["sweep-cavity", "--grid", "1e7:2e7"]],
-        ["rotodyne.geophase", "rotodyne.dynamics", "json", *NUMPY, *UNUSED, *NEVER_LOADED],
+        + [["sweep-cavity", "--grid", "1e7:2e7"], *PLOT_WITHOUT_OUT],
+        [*SCALAR, *NUMPY, *UNUSED, *NEVER_LOADED],
     ),
     (
         0,
         [["presets"], ["rates"], ["rates", "--scenario", "case1"], ["rates", "--scenario", "case2"]],
-        ["rotodyne.geophase", "rotodyne.dynamics", "json", *NUMPY, *UNUSED, *NEVER_LOADED],
+        [*SCALAR, *NUMPY, *UNUSED, *NEVER_LOADED],
     ),
     (
         0,
-        [["presets", "--format", "json"]] + [c for c in TABLE_COMMANDS if c[0] == "sweep-cavity"],
-        ["rotodyne.geophase", "rotodyne.dynamics", *NUMPY, *UNUSED, *NEVER_LOADED],
+        [["presets", "--format", "json"], *_tables("sweep-cavity", False)],
+        ["rotodyne.svgplot", "rotodyne.geophase", *KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED],
     ),
     (
         0,
         [["gp", "--scenario", "case1"], *_gp(("case1", "case2", "quasi-cycle"))]
-        + [c for c in TABLE_COMMANDS if c[0] != "sweep-cavity"],
-        ["rotodyne.dynamics", *NUMPY, *UNUSED, *NEVER_LOADED],
+        + _tables("gp-vs-n", False),
+        ["rotodyne.svgplot", *KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED],
+    ),
+    (
+        0,
+        [*_tables("sweep-cavity", True), *_tables("gp-vs-n", True), *_tables("figure1", False)],
+        [*KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED],
     ),
     (
         0,
@@ -111,7 +135,8 @@ LOAD_STEPS = [
 def run(out: str) -> dict:
     """The layers and the numpy modules ``import rotodyne`` loads; each
     step's exit codes and the modules of its list that are loaded after it;
-    the stdout of each table command, by its argv joined with spaces;
+    the sorted ``rotodyne.*`` modules loaded after each step; the stdout of
+    each table command, by its argv joined with spaces;
     whether ``dynamics`` is loaded at the end; and the record check, whether
     ``dataclasses`` is loaded and a record has ``__dataclass_fields__``
     before and after the check imports ``dataclasses``."""
@@ -124,7 +149,7 @@ def run(out: str) -> dict:
     imported = [m for m in NUMPY if m in sys.modules]
     from rotodyne.cli import main
 
-    runs, stdout = [], {}
+    runs, modules, stdout = [], [], {}
     for _, argvs, absent in LOAD_STEPS:
         if any(CONFIG in argv for argv in argvs):
             import json
@@ -142,6 +167,7 @@ def run(out: str) -> dict:
             if argv in TABLE_COMMANDS:
                 stdout[" ".join(argv)] = text.getvalue()
         runs.append([codes, [m for m in absent if m in sys.modules]])
+        modules.append(sorted(m for m in sys.modules if m.startswith("rotodyne.")))
 
     from rotodyne.kinematics import AtomParams
 
@@ -154,6 +180,7 @@ def run(out: str) -> dict:
         "layers": layers,
         "imported": imported,
         "runs": runs,
+        "modules": modules,
         "stdout": stdout,
         "dynamics": "rotodyne.dynamics" in sys.modules,
         "records": [before, after],
@@ -167,11 +194,12 @@ def problems(report: dict) -> list:
         found.append(f"import rotodyne loaded {report['layers']}")
     if report["imported"]:
         found.append(f"import rotodyne loaded {report['imported']}")
-    for (code, argvs, _), (got, loaded) in zip(LOAD_STEPS, report["runs"]):
+    steps = zip(LOAD_STEPS, report["runs"], report["modules"])
+    for (code, argvs, _), (got, loaded), modules in steps:
         if got != [code] * len(argvs):
             found.append(f"exit codes {got}, want {code} each, of {argvs}")
         if loaded:
-            found.append(f"{loaded} loaded by the end of {argvs}")
+            found.append(f"{loaded} loaded by the end of {argvs}, with {modules}")
     if not report["dynamics"]:
         found.append("rotodyne.dynamics not loaded by gp --engine tong")
     if report["records"] != [[False, False], [True, True]]:

@@ -373,12 +373,16 @@ def test_c13_table_commands_write_the_bytes_of_a_numpy_run(module_report, tmp_pa
 def test_c14_each_command_loads_only_the_layers_it_calls(module_report):
     """In one fresh interpreter started with ``-S``, so that no ``.pth``
     file loads a module first, ``import rotodyne`` loads no layer; bad
-    input and the scalar commands load neither ``geophase`` nor
-    ``dynamics`` nor ``json``; a sweep loads no phase engine; the
-    quasi-cycle engines and the phase tables load no ``dynamics``, which
-    ``tong`` loads; no command loads ``dataclasses``, ``inspect``,
-    ``typing`` or ``csv``. ``tests/module_sets.py`` runs the commands in the
-    order of its LOAD_STEPS and reads the modules after each step; this is
-    its whole verdict."""
+    input (``--plot`` without ``--out`` among it) and the scalar commands
+    load neither the table module ``scenarios`` nor ``svgplot`` nor
+    ``geophase``, the kernel ``_kernel`` or ``dynamics``, nor ``json``; a
+    sweep loads no phase engine; a table without ``--plot`` loads no
+    ``svgplot``; the quasi-cycle engines and the phase tables load neither
+    ``_kernel`` nor ``dynamics``, which ``tong`` loads; no command loads
+    ``dataclasses``, ``inspect``, ``typing``, ``csv`` or ``numbers``.
+    ``tests/module_sets.py`` runs the commands in the order of its
+    LOAD_STEPS and reads the modules after each step; this is its whole
+    verdict, and a failing step names the package modules loaded after it."""
     report, _ = module_report
-    assert problems(report) == []
+    found = problems(report)
+    assert not found, "\n".join(found)

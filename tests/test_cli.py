@@ -420,6 +420,21 @@ class TestBadInput:
         assert "--out" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gp-vs-n", "--plot"],
+            # a bad grid as well: the plot is refused before any grid is built
+            ["gp-vs-n", "--points", "0", "--plot"],
+            ["sweep-cavity", "--grid", "1e7:2e7:1", "--plot"],
+        ],
+        ids=["gp-vs-n", "gp-vs-n-no-points", "sweep-one-point"],
+    )
+    def test_plot_without_out_is_refused_before_any_grid(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "rotodyne: error: --plot requires --out (no directory to write the SVG into)\n"
+
+    @pytest.mark.parametrize(
         "argv, env_root",
         [
             (["sweep-cavity", "--grid", "4.9e9:5.1e9:3:lin", "--out", "F"], None),

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from oracles import eigenpath_from_closed_form, eigensystem, elementary_kernel, gp_tong
-from rotodyne import geophase
-from rotodyne.scenarios import _evolution
+from rotodyne import _kernel
+from rotodyne._scenario import _evolution
 from rotodyne import (
     DEFAULT_DIPOLE,
     AtomParams,
@@ -276,10 +276,10 @@ class TestTongFunctional:
             }
 
     def test_infinite_sweep_raises_before_the_kernel(self):
-        geophase._phase_kernel.cache_clear()
+        _kernel._phase_kernel.cache_clear()
         with pytest.raises(NumericsError, match="not finite"):
             gp_tong_closed_form(EvolutionParams(1e-3, 5e-4, 10.0, 1.0), 1e308)
-        assert geophase._phase_kernel.cache_info().misses == 0
+        assert _kernel._phase_kernel.cache_info().misses == 0
 
     @pytest.mark.parametrize("b", [0.0, 3e307, -1e308])
     def test_overflowing_four_a_gives_finite_parts(self, b):
@@ -462,18 +462,18 @@ class TestExactIntegral:
         # one panel across the sharp knee above cannot pass the halving
         # check within MAX_HALVINGS halvings; the memo may hold that input's
         # converged kernel from the test above
-        geophase._phase_kernel.cache_clear()
+        _kernel._phase_kernel.cache_clear()
         monkeypatch.setattr(
-            geophase, "_kernel_panels", lambda x_end, x_k, delta: [(0.0, x_end)]
+            _kernel, "_kernel_panels", lambda x_end, x_k, delta: [(0.0, x_end)]
         )
         with pytest.raises(NumericsError, match="did not converge"):
             gp_exact_integral(EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6), 10.0)
 
     def test_infinite_sweep_raises_before_the_kernel(self):
-        geophase._phase_kernel.cache_clear()
+        _kernel._phase_kernel.cache_clear()
         with pytest.raises(NumericsError, match="not finite"):
             gp_exact_integral(EvolutionParams(1e-3, 5e-4, 10.0, 1.0), 1e308)
-        assert geophase._phase_kernel.cache_info().misses == 0
+        assert _kernel._phase_kernel.cache_info().misses == 0
 
     @pytest.mark.parametrize("b", [0.0, 3e307, -1e308])
     def test_overflowing_four_a_gives_finite_parts(self, b):
@@ -500,7 +500,7 @@ class TestKernelMemo:
         calls = []
 
         def counted(name):
-            kernel = getattr(geophase, name)
+            kernel = getattr(_kernel, name)
 
             def call(*args):
                 calls.append(name)
@@ -509,7 +509,7 @@ class TestKernelMemo:
             return call
 
         for name in ("_kernel_series", "_nonunitary_kernel"):
-            monkeypatch.setattr(geophase, name, counted(name))
+            monkeypatch.setattr(_kernel, name, counted(name))
         p = EvolutionParams(0.1, -0.05, 1.0, 2.0)
         # 4 a T = 400 is past the series' radius, where the panels take over
         for horizon, taken, count in (
@@ -517,7 +517,7 @@ class TestKernelMemo:
             (1e-3, ["_kernel_series"], "series_terms"),
         ):
             calls.clear()
-            geophase._phase_kernel.cache_clear()
+            _kernel._phase_kernel.cache_clear()
             tong = gp_tong_closed_form(p, horizon)
             exact = gp_exact_integral(p, horizon)
             assert calls == taken
@@ -567,35 +567,35 @@ class TestKernelMemo:
         def kernel_and_engines(key):
             # each engine below hits the kernel its predecessor stored
             return (
-                kernel_bits(geophase._phase_kernel(*key)),
+                kernel_bits(_kernel._phase_kernel(*key)),
                 kernel_bits(asdict(gp_exact_integral(*key)).values()),
                 kernel_bits(asdict(gp_tong_closed_form(*key)).values()),
             )
 
         for warm, key in ((first, second), (second, first)):
             assert warm == key
-            geophase._phase_kernel.cache_clear()
+            _kernel._phase_kernel.cache_clear()
             cold = kernel_and_engines(key)
-            geophase._phase_kernel.cache_clear()
-            geophase._phase_kernel(*warm)
+            _kernel._phase_kernel.cache_clear()
+            _kernel._phase_kernel(*warm)
             assert kernel_and_engines(key) == cold
-            assert geophase._phase_kernel.cache_info()[:2] == (3, 1)  # (hits, misses)
+            assert _kernel._phase_kernel.cache_info()[:2] == (3, 1)  # (hits, misses)
 
     def test_numpy_scalar_generator_runs_on_floats(self, monkeypatch):
         # float64 fields took every panel node through numpy scalar
         # arithmetic, at twice the float twin's cost, for the same bits
-        ratios, geometry = [], geophase._decay_geometry
+        ratios, geometry = [], _kernel._decay_geometry
         monkeypatch.setattr(
-            geophase,
+            _kernel,
             "_decay_geometry",
             lambda e, ratio, *shape: ratios.append(type(ratio)) or geometry(e, ratio, *shape),
         )
         twin = (EvolutionParams(0.25, 0.1, 1.0, 1.0), 10.0)  # 4 a T = 10: past the series
         key = (EvolutionParams(F64(0.25), F64(0.1), F64(1.0), F64(1.0)), F64(10.0))
-        geophase._phase_kernel.cache_clear()
-        kernel = geophase._phase_kernel(*key)
+        _kernel._phase_kernel.cache_clear()
+        kernel = _kernel._phase_kernel(*key)
         assert kernel[2] > 0 and set(ratios) == {float}
-        assert kernel_bits(kernel) == kernel_bits(geophase._phase_kernel.__wrapped__(*twin))
+        assert kernel_bits(kernel) == kernel_bits(_kernel._phase_kernel.__wrapped__(*twin))
         ratios.clear()
         tong = gp_tong_closed_form(*key)  # the kernel is a memo hit; the endpoint is not
         assert ratios == [float]
@@ -617,15 +617,15 @@ class TestKernelMemo:
             assert kernel_bits(got) == kernel_bits(want), engine
 
     def test_errors_are_not_kept(self, monkeypatch):
-        geophase._phase_kernel.cache_clear()
+        _kernel._phase_kernel.cache_clear()
         monkeypatch.setattr(
-            geophase, "_kernel_panels", lambda x_end, x_k, delta: [(0.0, x_end)]
+            _kernel, "_kernel_panels", lambda x_end, x_k, delta: [(0.0, x_end)]
         )
         p = EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6)
         for _ in range(2):
             with pytest.raises(NumericsError, match="did not converge"):
                 gp_exact_integral(p, 10.0)
-        assert geophase._phase_kernel.cache_info()[1:] == (2, geophase.KERNEL_CACHE_SIZE, 0)
+        assert _kernel._phase_kernel.cache_info()[1:] == (2, _kernel.KERNEL_CACHE_SIZE, 0)
 
 
 # K (s) of both presets at n = 5, 100, n_default and n_max, and of the first
@@ -688,7 +688,7 @@ def series_tolerance(x, ratio, cos_t, sin2):
     """1e-14 of about the integral of |integrand| over [0, x], which both
     paths round against, and no digits below the normal range."""
     grid = (x * i / 64 for i in range(65))
-    drops = [geophase._decay_geometry(math.expm1(y), ratio, cos_t, sin2)[2] for y in grid]
+    drops = [_kernel._decay_geometry(math.expm1(y), ratio, cos_t, sin2)[2] for y in grid]
     size = math.fsum(map(abs, drops)) / len(drops)
     return x * (1e-14 * size + sys.float_info.min)
 
@@ -697,7 +697,7 @@ class TestKernelSeries:
     def test_preset_points_take_the_series_within_1e_15_of_references(self):
         for (name, n), want in PRESET_KERNELS.items():
             p, horizon = _evolution(preset(name), n)
-            kernel, _, panels, _, terms = geophase._phase_kernel(p, horizon)
+            kernel, _, panels, _, terms = _kernel._phase_kernel(p, horizon)
             assert terms > 0 and panels == 0
             exact = Fraction(want)
             assert abs(Fraction(kernel) - exact) <= Fraction(1e-15) * abs(exact)
@@ -712,9 +712,9 @@ class TestKernelSeries:
             theta = rng.uniform(0.15, math.pi - 0.15)
             p = EvolutionParams(a, a * rng.uniform(-1.0, 1.0), 1.0, theta)
             horizon = cycles_time(p, n)
-            kernel, _, panels, _, terms = geophase._phase_kernel(p, horizon)
+            kernel, _, panels, _, terms = _kernel._phase_kernel(p, horizon)
             assert terms > 0 and panels == 0
-            panel = geophase._nonunitary_kernel(
+            panel = _kernel._nonunitary_kernel(
                 4.0 * a, p.relaxation_exponent(horizon), p.b_coeff / a,
                 math.cos(theta), math.sin(theta) ** 2,
             )[0]
@@ -734,28 +734,28 @@ class TestKernelSeries:
             assert tong.diagnostics["samples"] == 24 * tong.diagnostics["panels"] > 0
             assert exact.diagnostics["panels"] >= 2
             assert tong.diagnostics["series_terms"] == exact.diagnostics["series_terms"] == 0
-            kernel = geophase._phase_kernel(p, x)[0]
+            kernel = _kernel._phase_kernel(p, x)[0]
             assert kernel == pytest.approx(elementary_kernel(p, x), rel=1.5e-15, abs=0)
 
     def test_series_gives_way_past_its_radius_and_budget(self):
         shape = (0.9, math.cos(1.0), math.sin(1.0) ** 2)
-        assert geophase._kernel_series(1.0, math.sqrt(2.0) - 1.0, *shape) is None
+        assert _kernel._kernel_series(1.0, math.sqrt(2.0) - 1.0, *shape) is None
         # inside the radius, but SERIES_TERMS terms do not reach the tolerance
-        assert geophase._kernel_series(1.0, math.expm1(0.34), *shape) is None
+        assert _kernel._kernel_series(1.0, math.expm1(0.34), *shape) is None
         p = EvolutionParams(0.25, 0.25 * 0.9, 10.0, 1.0)
-        assert geophase._phase_kernel(p, 0.3)[2:] == (0, 0, 38)
-        assert geophase._phase_kernel(p, 0.34)[2:] == (2, 1, 0)
+        assert _kernel._phase_kernel(p, 0.3)[2:] == (0, 0, 38)
+        assert _kernel._phase_kernel(p, 0.34)[2:] == (2, 1, 0)
 
     def test_series_matches_the_panels_and_joins_them_continuously(self):
-        kernel = geophase._phase_kernel.__wrapped__
+        kernel = _kernel._phase_kernel.__wrapped__
         joined = set()  # the bits of each (theta0, b/a) whose handover is checked
         for index, (theta, ratio, x_end) in enumerate(series_cases()):
             case = (SEED, index, theta, ratio, x_end)
             p = EvolutionParams(0.25, 0.25 * ratio, 10.0, theta)  # 4 a T = T
             shape = (ratio, math.cos(theta), math.sin(theta) ** 2)
-            series = geophase._kernel_series(1.0, math.expm1(x_end), *shape)
+            series = _kernel._kernel_series(1.0, math.expm1(x_end), *shape)
             if series is not None:
-                panels = geophase._nonunitary_kernel(1.0, x_end, *shape)
+                panels = _kernel._nonunitary_kernel(1.0, x_end, *shape)
                 assert abs(series[0] - panels[0]) <= series_tolerance(x_end, *shape), case
             if (theta.hex(), ratio.hex()) in joined:
                 continue
@@ -780,7 +780,7 @@ def geometry_args(theta_kind, theta, ratio_kind, ratio, es):
     cos_t = math.cos(poles[theta_kind])
     ratio = (1.0, -1.0, 0.0, -0.0, ratio)[ratio_kind]
     knee = cos_t / ratio if ratio and cos_t / ratio > 0.0 else 0.0
-    top = geophase.SATURATION_EXPONENT
+    top = _kernel.SATURATION_EXPONENT
     es = [(0.0, 5e-324, 1e-310, 1e-12 * 4e11 ** u, math.expm1(top * u), knee)[k] for k, u in es]
     return cos_t, math.sin(poles[theta_kind]) ** 2, ratio, es
 
@@ -806,7 +806,7 @@ class TestDecayGeometry:
             cos_t, sin2, ratio, es = geometry_args(*args)
             for e in es:
                 try:
-                    outputs = geophase._decay_geometry(e, ratio, cos_t, sin2)
+                    outputs = _kernel._decay_geometry(e, ratio, cos_t, sin2)
                 except ZeroDivisionError:
                     assert sin2 == 0.0 and cos_t - ratio * e == 0.0, (SEED, index, args, e)
                 else:
@@ -1082,7 +1082,7 @@ class TestEngineContract:
             a = 10.0 ** log_a
             p = EvolutionParams(a, a * ratio, 1.0, theta)
             horizon = 10.0 ** log_x / (4.0 * a)
-            kernel = geophase._phase_kernel(p, horizon)[0]
+            kernel = _kernel._phase_kernel(p, horizon)[0]
             gap = abs(kernel - elementary_kernel(p, horizon))
             assert gap <= 8.0 * sys.float_info.epsilon * horizon, (SEED, index, p, horizon)
 

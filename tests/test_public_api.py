@@ -1,8 +1,11 @@
 """The top-level namespace: exactly the layers' public names, nothing removed."""
 
+import ast
 import copy
 import dataclasses
+import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +201,98 @@ def test_records_are_no_dataclasses_until_dataclasses_is_loaded(module_report):
     once the caller imports it, the record is a dataclass."""
     report, _ = module_report
     assert report["records"] == [[False, False], [True, True]]
+
+
+# The benchmark (bench/*.py) reads the package through its public names and
+# times the functions its per-layer metrics are named after; a source change
+# that moves one of them out of reach, or out of its traced layer, shows here.
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in BENCH.glob("*.py")}
+
+
+def _package_chains(tree) -> set:
+    """(module, attribute names) of each attribute chain that the file reads
+    from a name it imported ``rotodyne`` as, e.g. ("rotodyne", ("cli", "main"))."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "rotodyne":
+                    bound[alias.asname or "rotodyne"] = alias.name if alias.asname else "rotodyne"
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id in bound:
+            chains.add((bound[node.id], tuple(reversed(names))))
+    return chains
+
+
+def test_bench_reads_only_names_that_resolve():
+    chains = set().union(*map(_package_chains, _bench_trees().values()))
+    named = [("scenarios", "rates_sweep_chart"), ("EvolutionParams", "from_rates"),
+             ("cavity", "dos"), ("cli", "main")]
+    assert {("rotodyne", names) for names in named} <= chains
+    missing = []
+    for module, names in sorted(chains):
+        obj = importlib.import_module(module)
+        for name in names:
+            if not hasattr(obj, name):
+                missing.append(f"{module}.{'.'.join(names)}")
+                break
+            obj = getattr(obj, name)
+    assert missing == []
+
+
+def test_bench_metric_functions_stay_traced_in_their_layers():
+    """Every function that ``layer_metrics`` (bench/worker.py) reads through
+    ``busy(...)`` or ``fn[...]`` is a public function defined in one of the
+    layers that bench/tracing.py wraps, as its tracer requires."""
+    trees = _bench_trees()
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in trees["tracing.py"].body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    metrics = next(
+        node for node in trees["worker.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"
+    )
+    read = set()
+    for node in ast.walk(metrics):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "busy":
+            read.update(arg.value for arg in node.args)
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "fn":
+            if isinstance(node.slice, ast.Constant):  # not the lambda's fn[n]
+                read.add(node.slice.value)
+    assert {"gp_quasi_cycle", "sweep_cavity", "line_chart", "evolve_ode"} <= read
+    modules = [importlib.import_module(f"rotodyne.{layer}") for layer in layers]
+    homes = {
+        name: module.__name__
+        for module in modules
+        for name in module.__all__
+        if getattr(getattr(module, name), "__module__", None) == module.__name__
+    }
+    assert {name: homes.get(name) for name in read if name not in homes} == {}
+
+
+def test_bench_diagnostics_keys_are_on_the_engines_results():
+    keys = {
+        node.slice.value
+        for tree in _bench_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "diagnostics"
+    }
+    assert keys >= {"samples", "pi_n_a_over_omega0"}
+    scn = rotodyne.preset("case1")
+    reported = set().union(
+        *(rotodyne.scenario_gp(scn, 1000, engine).diagnostics for engine in rotodyne.ENGINES)
+    )
+    assert keys <= reported, keys - reported
