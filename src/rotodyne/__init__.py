@@ -23,11 +23,11 @@ and with it ``rates`` and the layers below, at its top; ``scenarios``,
 ``geophase``, ``dynamics``, ``svgplot``, numpy, ``json`` and ``numbers``
 are imported by the functions that call them, the phase kernel
 ``_kernel`` by the numeric engines' first call. Reading a module's name
-here (a layer, or one of ``_MODULES``) imports that module alone; any other
+here (a layer, ``svgplot`` or ``cli``) imports that module alone; any other
 public name, or ``__all__``, imports every layer and the kernel and binds
-all their public names. ``from . import _x`` reads ``_x`` here first, so a
-private module must be in ``_MODULES``. The value types are ``_record``
-records (no ``dataclasses``); the CLI builds one subparser.
+all their public names, and an unbound private name raises AttributeError,
+so ``from . import _x`` imports ``_x`` alone. The value types are
+``_record`` records (no ``dataclasses``); the CLI builds one subparser.
 
 All frequencies are angular (rad/s) throughout.
 """
@@ -38,22 +38,22 @@ from ._version import __version__
 _LAYERS = (
     "constants", "errors", "kinematics", "cavity", "rates", "dynamics", "geophase", "scenarios"
 )
-_MODULES = ("svgplot", "cli", "_scenario", "_kernel")  # the other modules, read by name
+_MODULES = ("svgplot", "cli")  # the other public modules, read by name
 
 
 def __getattr__(name: str):
-    """A module of the package by name, imported alone; any other name
-    after binding every layer's public names and ``__all__``, the kernel
-    imported too, so that no engine call pays for it. The builtin
+    """A module of the package by name, imported alone; a public name, or
+    ``__all__``, after binding every layer's public names and ``__all__``,
+    the kernel imported too, so that no engine call pays for it. The builtin
     ``__import__`` binds each module here and shows in ``-X importtime``."""
     if name in _LAYERS or name in _MODULES:
         __import__(f"{__name__}.{name}")
         return globals()[name]
-    for layer in (*_LAYERS, "_kernel"):
-        __import__(f"{__name__}.{layer}")
-    modules = [globals()[layer] for layer in _LAYERS]
-    public = {key: getattr(module, key) for module in modules for key in module.__all__}
-    globals().update(public, __all__=[*public, "__version__"])
-    if name in globals():
-        return globals()[name]
+    if not name.startswith("_") or name == "__all__":
+        for layer in (*_LAYERS, "_kernel"):
+            __import__(f"{__name__}.{layer}")
+        public = {key: getattr(m, key) for m in map(globals().get, _LAYERS) for key in m.__all__}
+        globals().update(public, __all__=[*public, "__version__"])
+        if name in globals():
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

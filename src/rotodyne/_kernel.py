@@ -5,17 +5,15 @@ one kernel, K = the integral over [0, T] of cos theta0 - cos(angle) of
 the decaying state: a power series in e = expm1(4 a tau) while e is well
 inside its radius, and past it checked composite 16-point Gauss-Legendre
 quadrature on panels graded toward the integrand's knee. ``_phase_kernel``
-memoizes it per (generator, horizon); ``_decay_geometry`` forms the
-state's geometry at each panel node, at ``tong``'s endpoint and in the
-saturated tail. Everything runs on Python floats, and nothing here is
-public.
+memoizes it on the four floats it reads, a, b, theta0 and T, so that no
+engine call hashes a record; ``_decay_geometry`` forms the state's
+geometry at each panel node, at ``tong``'s endpoint and in the saturated
+tail. Everything runs on Python floats, and nothing here is public.
 
 ``geophase`` imports this module on the first call of a numeric engine,
 so that the quasi-cycle engines and the commands that run them never
 load it.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -31,7 +29,7 @@ KERNEL_PANEL = 0.5
 KERNEL_REL_TOL = 1e-10
 # further halvings of the panel set before the kernel gives up
 MAX_HALVINGS = 4
-# (generator, horizon) pairs whose kernel is kept: engines compared on one path share it
+# (a, b, theta0, T) keys whose kernel is kept: engines compared on one path share it
 KERNEL_CACHE_SIZE = 8
 # the kernel's series in e = expm1(4 a tau): its tail bound's share of the sum at which it
 # stops, the terms it may take before the panels take over, and an |e| below which no
@@ -193,28 +191,28 @@ def _kernel_series(a4: float, e_end: float, ratio: float, cos_t: float, sin2: fl
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _phase_kernel(p: EvolutionParams, total_time: float):
+def _phase_kernel(a: float, b: float, theta0: float, total_time: float):
     """K = integral over [0, T] of cos theta0 - cos(angle), the non-unitary
     kernel of both numeric engines: ``_kernel_series``, or past it
     ``_nonunitary_kernel``, up to SATURATION_EXPONENT in x = 4 a tau plus
     the integrand there for the rest of the horizon; closed forms for a = 0
-    and on-axis states (sin^2 theta0 subnormal); on a, b and T as Python
-    floats, so that a memo hit across +-0.0 or numpy scalars returns what a
-    fresh call would. Returns K, its error estimate, the panels, the
-    halvings and the series terms. Raises NumericsError past the float range."""
-    a, total_time = float(p.a_coeff), float(total_time)
+    and on-axis states (sin^2 theta0 subnormal); on the Python floats a, b,
+    theta0 and T, the memo's key, with 4 a T formed as 4 (a T). A hit across
+    +-0.0 returns what a fresh call would. Returns K, its error estimate,
+    the panels, the halvings and the series terms. Raises NumericsError
+    past the float range."""
     if a == 0.0:
         return 0.0, 0.0, 0, 0, 0  # pure precession: the angle never leaves theta0
-    cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
+    cos_t, sin_t = math.cos(theta0), math.sin(theta0)
     sin2 = sin_t * sin_t
-    ratio, a4 = float(p.b_coeff) / a, 4.0 * a
+    ratio, a4 = b / a, 4.0 * a
     if sin2 < sys.float_info.min:
         # cos(angle) = sign(g) leaves cos theta0 = +-1 for -cos theta0 at the knee
         kernel, err, panels, halvings, terms = 0.0, 0.0, 0, 0, 0
         if ratio != 0.0 and cos_t / ratio > 0.0:
             kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
     else:
-        four_a_t = float(p.relaxation_exponent(total_time))
+        four_a_t = 4.0 * (a * total_time)
         x_end = min(four_a_t, SATURATION_EXPONENT)
         e_end = math.expm1(x_end)
         kernel, err, panels, halvings, terms = _kernel_series(

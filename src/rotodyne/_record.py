@@ -2,8 +2,9 @@
 
 A ``Record`` subclass declares fields and defaults as a frozen dataclass
 does (``Factory(make)``: a fresh default per instance) and gets the same
-straight-line ``__init__`` (calling ``__post_init__``), ``__eq__`` and
-``__hash__`` over the field tuple, the last two written on first use;
+straight-line ``__init__`` (calling ``__post_init__``), the one method
+written for each class. ``__eq__``, ``__hash__``, ``__repr__`` and
+``_replace`` are the base's, over the field tuple ``_values()``;
 assignment and deletion raise AttributeError. ``dataclasses.fields``,
 ``asdict``, ``replace`` and ``is_dataclass`` work through
 ``__dataclass_fields__``.
@@ -43,21 +44,6 @@ class _DataclassFields:
         return cls.__dataclass_fields__
 
 
-def _compare(cls) -> None:
-    """Write the class's own ``__eq__`` and ``__hash__``, which few commands call."""
-    mine, theirs = ("".join(f"{who}.{n}," for n in cls.__match_args__) for who in ("self", "other"))
-    scope = {}
-    exec(
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine}) == ({theirs})\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({mine}))\n",
-        scope,
-    )
-    cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
-
-
 class Record:
     """Base of the value types; ``__match_args__`` names each one's fields."""
 
@@ -79,22 +65,25 @@ class Record:
             body.append("    self.__post_init__()\n")
         exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", scope)
         cls.__init__ = scope["__init__"]
-        cls.__eq__, cls.__hash__ = Record.__eq__, Record.__hash__  # each class gets its own
+
+    def _values(self) -> tuple:
+        """The fields' values, in the order of ``__match_args__``."""
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
-        _compare(self.__class__)
-        return self.__eq__(other)
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
 
     def __hash__(self):
-        _compare(self.__class__)
-        return self.__hash__()
+        return hash(self._values())
 
     def _replace(self, **changes):
         """A copy with the given fields changed, validated again."""
-        return self.__class__(**{**{n: getattr(self, n) for n in self.__match_args__}, **changes})
+        return self.__class__(**{**dict(zip(self.__match_args__, self._values())), **changes})
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -14,10 +14,11 @@ the input: Python floats go through ``math`` when the frequency and the
 cavity center are both scalars, and arrays go through numpy otherwise.
 Both square through libm ``pow``, so the two give the same bits. Numpy is
 imported only on that array branch: a ``CavitySpec`` of floats is
-validated by comparisons, and float calls never load it. A cavity sweep
-in ``scenarios`` relies on both: where numpy is not loaded and the grid is
-small it takes the float branch once per point, and its rows are those of
-the array branch bit for bit.
+validated by comparisons, and float calls never load it; nor do ints (no
+bool), taken as floats, and an int past the float range is a ValueError.
+A cavity sweep in ``scenarios`` relies on both: where numpy is not loaded
+and the grid is small it takes the float branch once per point, and its
+rows are those of the array branch bit for bit.
 
 Where the plain denominator leaves the float range (it overflows once
 the linewidth or the detuning passes about 1e154 rad/s for the density
@@ -38,6 +39,9 @@ from ._record import Record
 
 __all__ = ["CavitySpec", "dos", "dos_derivative"]
 
+_PLAIN = (float, int)  # the Python numbers of the float branch; a bool is neither
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
+
 
 class CavitySpec(Record):
     """Cavity mode: center frequency (rad/s; a float, or a 1-d array for one
@@ -51,7 +55,7 @@ class CavitySpec(Record):
         for name, max_ndim in (("omega_c", 1), ("q_factor", 0), ("volume", 0)):
             if not _positive_finite(getattr(self, name), max_ndim):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if type(self.omega_c) is type(self.q_factor) is float:
+        if type(self.omega_c) in _PLAIN and type(self.q_factor) in _PLAIN:
             linewidth = self.linewidth  # a float quotient overflows to inf silently
         else:
             import numpy as np
@@ -68,9 +72,10 @@ class CavitySpec(Record):
 
 def _positive_finite(value, max_ndim: int) -> bool:
     """Whether ``value`` is positive and finite at every entry, on at most
-    ``max_ndim`` dimensions: a float by comparison, the rest through numpy."""
-    if type(value) is float:
-        return 0.0 < value < math.inf
+    ``max_ndim`` dimensions: a float or an int by comparison, the rest
+    through numpy. An int past the largest float is not finite."""
+    if type(value) is float or type(value) is int:
+        return 0.0 < value <= _FLOAT_MAX
     import numpy as np
     value = np.asarray(value, dtype=float)
     return value.ndim <= max_ndim and bool(((value > 0.0) & (value < math.inf)).all())
@@ -78,16 +83,20 @@ def _positive_finite(value, max_ndim: int) -> bool:
 
 def _operands(cavity: CavitySpec, frequency):
     """(lib, w, omega_c, Q): the library and its operands. ``math`` and
-    floats when the frequency and omega_c are both scalars (numpy scalars
-    and 0-d arrays included); numpy and arrays otherwise."""
+    floats when the frequency and omega_c are both scalars (ints, numpy
+    scalars and 0-d arrays included); numpy and arrays otherwise."""
     w, center, q = frequency, cavity.omega_c, cavity.q_factor
     # a type test first: np.asarray costs microseconds on every scalar call
     if not type(w) is type(center) is type(q) is float:
-        import numpy as np
-        w, center = np.asarray(w, dtype=float), np.asarray(center, dtype=float)
-        if w.ndim or center.ndim:
-            return np, w, center, q
-        w, center, q = float(w), float(center), float(q)
+        if not (type(w) in _PLAIN and type(center) in _PLAIN):
+            import numpy as np
+            w, center = np.asarray(w, dtype=float), np.asarray(center, dtype=float)
+            if w.ndim or center.ndim:
+                return np, w, center, q
+        try:  # omega_c and Q are validated: only an int frequency can overflow
+            w, center, q = float(w), float(center), float(q)
+        except OverflowError:
+            raise ValueError(f"frequency {w!r} is past the float range") from None
     return math, w, center, q
 
 

@@ -15,13 +15,9 @@ Engines
     well inside its radius, which covers the quasi-cycle regime, and past
     it checked composite Gauss-Legendre quadrature of the closed-form phase
     integrand. The non-unitary part is integrated directly, not taken as a
-    difference, on Python floats alone: one function forms the decaying
-    state's geometry at each panel node, at ``tong``'s endpoint and in the
-    saturated tail, and ``math.fsum`` adds the panels' shares, so no
-    numpy is loaded. The engines are compared on one path, so the kernel
-    is memoized per (generator, horizon), for the last KERNEL_CACHE_SIZE
-    pairs; a hit is bit-identical to a fresh evaluation. The kernel lives in
-    ``rotodyne._kernel``, which the quasi-cycle engines below never load.
+    difference, on Python floats alone; the kernel and its memo are
+    described in ``rotodyne._kernel``, which the quasi-cycle engines below
+    never load.
 
 ``gp_quasi_cycle``
     Leading-order closed form for n quasi-cycles: the pure-precession
@@ -154,7 +150,8 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     sweep = k._sweep(omega, total_time)
     cos_t, sin_t = math.cos(theta0), math.sin(theta0)
     sin2 = sin_t * sin_t
-    ratio = float(p.b_coeff) / float(p.a_coeff) if p.a_coeff else 0.0
+    a, b = float(p.a_coeff), float(p.b_coeff)
+    ratio = b / a if a else 0.0
     # the endpoint state, taken at SATURATION_EXPONENT beyond it as in the kernel
     eps = math.expm1(min(p.relaxation_exponent(total_time), k.SATURATION_EXPONENT))
     u = 1.0 + eps
@@ -167,7 +164,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     wide = big_r + abs(g)
     halves = (wide, u * sin2 / wide) if g >= 0.0 else (u * sin2 / wide, wide)
     cos_h1, sin_h1 = (math.sqrt(h / (2.0 * big_r)) for h in halves)
-    kernel, err, panels, halvings, terms = k._phase_kernel(p, total_time)
+    kernel, err, panels, halvings, terms = k._phase_kernel(a, b, theta0, total_time)
 
     c0, s0 = math.cos(theta0 / 2.0), math.sin(theta0 / 2.0)
     cos_s, sin_s = math.cos(sweep), math.sin(sweep)
@@ -213,7 +210,8 @@ def gp_exact_integral(
     k = _kernel or _load_kernel()
     omega, theta0, total_time = float(p.omega_eff), float(p.theta0), float(total_time)
     sweep = k._sweep(omega, total_time)
-    kernel, err, panels, _, terms = k._phase_kernel(p, total_time)
+    a, b = float(p.a_coeff), float(p.b_coeff)
+    kernel, err, panels, _, terms = k._phase_kernel(a, b, theta0, total_time)
     if n_cycles is None:
         n_cycles = sweep / math.tau
     unitary = -sweep * math.sin(theta0 / 2.0) ** 2

@@ -76,11 +76,15 @@ GP_VS_N_COLUMNS = (
 _MAX_GRID_POINTS = 10**6
 
 
-def _check_points(points: int, least: int) -> None:
+def _check_points(points, least: int) -> int:
+    """``points`` as an int from ``least`` to _MAX_GRID_POINTS: only a non-int
+    is read by ``_count``, so that an int past the float range meets this check."""
+    points = points if type(points) is int else _count(points, "points")
     if points < least:
         raise ValueError(f"need at least {least} grid point{'s' * (least > 1)}, got {points}")
     if points > _MAX_GRID_POINTS:
         raise ValueError(f"need at most {_MAX_GRID_POINTS} grid points, got {points}")
+    return points
 
 
 def build_grid(
@@ -91,11 +95,11 @@ def build_grid(
 
     Narrow cavity lines are easily stepped over by a bare log grid, so
     any anchor falling inside [start, stop] is inserted exactly. At most
-    10**6 points may be asked for. The cells are numpy's ``linspace`` and
-    ``geomspace`` constructions run on floats, with libm's ``log10`` and
-    ``pow`` in the log grid (``_geomspace``).
+    10**6 points, a whole number, may be asked for. The cells are numpy's
+    ``linspace`` and ``geomspace`` constructions run on floats, with libm's
+    ``log10`` and ``pow`` in the log grid (``_geomspace``).
     """
-    _check_points(points, 2)
+    points = _check_points(points, 2)
     if not -math.inf < start < stop < math.inf:
         raise ValueError(f"need finite stop > start, got [{start}, {stop}]")
     if log and start <= 0.0:
@@ -240,10 +244,11 @@ def default_n_grid(n_max: int, points: int = 25) -> tuple[int, ...]:
     """Log-spaced integer cycle counts from 1 to n_max, deduplicated, as a
     sorted tuple: the cells of ``_geomspace(1, n_max)`` rounded half to even.
 
-    n_max may not exceed 2**53: past it float(n_max) need not equal
-    n_max. At most 10**6 points may be asked for.
+    n_max, a whole number, may not exceed 2**53: past it float(n_max) need
+    not equal n_max. At most 10**6 points, a whole number, may be asked for.
     """
-    _check_points(points, 1)
+    points = _check_points(points, 1)
+    n_max = n_max if type(n_max) is int else _count(n_max, "n_max")
     if not 1 <= n_max <= 2**53:
         raise ValueError(f"n_max must lie in [1, 2**53], got {n_max}")
     return _sorted_distinct(list(map(round, _geomspace(1.0, float(n_max), points))))

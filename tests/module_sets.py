@@ -7,11 +7,15 @@ where SITE is the site-packages directory that holds numpy (``sysconfig``'s
 rotodyne`` loads no layer and neither numpy nor scipy, then runs the
 commands of LOAD_STEPS in order through ``rotodyne.cli.main`` (the table and
 figure commands write under OUTDIR) and, after each step, checks the exit
-codes and that the step's modules are still unloaded. It ends with the
-record check: a record is no dataclass until its caller loads
-``dataclasses``. It prints its report as one JSON line, with the stdout of
-each command of TABLE_COMMANDS and the sorted ``rotodyne.*`` modules loaded
-after each step, and exits 1, with the problems on stderr, when any check
+codes and that the step's modules are still unloaded. Reading a private or
+dunder name from the package right after ``import rotodyne`` must load
+nothing more. After the last step, ``from rotodyne import _kernel`` must
+load no module but the kernel and ``errors``, and an int-valued
+``CavitySpec`` with a ``dos`` call no numpy. It ends with the record check:
+a record is no dataclass until its caller loads ``dataclasses``. It prints
+its report as one JSON line, with the stdout of each command of
+TABLE_COMMANDS and the sorted ``rotodyne.*`` modules loaded after each
+step, and exits 1, with the problems on stderr, when any check
 fails; a step that loaded a module of its list is reported with the
 package modules loaded after it.
 
@@ -143,8 +147,10 @@ def run(out: str) -> dict:
     import contextlib
     import io
 
-    import rotodyne  # noqa: F401 (what it loads is checked)
+    import rotodyne
 
+    # a private or dunder name read from the package binds no layer
+    private = [hasattr(rotodyne, "__wrapped__"), hasattr(rotodyne, "_nope")]
     layers = sorted(m for m in sys.modules if m.startswith("rotodyne."))
     imported = [m for m in NUMPY if m in sys.modules]
     from rotodyne.cli import main
@@ -169,6 +175,17 @@ def run(out: str) -> dict:
         runs.append([codes, [m for m in absent if m in sys.modules]])
         modules.append(sorted(m for m in sys.modules if m.startswith("rotodyne.")))
 
+    # a private module read by name is imported alone: the kernel, which the
+    # last step loaded, is unloaded first so that its import shows what it adds
+    del sys.modules["rotodyne._kernel"], rotodyne._kernel
+    loaded = set(sys.modules)
+    from rotodyne import _kernel  # noqa: F401 (what it loads is checked)
+
+    kernel = sorted(set(sys.modules) - loaded)
+    from rotodyne.cavity import CavitySpec, dos
+
+    dos(CavitySpec(5_000_000_000, 10**7, 1), 10**7)
+    int_cavity = "numpy" in sys.modules
     from rotodyne.kinematics import AtomParams
 
     atom = AtomParams(1.0e7, 8.478e-30, 1.5)
@@ -177,12 +194,15 @@ def run(out: str) -> dict:
 
     after = [dataclasses.is_dataclass(atom), hasattr(atom, "__dataclass_fields__")]
     return {
+        "private": private,
         "layers": layers,
         "imported": imported,
         "runs": runs,
         "modules": modules,
         "stdout": stdout,
         "dynamics": "rotodyne.dynamics" in sys.modules,
+        "kernel": kernel,
+        "int_cavity_numpy": int_cavity,
         "records": [before, after],
     }
 
@@ -191,7 +211,9 @@ def problems(report: dict) -> list:
     """What the report shows wrong, one line each."""
     found = []
     if report["layers"] != ["rotodyne._version"]:
-        found.append(f"import rotodyne loaded {report['layers']}")
+        found.append(f"import rotodyne and its private-name probes loaded {report['layers']}")
+    if report["private"] != [False, False]:
+        found.append(f"rotodyne has __wrapped__ or _nope: {report['private']}")
     if report["imported"]:
         found.append(f"import rotodyne loaded {report['imported']}")
     steps = zip(LOAD_STEPS, report["runs"], report["modules"])
@@ -202,6 +224,10 @@ def problems(report: dict) -> list:
             found.append(f"{loaded} loaded by the end of {argvs}, with {modules}")
     if not report["dynamics"]:
         found.append("rotodyne.dynamics not loaded by gp --engine tong")
+    if not set(report["kernel"]) <= {"rotodyne._kernel", "rotodyne.errors"}:
+        found.append(f"from rotodyne import _kernel loaded {report['kernel']}")
+    if report["int_cavity_numpy"]:
+        found.append("an int-valued CavitySpec and its dos loaded numpy")
     if report["records"] != [[False, False], [True, True]]:
         found.append(f"records: {report['records']}, want no dataclass until dataclasses is loaded")
     return found

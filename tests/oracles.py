@@ -11,15 +11,21 @@ closed form.
 
 ``elementary_kernel`` is the non-unitary kernel from its elementary
 antiderivative, in stdlib floats: the reference for the relaxed tail.
+
+``exact_general_rates`` is the ``general`` family's rates in 60-digit
+``decimal`` arithmetic on the exact values of the float inputs.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from rotodyne.cavity import CavitySpec
+from rotodyne.constants import SPEED_OF_LIGHT
 from rotodyne.dynamics import EvolutionParams, closed_form_bloch
 from rotodyne.errors import NumericsError
 from rotodyne.geophase import (
@@ -28,6 +34,8 @@ from rotodyne.geophase import (
     _require_eigenbasis,
     _unitary_open_path,
 )
+from rotodyne.kinematics import AtomParams, TrajectoryParams
+from rotodyne.rates import vacuum_coupling
 
 MIN_ADJACENT_OVERLAP = 0.99
 # largest dense path we are willing to materialize
@@ -215,3 +223,49 @@ def elementary_kernel(p: EvolutionParams, total_time: float) -> float:
     if r:
         total += math.copysign(1.0, r) * math.log(p2 / p2_start)
     return total / (4.0 * p.a_coeff)
+
+
+def exact_general_rates(
+    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec
+) -> dict[str, decimal.Decimal]:
+    """``general_rates`` by field name, a transcription of ``rates._lab`` and
+    ``rates._general`` in 60-digit ``decimal`` on the exact values of the
+    float inputs (the constants 1/4, 1/5 and 2/5 exact). Eta is the float
+    ``vacuum_coupling`` returns: a common factor of every rate, so that no
+    digit of pi is needed. The non-inertial rate is the same difference as
+    the package's, here of two 60-digit numbers."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        dec = decimal.Decimal
+        radius, omega, omega0 = dec(traj.radius), dec(traj.omega), dec(atom.omega0)
+        center, light = dec(cavity.omega_c), dec(SPEED_OF_LIGHT)
+        half_width = center / dec(cavity.q_factor)
+        eta = dec(vacuum_coupling(atom, cavity))
+
+        def zeta_of(frequency):
+            return (frequency * radius / light) ** 2
+
+        def weighted_dos(frequency):  # dos(frequency) * frequency
+            if frequency <= 0:
+                return dec(0)
+            return half_width * frequency / (half_width ** 2 + (frequency - center) ** 2)
+
+        zeta = zeta_of(omega)
+        root = (1 - zeta).sqrt()
+        omega0_bar = omega0 * root
+
+        def sideband(frequency):
+            if omega <= 0 or frequency <= 0:
+                return dec(0)
+            return (zeta / 4 + zeta_of(frequency) / 5) * weighted_dos(frequency)
+
+        carrier = (1 - zeta_of(omega0_bar) * 2 / 5) * weighted_dos(omega0_bar)
+        lab_down = carrier + sideband(omega0_bar + omega) + sideband(omega0_bar - omega)
+        down = eta * lab_down / root
+        inertial = eta * weighted_dos(omega0)
+        return {
+            "gamma_down": down,
+            "gamma_down_inertial": inertial,
+            "gamma_down_ni": down - inertial,
+            "gamma_up": eta * sideband(omega - omega0_bar) / root,
+        }

@@ -141,6 +141,32 @@ class TestArrayForm:
             assert (value, slope) == (dos(cav, w), dos_derivative(cav, w))
 
 
+class TestIntInputs:
+    @pytest.mark.parametrize(
+        "center, q, w",
+        [(5_000_000_000, 10**7, 10**7), (10**7, 10**7, 10**7 + 3), (10**7 + 1, 3, 9_999_999),
+         (2**60 + 1, 7, 2**60 + 3)],
+    )
+    def test_ints_give_the_bits_of_their_floats(self, center, q, w):
+        # ints took the numpy branch, which imports numpy, for these bits
+        floats = CavitySpec(float(center), float(q), 1.0e-7)
+        want = (dos(floats, float(w)).hex(), dos_derivative(floats, float(w)).hex())
+        for spec in (CavitySpec(center, q, 1.0e-7), CavitySpec(float(center), q, 1.0e-7), floats):
+            for x in (w, float(w)):
+                got = dos(spec, x), dos_derivative(spec, x)
+                assert all(type(v) is float for v in got)
+                assert (got[0].hex(), got[1].hex()) == want
+
+    def test_an_int_past_the_float_range_is_a_value_error(self, cavity):
+        for name in ("omega_c", "q_factor", "volume"):
+            fields = dict(dict(omega_c=1.0e7, q_factor=1.0e7, volume=1.0e-6), **{name: 10**400})
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got 1000"):
+                CavitySpec(**fields)
+        for function in (dos, dos_derivative):
+            with pytest.raises(ValueError, match="^frequency 1000.* is past the float range$"):
+                function(cavity, 10**400)
+
+
 class TestValidation:
     def test_spec_fields_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -490,6 +490,11 @@ class TestExactIntegral:
 F64 = np.float64
 
 
+def kernel_key(p, total_time):
+    """The key the numeric engines give ``_phase_kernel``: a, b, theta0, T as floats."""
+    return float(p.a_coeff), float(p.b_coeff), float(p.theta0), float(total_time)
+
+
 def kernel_bits(values):
     """Types and reprs of a kernel tuple or result: repr tells -0.0 from 0.0."""
     return [(type(v), repr(v)) for v in values]
@@ -567,7 +572,7 @@ class TestKernelMemo:
         def kernel_and_engines(key):
             # each engine below hits the kernel its predecessor stored
             return (
-                kernel_bits(_kernel._phase_kernel(*key)),
+                kernel_bits(_kernel._phase_kernel(*kernel_key(*key))),
                 kernel_bits(asdict(gp_exact_integral(*key)).values()),
                 kernel_bits(asdict(gp_tong_closed_form(*key)).values()),
             )
@@ -577,7 +582,7 @@ class TestKernelMemo:
             _kernel._phase_kernel.cache_clear()
             cold = kernel_and_engines(key)
             _kernel._phase_kernel.cache_clear()
-            _kernel._phase_kernel(*warm)
+            _kernel._phase_kernel(*kernel_key(*warm))
             assert kernel_and_engines(key) == cold
             assert _kernel._phase_kernel.cache_info()[:2] == (3, 1)  # (hits, misses)
 
@@ -593,9 +598,13 @@ class TestKernelMemo:
         twin = (EvolutionParams(0.25, 0.1, 1.0, 1.0), 10.0)  # 4 a T = 10: past the series
         key = (EvolutionParams(F64(0.25), F64(0.1), F64(1.0), F64(1.0)), F64(10.0))
         _kernel._phase_kernel.cache_clear()
-        kernel = _kernel._phase_kernel(*key)
+        gp_exact_integral(*key)  # stores the kernel of the key it forms from the fields
+        kernel = _kernel._phase_kernel(*kernel_key(*twin))
+        assert _kernel._phase_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
         assert kernel[2] > 0 and set(ratios) == {float}
-        assert kernel_bits(kernel) == kernel_bits(_kernel._phase_kernel.__wrapped__(*twin))
+        assert kernel_bits(kernel) == kernel_bits(
+            _kernel._phase_kernel.__wrapped__(*kernel_key(*twin))
+        )
         ratios.clear()
         tong = gp_tong_closed_form(*key)  # the kernel is a memo hit; the endpoint is not
         assert ratios == [float]
@@ -615,6 +624,18 @@ class TestKernelMemo:
             )
             assert set(map(type, got)) == {float}, (engine, got)
             assert kernel_bits(got) == kernel_bits(want), engine
+
+    def test_engines_hash_no_generator(self, monkeypatch):
+        # the memo keys on the floats a, b, theta0 and T, not on the record
+        def unhashable(self):
+            raise TypeError("an EvolutionParams was hashed")
+
+        monkeypatch.setattr(EvolutionParams, "__hash__", unhashable)
+        p = EvolutionParams(0.1, -0.05, 1.0, 2.0)
+        _kernel._phase_kernel.cache_clear()
+        tong, exact = gp_tong_closed_form(p, 1000.0), gp_exact_integral(p, 1000.0)
+        assert _kernel._phase_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert tong.diagnostics["panels"] == exact.diagnostics["panels"] > 0
 
     def test_errors_are_not_kept(self, monkeypatch):
         _kernel._phase_kernel.cache_clear()
@@ -697,7 +718,7 @@ class TestKernelSeries:
     def test_preset_points_take_the_series_within_1e_15_of_references(self):
         for (name, n), want in PRESET_KERNELS.items():
             p, horizon = _evolution(preset(name), n)
-            kernel, _, panels, _, terms = _kernel._phase_kernel(p, horizon)
+            kernel, _, panels, _, terms = _kernel._phase_kernel(*kernel_key(p, horizon))
             assert terms > 0 and panels == 0
             exact = Fraction(want)
             assert abs(Fraction(kernel) - exact) <= Fraction(1e-15) * abs(exact)
@@ -712,7 +733,7 @@ class TestKernelSeries:
             theta = rng.uniform(0.15, math.pi - 0.15)
             p = EvolutionParams(a, a * rng.uniform(-1.0, 1.0), 1.0, theta)
             horizon = cycles_time(p, n)
-            kernel, _, panels, _, terms = _kernel._phase_kernel(p, horizon)
+            kernel, _, panels, _, terms = _kernel._phase_kernel(*kernel_key(p, horizon))
             assert terms > 0 and panels == 0
             panel = _kernel._nonunitary_kernel(
                 4.0 * a, p.relaxation_exponent(horizon), p.b_coeff / a,
@@ -734,7 +755,7 @@ class TestKernelSeries:
             assert tong.diagnostics["samples"] == 24 * tong.diagnostics["panels"] > 0
             assert exact.diagnostics["panels"] >= 2
             assert tong.diagnostics["series_terms"] == exact.diagnostics["series_terms"] == 0
-            kernel = _kernel._phase_kernel(p, x)[0]
+            kernel = _kernel._phase_kernel(*kernel_key(p, x))[0]
             assert kernel == pytest.approx(elementary_kernel(p, x), rel=1.5e-15, abs=0)
 
     def test_series_gives_way_past_its_radius_and_budget(self):
@@ -743,11 +764,13 @@ class TestKernelSeries:
         # inside the radius, but SERIES_TERMS terms do not reach the tolerance
         assert _kernel._kernel_series(1.0, math.expm1(0.34), *shape) is None
         p = EvolutionParams(0.25, 0.25 * 0.9, 10.0, 1.0)
-        assert _kernel._phase_kernel(p, 0.3)[2:] == (0, 0, 38)
-        assert _kernel._phase_kernel(p, 0.34)[2:] == (2, 1, 0)
+        assert _kernel._phase_kernel(*kernel_key(p, 0.3))[2:] == (0, 0, 38)
+        assert _kernel._phase_kernel(*kernel_key(p, 0.34))[2:] == (2, 1, 0)
 
     def test_series_matches_the_panels_and_joins_them_continuously(self):
-        kernel = _kernel._phase_kernel.__wrapped__
+        def kernel(p, horizon):
+            return _kernel._phase_kernel.__wrapped__(*kernel_key(p, horizon))
+
         joined = set()  # the bits of each (theta0, b/a) whose handover is checked
         for index, (theta, ratio, x_end) in enumerate(series_cases()):
             case = (SEED, index, theta, ratio, x_end)
@@ -1082,7 +1105,7 @@ class TestEngineContract:
             a = 10.0 ** log_a
             p = EvolutionParams(a, a * ratio, 1.0, theta)
             horizon = 10.0 ** log_x / (4.0 * a)
-            kernel = _kernel._phase_kernel(p, horizon)[0]
+            kernel = _kernel._phase_kernel(*kernel_key(p, horizon))[0]
             gap = abs(kernel - elementary_kernel(p, horizon))
             assert gap <= 8.0 * sys.float_info.epsilon * horizon, (SEED, index, p, horizon)
 

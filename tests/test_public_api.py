@@ -1,6 +1,7 @@
 """The top-level namespace: exactly the layers' public names, nothing removed."""
 
 import ast
+import contextlib
 import copy
 import dataclasses
 import importlib
@@ -191,6 +192,28 @@ class TestRecordContract:
         if bad is not None:
             with pytest.raises(ValueError):
                 dataclasses.replace(sample, **dict([bad]))
+
+
+def test_record_classes_get_only_their_init_written():
+    """Each value type's ``__init__`` is the one method written for it: after
+    every record is compared and hashed, no record class has its own
+    ``__eq__`` or ``__hash__``, and nothing else on it came from ``exec``."""
+    from rotodyne._record import Record
+
+    for record, values, *_ in RECORDS:
+        sample = record(*values)
+        assert sample == record(*values)
+        with contextlib.suppress(TypeError):  # a dict field makes the record unhashable
+            hash(sample)
+    classes = Record.__subclasses__()
+    assert len(classes) > len(RECORDS)  # the private ones too
+    for record in classes:
+        written = [
+            name for name, value in vars(record).items()
+            if getattr(getattr(value, "__code__", None), "co_filename", None) == "<string>"
+        ]
+        assert written == ["__init__"], record
+        assert "__eq__" not in vars(record) and "__hash__" not in vars(record), record
 
 
 def test_records_are_no_dataclasses_until_dataclasses_is_loaded(module_report):

@@ -1,12 +1,15 @@
 """Rate engines: general resonance evaluation, regime expansions, splits."""
 
+import functools
 import math
 import struct
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from oracles import exact_general_rates
 from rotodyne import rates
 from rotodyne import (
     DEFAULT_DIPOLE,
@@ -21,6 +24,7 @@ from rotodyne import (
     kossakowski,
     lab_rates_general,
     preset,
+    sweep_cavity,
     vacuum_coupling,
     zeta_of,
 )
@@ -295,3 +299,47 @@ class TestLorentzianOverflow:
             values = [getattr(rs, f) for f in RATE_FIELDS if getattr(rs, f) is not None]
             assert all(type(v) is float and math.isfinite(v) for v in values), rs
             assert 0.0 <= rs.gamma_down < 1e-150
+
+
+# the worst relative error each ``general`` rate may have against the exact
+# transcription of its formula on the float inputs
+GENERAL_RATE_GATES = {"gamma_down": 2e-12, "gamma_down_inertial": 1e-13, "gamma_up": 1e-13}
+
+
+@functools.lru_cache(maxsize=None)
+def general_grid_errors() -> dict:
+    """The worst relative error of each rate of a ``general`` sweep over
+    both presets' default grids against ``exact_general_rates``; a rate
+    whose exact value is 0 must be 0."""
+    names = ("gamma_down", "gamma_down_inertial", "gamma_down_ni", "gamma_up")
+    worst = dict.fromkeys(names, 0.0)
+    for name in ("case1", "case2"):
+        scenario = preset(name)._replace(family="general")
+        traj, atom, cavity = scenario.trajectory, scenario.atom, scenario.cavity
+        for row in sweep_cavity(scenario).rows:
+            exact = exact_general_rates(
+                traj, atom, CavitySpec(row[0], cavity.q_factor, cavity.volume)
+            )
+            for key, got in zip(names, row[1:5]):
+                gap = abs(Decimal(got) - exact[key])
+                if exact[key]:
+                    error = float(gap / abs(exact[key]))
+                else:
+                    error = math.inf if gap else 0.0
+                worst[key] = max(worst[key], error)
+    return worst
+
+
+class TestGeneralRatesExact:
+    def test_rates_meet_their_gates_on_both_default_grids(self):
+        worst = general_grid_errors()
+        for key, gate in GENERAL_RATE_GATES.items():
+            assert worst[key] <= gate, (key, worst)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="gamma_down_ni is gamma_down - gamma_down_inertial, two nearly equal "
+        "rates: 2.25e-4 off on case1's grid and 2.20e-3 on case2's",
+    )
+    def test_noninertial_rate_within_1e_12_on_both_default_grids(self):
+        assert general_grid_errors()["gamma_down_ni"] <= 1e-12

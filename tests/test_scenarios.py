@@ -382,6 +382,27 @@ class TestGrids:
         with pytest.raises(ValueError, match="at most 1000000 grid points, got 1000001"):
             default_n_grid(100, 10**6 + 1)
 
+    def test_counts_are_read_as_whole_numbers(self):
+        # a whole float count failed in range(), a fractional n_max was
+        # truncated and a bool n_max gave (1,)
+        want = build_grid(1.0, 2.0, 3)
+        assert build_grid(1.0, 2.0, 3.0) == build_grid(1.0, 2.0, np.int64(3)) == want
+        want = default_n_grid(100, 5)
+        for n_max, points in ((100, 5.0), (100.0, 5), (np.int64(100), np.int64(5))):
+            got = default_n_grid(n_max, points)
+            assert got == want and all(type(n) is int for n in got)
+        for call, message in (
+            (lambda: default_n_grid(100.5, 5), "n_max must be a whole number, got 100.5"),
+            (lambda: default_n_grid(True, 5), "n_max must be a number, got True"),
+            (lambda: default_n_grid(100, True), "points must be a number, got True"),
+            (lambda: default_n_grid(100, 2.5), "points must be a whole number, got 2.5"),
+            (lambda: build_grid(1.0, 2.0, True), "points must be a number, got True"),
+            (lambda: build_grid(1.0, 2.0, math.nan), "points must be a whole number, got nan"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == message
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             build_grid(10.0, 5.0, 3)
