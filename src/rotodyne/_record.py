@@ -8,10 +8,52 @@ written for each class. ``__eq__``, ``__hash__``, ``__repr__`` and
 assignment and deletion raise AttributeError. ``dataclasses.fields``,
 ``asdict``, ``replace`` and ``is_dataclass`` work through
 ``__dataclass_fields__``.
+
+Every number a caller passes in is read here: ``_real`` (a float),
+``_count`` (an int) and ``_cycles``, which refuse bools and text. The value
+types store their scalar fields through ``_real`` once (``_store``).
 """
 
 _set = object.__setattr__
 _MISSING = object()
+
+
+def _real(value, name: str) -> float:
+    """A real number as a Python float. An int past the float range, a bool
+    and anything that is not a ``numbers.Real`` are a ValueError."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    else:
+        import numbers
+
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """A whole number as an int. A Python int is kept exact, so a count past
+    the float range meets its caller's range check."""
+    if type(value) is int or _real(value, name).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def _cycles(value, name: str):
+    """A cycle count: an integer, numpy's too, as an exact int, else a float."""
+    real = value if type(value) is int else _real(value, name)
+    return int(value) if hasattr(value, "__index__") else real
+
+
+def _store(record, read, *names: str) -> None:
+    """Store each named field of ``record`` as ``read(value, name)`` reads it."""
+    for name in names:
+        _set(record, name, read(getattr(record, name), name))
 
 
 class Factory:

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ._record import Record
+from ._record import Record, _count, _cycles, _real, _set, _store
 from .cavity import CavitySpec
-from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, _is_real, derive_kinematics
+from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics
 from .rates import RateSet, _case1, _case2, _general, case1_rates, case2_rates, general_rates
 
 # moderate optical-range electric dipole moment, C m
@@ -36,7 +36,7 @@ DEFAULT_DIPOLE = 8.478e-30
 
 class Scenario(Record):
     """Atom, orbit, cavity, rate family, cycle counts and cavity sweep under
-    one name, held to the scenario file's rules (``_name``, ``_count``)."""
+    one name, held to the scenario file's rules (``_name``, ``_count``, ``_real``)."""
 
     name: str
     atom: AtomParams
@@ -50,9 +50,9 @@ class Scenario(Record):
     sweep_points: int = 400
 
     def __post_init__(self):
-        object.__setattr__(self, "name", _name(self.name))
-        for key in ("n_default", "n_max", "sweep_points"):
-            object.__setattr__(self, key, _count(getattr(self, key), key))
+        _set(self, "name", _name(self.name))
+        _store(self, _count, "n_default", "n_max", "sweep_points")
+        _store(self, _real, "sweep_lo", "sweep_hi")
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {tuple(_FAMILIES)}, got {self.family!r}")
         if self.n_default < 1 or self.n_max < self.n_default:
@@ -137,28 +137,11 @@ def _require_keys(block, keys, where: str) -> None:
         raise ValueError(f"missing keys in {where}: {', '.join(missing)}")
 
 
-def _number(value, name: str) -> float:
-    """A real number as a float; ValueError for anything else."""
-    if _is_real(value):
-        try:
-            return float(value)
-        except OverflowError:  # an integer literal past the float range
-            pass
-    raise ValueError(f"{name} must be a number, got {value!r}")
-
-
-def _count(value, name: str) -> int:
-    """A whole number as an int; ValueError for anything else."""
-    if _number(value, name).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
 def _point(value, name: str) -> tuple[float, float]:
     """Two coordinates as a pair of floats; ValueError for anything else."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{name} must hold two coordinates")
-    return tuple(_number(v, name) for v in value)
+    return tuple(_real(v, name) for v in value)
 
 
 def _name(value) -> str:
@@ -181,23 +164,23 @@ def _name(value) -> str:
 # Scenario itself; it and the keys in _OPTIONAL may be left out.
 _SCHEMA = {
     "atom": (AtomParams, (
-        ("omega0_rad_per_s", "omega0", _number),
-        ("dipole_C_m", "dipole", _number),
-        ("theta0_rad", "theta0", _number),
+        ("omega0_rad_per_s", "omega0", _real),
+        ("dipole_C_m", "dipole", _real),
+        ("theta0_rad", "theta0", _real),
     )),
     "trajectory": (TrajectoryParams, (
-        ("radius_m", "radius", _number),
-        ("omega_rad_per_s", "omega", _number),
+        ("radius_m", "radius", _real),
+        ("omega_rad_per_s", "omega", _real),
         ("center_m", "center", _point),
     )),
     "cavity": (CavitySpec, (
-        ("omega_c_rad_per_s", "omega_c", _number),
-        ("q_factor", "q_factor", _number),
-        ("volume_m3", "volume", _number),
+        ("omega_c_rad_per_s", "omega_c", _real),
+        ("q_factor", "q_factor", _real),
+        ("volume_m3", "volume", _real),
     )),
     "sweep": (Scenario, (
-        ("lo_rad_per_s", "sweep_lo", _number),
-        ("hi_rad_per_s", "sweep_hi", _number),
+        ("lo_rad_per_s", "sweep_lo", _real),
+        ("hi_rad_per_s", "sweep_hi", _real),
         ("points", "sweep_points", _count),
     )),
 }
@@ -341,14 +324,14 @@ def scenario_gp(scenario: Scenario, n: int, engine: str | None = None) -> GPResu
 
     Raises ValueError for an unknown engine, a count that is nan or
     infinite, and a count past the engine's float range: the horizon 2 pi
-    n / omega0 of a kernel engine, n**2 for the others. A numpy count is
-    taken as the Python number of its value, so its square cannot wrap.
+    n / omega0 of a kernel engine, n**2 for the others. ``_record._cycles``
+    reads the count, so the square of a numpy integer cannot wrap.
     """
     if engine is None:
         engine = _FAMILIES[scenario.family].engine
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; available: {', '.join(ENGINES)}")
-    n = _geophase()._plain_count(n)
+    n = _cycles(n, "cycle count")
     if isinstance(n, float) and not math.isfinite(n):
         raise ValueError(f"cycle count must be finite, got {n}")
     try:

@@ -13,9 +13,9 @@ Each formula is written once and run by one of two libraries, chosen by
 the input: Python floats go through ``math`` when the frequency and the
 cavity center are both scalars, and arrays go through numpy otherwise.
 Both square through libm ``pow``, so the two give the same bits. Numpy is
-imported only on that array branch: a ``CavitySpec`` of floats is
-validated by comparisons, and float calls never load it; nor do ints (no
-bool), taken as floats, and an int past the float range is a ValueError.
+imported only on that array branch: a ``CavitySpec`` stores its scalar
+fields as floats (``_record._real`` reads them) and validates them by
+comparisons, and float calls never load it; nor does an int frequency.
 A cavity sweep in ``scenarios`` relies on both: where numpy is not loaded
 and the grid is small it takes the float branch once per point, and its
 rows are those of the array branch bit for bit.
@@ -34,13 +34,11 @@ which this relies on.
 from __future__ import annotations
 
 import math
+import sys
 
-from ._record import Record
+from ._record import Record, _real, _store
 
 __all__ = ["CavitySpec", "dos", "dos_derivative"]
-
-_PLAIN = (float, int)  # the Python numbers of the float branch; a bool is neither
-_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 
 
 class CavitySpec(Record):
@@ -52,16 +50,22 @@ class CavitySpec(Record):
     volume: float
 
     def __post_init__(self) -> None:
-        for name, max_ndim in (("omega_c", 1), ("q_factor", 0), ("volume", 0)):
-            if not _positive_finite(getattr(self, name), max_ndim):
+        # the all-float test first: a sweep builds one spec per grid point
+        if not type(self.omega_c) is type(self.q_factor) is type(self.volume) is float:
+            _store(self, _real, "q_factor", "volume")
+            numpy = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+            if numpy is None or not isinstance(self.omega_c, numpy.ndarray):
+                _store(self, _real, "omega_c")
+        for name in ("omega_c", "q_factor", "volume"):
+            if not _positive_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if type(self.omega_c) in _PLAIN and type(self.q_factor) in _PLAIN:
+        if type(self.omega_c) is float:
             linewidth = self.linewidth  # a float quotient overflows to inf silently
         else:
             import numpy as np
             with np.errstate(over="ignore"):
                 linewidth = self.linewidth
-        if not _positive_finite(linewidth, 1):
+        if not _positive_finite(linewidth):
             raise ValueError(f"linewidth omega_c / q_factor must be positive and finite, got {linewidth}")
 
     @property
@@ -70,15 +74,13 @@ class CavitySpec(Record):
         return self.omega_c / self.q_factor
 
 
-def _positive_finite(value, max_ndim: int) -> bool:
-    """Whether ``value`` is positive and finite at every entry, on at most
-    ``max_ndim`` dimensions: a float or an int by comparison, the rest
-    through numpy. An int past the largest float is not finite."""
-    if type(value) is float or type(value) is int:
-        return 0.0 < value <= _FLOAT_MAX
-    import numpy as np
-    value = np.asarray(value, dtype=float)
-    return value.ndim <= max_ndim and bool(((value > 0.0) & (value < math.inf)).all())
+def _positive_finite(value) -> bool:
+    """Whether ``value``, a float or a numpy array of numbers (no bools) on at
+    most one dimension, is positive and finite at every entry."""
+    if type(value) is float:
+        return 0.0 < value < math.inf
+    entries_ok = value.dtype.kind in "fiu" and value.ndim <= 1
+    return entries_ok and bool(((value > 0.0) & (value < math.inf)).all())
 
 
 def _operands(cavity: CavitySpec, frequency):
@@ -87,16 +89,14 @@ def _operands(cavity: CavitySpec, frequency):
     scalars and 0-d arrays included); numpy and arrays otherwise."""
     w, center, q = frequency, cavity.omega_c, cavity.q_factor
     # a type test first: np.asarray costs microseconds on every scalar call
-    if not type(w) is type(center) is type(q) is float:
-        if not (type(w) in _PLAIN and type(center) in _PLAIN):
+    if not type(w) is type(center) is float:
+        if type(w) is not int or type(center) is not float:  # an int frequency loads no numpy
             import numpy as np
             w, center = np.asarray(w, dtype=float), np.asarray(center, dtype=float)
             if w.ndim or center.ndim:
                 return np, w, center, q
-        try:  # omega_c and Q are validated: only an int frequency can overflow
-            w, center, q = float(w), float(center), float(q)
-        except OverflowError:
-            raise ValueError(f"frequency {w!r} is past the float range") from None
+            w, center = float(w), float(center)
+        w = _real(w, "frequency")
     return math, w, center, q
 
 

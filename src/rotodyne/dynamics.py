@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 
-from ._record import Record
+from ._record import Record, _real, _store
 from .errors import NumericsError
 from .rates import RateSet, kossakowski
 
@@ -67,6 +67,7 @@ class EvolutionParams(Record):
     theta0: float
 
     def __post_init__(self) -> None:
+        _store(self, _real, "a_coeff", "b_coeff", "omega_eff", "theta0")
         if not 0.0 <= self.a_coeff < math.inf:
             raise ValueError(f"a_coeff must be non-negative and finite, got {self.a_coeff}")
         if not abs(self.b_coeff) <= self.a_coeff:

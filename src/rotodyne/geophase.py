@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Factory, Record
+from ._record import Factory, Record, _cycles, _real
 from .errors import NumericsError
 from .rates import RateSet, _dissipator_pair, case1_rates, case2_rates
 
@@ -142,16 +142,15 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     ``endpoint_amplitude``, and the kernel's ``series_terms`` or, past the
     series, ``panels``, ``refinements`` (halvings taken) and ``samples``
     (integrand evaluations of the accepted pass, 24 per panel), 0 on the
-    path not taken. Every result field is a Python float: omega, theta0
-    and T are taken as floats at entry.
+    path not taken. Every result field is a Python float. ``total_time``
+    is read by ``_record._real``: a bool or text is a ValueError.
     """
     k = _kernel or _load_kernel()
-    omega, theta0, total_time = float(p.omega_eff), float(p.theta0), float(total_time)
+    omega, theta0, total_time = p.omega_eff, p.theta0, _real(total_time, "total_time")
     sweep = k._sweep(omega, total_time)
     cos_t, sin_t = math.cos(theta0), math.sin(theta0)
     sin2 = sin_t * sin_t
-    a, b = float(p.a_coeff), float(p.b_coeff)
-    ratio = b / a if a else 0.0
+    ratio = p.b_coeff / p.a_coeff if p.a_coeff else 0.0
     # the endpoint state, taken at SATURATION_EXPONENT beyond it as in the kernel
     eps = math.expm1(min(p.relaxation_exponent(total_time), k.SATURATION_EXPONENT))
     u = 1.0 + eps
@@ -164,7 +163,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     wide = big_r + abs(g)
     halves = (wide, u * sin2 / wide) if g >= 0.0 else (u * sin2 / wide, wide)
     cos_h1, sin_h1 = (math.sqrt(h / (2.0 * big_r)) for h in halves)
-    kernel, err, panels, halvings, terms = k._phase_kernel(a, b, theta0, total_time)
+    kernel, err, panels, halvings, terms = k._phase_kernel(p.a_coeff, p.b_coeff, theta0, total_time)
 
     c0, s0 = math.cos(theta0 / 2.0), math.sin(theta0 / 2.0)
     cos_s, sin_s = math.cos(sweep), math.sin(sweep)
@@ -205,13 +204,12 @@ def gp_exact_integral(
     series' tail bound or the panels' halving gap, in rad; ``series_terms``
     or ``panels`` counts the path taken, the other is 0, both for the
     closed forms. Every result field but a given ``n_cycles`` is a Python
-    float: omega, theta0 and T are taken as floats at entry.
+    float. ``total_time`` is read as ``gp_tong_closed_form`` reads it.
     """
     k = _kernel or _load_kernel()
-    omega, theta0, total_time = float(p.omega_eff), float(p.theta0), float(total_time)
+    omega, theta0, total_time = p.omega_eff, p.theta0, _real(total_time, "total_time")
     sweep = k._sweep(omega, total_time)
-    a, b = float(p.a_coeff), float(p.b_coeff)
-    kernel, err, panels, _, terms = k._phase_kernel(a, b, theta0, total_time)
+    kernel, err, panels, _, terms = k._phase_kernel(p.a_coeff, p.b_coeff, theta0, total_time)
     if n_cycles is None:
         n_cycles = sweep / math.tau
     unitary = -sweep * math.sin(theta0 / 2.0) ** 2
@@ -223,26 +221,12 @@ def gp_exact_integral(
         unitary_part=unitary,
         nonunitary_part=nonunitary,
         diagnostics={
-            "four_a_t": float(p.relaxation_exponent(total_time)),
+            "four_a_t": p.relaxation_exponent(total_time),
             "panels": panels,
             "series_terms": terms,
             "abserr": (omega / 2.0) * err,
         },
     )
-
-
-def _plain_count(n):
-    """A cycle count as a Python int when it is integral, numpy integers
-    included, and as a Python float when it is another real number: n**2
-    then cannot wrap around in a fixed-width type. The type test first
-    keeps Python numbers off the slower ABC checks and ``numbers`` unloaded."""
-    if type(n) in (int, float):
-        return n
-    import numbers
-
-    if not isinstance(n, numbers.Real):
-        return n
-    return int(n) if isinstance(n, numbers.Integral) else float(n)
 
 
 def _quasi_cycle_result(
@@ -266,7 +250,7 @@ def _quasi_cycle_result(
     holds on closed loops only. Raises ValueError unless 0 < n < inf,
     0 < omega0 < inf and 0 <= theta <= pi, and where 2 pi^2 n^2 / omega0 is
     past the float range."""
-    n = _plain_count(n)
+    n = _cycles(n, "n")
     if not 0.0 < n < math.inf:
         raise ValueError(f"n must be positive and finite, got {n}")
     if not 0.0 < omega0 < math.inf:
@@ -344,7 +328,7 @@ def gp_split(rates: RateSet, n: float, theta: float, omega0: float) -> GPResult:
 
     Requires a RateSet whose split fields are populated.
     """
-    return _split_result("quasi-cycle", rates, n, theta, omega0)
+    return _split_result("quasi-cycle", rates, n, _real(theta, "theta"), _real(omega0, "omega0"))
 
 
 def gp_case1(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record
+from ._record import Record, _real, _store
 from .constants import SPEED_OF_LIGHT
 
 __all__ = [
@@ -26,15 +26,6 @@ __all__ = [
 ]
 
 
-def _is_real(value) -> bool:
-    """A real number but no bool? Only types other than int and float import ``numbers``."""
-    if type(value) in (int, float):
-        return True
-    import numbers
-
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 class AtomParams(Record):
     """Two-level emitter: gap ``omega0`` (rad/s), dipole norm (C*m), initial
     superposition angle ``theta0`` (rad) of cos(t/2)|e> + sin(t/2)|g>."""
@@ -44,6 +35,7 @@ class AtomParams(Record):
     theta0: float
 
     def __post_init__(self) -> None:
+        _store(self, _real, "omega0", "dipole", "theta0")
         if not 0.0 < self.omega0 < math.inf:
             raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
         if not 0.0 < self.dipole < math.inf:
@@ -61,16 +53,14 @@ class TrajectoryParams(Record):
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        _store(self, _real, "radius", "omega")
         if not 0.0 <= self.radius < math.inf:
             raise ValueError(f"radius must be non-negative and finite, got {self.radius}")
         if not 0.0 <= self.omega < math.inf:
             raise ValueError(f"omega must be non-negative and finite, got {self.omega}")
-        if not (
-            isinstance(self.center, tuple)
-            and len(self.center) == 2
-            and all(map(_is_real, self.center))
-        ):
+        if not (isinstance(self.center, tuple) and len(self.center) == 2):
             raise ValueError(f"center must be a tuple of two coordinates, got {self.center!r}")
+        object.__setattr__(self, "center", tuple(_real(v, "center") for v in self.center))
         if not all(map(math.isfinite, self.center)):
             raise ValueError(f"center must be finite, got {self.center}")
 

@@ -13,9 +13,9 @@ from itertools import chain, compress, repeat
 from operator import ne
 from pathlib import Path
 
-from ._record import Factory, Record
+from ._record import Factory, Record, _count, _real
 from ._scenario import (  # noqa: F401 (the core's public names, re-exported)
-    DEFAULT_DIPOLE, ENGINES, Scenario, _FAMILIES, _count, _csv_cell, _json_text, load_scenario,
+    DEFAULT_DIPOLE, ENGINES, Scenario, _FAMILIES, _csv_cell, _json_text, load_scenario,
     preset, preset_names, save_scenario, scenario_from_dict, scenario_gp, scenario_rates,
     scenario_to_dict,
 )
@@ -77,9 +77,8 @@ _MAX_GRID_POINTS = 10**6
 
 
 def _check_points(points, least: int) -> int:
-    """``points`` as an int from ``least`` to _MAX_GRID_POINTS: only a non-int
-    is read by ``_count``, so that an int past the float range meets this check."""
-    points = points if type(points) is int else _count(points, "points")
+    """``points``, read by ``_count``, as an int from ``least`` to _MAX_GRID_POINTS."""
+    points = _count(points, "points")
     if points < least:
         raise ValueError(f"need at least {least} grid point{'s' * (least > 1)}, got {points}")
     if points > _MAX_GRID_POINTS:
@@ -100,13 +99,13 @@ def build_grid(
     ``log10`` and ``pow`` in the log grid (``_geomspace``).
     """
     points = _check_points(points, 2)
+    start, stop = _real(start, "start"), _real(stop, "stop")
     if not -math.inf < start < stop < math.inf:
         raise ValueError(f"need finite stop > start, got [{start}, {stop}]")
     if log and start <= 0.0:
         raise ValueError(f"log grid needs start > 0, got {start}")
-    start, stop = float(start), float(stop)
     cells = (_geomspace if log else _linspace)(start, stop, points)
-    cells += [float(a) for a in anchors if start <= a <= stop]
+    cells += [a for a in (_real(a, "anchors") for a in anchors) if start <= a <= stop]
     return _sorted_distinct(cells)
 
 
@@ -227,9 +226,9 @@ def _sweep_rows(scenario: Scenario, grid: Sequence[float], arrays: bool) -> tupl
     traj, atom, cavity = scenario.trajectory, scenario.atom, scenario.cavity
     if arrays:
         import numpy as np
-        cavities = [cavity._replace(omega_c=np.asarray(grid, dtype=float))]
+        cavities = [cavity._replace(omega_c=np.array([_real(w, "omega_c") for w in grid]))]
     else:
-        cavities = [CavitySpec(w, cavity.q_factor, cavity.volume) for w in map(float, grid)]
+        cavities = [CavitySpec(w, cavity.q_factor, cavity.volume) for w in grid]
     kin, eta = _setup(traj, atom, cavity)
     formula = _FAMILIES[scenario.family].formula
     rates = [formula(traj, atom, c, kin, eta) for c in cavities]
@@ -248,7 +247,7 @@ def default_n_grid(n_max: int, points: int = 25) -> tuple[int, ...]:
     not equal n_max. At most 10**6 points, a whole number, may be asked for.
     """
     points = _check_points(points, 1)
-    n_max = n_max if type(n_max) is int else _count(n_max, "n_max")
+    n_max = _count(n_max, "n_max")
     if not 1 <= n_max <= 2**53:
         raise ValueError(f"n_max must lie in [1, 2**53], got {n_max}")
     return _sorted_distinct(list(map(round, _geomspace(1.0, float(n_max), points))))

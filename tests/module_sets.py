@@ -10,8 +10,10 @@ figure commands write under OUTDIR) and, after each step, checks the exit
 codes and that the step's modules are still unloaded. Reading a private or
 dunder name from the package right after ``import rotodyne`` must load
 nothing more. After the last step, ``from rotodyne import _kernel`` must
-load no module but the kernel and ``errors``, and an int-valued
-``CavitySpec`` with a ``dos`` call no numpy. It ends with the record check:
+load no module but the kernel and ``errors``. Then every input value type
+is built from Python ints, and ``dos``, ``gp_quasi_cycle`` and
+``scenario_gp`` (with each engine) run at int inputs: they must load
+neither numpy nor ``numbers``. It ends with the record check:
 a record is no dataclass until its caller loads ``dataclasses``. It prints
 its report as one JSON line, with the stdout of each command of
 TABLE_COMMANDS and the sorted ``rotodyne.*`` modules loaded after each
@@ -141,7 +143,9 @@ def run(out: str) -> dict:
     step's exit codes and the modules of its list that are loaded after it;
     the sorted ``rotodyne.*`` modules loaded after each step; the stdout of
     each table command, by its argv joined with spaces;
-    whether ``dynamics`` is loaded at the end; and the record check, whether
+    whether ``dynamics`` is loaded after the last step; what the kernel's
+    import loads; which of numpy and ``numbers`` the int inputs load; and
+    the record check, whether
     ``dataclasses`` is loaded and a record has ``__dataclass_fields__``
     before and after the check imports ``dataclasses``."""
     import contextlib
@@ -182,11 +186,21 @@ def run(out: str) -> dict:
     from rotodyne import _kernel  # noqa: F401 (what it loads is checked)
 
     kernel = sorted(set(sys.modules) - loaded)
+    dynamics = "rotodyne.dynamics" in sys.modules
+    from rotodyne._scenario import ENGINES, Scenario, scenario_gp
     from rotodyne.cavity import CavitySpec, dos
+    from rotodyne.dynamics import EvolutionParams
+    from rotodyne.geophase import gp_quasi_cycle
+    from rotodyne.kinematics import AtomParams, TrajectoryParams
 
-    dos(CavitySpec(5_000_000_000, 10**7, 1), 10**7)
-    int_cavity = "numpy" in sys.modules
-    from rotodyne.kinematics import AtomParams
+    cavity = CavitySpec(5_000_000_000, 10**7, 1)
+    dos(cavity, 10**7)
+    atom, orbit = AtomParams(10**7, 1, 1), TrajectoryParams(1, 1, (0, 0))
+    ints = Scenario("ints", atom, orbit, cavity, "general", 100, 1000, 10**6, 10**10, 40)
+    gp_quasi_cycle(EvolutionParams(1, 0, 10, 1), 1000)
+    for engine in ENGINES:
+        scenario_gp(ints, 1000, engine)
+    int_inputs = [m for m in ("numpy", "numbers") if m in sys.modules]
 
     atom = AtomParams(1.0e7, 8.478e-30, 1.5)
     before = ["dataclasses" in sys.modules, hasattr(atom, "__dataclass_fields__")]
@@ -200,9 +214,9 @@ def run(out: str) -> dict:
         "runs": runs,
         "modules": modules,
         "stdout": stdout,
-        "dynamics": "rotodyne.dynamics" in sys.modules,
+        "dynamics": dynamics,
         "kernel": kernel,
-        "int_cavity_numpy": int_cavity,
+        "int_inputs": int_inputs,
         "records": [before, after],
     }
 
@@ -226,8 +240,8 @@ def problems(report: dict) -> list:
         found.append("rotodyne.dynamics not loaded by gp --engine tong")
     if not set(report["kernel"]) <= {"rotodyne._kernel", "rotodyne.errors"}:
         found.append(f"from rotodyne import _kernel loaded {report['kernel']}")
-    if report["int_cavity_numpy"]:
-        found.append("an int-valued CavitySpec and its dos loaded numpy")
+    if report["int_inputs"]:
+        found.append(f"the value types and engines at int inputs loaded {report['int_inputs']}")
     if report["records"] != [[False, False], [True, True]]:
         found.append(f"records: {report['records']}, want no dataclass until dataclasses is loaded")
     return found

@@ -13,7 +13,8 @@ closed form.
 antiderivative, in stdlib floats: the reference for the relaxed tail.
 
 ``exact_general_rates`` is the ``general`` family's rates in 60-digit
-``decimal`` arithmetic on the exact values of the float inputs.
+``decimal`` arithmetic on the exact values of the float inputs, and
+``exact_rates`` the same for any family.
 """
 
 from __future__ import annotations
@@ -268,4 +269,58 @@ def exact_general_rates(
             "gamma_down_inertial": inertial,
             "gamma_down_ni": down - inertial,
             "gamma_up": eta * sideband(omega - omega0_bar) / root,
+        }
+
+
+def exact_rates(
+    traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec, family: str
+) -> dict[str, decimal.Decimal]:
+    """The rates of ``family`` by field name: ``exact_general_rates`` for
+    ``general``, and for ``case1`` and ``case2`` a transcription of
+    ``rates._case1`` and ``rates._case2`` made the same way (60 digits, the
+    exact values of the float inputs, the constants 9/10, 9/20, 1/4, 2/5 and
+    1/2 exact, eta the float ``vacuum_coupling`` returns). Each
+    non-inertial rate is the package's sum of terms, not a difference."""
+    if family == "general":
+        return exact_general_rates(traj, atom, cavity)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        dec = decimal.Decimal
+        radius, omega, omega0 = dec(traj.radius), dec(traj.omega), dec(atom.omega0)
+        center, light = dec(cavity.omega_c), dec(SPEED_OF_LIGHT)
+        half_width = center / dec(cavity.q_factor)
+        eta = dec(vacuum_coupling(atom, cavity))
+
+        def zeta_of(frequency):
+            return (frequency * radius / light) ** 2
+
+        def weighted_dos(frequency):  # dos(frequency) * frequency, 0 where frequency <= 0
+            if frequency <= 0:
+                return dec(0)
+            return half_width * frequency / (half_width ** 2 + (frequency - center) ** 2)
+
+        detuning = omega0 - center
+        # -omega0**2 * dos_derivative(omega0)
+        slope = omega0 ** 2 * 2 * half_width * detuning / (half_width ** 2 + detuning ** 2) ** 2
+        zeta = zeta_of(omega)
+        omega0_bar = omega0 * (1 - zeta).sqrt()
+        inertial = eta * weighted_dos(omega0)
+        if family == "case1":
+            upper, lower = omega + omega0_bar, omega - omega0_bar
+            noninertial = eta * zeta / 2 * (slope + dec("0.9") * weighted_dos(upper))
+            gamma_up = eta * dec("0.45") * zeta * weighted_dos(lower)
+        else:
+            upper, lower = omega0_bar + omega, omega0_bar - omega
+            sidebands = zeta / 4 * (weighted_dos(upper) + weighted_dos(lower))
+            recoil = -dec("0.4") * (1 + zeta / 2) * (
+                zeta_of(omega0_bar) * weighted_dos(omega0_bar)
+                - (zeta_of(upper) * weighted_dos(upper) + zeta_of(lower) * weighted_dos(lower)) / 2
+            )
+            noninertial = eta * (zeta / 2 * slope + sidebands + recoil)
+            gamma_up = dec(0)
+        return {
+            "gamma_down": inertial + noninertial,
+            "gamma_down_inertial": inertial,
+            "gamma_down_ni": noninertial,
+            "gamma_up": gamma_up,
         }

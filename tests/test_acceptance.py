@@ -381,8 +381,9 @@ def test_c14_each_command_loads_only_the_layers_it_calls(module_report):
     ``_kernel`` nor ``dynamics``, which ``tong`` loads; no command loads
     ``dataclasses``, ``inspect``, ``typing``, ``csv`` or ``numbers``. A
     private or dunder name read from the package loads no layer, ``from
-    rotodyne import _kernel`` loads the kernel alone, and an int-valued
-    ``CavitySpec`` with its ``dos`` loads no numpy.
+    rotodyne import _kernel`` loads the kernel alone, and the value types
+    built from ints, with ``dos``, ``gp_quasi_cycle`` and ``scenario_gp`` at
+    int inputs, load neither numpy nor ``numbers``.
     ``tests/module_sets.py`` runs the commands in the order of its
     LOAD_STEPS and reads the modules after each step; this is its whole
     verdict, and a failing step names the package modules loaded after it."""

@@ -158,8 +158,12 @@ class TestValidation:
         ids=["one", "three", "text", "text-pair", "scalar", "bool", "none", "list"],
     )
     def test_center_must_be_a_tuple_of_two_coordinates(self, center):
-        """The loader's pair of floats; a list would leave the record unhashable."""
-        with pytest.raises(ValueError, match="center must be a tuple of two coordinates"):
+        """The loader's pair of floats; a list would leave the record unhashable.
+        A pair whose coordinate is no number is refused by that coordinate."""
+        message = "center must be a tuple of two coordinates"
+        if isinstance(center, tuple) and len(center) == 2:
+            message = f"^center must be a number, got {center[0]!r}$"
+        with pytest.raises(ValueError, match=message):
             TrajectoryParams(radius=1.0, omega=1.0, center=center)
 
     def test_center_message_for_a_non_finite_pair_is_kept(self):

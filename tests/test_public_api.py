@@ -8,6 +8,7 @@ import importlib
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rotodyne
@@ -224,6 +225,91 @@ def test_records_are_no_dataclasses_until_dataclasses_is_loaded(module_report):
     once the caller imports it, the record is a dataclass."""
     report, _ = module_report
     assert report["records"] == [[False, False], [True, True]]
+
+
+# Every entry point that reads a number a caller passes in, as (id, a call
+# with the value, the name its message gives): each field of the input
+# value types, the engines' horizon and cycle count, and the grids.
+SAMPLES = {entry[0]: dict(zip(entry[2], entry[1])) for entry in RECORDS}
+INPUT_FIELDS = {
+    kinematics.AtomParams: ("omega0", "dipole", "theta0"),
+    kinematics.TrajectoryParams: ("radius", "omega"),
+    cavity.CavitySpec: ("omega_c", "q_factor", "volume"),
+    dynamics.EvolutionParams: ("a_coeff", "b_coeff", "omega_eff", "theta0"),
+    scenarios.Scenario: ("n_default", "n_max", "sweep_lo", "sweep_hi", "sweep_points"),
+}
+GENERATOR = dynamics.EvolutionParams(*SAMPLES[dynamics.EvolutionParams].values())
+CASE1 = scenarios.preset("case1")
+PARTS = (CASE1.trajectory, CASE1.atom, CASE1.cavity)
+
+
+def _field(record, name):
+    return lambda v: record(**dict(SAMPLES[record], **{name: v}))
+
+
+def _engine(engine):
+    return lambda v: scenarios.scenario_gp(CASE1, v, engine)
+
+
+READERS = [
+    *[(f"{r.__name__}.{n}", _field(r, n), n) for r, names in INPUT_FIELDS.items() for n in names],
+    ("TrajectoryParams.center", lambda v: kinematics.TrajectoryParams(1.0, 1.0, (0.0, v)), "center"),
+    ("gp_tong_closed_form", lambda v: geophase.gp_tong_closed_form(GENERATOR, v), "total_time"),
+    ("gp_exact_integral", lambda v: geophase.gp_exact_integral(GENERATOR, v), "total_time"),
+    ("gp_quasi_cycle", lambda v: geophase.gp_quasi_cycle(GENERATOR, v), "n"),
+    ("gp_case1", lambda v: geophase.gp_case1(*PARTS, v), "n"),
+    ("gp_case2", lambda v: geophase.gp_case2(*PARTS, v), "n"),
+    ("gp_split.n", lambda v: geophase.gp_split(scenarios.scenario_rates(CASE1), v, 1.0, 1.0e7), "n"),
+    ("gp_split.theta", lambda v: geophase.gp_split(scenarios.scenario_rates(CASE1), 10, v, 1.0e7), "theta"),
+    ("gp_split.omega0", lambda v: geophase.gp_split(scenarios.scenario_rates(CASE1), 10, 1.0, v), "omega0"),
+    *[(f"scenario_gp.{e}", _engine(e), "cycle count") for e in scenarios.ENGINES],
+    ("build_grid.start", lambda v: scenarios.build_grid(v, 5.0, 3), "start"),
+    ("build_grid.stop", lambda v: scenarios.build_grid(1.0, v, 3), "stop"),
+    ("build_grid.points", lambda v: scenarios.build_grid(1.0, 5.0, v), "points"),
+    ("build_grid.anchors", lambda v: scenarios.build_grid(1.0, 5.0, 3, anchors=(v,)), "anchors"),
+    ("default_n_grid.n_max", lambda v: scenarios.default_n_grid(v), "n_max"),
+    ("default_n_grid.points", lambda v: scenarios.default_n_grid(100, v), "points"),
+    ("gp_vs_n", lambda v: scenarios.gp_vs_n(CASE1, [1, v]), "cycle count"),
+    ("sweep_cavity", lambda v: scenarios.sweep_cavity(CASE1, [5.0e9, v]), "omega_c"),
+    ("sweep_cavity.floats", lambda v: scenarios._sweep_rows(CASE1, [5.0e9, v], False), "omega_c"),
+]
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "text"])
+@pytest.mark.parametrize("call, name", [r[1:] for r in READERS], ids=[r[0] for r in READERS])
+def test_bools_and_text_are_no_numbers(call, name, value):
+    """A bool was taken as 1 and text was a TypeError, or taken as 1 by numpy."""
+    with pytest.raises(ValueError) as caught:
+        call(value)
+    assert str(caught.value) == f"{name} must be a number, got {value!r}"
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.float32, np.float64])
+def test_input_value_types_hold_python_floats(kind):
+    """Ints and numpy scalars are stored as the Python floats of their values."""
+    for record, names in INPUT_FIELDS.items():
+        sample = record(**SAMPLES[record])
+        floats = [n for n in names if type(getattr(sample, n)) is float]
+        if kind in (int, np.int64):
+            floats = [n for n in floats if getattr(sample, n).is_integer()]
+        made = sample._replace(**{n: kind(getattr(sample, n)) for n in floats})
+        assert floats and all(type(getattr(made, n)) is float for n in floats), made
+    orbit = kinematics.TrajectoryParams(1.0, 1.0, (kind(2), kind(3)))
+    assert [type(v) for v in orbit.center] == [float, float]
+
+
+def test_numpy_scalar_inputs_give_the_results_of_their_floats(tmp_path):
+    """A float64 generator near the float range overflowed numpy's scalar
+    4 a T with a RuntimeWarning, an error under this suite's filter, and
+    ``save_scenario`` refused float32 fields."""
+    values = (1e308, 3e307, 1.0, 1.0)
+    got = geophase.gp_exact_integral(dynamics.EvolutionParams(*map(np.float64, values)), 1.0)
+    want = geophase.gp_exact_integral(dynamics.EvolutionParams(*values), 1.0)
+    assert got == want and got.total == -1.0
+    f32 = [np.float32(v) for v in SAMPLES[kinematics.AtomParams].values()]
+    for name, atom in (("f32", f32), ("twin", map(float, f32))):
+        scenarios.save_scenario(CASE1._replace(atom=kinematics.AtomParams(*atom)), tmp_path / name)
+    assert (tmp_path / "f32").read_bytes() == (tmp_path / "twin").read_bytes()
 
 
 # The benchmark (bench/*.py) reads the package through its public names and

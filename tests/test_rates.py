@@ -9,7 +9,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from oracles import exact_general_rates
+from oracles import exact_rates
 from rotodyne import rates
 from rotodyne import (
     DEFAULT_DIPOLE,
@@ -304,21 +304,30 @@ class TestLorentzianOverflow:
 # the worst relative error each ``general`` rate may have against the exact
 # transcription of its formula on the float inputs
 GENERAL_RATE_GATES = {"gamma_down": 2e-12, "gamma_down_inertial": 1e-13, "gamma_up": 1e-13}
+# the same for each preset's own family, about three times the worst error
+# read: each non-inertial rate is a sum of terms, and case2 has no upward rate
+CASE_RATE_GATES = {
+    "case1": {"gamma_down": 1e-15, "gamma_down_inertial": 1e-15, "gamma_down_ni": 1e-13,
+              "gamma_up": 1e-13},
+    "case2": {"gamma_down": 1e-15, "gamma_down_inertial": 1e-15, "gamma_down_ni": 3e-12,
+              "gamma_up": 0.0},
+}
 
 
 @functools.lru_cache(maxsize=None)
-def general_grid_errors() -> dict:
-    """The worst relative error of each rate of a ``general`` sweep over
-    both presets' default grids against ``exact_general_rates``; a rate
-    whose exact value is 0 must be 0."""
+def grid_errors(family: str) -> dict:
+    """The worst relative error of each rate of a ``family`` sweep against
+    ``exact_rates``: over both presets' default grids run as ``general``,
+    and over its own preset's default grid for ``case1`` and ``case2``; a
+    rate whose exact value is 0 must be 0."""
     names = ("gamma_down", "gamma_down_inertial", "gamma_down_ni", "gamma_up")
     worst = dict.fromkeys(names, 0.0)
-    for name in ("case1", "case2"):
-        scenario = preset(name)._replace(family="general")
+    for name in ("case1", "case2") if family == "general" else (family,):
+        scenario = preset(name)._replace(family=family)
         traj, atom, cavity = scenario.trajectory, scenario.atom, scenario.cavity
         for row in sweep_cavity(scenario).rows:
-            exact = exact_general_rates(
-                traj, atom, CavitySpec(row[0], cavity.q_factor, cavity.volume)
+            exact = exact_rates(
+                traj, atom, CavitySpec(row[0], cavity.q_factor, cavity.volume), family
             )
             for key, got in zip(names, row[1:5]):
                 gap = abs(Decimal(got) - exact[key])
@@ -330,9 +339,16 @@ def general_grid_errors() -> dict:
     return worst
 
 
+@pytest.mark.parametrize("family", CASE_RATE_GATES)
+def test_case_rates_meet_their_gates_on_their_default_grid(family):
+    worst = grid_errors(family)
+    for key, gate in CASE_RATE_GATES[family].items():
+        assert worst[key] <= gate, (key, worst)
+
+
 class TestGeneralRatesExact:
     def test_rates_meet_their_gates_on_both_default_grids(self):
-        worst = general_grid_errors()
+        worst = grid_errors("general")
         for key, gate in GENERAL_RATE_GATES.items():
             assert worst[key] <= gate, (key, worst)
 
@@ -342,4 +358,4 @@ class TestGeneralRatesExact:
         "rates: 2.25e-4 off on case1's grid and 2.20e-3 on case2's",
     )
     def test_noninertial_rate_within_1e_12_on_both_default_grids(self):
-        assert general_grid_errors()["gamma_down_ni"] <= 1e-12
+        assert grid_errors("general")["gamma_down_ni"] <= 1e-12

@@ -403,6 +403,21 @@ class TestGrids:
                 call()
             assert str(caught.value) == message
 
+    def test_a_count_past_the_float_range_meets_its_range_check(self):
+        # read as a float first, such a count was "not a number"
+        big = 10**400
+        with pytest.raises(ValueError) as caught:
+            gp_vs_n(preset("case1"), [big])
+        message = f"n = {big} is too large: 2 pi^2 n^2 / omega0 is past the float range"
+        assert str(caught.value) == message
+        data = scenario_to_dict(preset("case1"))
+        data["n_max"] = big
+        scn = scenario_from_dict(data)
+        assert type(scn.n_max) is int and scn.n_max == big
+        with pytest.raises(ValueError) as caught:
+            default_n_grid(scn.n_max)
+        assert str(caught.value) == f"n_max must lie in [1, 2**53], got {big}"
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             build_grid(10.0, 5.0, 3)
