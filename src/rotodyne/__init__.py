@@ -6,6 +6,7 @@ The package separates into layers that mirror the physics pipeline:
 ``kinematics``  circular-orbit relativistic factors
 ``cavity``      Lorentzian mode density of states
 ``rates``       emission/absorption rates (general + regime-expanded)
+                and the generator ``EvolutionParams`` they define
 ``dynamics``    reduced-state propagation (closed form + ODE oracle)
 ``geophase``    mixed-state geometric-phase engines
 ``scenarios``   presets, sweeps, deterministic CSV/JSON output
@@ -20,14 +21,16 @@ Import rule: ``import rotodyne`` loads ``__version__`` and no layer, and
 each command compiles only what it runs (``LOAD_STEPS`` in
 ``tests/module_sets.py``). ``cli`` imports the scenario core ``_scenario``,
 and with it ``rates`` and the layers below, at its top; ``scenarios``,
-``geophase``, ``dynamics``, ``svgplot``, numpy, ``json`` and ``numbers``
-are imported by the functions that call them, the phase kernel
-``_kernel`` by the numeric engines' first call. Reading a module's name
-here (a layer, ``svgplot`` or ``cli``) imports that module alone; any other
-public name, or ``__all__``, imports every layer and the kernel and binds
-all their public names, and an unbound private name raises AttributeError,
-so ``from . import _x`` imports ``_x`` alone. The value types are
-``_record`` records (no ``dataclasses``); the CLI builds one subparser.
+``geophase``, ``svgplot``, numpy, ``json`` and ``numbers`` are imported by
+the functions that call them, the phase kernel ``_kernel`` by the numeric
+engines' first call. No module imports ``dynamics``, since the engines
+read their generator from ``rates``: only the rule below loads it. Reading
+a module's name here (a layer, ``svgplot`` or ``cli``) imports that module
+alone; any other public name, or ``__all__``, imports every layer and the
+kernel and binds all their public names, and an unbound private name
+raises AttributeError, so ``from . import _x`` imports ``_x`` alone. The
+value types are ``_record`` records (no ``dataclasses``); the CLI builds
+one subparser.
 
 All frequencies are angular (rad/s) throughout.
 """

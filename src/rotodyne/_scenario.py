@@ -28,7 +28,9 @@ from pathlib import Path
 from ._record import Record, _count, _cycles, _real, _set, _store
 from .cavity import CavitySpec
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics
-from .rates import RateSet, _case1, _case2, _general, case1_rates, case2_rates, general_rates
+from .rates import (
+    EvolutionParams, RateSet, _case1, _case2, _general, case1_rates, case2_rates, general_rates,
+)
 
 # moderate optical-range electric dipole moment, C m
 DEFAULT_DIPOLE = 8.478e-30
@@ -280,8 +282,6 @@ def _horizon(scenario: Scenario, n: float) -> float:
 
 def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:
     """Generator of the scenario's rates and the ``_horizon`` of n cycles."""
-    from .dynamics import EvolutionParams
-
     horizon = _horizon(scenario, n)
     params = EvolutionParams.from_rates(
         scenario_rates(scenario), scenario.atom.theta0, scenario.atom.omega0

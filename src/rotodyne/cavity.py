@@ -15,7 +15,8 @@ cavity center are both scalars, and arrays go through numpy otherwise.
 Both square through libm ``pow``, so the two give the same bits. Numpy is
 imported only on that array branch: a ``CavitySpec`` stores its scalar
 fields as floats (``_record._real`` reads them) and validates them by
-comparisons, and float calls never load it; nor does an int frequency.
+comparisons, and float calls never load it; nor does a scalar frequency
+of another type, which ``_real`` reads.
 A cavity sweep in ``scenarios`` relies on both: where numpy is not loaded
 and the grid is small it takes the float branch once per point, and its
 rows are those of the array branch bit for bit.
@@ -85,18 +86,26 @@ def _positive_finite(value) -> bool:
 
 def _operands(cavity: CavitySpec, frequency):
     """(lib, w, omega_c, Q): the library and its operands. ``math`` and
-    floats when the frequency and omega_c are both scalars (ints, numpy
-    scalars and 0-d arrays included); numpy and arrays otherwise."""
+    floats when the frequency and omega_c are both scalars (0-d arrays
+    included); numpy and arrays otherwise. A frequency that is no array,
+    list or tuple is read by ``_real``; an array's entries must be numbers,
+    as ``_positive_finite`` requires of omega_c (no bools, no text)."""
     w, center, q = frequency, cavity.omega_c, cavity.q_factor
     # a type test first: np.asarray costs microseconds on every scalar call
     if not type(w) is type(center) is float:
-        if type(w) is not int or type(center) is not float:  # an int frequency loads no numpy
-            import numpy as np
-            w, center = np.asarray(w, dtype=float), np.asarray(center, dtype=float)
-            if w.ndim or center.ndim:
-                return np, w, center, q
-            w, center = float(w), float(center)
-        w = _real(w, "frequency")
+        numpy = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+        array = isinstance(w, (list, tuple)) or numpy is not None and isinstance(w, numpy.ndarray)
+        if not array:
+            w = _real(w, "frequency")
+            if type(center) is float:  # a scalar frequency loads no numpy
+                return math, w, center, q
+        import numpy as np
+        w, center = np.asarray(w), np.asarray(center, dtype=float)
+        if w.dtype.kind not in "fiu":
+            raise ValueError(f"frequency must be a number, got {frequency!r}")
+        if w.ndim or center.ndim:
+            return np, w.astype(float, copy=False), center, q
+        w, center = float(w), float(center)
     return math, w, center, q
 
 

@@ -6,23 +6,24 @@ The master equation in the rotating emitter's proper time is
     D[rho] = (1/2) sum_ij a_ij (2 sigma_j rho sigma_i
                                 - sigma_i sigma_j rho - rho sigma_i sigma_j),
 
-with the 3x3 coefficient matrix from :func:`rotodyne.rates.kossakowski`.
-``closed_form_rho`` implements the analytic solution for the initial pure
-state cos(theta/2)|e> + sin(theta/2)|g>, evaluated in scalar float
-arithmetic (``math``) and packed into one 2x2 array;
-``closed_form_bloch`` is the same solution over an array of times, and
-both share one decay formula. ``evolve_ode`` exists purely as an
+with the 3x3 coefficient matrix ``kossakowski`` of the generator's
+``EvolutionParams`` (``rotodyne.rates``). ``closed_form_rho`` implements
+the analytic solution for the initial pure state cos(theta/2)|e> +
+sin(theta/2)|g>, evaluated in scalar float arithmetic (``math``) and
+packed into one 2x2 array. ``evolve_ode`` exists purely as an
 independent cross-check of the closed form: it propagates the generator
 that ``lindblad_rhs`` defines, probed once per process as a 4x4
 superoperator, by one eigendecomposition per call that gives every
 sample time at once. A growth guard raises NumericsError when the
 initial state's eigenvector expansion is too large for that eigen-sum to
-be accurate to rounding. Times must be non-negative and finite;
-anything else, NaN included, is a ValueError. Each function that takes or
-builds an array imports numpy itself, and the Pauli matrices are made on
-first use, so importing this module loads no numpy. Basis convention: |e> =
-(1, 0), sigma3 |e> = +|e>. hbar cancels from the generator, so only
-angular frequencies appear.
+be accurate to rounding. Times and angles are read by ``_record._real``
+and must be non-negative and finite (angles in [0, pi]); anything else,
+NaN included, is a ValueError. Each function that takes or builds an
+array imports numpy itself, and the Pauli matrices are made on first
+use, so importing this module loads no numpy. No module of the package
+imports this one: the phase engines read the generator alone. Basis
+convention: |e> = (1, 0), sigma3 |e> = +|e>. hbar cancels from the
+generator, so only angular frequencies appear.
 """
 
 from __future__ import annotations
@@ -30,78 +31,29 @@ from __future__ import annotations
 import functools
 import math
 
-from ._record import Record, _real, _store
+from ._record import Record, _real
 from .errors import NumericsError
-from .rates import RateSet, kossakowski
+from .rates import EvolutionParams
 
 __all__ = [
-    "EvolutionParams",
     "OdeTrajectory",
     "initial_state",
     "closed_form_rho",
-    "closed_form_bloch",
+    "kossakowski",
     "lindblad_rhs",
     "evolve_ode",
     "trace_distance",
-    "check_density_matrix",
 ]
 
-# what check_density_matrix accepts: max |rho - rho^dag|, |tr rho - 1| and
-# the lowest eigenvalue
-HERM_TOL = 1e-12
-TRACE_TOL = 1e-10
-EIG_FLOOR = -1e-10
 # what evolve_ode accepts as max(|V| |c|), the size of the initial state's
 # eigenvector expansion, which bounds the rounding error of the eigen-sum
 # in units of machine epsilon
 GROWTH_LIMIT = 1e6
 
 
-class EvolutionParams(Record):
-    """Generator coefficients: dissipator pair (a, b), effective precession
-    frequency (rad/s), and the initial superposition angle (rad)."""
-
-    a_coeff: float
-    b_coeff: float
-    omega_eff: float
-    theta0: float
-
-    def __post_init__(self) -> None:
-        _store(self, _real, "a_coeff", "b_coeff", "omega_eff", "theta0")
-        if not 0.0 <= self.a_coeff < math.inf:
-            raise ValueError(f"a_coeff must be non-negative and finite, got {self.a_coeff}")
-        if not abs(self.b_coeff) <= self.a_coeff:
-            raise ValueError(
-                f"|b_coeff| must not exceed a_coeff = {self.a_coeff}, got {self.b_coeff}"
-            )
-        if not 0.0 < self.omega_eff < math.inf:
-            raise ValueError(f"omega_eff must be positive and finite, got {self.omega_eff}")
-        if not 0.0 <= self.theta0 <= math.pi:
-            raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
-
-    @classmethod
-    def from_rates(
-        cls, rates: RateSet, theta0: float, omega_eff: float
-    ) -> "EvolutionParams":
-        """Build from a RateSet's dissipator pair (a, b). ``omega_eff`` has
-        no default and is used as given: no level-shift correction is
-        applied here."""
-        return cls(
-            a_coeff=rates.a_coeff,
-            b_coeff=rates.b_coeff,
-            omega_eff=omega_eff,
-            theta0=theta0,
-        )
-
-    def relaxation_exponent(self, tau):
-        """4 a tau, the exponent of the population decay e^{-4 a tau}, for a
-        float or an array tau. Formed as 4 (a tau): where 4a overflows, tau
-        = 0 still gives 0, not inf * 0 = nan."""
-        return 4.0 * (self.a_coeff * tau)
-
-
 def initial_state(theta0: float) -> np.ndarray:
     """Density matrix of the pure state cos(t/2)|e> + sin(t/2)|g>."""
+    theta0 = _real(theta0, "theta0")
     if not 0.0 <= theta0 <= math.pi:
         raise ValueError(f"theta0 must lie in [0, pi], got {theta0}")
     import numpy as np
@@ -109,33 +61,14 @@ def initial_state(theta0: float) -> np.ndarray:
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
 
-def _decay_factors(p: EvolutionParams, tau, lib):
-    """(e^{-4 a tau}, pumping term ((b-a)/2a)(e^{-4 a tau} - 1)) with the
-    exp and expm1 of ``lib``: ``numpy`` for an array tau, ``math`` for a
-    float."""
+def _decay_factors(p: EvolutionParams, tau: float) -> tuple[float, float]:
+    """(e^{-4 a tau}, pumping term ((b-a)/2a)(e^{-4 a tau} - 1))."""
     if p.a_coeff == 0.0:
         # |b| <= a forces b = 0: pure precession
-        zero = 0.0 * tau
-        return zero + 1.0, zero
+        return 1.0, 0.0
     x = -p.relaxation_exponent(tau)
     # halving the ratio, not doubling a, keeps an a near the float maximum finite
-    return lib.exp(x), (0.5 * ((p.b_coeff - p.a_coeff) / p.a_coeff)) * lib.expm1(x)
-
-
-def closed_form_bloch(p: EvolutionParams, tau):
-    """Bloch components (r1, r2, r3) of the closed-form state, vectorized."""
-    import numpy as np
-    tau = np.asarray(tau, dtype=float)
-    if not ((tau >= 0.0) & (tau < math.inf)).all():
-        raise ValueError("tau must be non-negative and finite")
-    with np.errstate(over="ignore"):  # a 4 a tau past the float range decays to 0
-        e4, pump = _decay_factors(p, tau, np)
-    cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
-    # r3 = 2 rho11 - 1 keeps the population and inversion forms consistent
-    r3 = e4 * cos_t + (e4 - 1.0) + 2.0 * pump
-    r_perp = np.sqrt(e4) * sin_t
-    phase = p.omega_eff * tau
-    return r_perp * np.cos(phase), r_perp * np.sin(phase), r3
+    return math.exp(x), (0.5 * ((p.b_coeff - p.a_coeff) / p.a_coeff)) * math.expm1(x)
 
 
 def closed_form_rho(p: EvolutionParams, tau: float) -> np.ndarray:
@@ -145,15 +78,40 @@ def closed_form_rho(p: EvolutionParams, tau: float) -> np.ndarray:
     b/a; the coherence decays as e^{-2 a tau} and precesses at
     omega_eff. For a = 0 the branch is the unitary limit.
     """
+    tau = _real(tau, "tau")
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"tau must be non-negative and finite, got {tau}")
-    e4, pump = _decay_factors(p, tau, math)
+    e4, pump = _decay_factors(p, tau)
     rho11 = e4 * math.cos(p.theta0 / 2.0) ** 2 + pump
     r_perp = 0.5 * math.sqrt(e4) * math.sin(p.theta0)
     phase = p.omega_eff * tau
     re, im = r_perp * math.cos(phase), r_perp * math.sin(phase)
     import numpy as np
     return np.array([[rho11, complex(re, -im)], [complex(re, im), 1.0 - rho11]], dtype=complex)
+
+
+def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
+    """3x3 dissipator coefficient matrix for (a, b).
+
+    Hermitian, positive semidefinite with eigenvalues {a + b, a - b, 0};
+    raises ValueError when a is not finite or |b| > a (unphysical rate
+    pair), which includes a NaN b.
+    """
+    if not 0.0 <= a_coeff < math.inf:
+        raise ValueError(f"a_coeff must be non-negative and finite, got {a_coeff}")
+    if not abs(b_coeff) <= a_coeff:
+        raise ValueError(
+            f"|b_coeff| must not exceed a_coeff = {a_coeff}, got {b_coeff}; matrix not PSD"
+        )
+    import numpy as np
+    return np.array(
+        [
+            [a_coeff, -1j * b_coeff, 0.0],
+            [1j * b_coeff, a_coeff, 0.0],
+            [0.0, 0.0, 0.0],
+        ],
+        dtype=complex,
+    )
 
 
 def lindblad_rhs(rho: np.ndarray, p: EvolutionParams) -> np.ndarray:
@@ -246,6 +204,7 @@ def evolve_ode(
     """
     if not 1e-13 <= rtol <= 1e-6:
         raise ValueError(f"rtol must lie in [1e-13, 1e-6], got {rtol}")
+    t_final = _real(t_final, "t_final")
     if not 0.0 <= t_final < math.inf:
         raise ValueError(f"t_final must be non-negative and finite, got {t_final}")
     import numpy as np
@@ -289,21 +248,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) tr |rho - sigma| for Hermitian 2x2 inputs."""
     import numpy as np
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
-
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace and positive
-    within HERM_TOL, TRACE_TOL and EIG_FLOOR."""
-    import numpy as np
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    herm_gap = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_gap > HERM_TOL:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_gap:.3e}")
-    trace_gap = abs(complex(np.trace(rho)) - 1.0)
-    if trace_gap > TRACE_TOL:
-        raise ValueError(f"trace deviates from 1 by {trace_gap:.3e}")
-    low = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if low < EIG_FLOOR:
-        raise ValueError(f"negative eigenvalue {low:.3e} below floor {EIG_FLOOR:.3e}")

@@ -203,15 +203,15 @@ def gp_exact_integral(
     integrated directly in a form free of cancellation. ``abserr`` is the
     series' tail bound or the panels' halving gap, in rad; ``series_terms``
     or ``panels`` counts the path taken, the other is 0, both for the
-    closed forms. Every result field but a given ``n_cycles`` is a Python
-    float. ``total_time`` is read as ``gp_tong_closed_form`` reads it.
+    closed forms. Every result field is a Python float. ``total_time`` is
+    read as ``gp_tong_closed_form`` reads it, and a given ``n_cycles`` by
+    ``_real``.
     """
     k = _kernel or _load_kernel()
     omega, theta0, total_time = p.omega_eff, p.theta0, _real(total_time, "total_time")
     sweep = k._sweep(omega, total_time)
+    n_cycles = sweep / math.tau if n_cycles is None else _real(n_cycles, "n_cycles")
     kernel, err, panels, _, terms = k._phase_kernel(p.a_coeff, p.b_coeff, theta0, total_time)
-    if n_cycles is None:
-        n_cycles = sweep / math.tau
     unitary = -sweep * math.sin(theta0 / 2.0) ** 2
     nonunitary = 0.0 - (omega / 2.0) * kernel  # 0.0 - keeps a vanishing part at +0.0
     return GPResult(

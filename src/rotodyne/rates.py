@@ -24,9 +24,12 @@ that returns the rates in the order of a sweep table's columns (total
 down, inertial, non-inertial, up) and its regime warning or None. All
 share one set-up (``_setup``) and one assembly (``_assemble``).
 
-The dissipator pair (a, b) and the ratio b/a derive from the two rates.
-The inertial part of the downward rate is the zero-rotation limit
-eta * dos(omega0) * omega0; the non-inertial part is the remainder.
+The dissipator pair (a, b) and the ratio b/a derive from the two rates,
+and ``EvolutionParams`` is the generator they define: that pair, the
+precession frequency and the initial angle, which the phase engines and
+the closed form of ``dynamics`` read. The inertial part of the downward
+rate is the zero-rotation limit eta * dos(omega0) * omega0; the
+non-inertial part is the remainder.
 Regime violations set warnings, they never raise.
 """
 
@@ -34,15 +37,15 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record
+from ._record import Record, _real, _store
 from .cavity import CavitySpec, dos, dos_derivative
 from .constants import HBAR, VACUUM_PERMITTIVITY
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics, zeta_of
 
 __all__ = [
     "RateSet",
+    "EvolutionParams",
     "vacuum_coupling",
-    "kossakowski",
     "lab_rates_general",
     "general_rates",
     "case1_rates",
@@ -101,6 +104,42 @@ def _dissipator_pair(gamma_down, gamma_up):
     return (gamma_down + gamma_up) / 4.0, (gamma_down - gamma_up) / 4.0
 
 
+class EvolutionParams(Record):
+    """Generator coefficients: dissipator pair (a, b), effective precession
+    frequency (rad/s), and the initial superposition angle (rad)."""
+
+    a_coeff: float
+    b_coeff: float
+    omega_eff: float
+    theta0: float
+
+    def __post_init__(self) -> None:
+        _store(self, _real, "a_coeff", "b_coeff", "omega_eff", "theta0")
+        if not 0.0 <= self.a_coeff < math.inf:
+            raise ValueError(f"a_coeff must be non-negative and finite, got {self.a_coeff}")
+        if not abs(self.b_coeff) <= self.a_coeff:
+            raise ValueError(
+                f"|b_coeff| must not exceed a_coeff = {self.a_coeff}, got {self.b_coeff}"
+            )
+        if not 0.0 < self.omega_eff < math.inf:
+            raise ValueError(f"omega_eff must be positive and finite, got {self.omega_eff}")
+        if not 0.0 <= self.theta0 <= math.pi:
+            raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
+
+    @classmethod
+    def from_rates(cls, rates: RateSet, theta0: float, omega_eff: float) -> EvolutionParams:
+        """Build from a RateSet's dissipator pair (a, b). ``omega_eff`` has
+        no default and is used as given: no level-shift correction is
+        applied here."""
+        return cls(*_dissipator_pair(rates.gamma_down, rates.gamma_up), omega_eff, theta0)
+
+    def relaxation_exponent(self, tau):
+        """4 a tau, the exponent of the population decay e^{-4 a tau}, for a
+        float or an array tau. Formed as 4 (a tau): where 4a overflows, tau
+        = 0 still gives 0, not inf * 0 = nan."""
+        return 4.0 * (self.a_coeff * tau)
+
+
 def vacuum_coupling(atom: AtomParams, cavity: CavitySpec) -> float:
     """Coupling strength eta = dipole**2 / (3 pi hbar eps0 V).
 
@@ -118,30 +157,6 @@ def vacuum_coupling(atom: AtomParams, cavity: CavitySpec) -> float:
             f"got {eta} from dipole = {atom.dipole} and volume = {cavity.volume}"
         )
     return eta
-
-
-def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
-    """3x3 dissipator coefficient matrix for (a, b).
-
-    Hermitian, positive semidefinite with eigenvalues {a + b, a - b, 0};
-    raises ValueError when a is not finite or |b| > a (unphysical rate
-    pair), which includes a NaN b.
-    """
-    if not 0.0 <= a_coeff < math.inf:
-        raise ValueError(f"a_coeff must be non-negative and finite, got {a_coeff}")
-    if not abs(b_coeff) <= a_coeff:
-        raise ValueError(
-            f"|b_coeff| must not exceed a_coeff = {a_coeff}, got {b_coeff}; matrix not PSD"
-        )
-    import numpy as np
-    return np.array(
-        [
-            [a_coeff, -1j * b_coeff, 0.0],
-            [1j * b_coeff, a_coeff, 0.0],
-            [0.0, 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
 
 
 def _square(value: float, name: str) -> float:

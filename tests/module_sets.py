@@ -7,10 +7,11 @@ where SITE is the site-packages directory that holds numpy (``sysconfig``'s
 rotodyne`` loads no layer and neither numpy nor scipy, then runs the
 commands of LOAD_STEPS in order through ``rotodyne.cli.main`` (the table and
 figure commands write under OUTDIR) and, after each step, checks the exit
-codes and that the step's modules are still unloaded. Reading a private or
-dunder name from the package right after ``import rotodyne`` must load
-nothing more. After the last step, ``from rotodyne import _kernel`` must
-load no module but the kernel and ``errors``. Then every input value type
+codes and that the step's modules are still unloaded; ``rotodyne.dynamics``
+is among them at every step. Reading a private or dunder name from the
+package right after ``import rotodyne`` must load nothing more. After the
+last step, ``from rotodyne import _kernel`` must load no module but the
+kernel and ``errors``, nor ``dynamics``. Then every input value type
 is built from Python ints, and ``dos``, ``gp_quasi_cycle`` and
 ``scenario_gp`` (with each engine) run at int inputs: they must load
 neither numpy nor ``numbers``. It ends with the record check:
@@ -33,9 +34,11 @@ it the same way.
 import sys
 
 # what no command loads: the value types are records of rotodyne._record,
-# no module of the package needs ``typing`` or ``csv``, and only a number of
-# another type than int and float (a numpy scalar, a Fraction) needs ``numbers``
-NEVER_LOADED = ["dataclasses", "inspect", "typing", "csv", "numbers"]
+# no module of the package needs ``typing`` or ``csv``, only a number of
+# another type than int and float (a numpy scalar, a Fraction) needs
+# ``numbers``, and the engines read their generator from rotodyne.rates, not
+# from the closed form and ODE oracle of rotodyne.dynamics
+NEVER_LOADED = ["dataclasses", "inspect", "typing", "csv", "numbers", "rotodyne.dynamics"]
 # numpy, which only a grid of more than 20000 points imports, and scipy,
 # which only the tests use
 NUMPY = ["numpy", "scipy"]
@@ -92,8 +95,8 @@ def _tables(command, plotted):
     return [c for c in TABLE_COMMANDS if c[0] == command and ("--plot" in c) == plotted]
 
 
-# what only gp with a numeric engine loads: the phase kernel and the generator
-KERNEL = ["rotodyne._kernel", "rotodyne.dynamics"]
+# what only gp with a numeric engine loads: the phase kernel
+KERNEL = ["rotodyne._kernel"]
 # what bad input, presets and rates load none of besides: the tables, the
 # panels, the phase engines and json
 SCALAR = ["rotodyne.scenarios", "rotodyne.svgplot", "rotodyne.geophase", *KERNEL, "json"]
@@ -189,9 +192,9 @@ def run(out: str) -> dict:
     dynamics = "rotodyne.dynamics" in sys.modules
     from rotodyne._scenario import ENGINES, Scenario, scenario_gp
     from rotodyne.cavity import CavitySpec, dos
-    from rotodyne.dynamics import EvolutionParams
     from rotodyne.geophase import gp_quasi_cycle
     from rotodyne.kinematics import AtomParams, TrajectoryParams
+    from rotodyne.rates import EvolutionParams
 
     cavity = CavitySpec(5_000_000_000, 10**7, 1)
     dos(cavity, 10**7)
@@ -236,8 +239,8 @@ def problems(report: dict) -> list:
             found.append(f"exit codes {got}, want {code} each, of {argvs}")
         if loaded:
             found.append(f"{loaded} loaded by the end of {argvs}, with {modules}")
-    if not report["dynamics"]:
-        found.append("rotodyne.dynamics not loaded by gp --engine tong")
+    if report["dynamics"]:
+        found.append("rotodyne.dynamics loaded by a command")
     if not set(report["kernel"]) <= {"rotodyne._kernel", "rotodyne.errors"}:
         found.append(f"from rotodyne import _kernel loaded {report['kernel']}")
     if report["int_inputs"]:

@@ -15,6 +15,12 @@ antiderivative, in stdlib floats: the reference for the relaxed tail.
 ``exact_general_rates`` is the ``general`` family's rates in 60-digit
 ``decimal`` arithmetic on the exact values of the float inputs, and
 ``exact_rates`` the same for any family.
+
+``closed_form_bloch`` is the closed-form state of
+``rotodyne.dynamics.closed_form_rho`` as Bloch components over an array of
+times, in numpy: the eigenpath above samples it, and the tests hold the
+package's float form to it. ``check_density_matrix`` is the tests' check
+that a 2x2 matrix is a state.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import numpy as np
 
 from rotodyne.cavity import CavitySpec
 from rotodyne.constants import SPEED_OF_LIGHT
-from rotodyne.dynamics import EvolutionParams, closed_form_bloch
 from rotodyne.errors import NumericsError
 from rotodyne.geophase import (
     GPResult,
@@ -36,11 +41,57 @@ from rotodyne.geophase import (
     _unitary_open_path,
 )
 from rotodyne.kinematics import AtomParams, TrajectoryParams
-from rotodyne.rates import vacuum_coupling
+from rotodyne.rates import EvolutionParams, vacuum_coupling
 
 MIN_ADJACENT_OVERLAP = 0.99
 # largest dense path we are willing to materialize
 MAX_DENSE_SAMPLES = 2_000_000
+# what check_density_matrix accepts: max |rho - rho^dag|, |tr rho - 1| and
+# the lowest eigenvalue
+HERM_TOL = 1e-12
+TRACE_TOL = 1e-10
+EIG_FLOOR = -1e-10
+
+
+def closed_form_bloch(p: EvolutionParams, tau):
+    """Bloch components (r1, r2, r3) of the closed-form state, vectorized:
+    e^{-4 a tau} and the pumping term ((b-a)/2a)(e^{-4 a tau} - 1) as
+    ``rotodyne.dynamics._decay_factors`` forms them, on arrays."""
+    tau = np.asarray(tau, dtype=float)
+    if not ((tau >= 0.0) & (tau < math.inf)).all():
+        raise ValueError("tau must be non-negative and finite")
+    if p.a_coeff == 0.0:
+        # |b| <= a forces b = 0: pure precession
+        zero = 0.0 * tau
+        e4, pump = zero + 1.0, zero
+    else:
+        with np.errstate(over="ignore"):  # a 4 a tau past the float range decays to 0
+            x = -p.relaxation_exponent(tau)
+        # halving the ratio, not doubling a, keeps an a near the float maximum finite
+        e4, pump = np.exp(x), (0.5 * ((p.b_coeff - p.a_coeff) / p.a_coeff)) * np.expm1(x)
+    cos_t, sin_t = math.cos(p.theta0), math.sin(p.theta0)
+    # r3 = 2 rho11 - 1 keeps the population and inversion forms consistent
+    r3 = e4 * cos_t + (e4 - 1.0) + 2.0 * pump
+    r_perp = np.sqrt(e4) * sin_t
+    phase = p.omega_eff * tau
+    return r_perp * np.cos(phase), r_perp * np.sin(phase), r3
+
+
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is Hermitian, unit trace and positive
+    within HERM_TOL, TRACE_TOL and EIG_FLOOR."""
+    rho = np.asarray(rho)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    herm_gap = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm_gap > HERM_TOL:
+        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_gap:.3e}")
+    trace_gap = abs(complex(np.trace(rho)) - 1.0)
+    if trace_gap > TRACE_TOL:
+        raise ValueError(f"trace deviates from 1 by {trace_gap:.3e}")
+    low = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+    if low < EIG_FLOOR:
+        raise ValueError(f"negative eigenvalue {low:.3e} below floor {EIG_FLOOR:.3e}")
 
 
 @dataclass(frozen=True)

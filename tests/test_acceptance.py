@@ -330,7 +330,9 @@ def test_c13_commands_load_no_numpy(module_report):
     TABLE_COMMANDS in a fresh interpreter load no numpy module, though
     numpy is on its path: it is imported only where arrays are taken, or
     where a grid is large enough that one array call pays for the import.
-    The numeric engines' runs at PANEL_CYCLES take the kernel's panels."""
+    The numeric engines' runs at PANEL_CYCLES take the kernel's panels. The
+    engines read their generator from ``rates``, so no command loads
+    ``dynamics``, whose closed form and ODE oracle return numpy arrays."""
     argvs = [argv for _, step, _ in LOAD_STEPS for argv in step]
     for name in ("case1", "case2"):
         for engine in rotodyne.ENGINES:
@@ -375,11 +377,12 @@ def test_c14_each_command_loads_only_the_layers_it_calls(module_report):
     file loads a module first, ``import rotodyne`` loads no layer; bad
     input (``--plot`` without ``--out`` among it) and the scalar commands
     load neither the table module ``scenarios`` nor ``svgplot`` nor
-    ``geophase``, the kernel ``_kernel`` or ``dynamics``, nor ``json``; a
-    sweep loads no phase engine; a table without ``--plot`` loads no
-    ``svgplot``; the quasi-cycle engines and the phase tables load neither
-    ``_kernel`` nor ``dynamics``, which ``tong`` loads; no command loads
-    ``dataclasses``, ``inspect``, ``typing``, ``csv`` or ``numbers``. A
+    ``geophase`` or the kernel ``_kernel``, nor ``json``; a sweep loads no
+    phase engine; a table without ``--plot`` loads no ``svgplot``; the
+    quasi-cycle engines and the phase tables load no ``_kernel``, which
+    ``tong`` loads; no command loads ``dynamics``, whose generator record
+    lives in ``rates``, nor ``dataclasses``, ``inspect``, ``typing``,
+    ``csv`` or ``numbers``. A
     private or dunder name read from the package loads no layer, ``from
     rotodyne import _kernel`` loads the kernel alone, and the value types
     built from ints, with ``dos``, ``gp_quasi_cycle`` and ``scenario_gp`` at

@@ -253,3 +253,26 @@ class TestValidation:
             CavitySpec(omega_c=np.full((2, 2), 1.0e7), q_factor=1.0e7, volume=1.0e-6)
         with pytest.raises(ValueError):
             CavitySpec(omega_c=1.0e7, q_factor=np.array([1.0e7]), volume=1.0e-6)
+
+    @pytest.mark.parametrize(
+        "frequency",
+        [np.array([True, False]), np.array(["5e9"]), np.array(True), [True], (1.0e7, "5e9")],
+        ids=["bool-array", "text-array", "bool-0d", "bool-list", "text-tuple"],
+    )
+    def test_frequency_arrays_of_bools_or_text_are_refused(self, cavity, frequency):
+        # numpy read them as numbers: dos(cavity, np.array([True])) was the
+        # dos at 1.0, and np.array(["5e9"]) the dos at 5e9
+        sweep = CavitySpec(omega_c=np.array([1.0e7, 2.0e7]), q_factor=1.0e7, volume=1.0e-6)
+        for spec in (cavity, sweep):
+            for function in (dos, dos_derivative):
+                with pytest.raises(ValueError) as caught:
+                    function(spec, frequency)
+                assert str(caught.value) == f"frequency must be a number, got {frequency!r}"
+
+    def test_int_frequency_arrays_give_the_bits_of_their_floats(self, cavity):
+        w = np.array([9_999_990, 10_000_000, 10_000_007])
+        want = [f(cavity, w.astype(float)).tobytes() for f in (dos, dos_derivative)]
+        for kind in (np.int64, np.int32, np.uint32):
+            got = [f(cavity, w.astype(kind)) for f in (dos, dos_derivative)]
+            assert [g.dtype for g in got] == [np.float64] * 2
+            assert [g.tobytes() for g in got] == want

@@ -12,14 +12,14 @@ from rotodyne import dynamics
 from rotodyne import (
     EvolutionParams,
     NumericsError,
-    check_density_matrix,
-    closed_form_bloch,
     closed_form_rho,
     evolve_ode,
     initial_state,
     lindblad_rhs,
     trace_distance,
 )
+
+from oracles import check_density_matrix, closed_form_bloch
 
 
 def draw_params(rng):

@@ -17,6 +17,8 @@ from rotodyne import cavity, constants, dynamics, geophase, kinematics, rates, s
 LAYERS = (kinematics, cavity, rates, dynamics, geophase, scenarios)
 REMOVED = (
     "EigenPath",
+    "check_density_matrix",
+    "closed_form_bloch",
     "comoving_rates",
     "eigenpath_from_closed_form",
     "eigensystem",
@@ -28,6 +30,7 @@ REMOVED = (
 def test_all_is_the_union_of_the_layer_lists():
     layer_names = [name for layer in LAYERS for name in layer.__all__]
     extras = [*constants.__all__, "NumericsError", "__version__"]
+    assert len(layer_names) == len(set(layer_names))  # each name in one layer
     assert len(rotodyne.__all__) == len(set(rotodyne.__all__))
     assert set(rotodyne.__all__) == set(layer_names) | set(extras)
     for name in rotodyne.__all__:
@@ -77,7 +80,7 @@ RECORDS = [
         "warnings=())",
     ),
     (
-        dynamics.EvolutionParams, (0.25, 0.1, 1.0, 1.0),
+        rates.EvolutionParams, (0.25, 0.1, 1.0, 1.0),
         ("a_coeff", "b_coeff", "omega_eff", "theta0"), {}, ("b_coeff", 0.5),
         "EvolutionParams(a_coeff=0.25, b_coeff=0.1, omega_eff=1.0, theta0=1.0)",
     ),
@@ -235,10 +238,10 @@ INPUT_FIELDS = {
     kinematics.AtomParams: ("omega0", "dipole", "theta0"),
     kinematics.TrajectoryParams: ("radius", "omega"),
     cavity.CavitySpec: ("omega_c", "q_factor", "volume"),
-    dynamics.EvolutionParams: ("a_coeff", "b_coeff", "omega_eff", "theta0"),
+    rates.EvolutionParams: ("a_coeff", "b_coeff", "omega_eff", "theta0"),
     scenarios.Scenario: ("n_default", "n_max", "sweep_lo", "sweep_hi", "sweep_points"),
 }
-GENERATOR = dynamics.EvolutionParams(*SAMPLES[dynamics.EvolutionParams].values())
+GENERATOR = rates.EvolutionParams(*SAMPLES[rates.EvolutionParams].values())
 CASE1 = scenarios.preset("case1")
 PARTS = (CASE1.trajectory, CASE1.atom, CASE1.cavity)
 
@@ -256,6 +259,8 @@ READERS = [
     ("TrajectoryParams.center", lambda v: kinematics.TrajectoryParams(1.0, 1.0, (0.0, v)), "center"),
     ("gp_tong_closed_form", lambda v: geophase.gp_tong_closed_form(GENERATOR, v), "total_time"),
     ("gp_exact_integral", lambda v: geophase.gp_exact_integral(GENERATOR, v), "total_time"),
+    ("gp_exact_integral.n_cycles",
+     lambda v: geophase.gp_exact_integral(GENERATOR, 1.0, n_cycles=v), "n_cycles"),
     ("gp_quasi_cycle", lambda v: geophase.gp_quasi_cycle(GENERATOR, v), "n"),
     ("gp_case1", lambda v: geophase.gp_case1(*PARTS, v), "n"),
     ("gp_case2", lambda v: geophase.gp_case2(*PARTS, v), "n"),
@@ -272,6 +277,11 @@ READERS = [
     ("gp_vs_n", lambda v: scenarios.gp_vs_n(CASE1, [1, v]), "cycle count"),
     ("sweep_cavity", lambda v: scenarios.sweep_cavity(CASE1, [5.0e9, v]), "omega_c"),
     ("sweep_cavity.floats", lambda v: scenarios._sweep_rows(CASE1, [5.0e9, v], False), "omega_c"),
+    ("dos", lambda v: cavity.dos(CASE1.cavity, v), "frequency"),
+    ("dos_derivative", lambda v: cavity.dos_derivative(CASE1.cavity, v), "frequency"),
+    ("closed_form_rho", lambda v: dynamics.closed_form_rho(GENERATOR, v), "tau"),
+    ("initial_state", dynamics.initial_state, "theta0"),
+    ("evolve_ode", lambda v: dynamics.evolve_ode(GENERATOR, v), "t_final"),
 ]
 
 
@@ -282,6 +292,34 @@ def test_bools_and_text_are_no_numbers(call, name, value):
     with pytest.raises(ValueError) as caught:
         call(value)
     assert str(caught.value) == f"{name} must be a number, got {value!r}"
+
+
+SRC = Path(rotodyne.__file__).resolve().parent
+
+
+def _imported(node) -> list:
+    """The dotted names an import statement reads, relative ones without
+    their leading dots: ``from . import x`` gives "" and ".x"."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return [base, *(f"{base}.{alias.name}" for alias in node.names)]
+    return []
+
+
+def test_no_package_module_imports_dynamics():
+    """The generator record lives in ``rates`` and the dissipator matrix in
+    ``dynamics``, so no module of the package imports ``dynamics``, at its
+    top or in a function: it holds the closed form and the ODE oracle."""
+    found = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _imported(node)
+        if "dynamics" in name.split(".")
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("kind", [int, np.int64, np.float32, np.float64])
@@ -303,8 +341,8 @@ def test_numpy_scalar_inputs_give_the_results_of_their_floats(tmp_path):
     4 a T with a RuntimeWarning, an error under this suite's filter, and
     ``save_scenario`` refused float32 fields."""
     values = (1e308, 3e307, 1.0, 1.0)
-    got = geophase.gp_exact_integral(dynamics.EvolutionParams(*map(np.float64, values)), 1.0)
-    want = geophase.gp_exact_integral(dynamics.EvolutionParams(*values), 1.0)
+    got = geophase.gp_exact_integral(rates.EvolutionParams(*map(np.float64, values)), 1.0)
+    want = geophase.gp_exact_integral(rates.EvolutionParams(*values), 1.0)
     assert got == want and got.total == -1.0
     f32 = [np.float32(v) for v in SAMPLES[kinematics.AtomParams].values()]
     for name, atom in (("f32", f32), ("twin", map(float, f32))):
