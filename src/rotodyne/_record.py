@@ -9,12 +9,23 @@ assignment and deletion raise AttributeError. ``dataclasses.fields``,
 ``asdict``, ``replace`` and ``is_dataclass`` work through
 ``__dataclass_fields__``.
 
+``__init__`` gives the instance its ``__dict__``, the fields in order, in
+one ``object.__setattr__`` call, and ``_store`` and the post-init writes
+replace items of it. Per-field ``object.__setattr__`` calls would fill the
+same dict, because no class in the MRO holds a field name as a data
+descriptor (an attribute with ``__set__``): a default is a plain value or
+a ``Factory``, and a method or ``cached_property`` is no data descriptor.
+So reads, ``==``, pickle and ``copy`` see the fields as before. A fresh
+dict, not items written into ``self.__dict__``, because on CPython 3.11
+reading ``__dict__`` first turns the instance's shared-key values into a
+split dict, whose attribute reads the interpreter does not specialize
+(about 25 ns a read against 7).
+
 Every number a caller passes in is read here: ``_real`` (a float),
 ``_count`` (an int) and ``_cycles``, which refuse bools and text. The value
 types store their scalar fields through ``_real`` once (``_store``).
 """
 
-_set = object.__setattr__
 _MISSING = object()
 
 
@@ -52,8 +63,9 @@ def _cycles(value, name: str):
 
 def _store(record, read, *names: str) -> None:
     """Store each named field of ``record`` as ``read(value, name)`` reads it."""
+    fields = record.__dict__
     for name in names:
-        _set(record, name, read(getattr(record, name), name))
+        fields[name] = read(fields[name], name)
 
 
 class Factory:
@@ -93,7 +105,7 @@ class Record:
 
     def __init_subclass__(cls):
         names = cls.__match_args__ = tuple(cls.__annotations__)
-        scope, params, body = {"_set": _set, "_MISSING": _MISSING}, [], []
+        scope, params, items = {"_MISSING": _MISSING, "_set": object.__setattr__}, [], []
         for name in names:
             default = scope[f"_default_{name}"] = cls.__dict__.get(name, _MISSING)
             value = name
@@ -102,10 +114,11 @@ class Record:
                 value = f"_default_{name}.make() if {name} is _MISSING else {name}"
             else:
                 params.append(name if default is _MISSING else f"{name}=_default_{name}")
-            body.append(f"    _set(self, {name!r}, {value})\n")
+            items.append(f"{name!r}: {value}")
+        body = f"    _set(self, '__dict__', {{{', '.join(items)}}})\n"
         if hasattr(cls, "__post_init__"):
-            body.append("    self.__post_init__()\n")
-        exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", scope)
+            body += "    self.__post_init__()\n"
+        exec(f"def __init__(self, {', '.join(params)}):\n{body}", scope)
         cls.__init__ = scope["__init__"]
 
     def _values(self) -> tuple:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ._record import Record, _count, _cycles, _real, _set, _store
+from ._record import Record, _count, _cycles, _real, _store
 from .cavity import CavitySpec
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics
 from .rates import (
@@ -52,7 +52,7 @@ class Scenario(Record):
     sweep_points: int = 400
 
     def __post_init__(self):
-        _set(self, "name", _name(self.name))
+        self.__dict__["name"] = _name(self.name)
         _store(self, _count, "n_default", "n_max", "sweep_points")
         _store(self, _real, "sweep_lo", "sweep_hi")
         if self.family not in _FAMILIES:

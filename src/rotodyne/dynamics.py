@@ -95,8 +95,9 @@ def kossakowski(a_coeff: float, b_coeff: float) -> np.ndarray:
 
     Hermitian, positive semidefinite with eigenvalues {a + b, a - b, 0};
     raises ValueError when a is not finite or |b| > a (unphysical rate
-    pair), which includes a NaN b.
+    pair), which includes a NaN b. Both are read by ``_record._real``.
     """
+    a_coeff, b_coeff = _real(a_coeff, "a_coeff"), _real(b_coeff, "b_coeff")
     if not 0.0 <= a_coeff < math.inf:
         raise ValueError(f"a_coeff must be non-negative and finite, got {a_coeff}")
     if not abs(b_coeff) <= a_coeff:
@@ -195,7 +196,8 @@ def evolve_ode(
     would turn into a drift growing with t. Samples are
     re-symmetrized, rho <- (rho + rho^dag)/2. ``t_final`` must be
     non-negative and finite, and ``t_eval`` (default: 201 even samples) a
-    sorted 1-D array within [0, t_final]. ``rtol`` must lie in [1e-13,
+    sorted 1-D array within [0, t_final] of a float, int or unsigned
+    dtype: bools and text are a ValueError. ``rtol`` must lie in [1e-13,
     1e-6]; the propagation is accurate to rounding, so it sets no step
     size. Raises NumericsError when the eigendecomposition fails,
     when max(|V| |c|), which bounds the rounding error of the eigen-sum
@@ -211,7 +213,10 @@ def evolve_ode(
     if t_eval is None:
         t_eval = np.linspace(0.0, t_final, 201)
     else:
-        t_eval = np.asarray(t_eval, dtype=float)
+        times = np.asarray(t_eval)
+        if times.dtype.kind not in "fiu":
+            raise ValueError(f"t_eval must be a number, got {t_eval!r}")
+        t_eval = times.astype(float, copy=False)
         # every comparison with a NaN is False, so NaN samples fail too
         if t_eval.ndim != 1 or (
             t_eval.size

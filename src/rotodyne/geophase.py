@@ -109,15 +109,6 @@ def _require_eigenbasis(length: float) -> None:
         )
 
 
-def _unitary_open_path(theta0: float, sweep: float) -> float:
-    """Path functional of the pure precession at polar angle ``theta0``
-    over an azimuth ``sweep``: arg(cos^2(theta0/2) + sin^2(theta0/2)
-    e^{i sweep}) - sweep sin^2(theta0/2). For whole cycles this is the
-    solid-angle phase -pi n (1 - cos theta0)."""
-    c2, s2 = math.cos(theta0 / 2.0) ** 2, math.sin(theta0 / 2.0) ** 2
-    return math.atan2(s2 * math.sin(sweep), c2 + s2 * math.cos(sweep)) - sweep * s2
-
-
 def _load_kernel():
     """Bind ``rotodyne._kernel`` to ``_kernel``: a global read per call, not an import."""
     global _kernel
@@ -137,13 +128,17 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     sqrt((R +- g) / 2R) come from ``_decay_geometry``, which also gives
     the kernel its integrand, and the arg from sin((angle - theta0) / 2) =
     (cos theta0 - cos angle) / (2 sin((angle + theta0) / 2)), free of
-    cancellation. No path is sampled, and all of it runs on Python floats.
-    The diagnostics are ``abserr`` (the kernel's error estimate, in rad),
-    ``endpoint_amplitude``, and the kernel's ``series_terms`` or, past the
-    series, ``panels``, ``refinements`` (halvings taken) and ``samples``
-    (integrand evaluations of the accepted pass, 24 per panel), 0 on the
-    path not taken. Every result field is a Python float. ``total_time``
-    is read by ``_record._real``: a bool or text is a ValueError.
+    cancellation. The unitary part, the pure precession's path functional
+    arg(c0^2 + s0^2 e^{i sweep}) - sweep s0^2 with c0, s0 = cos, sin
+    (theta0 / 2), is formed from the same c0, s0, cos(sweep) and sin(sweep)
+    as the endpoint term, so each is evaluated once. No path is sampled,
+    and all of it runs on Python floats. The diagnostics are ``abserr``
+    (the kernel's error estimate, in rad), ``endpoint_amplitude``, and the
+    kernel's ``series_terms`` or, past the series, ``panels``,
+    ``refinements`` (halvings taken) and ``samples`` (integrand evaluations
+    of the accepted pass, 24 per panel), 0 on the path not taken. Every
+    result field is a Python float. ``total_time`` is read by
+    ``_record._real``: a bool or text is a ValueError.
     """
     k = _kernel or _load_kernel()
     omega, theta0, total_time = p.omega_eff, p.theta0, _real(total_time, "total_time")
@@ -161,8 +156,8 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     _require_eigenbasis(big_r / u)
     # R + |g| and R - |g| = u sin^2 theta0 / (R + |g|), free of cancellation
     wide = big_r + abs(g)
-    halves = (wide, u * sin2 / wide) if g >= 0.0 else (u * sin2 / wide, wide)
-    cos_h1, sin_h1 = (math.sqrt(h / (2.0 * big_r)) for h in halves)
+    to_cos, to_sin = (wide, u * sin2 / wide) if g >= 0.0 else (u * sin2 / wide, wide)
+    cos_h1, sin_h1 = math.sqrt(to_cos / (2.0 * big_r)), math.sqrt(to_sin / (2.0 * big_r))
     kernel, err, panels, halvings, terms = k._phase_kernel(p.a_coeff, p.b_coeff, theta0, total_time)
 
     c0, s0 = math.cos(theta0 / 2.0), math.sin(theta0 / 2.0)
@@ -174,7 +169,8 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     endpoint = math.atan2(sin_s * s0 * c0 * drift, real)
     overlap = abs(complex(c0 * cos_h1 + s0 * sin_h1 * cos_s, s0 * sin_h1 * sin_s))
     amplitude = math.sqrt((1.0 + big_r / u) / 2.0) * overlap
-    unitary = _unitary_open_path(theta0, sweep)
+    s2 = s0 ** 2
+    unitary = math.atan2(s2 * sin_s, c0 ** 2 + s2 * cos_s) - sweep * s2
     nonunitary = endpoint - (omega / 2.0) * kernel
     return GPResult(
         engine="tong",

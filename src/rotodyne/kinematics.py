@@ -60,7 +60,7 @@ class TrajectoryParams(Record):
             raise ValueError(f"omega must be non-negative and finite, got {self.omega}")
         if not (isinstance(self.center, tuple) and len(self.center) == 2):
             raise ValueError(f"center must be a tuple of two coordinates, got {self.center!r}")
-        object.__setattr__(self, "center", tuple(_real(v, "center") for v in self.center))
+        self.__dict__["center"] = tuple(_real(v, "center") for v in self.center)
         if not all(map(math.isfinite, self.center)):
             raise ValueError(f"center must be finite, got {self.center}")
 

@@ -7,7 +7,8 @@ the analytic state along the whole horizon and takes the phase of the
 endpoint overlap minus the accumulated connection, with a Richardson
 estimate of its polygon error. Its cost grows with the cycle count, so it
 serves the tests only; the package evaluates the same functional in
-closed form.
+closed form. ``unitary_open_path`` is the pure precession's path
+functional over an open azimuth sweep: the unitary part of both.
 
 ``elementary_kernel`` is the non-unitary kernel from its elementary
 antiderivative, in stdlib floats: the reference for the relaxed tail.
@@ -34,12 +35,7 @@ import numpy as np
 from rotodyne.cavity import CavitySpec
 from rotodyne.constants import SPEED_OF_LIGHT
 from rotodyne.errors import NumericsError
-from rotodyne.geophase import (
-    GPResult,
-    _endpoint_warnings,
-    _require_eigenbasis,
-    _unitary_open_path,
-)
+from rotodyne.geophase import GPResult, _endpoint_warnings, _require_eigenbasis
 from rotodyne.kinematics import AtomParams, TrajectoryParams
 from rotodyne.rates import EvolutionParams, vacuum_coupling
 
@@ -176,6 +172,15 @@ def eigenpath_from_closed_form(
     )
 
 
+def unitary_open_path(theta0: float, sweep: float) -> float:
+    """Path functional of the pure precession at polar angle ``theta0``
+    over an azimuth ``sweep``: arg(cos^2(theta0/2) + sin^2(theta0/2)
+    e^{i sweep}) - sweep sin^2(theta0/2). For whole cycles this is the
+    solid-angle phase -pi n (1 - cos theta0)."""
+    c2, s2 = math.cos(theta0 / 2.0) ** 2, math.sin(theta0 / 2.0) ** 2
+    return math.atan2(s2 * math.sin(sweep), c2 + s2 * math.cos(sweep)) - sweep * s2
+
+
 def gp_tong(path: EigenPath) -> GPResult:
     """Mixed-state geometric phase from a sampled eigenpath.
 
@@ -217,7 +222,7 @@ def gp_tong(path: EigenPath) -> GPResult:
     total = float(np.angle(overlap)) - connection
 
     sweep = float(path.azimuth[-1]) - float(path.azimuth[0])
-    unitary = _unitary_open_path(float(path.bloch_angle[0]), sweep)
+    unitary = unitary_open_path(float(path.bloch_angle[0]), sweep)
     nonunitary = total - unitary
     warnings = _endpoint_warnings(amplitude)
     if abserr > 0.1 * abs(nonunitary) and abserr > 1e-12 * max(1.0, abs(total)):

@@ -346,6 +346,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="t_eval must be"):
             evolve_ode(EvolutionParams(0.3, 0.2, 5.0, 1.1), 1.0, t_eval=np.array(t_eval))
 
+    @pytest.mark.parametrize(
+        "t_eval",
+        [
+            np.array([False, True]),
+            ["0", "1"],
+            np.array(["0", "1"]),
+            np.array([0.0, 1.0], dtype=object),
+            np.array([0.0, 1.0j]),
+        ],
+        ids=["bools", "text-list", "text", "object", "complex"],
+    )
+    def test_ode_refuses_sample_times_of_no_real_dtype(self, t_eval):
+        """Bools and text were read as the times [0, 1]; only float, int and
+        unsigned dtypes are times."""
+        with pytest.raises(ValueError, match="t_eval must be a number"):
+            evolve_ode(EvolutionParams(0.3, 0.2, 5.0, 1.1), 1.0, t_eval=t_eval)
+
+    def test_ode_sample_times_keep_their_float_bits(self):
+        p, times = EvolutionParams(0.3, 0.2, 5.0, 1.1), np.array([0.0, 0.1, 0.7, 1.0])
+        assert evolve_ode(p, 1.0, t_eval=times).times is times
+        for kind in (np.int64, np.uint32, np.float32):
+            got = evolve_ode(p, 1.0, t_eval=np.array([0, 1], dtype=kind))
+            want = evolve_ode(p, 1.0, t_eval=np.array([0.0, 1.0]))
+            assert got.times.dtype == float and got.states.tobytes() == want.states.tobytes()
+
     def test_initial_state_requires_polar_angle(self):
         with pytest.raises(ValueError):
             initial_state(-0.1)

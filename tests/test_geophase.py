@@ -11,7 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import eigenpath_from_closed_form, eigensystem, elementary_kernel, gp_tong
+from oracles import (
+    eigenpath_from_closed_form,
+    eigensystem,
+    elementary_kernel,
+    gp_tong,
+    unitary_open_path,
+)
 from rotodyne import _kernel
 from rotodyne._scenario import _evolution
 from rotodyne import (
@@ -266,6 +272,27 @@ class TestTongFunctional:
             got = gp_tong_closed_form(p, cycles_time(p, n))
             want = gp_exact_integral(p, cycles_time(p, n))
             assert got.nonunitary_part == pytest.approx(want.nonunitary_part, rel=1e-12, abs=0)
+
+    def test_unitary_part_is_the_open_path_reference_bit_for_bit(self):
+        """The engine forms the pure precession's path functional from the
+        half-angle and sweep trig of its endpoint term; it must give the
+        reference's bits, at the poles and the equator, at half-integer
+        cycle counts and past 1e7 rad of sweep."""
+        rng = random.Random(SEED)
+        thetas = [0.0, math.pi / 2, math.pi] + [rng.uniform(0.0, math.pi) for _ in range(9)]
+        cycles = [0.5, 1.5, 7.5, 2e6 + 0.5, 3.4, 2e8] + [10.0 ** rng.uniform(-2, 9) for _ in range(6)]
+        sweeps = []
+        for i, (theta, n) in enumerate(itertools.product(thetas, cycles)):
+            omega = 10.0 ** rng.uniform(-1.0, 3.0)
+            a = rng.choice([0.0, 10.0 ** rng.uniform(-12.0, -1.0)])
+            p = EvolutionParams(a, a * rng.uniform(-1.0, -0.1), omega, theta)
+            horizon = cycles_time(p, n)
+            got = gp_tong_closed_form(p, horizon)
+            sweeps.append(_kernel._sweep(omega, horizon))
+            want = unitary_open_path(theta, sweeps[-1])
+            assert got.unitary_part.hex() == want.hex(), (SEED, i, p, n)
+            assert got.total == got.unitary_part + got.nonunitary_part, (SEED, i, p, n)
+        assert sum(sweep > 1e7 for sweep in sweeps) >= 2 * len(thetas)
 
     def test_diagnostics_describe_the_kernel_only(self):
         # the closed form samples no path, so it reports no sampling resolution

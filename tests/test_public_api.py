@@ -119,6 +119,20 @@ RECORDS = [
 RECORD_IDS = [entry[0].__name__ for entry in RECORDS]
 
 
+def data_descriptor_fields(record) -> list:
+    """The fields of ``record`` that some class of its MRO holds as a data
+    descriptor (its type has ``__set__`` or ``__delete__``): for those
+    ``object.__setattr__`` calls the descriptor, where a write into the
+    instance ``__dict__`` would bypass it."""
+    return [
+        name
+        for name in record.__match_args__
+        for cls in record.__mro__
+        if name in vars(cls)
+        and any(hasattr(type(vars(cls)[name]), hook) for hook in ("__set__", "__delete__"))
+    ]
+
+
 @pytest.mark.parametrize("record, values, names, defaults, bad, text", RECORDS, ids=RECORD_IDS)
 class TestRecordContract:
     """What each value type gives its callers: construction, defaults,
@@ -175,6 +189,14 @@ class TestRecordContract:
                 delattr(sample, name)
         assert getattr(sample, names[0]) == values[0]
 
+    def test_fields_are_the_instance_dict(self, record, values, names, defaults, bad, text):
+        """``__init__`` hands the instance a dict of exactly its fields, and
+        ``_store`` writes items of it: the same as per-field
+        ``object.__setattr__`` calls while no field is a data descriptor of
+        the class."""
+        assert list(vars(record(*values))) == list(names)
+        assert data_descriptor_fields(record) == []
+
     def test_pickle_and_copy_round_trip(self, record, values, names, defaults, bad, text):
         sample = record(*values)
         for twin in (pickle.loads(pickle.dumps(sample)), copy.copy(sample)):
@@ -218,6 +240,25 @@ def test_record_classes_get_only_their_init_written():
         ]
         assert written == ["__init__"], record
         assert "__eq__" not in vars(record) and "__hash__" not in vars(record), record
+
+
+def test_a_field_behind_a_data_descriptor_is_found():
+    """The check above bites: a property named like a field is a data
+    descriptor, ``object.__setattr__`` would raise on it, and the dict
+    that ``__init__`` writes goes round it."""
+    from rotodyne._record import Record
+
+    class Shadowed(Record):
+        x: float
+        y: float
+
+    assert data_descriptor_fields(Shadowed) == []
+    Shadowed.y = property(lambda self: -1.0)
+    assert data_descriptor_fields(Shadowed) == ["y"]
+    sample = Shadowed(1.0, 2.0)
+    assert vars(sample) == {"x": 1.0, "y": 2.0} and sample.y == -1.0
+    with pytest.raises(AttributeError):
+        object.__setattr__(sample, "y", 2.0)
 
 
 def test_records_are_no_dataclasses_until_dataclasses_is_loaded(module_report):
@@ -282,6 +323,9 @@ READERS = [
     ("closed_form_rho", lambda v: dynamics.closed_form_rho(GENERATOR, v), "tau"),
     ("initial_state", dynamics.initial_state, "theta0"),
     ("evolve_ode", lambda v: dynamics.evolve_ode(GENERATOR, v), "t_final"),
+    ("evolve_ode.t_eval", lambda v: dynamics.evolve_ode(GENERATOR, 1.0, t_eval=v), "t_eval"),
+    ("kossakowski.a_coeff", lambda v: dynamics.kossakowski(v, 0.0), "a_coeff"),
+    ("kossakowski.b_coeff", lambda v: dynamics.kossakowski(1.0, v), "b_coeff"),
 ]
 
 
