@@ -280,13 +280,14 @@ def _horizon(scenario: Scenario, n: float) -> float:
     return horizon
 
 
-def _evolution(scenario: Scenario, n: float) -> tuple[EvolutionParams, float]:
-    """Generator of the scenario's rates and the ``_horizon`` of n cycles."""
-    horizon = _horizon(scenario, n)
-    params = EvolutionParams.from_rates(
-        scenario_rates(scenario), scenario.atom.theta0, scenario.atom.omega0
-    )
-    return params, horizon
+def _kernel_gp(engine, scenario: Scenario, n: float):
+    """A kernel engine on the generator of the scenario's rates over the
+    ``_horizon`` of n cycles, reporting n as given and the rates' warnings
+    ahead of the engine's own."""
+    rates = scenario_rates(scenario)
+    params = EvolutionParams.from_rates(rates, scenario.atom.theta0, scenario.atom.omega0)
+    res = engine(params, _horizon(scenario, n))
+    return res._replace(n_cycles=float(n), warnings=rates.warnings + res.warnings)
 
 
 def _geophase():
@@ -298,10 +299,8 @@ def _geophase():
 
 # engine name -> fn(scenario, n) -> GPResult
 ENGINES = {
-    "tong": lambda s, n: _geophase().gp_tong_closed_form(*_evolution(s, n)),
-    "exact-integral": lambda s, n: _geophase().gp_exact_integral(
-        *_evolution(s, n), n_cycles=float(n)
-    ),
+    "tong": lambda s, n: _kernel_gp(_geophase().gp_tong_closed_form, s, n),
+    "exact-integral": lambda s, n: _kernel_gp(_geophase().gp_exact_integral, s, n),
     "quasi-cycle": lambda s, n: _geophase().gp_split(
         scenario_rates(s), n, s.atom.theta0, s.atom.omega0
     ),

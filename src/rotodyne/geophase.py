@@ -13,11 +13,11 @@ Engines
     The shared non-unitary kernel alone, valid for any horizon, not just
     integer quasi-cycles: a power series in e = expm1(4 a tau) while e is
     well inside its radius, which covers the quasi-cycle regime, and past
-    it checked composite Gauss-Legendre quadrature of the closed-form phase
-    integrand. The non-unitary part is integrated directly, not taken as a
-    difference, on Python floats alone; the kernel and its memo are
-    described in ``rotodyne._kernel``, which the quasi-cycle engines below
-    never load.
+    it the elementary antiderivative of the closed-form phase integrand,
+    evaluated in ``decimal`` and rounded once. The non-unitary part is
+    integrated directly, not taken as a difference; the kernel and its
+    memo are described in ``rotodyne._kernel``, which the quasi-cycle
+    engines below never load.
 
 ``gp_quasi_cycle``
     Leading-order closed form for n quasi-cycles: the pure-precession
@@ -69,8 +69,8 @@ class GPResult(Record):
     is the pure-precession reference for the same horizon and initial
     angle, ``nonunitary_part`` the remainder. The inertial/non-inertial
     decomposition is present only for engines that know the rate split.
-    ``diagnostics`` carries validity numbers (expansion parameters, sample
-    or panel counts, error estimates).
+    ``diagnostics`` carries validity numbers (expansion parameters, term
+    counts, error estimates).
     """
 
     engine: str
@@ -132,12 +132,11 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     arg(c0^2 + s0^2 e^{i sweep}) - sweep s0^2 with c0, s0 = cos, sin
     (theta0 / 2), is formed from the same c0, s0, cos(sweep) and sin(sweep)
     as the endpoint term, so each is evaluated once. No path is sampled,
-    and all of it runs on Python floats. The diagnostics are ``abserr``
-    (the kernel's error estimate, in rad), ``endpoint_amplitude``, and the
-    kernel's ``series_terms`` or, past the series, ``panels``,
-    ``refinements`` (halvings taken) and ``samples`` (integrand evaluations
-    of the accepted pass, 24 per panel), 0 on the path not taken. Every
-    result field is a Python float. ``total_time`` is read by
+    and all of it but the kernel past its series runs on Python floats.
+    The diagnostics are ``abserr`` (the kernel's error estimate, in rad),
+    ``endpoint_amplitude``, the kernel's ``series_terms``, and ``panels``,
+    ``refinements`` and ``samples``, always 0 as the kernel sums no panels.
+    Every result field is a Python float. ``total_time`` is read by
     ``_record._real``: a bool or text is a ValueError.
     """
     k = _kernel or _load_kernel()
@@ -197,11 +196,11 @@ def gp_exact_integral(
     horizon: the unitary part -omega T sin^2(theta0/2), exact down to
     theta0 = 0, plus -(omega / 2) K with the kernel K of ``_phase_kernel``,
     integrated directly in a form free of cancellation. ``abserr`` is the
-    series' tail bound or the panels' halving gap, in rad; ``series_terms``
-    or ``panels`` counts the path taken, the other is 0, both for the
-    closed forms. Every result field is a Python float. ``total_time`` is
-    read as ``gp_tong_closed_form`` reads it, and a given ``n_cycles`` by
-    ``_real``.
+    series' tail bound or half an ulp of the antiderivative past it, in
+    rad; ``series_terms`` counts the series' terms, 0 elsewhere, and
+    ``panels`` is always 0. Every result field is a Python float.
+    ``total_time`` is read as ``gp_tong_closed_form`` reads it, and a given
+    ``n_cycles`` by ``_real``.
     """
     k = _kernel or _load_kernel()
     omega, theta0, total_time = p.omega_eff, p.theta0, _real(total_time, "total_time")

@@ -14,7 +14,8 @@ last step, ``from rotodyne import _kernel`` must load no module but the
 kernel and ``errors``, nor ``dynamics``. Then every input value type
 is built from Python ints, and ``dos``, ``gp_quasi_cycle`` and
 ``scenario_gp`` (with each engine) run at int inputs: they must load
-neither numpy nor ``numbers``. It ends with the record check:
+neither numpy nor ``numbers``, which the last step's ``decimal`` already
+imported and which is set aside for them. It ends with the record check:
 a record is no dataclass until its caller loads ``dataclasses``. It prints
 its report as one JSON line, with the stdout of each command of
 TABLE_COMMANDS and the sorted ``rotodyne.*`` modules loaded after each
@@ -36,9 +37,14 @@ import sys
 # what no command loads: the value types are records of rotodyne._record,
 # no module of the package needs ``typing`` or ``csv``, only a number of
 # another type than int and float (a numpy scalar, a Fraction) needs
-# ``numbers``, and the engines read their generator from rotodyne.rates, not
-# from the closed form and ODE oracle of rotodyne.dynamics
-NEVER_LOADED = ["dataclasses", "inspect", "typing", "csv", "numbers", "rotodyne.dynamics"]
+# ``numbers``, the engines read their generator from rotodyne.rates, not
+# from the closed form and ODE oracle of rotodyne.dynamics, and only the
+# phase kernel past its series needs ``decimal`` (which imports ``numbers``)
+NEVER_LOADED = [
+    "dataclasses", "inspect", "typing", "csv", "numbers", "decimal", "rotodyne.dynamics",
+]
+# what the phase kernel's antiderivative loads, past its series
+PAST_SERIES = ["decimal", "numbers"]
 # numpy, which only a grid of more than 20000 points imports, and scipy,
 # which only the tests use
 NUMPY = ["numpy", "scipy"]
@@ -74,7 +80,7 @@ PLOT_WITHOUT_OUT = [
     ["gp-vs-n", "--points", "1000000", "--n-max", "9007199254740992", "--plot"],
     ["sweep-cavity", "--grid", "1e7:2e7:1000000", "--plot"],
 ]
-# a case2 horizon past the phase kernel's series, so that gp sums the panels
+# a case2 horizon past the phase kernel's series, so that gp takes its antiderivative
 PANEL_CYCLES, PANEL_ENGINES = 99999999999999999999, ("tong", "exact-integral")
 # the case2 preset as a general scenario, written before the step that reads it
 CONFIG = "{out}/general.json"
@@ -133,10 +139,13 @@ LOAD_STEPS = [
     ),
     (
         0,
-        _gp(PANEL_ENGINES)
-        + [["gp", "--scenario", "case2", "--engine", e, "-n", str(PANEL_CYCLES)] for e in PANEL_ENGINES]
-        + [["rates", "--config", CONFIG], ["gp", "--config", CONFIG]],
+        _gp(PANEL_ENGINES) + [["rates", "--config", CONFIG], ["gp", "--config", CONFIG]],
         [*NUMPY, *NEVER_LOADED],
+    ),
+    (
+        0,
+        [["gp", "--scenario", "case2", "--engine", e, "-n", str(PANEL_CYCLES)] for e in PANEL_ENGINES],
+        [*NUMPY, *(m for m in NEVER_LOADED if m not in PAST_SERIES)],
     ),
 ]
 
@@ -196,6 +205,9 @@ def run(out: str) -> dict:
     from rotodyne.kinematics import AtomParams, TrajectoryParams
     from rotodyne.rates import EvolutionParams
 
+    # the last step's kernel past its series loaded ``decimal`` and with it
+    # ``numbers``, which is set aside so that only a fresh import shows
+    numbers = sys.modules.pop("numbers", None)
     cavity = CavitySpec(5_000_000_000, 10**7, 1)
     dos(cavity, 10**7)
     atom, orbit = AtomParams(10**7, 1, 1), TrajectoryParams(1, 1, (0, 0))
@@ -204,6 +216,8 @@ def run(out: str) -> dict:
     for engine in ENGINES:
         scenario_gp(ints, 1000, engine)
     int_inputs = [m for m in ("numpy", "numbers") if m in sys.modules]
+    if numbers is not None:
+        sys.modules["numbers"] = numbers
 
     atom = AtomParams(1.0e7, 8.478e-30, 1.5)
     before = ["dataclasses" in sys.modules, hasattr(atom, "__dataclass_fields__")]

@@ -330,7 +330,8 @@ def test_c13_commands_load_no_numpy(module_report):
     TABLE_COMMANDS in a fresh interpreter load no numpy module, though
     numpy is on its path: it is imported only where arrays are taken, or
     where a grid is large enough that one array call pays for the import.
-    The numeric engines' runs at PANEL_CYCLES take the kernel's panels. The
+    The numeric engines' runs at PANEL_CYCLES take the kernel's
+    antiderivative past its series, the one step that loads ``decimal``. The
     engines read their generator from ``rates``, so no command loads
     ``dynamics``, whose closed form and ODE oracle return numpy arrays."""
     argvs = [argv for _, step, _ in LOAD_STEPS for argv in step]
@@ -340,7 +341,8 @@ def test_c13_commands_load_no_numpy(module_report):
             assert ["gp", "--scenario", name, "--engine", engine, "-n", "1000"] in argvs
     for engine in PANEL_ENGINES:
         assert ["gp", "--scenario", "case2", "--engine", engine, "-n", str(PANEL_CYCLES)] in argvs
-        assert scenario_gp(preset("case2"), PANEL_CYCLES, engine).diagnostics["panels"] > 0
+        past = scenario_gp(preset("case2"), PANEL_CYCLES, engine).diagnostics
+        assert past["series_terms"] == past["panels"] == 0 < past["abserr"]
     assert all(set(NUMPY) <= set(absent) for *_, absent in LOAD_STEPS)
     report, _ = module_report
     assert [codes for codes, _ in report["runs"]] == [[c] * len(s) for c, s, _ in LOAD_STEPS]

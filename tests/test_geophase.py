@@ -19,7 +19,7 @@ from oracles import (
     unitary_open_path,
 )
 from rotodyne import _kernel
-from rotodyne._scenario import _evolution
+from rotodyne._scenario import _horizon
 from rotodyne import (
     DEFAULT_DIPOLE,
     AtomParams,
@@ -39,6 +39,7 @@ from rotodyne import (
     lab_rates_general,
     preset,
     scenario_gp,
+    scenario_rates,
 )
 
 FAST = (
@@ -224,25 +225,28 @@ class TestTongFunctional:
             assert long.diagnostics["samples"] == short.diagnostics["samples"] == 0
             want = gp_exact_integral(p, cycles_time(p, 10**7))
             assert long.total == pytest.approx(want.total, rel=1e-9)
-        # past the series' radius, and saturated at both counts: one panel set
+        # past the series' radius, and saturated at both counts: one antiderivative
         p = EvolutionParams(0.2, 0.1, 10.0, 1.0)
         short = gp_tong_closed_form(p, cycles_time(p, 10**3))
         long = gp_tong_closed_form(p, cycles_time(p, 10**7))
-        assert long.diagnostics["samples"] == short.diagnostics["samples"] > 0
+        for res in (short, long):
+            assert res.diagnostics["series_terms"] == res.diagnostics["panels"] == 0
+        assert long.diagnostics["abserr"] == short.diagnostics["abserr"] > 0
         want = gp_exact_integral(p, cycles_time(p, 10**7))
         assert long.total == pytest.approx(want.total, rel=1e-9)
 
     def test_matches_dense_adjacent_overlap_form(self):
         # a fractional cycle count keeps the endpoint overlap term nonzero;
-        # 4 a T = 0.17 takes the kernel's series, 0.43 its checked panels
-        for a, b, path in ((0.02, 0.012, "series_terms"), (0.05, 0.03, "refinements")):
+        # 4 a T = 0.17 takes the kernel's series, 0.43 its antiderivative
+        for a, b, terms in ((0.02, 0.012, True), (0.05, 0.03, False)):
             p = EvolutionParams(a, b, 10.0, 1.9)
             horizon = cycles_time(p, 3.4)
             dense = gp_tong(eigenpath_from_closed_form(p, horizon, samples_per_cycle=4096))
             got = gp_tong_closed_form(p, horizon)
             assert got.total == pytest.approx(dense.total, rel=1e-6)
             assert got.n_cycles == pytest.approx(dense.n_cycles, rel=1e-12)
-            assert got.diagnostics[path] >= 1
+            assert (got.diagnostics["series_terms"] >= 1) == terms
+            assert got.diagnostics["panels"] == 0
 
     @pytest.mark.parametrize("name", ["case1", "case2"])
     def test_nonunitary_part_matches_quasi_cycle_at_presets(self, name):
@@ -256,7 +260,7 @@ class TestTongFunctional:
             # abs=0: pytest.approx otherwise passes anything within 1e-12
             assert got.nonunitary_part == pytest.approx(quasi.nonunitary_part, rel=1e-12, abs=0)
             assert got.total == got.unitary_part + got.nonunitary_part
-            # every preset point takes the series; the panel counts are
+            # every preset point takes the series; the antiderivative is
             # checked past its radius, in TestKernelSeries
             assert got.diagnostics["series_terms"] > 0
             assert got.diagnostics["samples"] == got.diagnostics["panels"] == 0
@@ -462,7 +466,7 @@ class TestExactIntegral:
             # abs=0: pytest.approx otherwise passes anything within 1e-12
             assert got.nonunitary_part == pytest.approx(quasi.nonunitary_part, rel=1e-12, abs=0)
             assert got.total == got.unitary_part + got.nonunitary_part
-            # the series here; panels >= 2 is checked past its radius
+            # the series here; the antiderivative is checked past its radius
             assert got.diagnostics["series_terms"] > 0 == got.diagnostics["panels"]
             assert got.diagnostics["abserr"] <= 1e-10 * abs(got.nonunitary_part)
 
@@ -474,27 +478,6 @@ class TestExactIntegral:
         total, unitary = -1.204810358245578396023297691240331079205e-14, -1.2e-13
         assert got.total == pytest.approx(total, rel=1e-9, abs=0)
         assert got.unitary_part == pytest.approx(unitary, rel=1e-15, abs=0)
-
-    def test_graded_panels_resolve_a_sharp_knee(self):
-        # theta0 = pi - 1e-6 pumped toward |e>: the Bloch vector swings past
-        # the equator within about sin(theta0) / (4 a |b/a|) of the knee at
-        # tau = 2.7465; 50-digit mpmath quadrature of the same integrand.
-        # Uniform panels of 4 a tau <= 1/2 keep only 9 of these digits.
-        p = EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6)
-        got = gp_exact_integral(p, 10.0)
-        assert got.nonunitary_part == pytest.approx(7.253469278327691042, rel=1e-13)
-        assert got.total == pytest.approx(-2.746530721669808958, rel=1e-13)
-
-    def test_unconverged_panels_raise(self, monkeypatch):
-        # one panel across the sharp knee above cannot pass the halving
-        # check within MAX_HALVINGS halvings; the memo may hold that input's
-        # converged kernel from the test above
-        _kernel._phase_kernel.cache_clear()
-        monkeypatch.setattr(
-            _kernel, "_kernel_panels", lambda x_end, x_k, delta: [(0.0, x_end)]
-        )
-        with pytest.raises(NumericsError, match="did not converge"):
-            gp_exact_integral(EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6), 10.0)
 
     def test_infinite_sweep_raises_before_the_kernel(self):
         _kernel._phase_kernel.cache_clear()
@@ -540,12 +523,12 @@ class TestKernelMemo:
 
             return call
 
-        for name in ("_kernel_series", "_nonunitary_kernel"):
+        for name in ("_kernel_series", "_kernel_antiderivative"):
             monkeypatch.setattr(_kernel, name, counted(name))
         p = EvolutionParams(0.1, -0.05, 1.0, 2.0)
-        # 4 a T = 400 is past the series' radius, where the panels take over
+        # 4 a T = 400 is past the series' radius, where the antiderivative takes over
         for horizon, taken, count in (
-            (1000.0, ["_kernel_series", "_nonunitary_kernel"], "panels"),
+            (1000.0, ["_kernel_series", "_kernel_antiderivative"], "abserr"),
             (1e-3, ["_kernel_series"], "series_terms"),
         ):
             calls.clear()
@@ -617,10 +600,17 @@ class TestKernelMemo:
         # float64 fields took every panel node through numpy scalar
         # arithmetic, at twice the float twin's cost, for the same bits
         ratios, geometry = [], _kernel._decay_geometry
+        antiderivative = _kernel._kernel_antiderivative
         monkeypatch.setattr(
             _kernel,
             "_decay_geometry",
             lambda e, ratio, *shape: ratios.append(type(ratio)) or geometry(e, ratio, *shape),
+        )
+        monkeypatch.setattr(
+            _kernel,
+            "_kernel_antiderivative",
+            lambda a4, x, ratio, *shape: ratios.append(type(ratio))
+            or antiderivative(a4, x, ratio, *shape),
         )
         twin = (EvolutionParams(0.25, 0.1, 1.0, 1.0), 10.0)  # 4 a T = 10: past the series
         key = (EvolutionParams(F64(0.25), F64(0.1), F64(1.0), F64(1.0)), F64(10.0))
@@ -628,7 +618,7 @@ class TestKernelMemo:
         gp_exact_integral(*key)  # stores the kernel of the key it forms from the fields
         kernel = _kernel._phase_kernel(*kernel_key(*twin))
         assert _kernel._phase_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
-        assert kernel[2] > 0 and set(ratios) == {float}
+        assert kernel[2] == kernel[4] == 0 and ratios == [float]
         assert kernel_bits(kernel) == kernel_bits(
             _kernel._phase_kernel.__wrapped__(*kernel_key(*twin))
         )
@@ -662,17 +652,15 @@ class TestKernelMemo:
         _kernel._phase_kernel.cache_clear()
         tong, exact = gp_tong_closed_form(p, 1000.0), gp_exact_integral(p, 1000.0)
         assert _kernel._phase_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
-        assert tong.diagnostics["panels"] == exact.diagnostics["panels"] > 0
+        assert tong.diagnostics["abserr"] == exact.diagnostics["abserr"] > 0
 
-    def test_errors_are_not_kept(self, monkeypatch):
+    def test_errors_are_not_kept(self):
+        # a kernel past the float range, as in TestEngineContract
         _kernel._phase_kernel.cache_clear()
-        monkeypatch.setattr(
-            _kernel, "_kernel_panels", lambda x_end, x_k, delta: [(0.0, x_end)]
-        )
-        p = EvolutionParams(0.1, -0.05, 1.0, math.pi - 1e-6)
+        p = EvolutionParams(1e-308, 1e-308, 1.0, 0.45)
         for _ in range(2):
-            with pytest.raises(NumericsError, match="did not converge"):
-                gp_exact_integral(p, 10.0)
+            with pytest.raises(NumericsError, match="past the float range"):
+                gp_exact_integral(p, 1.5e308)
         assert _kernel._phase_kernel.cache_info()[1:] == (2, _kernel.KERNEL_CACHE_SIZE, 0)
 
 
@@ -704,6 +692,67 @@ C02_KERNELS = (
     "4.880131279106901433044e-5",
     "7.686881060718477894352e-4",
     "1.252059367513216135572e-4",
+)
+
+# (a4, x, b/a, cos theta0, sin^2 theta0) of the antiderivative and its K at
+# them, exact for the float inputs: mpmath quadrature in x split at the knee,
+# at 80 + 2 (-log10 sin^2 theta0) digits or more, on the pair put on the unit
+# circle. Seeded draws near both poles, at tiny b/a and alpha = c + b/a = 0,
+# at the saturation edge x = 300 and where the panels missed by 5 to 11 ulp,
+# then the far knee, the sharp knee and the cases that shaped the precision
+HARD_KERNELS = (
+    # north pole, tiny b/a, at the saturation edge
+    (1.0, 300.0, -1.0237576026148991e-84, 1.0, 3.485411352948341e-152, "1.702263965632999383411e-68"),
+    # north pole, tiny b/a
+    (1.0, 1.3795006341545373, 1.1821254477905805e-238, 1.0, 5.529630177838729e-291, "4.405502144563292866147e-291"),
+    # north pole, b/a = -1
+    (1.0, 41.09752019056982, -1.0, 1.0, 1.0103306629863734e-214, "-2.025587707912394799254e-213"),
+    # north pole, b/a = 1, a4 != 1
+    (226.43780734968806, 181.98944335067446, 1.0, 1.0, 3.0040699861913648e-120, "1.60128998149269769674"),
+    # north pole, alpha = c + b/a = 0
+    (1.0, 4.795417616733651, -1.0, 1.0, 2.586325300188964e-50, "-4.918783584443352156402e-50"),
+    # north pole, alpha = 0
+    (1.0, 86.86125062870053, -1.0, 1.0, 2.4336274829300555e-35, "-1.044771496243755616319e-33"),
+    # north pole, uniform b/a
+    (1.0, 2.461123895880451, 0.8461799766714566, 1.0, 5.987561743876745e-43, "3.361964130889317666809"),
+    # north pole, b = 0
+    (1.0, 1.7525237865553995, 0.0, 1.0, 1.1922845302090806e-299, "1.798335049791121156991e-299"),
+    # fl(pi), b/a = -1
+    (1.0, 18.22860794599161, -1.0, -1.0, 1.3155512106736628e-26, "-3.507092153086332704051e+1"),
+    # south pole, alpha = 0
+    (1.0, 53.27131161013715, 0.9993262439073779, -0.9993262439073779, 0.001347058237971948, "3.52177740277174001423e-2"),
+    # fl(pi), b/a = 1
+    (1.0, 230.56560755076904, 1.0, -1.0, 1.196144917221195e-26, "1.372968673203239817734e-24"),
+    # south pole, tiny b/a
+    (1.0, 11.310320744070827, 3.845881163611207e-69, -1.0, 5.489230684836698e-30, "-2.240917660547805285587e-25"),
+    # south pole at the saturation edge
+    (1.0, 300.0, -0.8959940257774186, -1.0, 6.749834404571489e-24, "-5.985008704268896895836e+2"),
+    # south pole, b = 0
+    (1.0, 2.942516451304842, 0.0, -0.9999968277868835, 6.344416170088362e-06, "-4.764734820411936850291e-5"),
+    # generic, alpha = 0
+    (1.0, 0.4182586091200427, 0.9129767762244418, -0.9129767762244418, 0.16647340607482547, "5.987314374806071391603e-3"),
+    # generic, tiny b/a
+    (1.0, 19.46072603975918, -2.8514851006985047e-274, 0.5766484576318419, 0.6674765563108179, "9.907227837706826256066"),
+    # generic, b/a = 1, at the saturation edge
+    (1.0, 300.0, 1.0, 0.9924050178232564, 0.0151322805992221, "5.963390120867501739281e+2"),
+    # south pole: the panels were 5 ulp off
+    (1.0, 1.23544558482743, 0.4119352208236635, -0.9999999999657595, 6.84809209324489e-11, "6.363293562177880990269e-13"),
+    # south pole: the panels were 11 ulp off
+    (1.0, 0.6800344194666934, -1.0, -0.9999999999999793, 4.13959466953271e-14, "-7.596426648297765480586e-13"),
+    # south pole: the panels were 7 ulp off
+    (1.0, 0.7236322425599871, -1.0, -1.0, 3.042757808064878e-22, "-6.097012400008367885679e-2"),
+    # north pole: the panels were 10 ulp off
+    (1.0, 1.9532680204554749, 0.18918930753173102, 1.0, 4.174640214647515e-209, "2.299781232037620578907e-1"),
+    # the far knee: 1 200 panels
+    (1.0, 300.0, 1e-300, 1.0, 1e-300, "9.712131976206279926298e-171"),
+    # s^2 digits missing gave ln 2
+    (1.0, 15.4, 2.6e-93, 1.0, 1.272384e-298, "3.10257125489619069406e-292"),
+    # theta0 = pi - 1e-8
+    (1.0, 2.0, -0.5, -1.0, 1.0000000123379942e-16, "-1.802775422663780596111"),
+    # the sharp knee at theta0 = pi - 1e-6
+    (1.0, 4.0, -0.5, -0.9999999999995, 1.000000000524152e-12, "-5.802775422662152711622"),
+    # theta0 = pi - 1e-8 at alpha = 0, where the raw float pair misses K
+    (1.0, 2.0, 1.0, -1.0, 1.0000000123379942e-16, "5.676676486221863785356e-17"),
 )
 
 
@@ -744,7 +793,9 @@ def series_tolerance(x, ratio, cos_t, sin2):
 class TestKernelSeries:
     def test_preset_points_take_the_series_within_1e_15_of_references(self):
         for (name, n), want in PRESET_KERNELS.items():
-            p, horizon = _evolution(preset(name), n)
+            scn = preset(name)
+            p = EvolutionParams.from_rates(scenario_rates(scn), scn.atom.theta0, scn.atom.omega0)
+            horizon = _horizon(scn, n)
             kernel, _, panels, _, terms = _kernel._phase_kernel(*kernel_key(p, horizon))
             assert terms > 0 and panels == 0
             exact = Fraction(want)
@@ -752,7 +803,8 @@ class TestKernelSeries:
 
     def test_c02_draws_take_the_series_within_1e_15_beyond_the_panels(self):
         # where c + 2 b/a nearly cancels, rounding b/a and cos theta0 costs
-        # both paths alike, so the series answers for 1e-15 past the panels
+        # both paths alike, so the series answers for 1e-15 past the
+        # antiderivative on the same float inputs
         rng = np.random.default_rng(7707)
         for want in C02_KERNELS:
             n = int(rng.integers(3, 61))
@@ -762,7 +814,7 @@ class TestKernelSeries:
             horizon = cycles_time(p, n)
             kernel, _, panels, _, terms = _kernel._phase_kernel(*kernel_key(p, horizon))
             assert terms > 0 and panels == 0
-            panel = _kernel._nonunitary_kernel(
+            panel = _kernel._kernel_antiderivative(
                 4.0 * a, p.relaxation_exponent(horizon), p.b_coeff / a,
                 math.cos(theta), math.sin(theta) ** 2,
             )[0]
@@ -773,17 +825,25 @@ class TestKernelSeries:
 
     @pytest.mark.parametrize("x", [5.0, 10.0, 30.0])
     def test_panels_match_the_elementary_antiderivative_past_the_series(self, x):
-        # the antiderivative keeps 7.3e-16 here, the panels a few ulps
+        # the float antiderivative keeps 7.3e-16 here; the kernel evaluates
+        # it in decimal, with no panels, halvings or series terms
         for ratio, theta in itertools.product(
             (-1.0, -0.6, -0.2, 0.35, 0.8, 1.0), (1.1, math.pi / 2, 2.3)
         ):
             p = EvolutionParams(0.25, 0.25 * ratio, 10.0, theta)  # 4 a T = T
             tong, exact = gp_tong_closed_form(p, x), gp_exact_integral(p, x)
-            assert tong.diagnostics["samples"] == 24 * tong.diagnostics["panels"] > 0
-            assert exact.diagnostics["panels"] >= 2
-            assert tong.diagnostics["series_terms"] == exact.diagnostics["series_terms"] == 0
+            counts = ("series_terms", "panels", "refinements", "samples")
+            assert [tong.diagnostics[k] for k in counts] == [0, 0, 0, 0]
+            assert exact.diagnostics["series_terms"] == exact.diagnostics["panels"] == 0
             kernel = _kernel._phase_kernel(*kernel_key(p, x))[0]
             assert kernel == pytest.approx(elementary_kernel(p, x), rel=1.5e-15, abs=0)
+
+    def test_antiderivative_rounds_hard_draws_within_an_ulp(self):
+        for *args, want in HARD_KERNELS:
+            kernel, err, *counts = _kernel._kernel_antiderivative(*args)
+            exact = Fraction(want)
+            assert abs(Fraction(kernel) - exact) <= Fraction(math.ulp(kernel)), args
+            assert counts == [0, 0, 0] and err == 0.5 * math.ulp(kernel)
 
     def test_series_gives_way_past_its_radius_and_budget(self):
         shape = (0.9, math.cos(1.0), math.sin(1.0) ** 2)
@@ -792,11 +852,14 @@ class TestKernelSeries:
         assert _kernel._kernel_series(1.0, math.expm1(0.34), *shape) is None
         p = EvolutionParams(0.25, 0.25 * 0.9, 10.0, 1.0)
         assert _kernel._phase_kernel(*kernel_key(p, 0.3))[2:] == (0, 0, 38)
-        assert _kernel._phase_kernel(*kernel_key(p, 0.34))[2:] == (2, 1, 0)
+        assert _kernel._phase_kernel(*kernel_key(p, 0.34))[2:] == (0, 0, 0)
 
     def test_series_matches_the_panels_and_joins_them_continuously(self):
         def kernel(p, horizon):
             return _kernel._phase_kernel.__wrapped__(*kernel_key(p, horizon))
+
+        def takes_series(x, shape):
+            return _kernel._kernel_series(1.0, math.expm1(x), *shape) is not None
 
         joined = set()  # the bits of each (theta0, b/a) whose handover is checked
         for index, (theta, ratio, x_end) in enumerate(series_cases()):
@@ -805,18 +868,20 @@ class TestKernelSeries:
             shape = (ratio, math.cos(theta), math.sin(theta) ** 2)
             series = _kernel._kernel_series(1.0, math.expm1(x_end), *shape)
             if series is not None:
-                panels = _kernel._nonunitary_kernel(1.0, x_end, *shape)
-                assert abs(series[0] - panels[0]) <= series_tolerance(x_end, *shape), case
+                closed = _kernel._kernel_antiderivative(1.0, x_end, *shape)
+                assert abs(series[0] - closed[0]) <= series_tolerance(x_end, *shape), case
             if (theta.hex(), ratio.hex()) in joined:
                 continue
             joined.add((theta.hex(), ratio.hex()))
-            # bisect for the x where the selection hands over to the panels,
-            # which depends on theta0 and b/a alone, not on x_end
+            # bisect for the x where the selection hands over to the
+            # antiderivative, which depends on theta0 and b/a alone, not on
+            # x_end; the kernel itself runs only at the handover
             lo, hi = 1e-12, math.log(math.sqrt(2.0))
-            assert kernel(p, lo)[4] > 0 == kernel(p, hi)[4], case
+            assert takes_series(lo, shape) and not takes_series(hi, shape), case
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if kernel(p, mid)[4] > 0 else (lo, mid)
+                lo, hi = (mid, hi) if takes_series(mid, shape) else (lo, mid)
+            assert kernel(p, lo)[4] > 0 == kernel(p, hi)[4], case
             assert abs(kernel(p, hi)[0] - kernel(p, lo)[0]) <= series_tolerance(hi, *shape), case
 
 

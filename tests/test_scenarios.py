@@ -135,6 +135,9 @@ def _awkward_tables():
         "int-and-float-column": SweepTable(
             columns=("v", "w"), rows=((1, "x"), (2.5, "y"), (np.int64(-3), "z"))
         ),
+        "numpy-int-column": SweepTable(
+            columns=("k",), rows=((np.int64(3),), (np.int64(-7),))
+        ),
         "text-and-number-column": SweepTable(
             columns=("v",), rows=(("a,b",), (1.5,), (np.int64(7),), ("",))
         ),
@@ -583,6 +586,29 @@ class TestSweeps:
         res = scenario_gp(preset("case1"), 10**200, "tong")
         assert math.isfinite(res.total)
 
+    def test_kernel_engines_carry_the_rates_warnings(self):
+        # case1 at a hundredth of its rotation rate strains the fast-rotation
+        # regime: the kernel engines dropped the rates' warning and said ok
+        data = scenario_to_dict(preset("case1"))
+        data["trajectory"]["omega_rad_per_s"] = 5e7
+        strained = scenario_from_dict(data)
+        warnings = scenario_rates(strained).warnings
+        assert warnings == ("fast-rotation regime strained: omega < 10 * omega0_bar",)
+        for engine in ("tong", "exact-integral", "quasi-cycle", "case1"):
+            res = scenario_gp(strained, 1000, engine)
+            assert res.warnings[: len(warnings)] == warnings, engine
+            assert res.validity.startswith(warnings[0]), engine
+        assert scenario_gp(preset("case1"), 1000, "tong").validity == "ok"
+
+    def test_kernel_engines_report_the_cycle_count_asked_for(self):
+        # tong reported sweep / tau after the round trip through 2 pi n / omega0:
+        # 1.0000000000000002e+01 at n = 10 on case1
+        for name in ("case1", "case2"):
+            for n in (10, 1999, 10**11):
+                for engine in ("tong", "exact-integral"):
+                    res = scenario_gp(preset(name), n, engine)
+                    assert type(res.n_cycles) is float and res.n_cycles == n, (name, n, engine)
+
     def test_engine_dispatch_follows_family(self):
         s1, s2 = preset("case1"), preset("case2")
         assert scenario_gp(s1, 100).engine == "case1"
@@ -654,6 +680,13 @@ class TestWritersMatchPerCellReference:
     def test_json_bytes(self, name):
         table = self.TABLES[name]
         assert table_to_json_text(table) == reference_json(table)
+
+    def test_numpy_int_column_is_written_as_ints_and_json_numbers(self):
+        # a column of numpy integers alone takes the numbers.Integral kind
+        table = self.TABLES["numpy-int-column"]
+        assert table_to_csv_text(table) == "k\n3\n-7\n"
+        rows = json.loads(table_to_json_text(table))["rows"]
+        assert rows == [[3.0], [-7.0]] and {type(v) for (v,) in rows} == {float}
 
     def test_text_cells_are_quoted_as_csv_writer_quotes_them(self):
         # every character below U+0180 inside a text cell, beside a float
