@@ -80,6 +80,12 @@ class KinematicDerived(Record):
     obar_plus     omega0_bar + omega  (slow-rotation sideband, "+")
     obar_minus    omega0_bar - omega  (slow-rotation sideband, "-")
     acceleration  centripetal acceleration omega**2 * R, m/s**2
+    redshift      omega0 - omega0_bar, as omega0 * zeta / (1 + sqrt(1 - zeta))
+    gamma_minus_one  lorentz_gamma - 1, as zeta / (sqrt(1 - zeta) (1 + sqrt(1 - zeta)))
+
+    The last two are formed from zeta, not as differences: a difference of
+    the rounded omega0_bar or lorentz_gamma with omega0 or 1 keeps only a
+    relative precision of about 1e-16 / zeta.
     """
 
     zeta: float
@@ -90,6 +96,8 @@ class KinematicDerived(Record):
     obar_plus: float
     obar_minus: float
     acceleration: float
+    redshift: float
+    gamma_minus_one: float
 
 
 def zeta_of(frequency: float, radius: float) -> float:
@@ -132,4 +140,6 @@ def derive_kinematics(traj: TrajectoryParams, atom: AtomParams) -> KinematicDeri
         obar_plus=omega_plus,
         obar_minus=omega0_bar - traj.omega,
         acceleration=acceleration,
+        redshift=atom.omega0 * zeta / (1.0 + root),
+        gamma_minus_one=zeta / (root * (1.0 + root)),
     )

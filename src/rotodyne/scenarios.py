@@ -2,6 +2,13 @@
 name of the scenario core ``rotodyne._scenario`` is re-exported here. CSV
 output is deterministic byte-for-byte: floats are written with 17
 significant digits and LF line endings.
+
+Each table writer builds one template for its whole text (the head with
+its ``%`` doubled, one row template per row, the closing text) and applies
+one ``%`` to the flat tuple of cells, so that the result is the returned
+text: no string per cell and no copy of the whole text. A JSON number
+column of finite values goes in as its floats under ``%r``, which writes
+what ``json.dumps`` writes.
 """
 
 from __future__ import annotations
@@ -313,7 +320,8 @@ def table_to_csv_text(table: SweepTable) -> str:
     """CSV with one row per table row, each cell as ``_csv_cell`` writes it.
 
     Each column picks its format once and each distinct string is quoted
-    once; the body is one ``%`` over a row template.
+    once. The whole text is one ``%`` over one template: the header, its
+    ``%`` doubled, then one row template per row.
     """
     alone = len(table.columns) == 1
     header = ",".join(_csv_cell(name, alone) for name in table.columns) + "\n"
@@ -327,46 +335,58 @@ def table_to_csv_text(table: SweepTable) -> str:
             cells = [_csv_cell(v, alone) for v in cells]
         fields.append({"int": "%d", "float": "%.16e"}.get(kind, "%s"))
         columns.append(cells)
-    template = (",".join(fields) + "\n") * len(table.rows)
-    return header + template % tuple(chain.from_iterable(zip(*columns)))
+    template = header.replace("%", "%%") + (",".join(fields) + "\n") * len(table.rows)
+    return template % tuple(chain.from_iterable(zip(*columns)))
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_cells(cells) -> list[str]:
-    """JSON text of each cell of a column, as ``json.dumps`` writes it:
-    strings as they are, every other cell as a float."""
+def _json_column(cells) -> tuple[str, list]:
+    """The template field of a column and the cells it formats, so that
+    the field writes each cell as ``json.dumps`` does: strings as they are,
+    every other cell as a float. A number column of finite values goes in
+    as its floats under ``%r``; any other column as each cell's JSON text
+    under ``%s``."""
     import json
 
     kind = _column_kind(cells)
     if kind == "text":
         texts = {text: json.dumps(text) for text in set(cells)}
-        return list(map(texts.__getitem__, cells))
+        return "%s", list(map(texts.__getitem__, cells))
     if kind == "mixed":
-        return [json.dumps(v if isinstance(v, str) else float(v)) for v in cells]
-    values = list(map(float, cells))  # repr(np.float64(1.0)) is 'np.float64(1.0)'
-    texts = list(map(repr, values))
-    if not all(map(math.isfinite, values)):
-        texts = [_JSON_NON_FINITE.get(t, t) for t in texts]
-    return texts
+        return "%s", [json.dumps(v if isinstance(v, str) else float(v)) for v in cells]
+    # repr(np.float64(1.0)) is 'np.float64(1.0)': only a column of Python
+    # floats goes in as it is
+    values = cells if set(map(type, cells)) == {float} else list(map(float, cells))
+    if all(map(math.isfinite, values)):
+        return "%r", values
+    return "%s", [_JSON_NON_FINITE.get(t, t) for t in map(repr, values)]
 
 
 def table_to_json_text(table: SweepTable) -> str:
     """The table as ``_json_text`` writes ``{"columns", "metadata", "rows"}``,
     every non-string cell as a float.
 
-    Only the columns and metadata go through ``_json_text`` whole; the
-    rows are one ``%`` over a row template of per-column cell texts.
+    Only the columns and metadata go through ``_json_text`` whole. The
+    whole text is one ``%`` over one template: that head, its ``%``
+    doubled, then one row template per row, then the closing brackets.
     """
     head = _json_text({"columns": list(table.columns), "metadata": table.metadata})
-    rows = "[]"
+    fields, columns = [], []
+    for cells in table._cells_by_column:
+        field, cells = _json_column(cells)
+        fields.append(field)
+        columns.append(cells)
+    head = head[: -len("\n}\n")].replace("%", "%%") + ',\n  "rows": '
+    template = head + "[]\n}\n"
     if table.rows:
-        columns = [_json_cells(cells) for cells in table._cells_by_column]
-        row = "    [\n      " + ",\n      ".join(["%s"] * len(columns)) + "\n    ]"
-        template = ",\n".join([row if columns else "    []"] * len(table.rows))
-        rows = "[\n" + template % tuple(chain.from_iterable(zip(*columns))) + "\n  ]"
-    return head[: -len("\n}\n")] + f',\n  "rows": {rows}\n}}\n'
+        row = "    [\n      " + ",\n      ".join(fields) + "\n    ]" if fields else "    []"
+        # the rows' template is no local of its own: only the whole is kept
+        template = "".join(
+            [head, "[\n", (row + ",\n") * (len(table.rows) - 1), row, "\n  ]\n}\n"]
+        )
+    return template % tuple(chain.from_iterable(zip(*columns)))
 
 
 def write_csv(table: SweepTable, path) -> None:

@@ -135,14 +135,21 @@ def line_chart(
         mask = [ok and 0.0 < y < inf for ok, y in zip(x_ok, ys)]
         prepared.append((label, xs_floats, x_ok, ys, mask))
 
-    x_all = list(chain.from_iterable(compress(xs, mask) for _, xs, _, _, mask in prepared))
-    y_all = list(chain.from_iterable(compress(ys, mask) for _, _, _, ys, mask in prepared))
-    if not x_all:
+    # the axis extents: the least and the greatest drawable coordinate of
+    # each series that has a drawable point
+    extents = [
+        (min(compress(xs, mask)), max(compress(xs, mask)),
+         min(compress(ys, mask)), max(compress(ys, mask)))
+        for _, xs, _, ys, mask in prepared
+        if any(mask)
+    ]
+    if not extents:
         raise ValueError("no drawable points in any series")
+    x_lo, x_hi, y_lo, y_hi = zip(*extents)
     box_x0, box_x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     box_y0, box_y1 = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
-    x_axis = _Axis(min(x_all), max(x_all), box_x0, box_x1)
-    y_axis = _Axis(min(y_all), max(y_all), box_y1, box_y0)
+    x_axis = _Axis(min(x_lo), max(x_hi), box_x0, box_x1)
+    y_axis = _Axis(min(y_lo), max(y_hi), box_y1, box_y0)
 
     middle = ' text-anchor="middle"'
     cy = (box_y0 + box_y1) / 2

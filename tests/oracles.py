@@ -289,8 +289,8 @@ def exact_general_rates(
     ``rates._general`` in 60-digit ``decimal`` on the exact values of the
     float inputs (the constants 1/4, 1/5 and 2/5 exact). Eta is the float
     ``vacuum_coupling`` returns: a common factor of every rate, so that no
-    digit of pi is needed. The non-inertial rate is the same difference as
-    the package's, here of two 60-digit numbers."""
+    digit of pi is needed. The non-inertial rate is the difference of the
+    two 60-digit rates, which the package sums term by term instead."""
     with decimal.localcontext() as context:
         context.prec = 60
         dec = decimal.Decimal

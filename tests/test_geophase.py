@@ -801,7 +801,7 @@ class TestKernelSeries:
             exact = Fraction(want)
             assert abs(Fraction(kernel) - exact) <= Fraction(1e-15) * abs(exact)
 
-    def test_c02_draws_take_the_series_within_1e_15_beyond_the_panels(self):
+    def test_c02_series_within_1e_15_of_the_antiderivative(self):
         # where c + 2 b/a nearly cancels, rounding b/a and cos theta0 costs
         # both paths alike, so the series answers for 1e-15 past the
         # antiderivative on the same float inputs
@@ -824,7 +824,7 @@ class TestKernelSeries:
             )
 
     @pytest.mark.parametrize("x", [5.0, 10.0, 30.0])
-    def test_panels_match_the_elementary_antiderivative_past_the_series(self, x):
+    def test_decimal_antiderivative_matches_the_elementary_one_past_the_series(self, x):
         # the float antiderivative keeps 7.3e-16 here; the kernel evaluates
         # it in decimal, with no panels, halvings or series terms
         for ratio, theta in itertools.product(
@@ -854,7 +854,7 @@ class TestKernelSeries:
         assert _kernel._phase_kernel(*kernel_key(p, 0.3))[2:] == (0, 0, 38)
         assert _kernel._phase_kernel(*kernel_key(p, 0.34))[2:] == (0, 0, 0)
 
-    def test_series_matches_the_panels_and_joins_them_continuously(self):
+    def test_series_joins_the_antiderivative_continuously(self):
         def kernel(p, horizon):
             return _kernel._phase_kernel.__wrapped__(*kernel_key(p, horizon))
 
@@ -1211,7 +1211,7 @@ class TestEngineContract:
             with pytest.raises(ValueError, match=message):
                 engine(p, horizon)
 
-    def test_panel_sum_past_the_float_range_raises(self):
+    def test_kernel_past_the_float_range_raises(self):
         # T within a factor of 2 of the float maximum, 4 a T = 6 on the panels:
         # each panel's share of the kernel is finite, their sum is not
         p = EvolutionParams(1e-308, 1e-308, 1.0, 0.45)

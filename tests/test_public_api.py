@@ -62,11 +62,12 @@ RECORDS = [
         "TrajectoryParams(radius=1e-06, omega=5000000000.0, center=(0.0, 0.0))",
     ),
     (
-        kinematics.KinematicDerived, tuple(map(float, range(8))),
+        kinematics.KinematicDerived, tuple(map(float, range(10))),
         ("zeta", "lorentz_gamma", "omega0_bar", "omega_plus", "omega_minus", "obar_plus",
-         "obar_minus", "acceleration"), {}, None,
+         "obar_minus", "acceleration", "redshift", "gamma_minus_one"), {}, None,
         "KinematicDerived(zeta=0.0, lorentz_gamma=1.0, omega0_bar=2.0, omega_plus=3.0, "
-        "omega_minus=4.0, obar_plus=5.0, obar_minus=6.0, acceleration=7.0)",
+        "omega_minus=4.0, obar_plus=5.0, obar_minus=6.0, acceleration=7.0, redshift=8.0, "
+        "gamma_minus_one=9.0)",
     ),
     (
         cavity.CavitySpec, CAVITY, ("omega_c", "q_factor", "volume"), {}, ("volume", 0.0),
