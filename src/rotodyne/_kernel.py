@@ -65,7 +65,7 @@ def _kernel_antiderivative(a4: float, x_end: float, ratio: float, cos_t: float, 
     digits higher; unless the two agree to 20 digits, the precision rises by
     the digits lost (doubling when none agree) and both run again. Returns
     the higher pass rounded once to a float, half an ulp of it, and 0
-    panels, halvings and series terms."""
+    series terms."""
     import decimal
 
     def evaluate(prec):
@@ -104,7 +104,7 @@ def _kernel_antiderivative(a4: float, x_end: float, ratio: float, cos_t: float, 
         agree = exponent(max(abs(value), abs(check))) - gap.adjusted() if gap else prec
         if agree >= 20:
             kernel = float(check)
-            return kernel, 0.5 * math.ulp(kernel), 0, 0, 0
+            return kernel, 0.5 * math.ulp(kernel), 0
         prec += 40 - agree if agree > 0 else prec
 
 
@@ -115,8 +115,8 @@ def _kernel_series(a4: float, e_end: float, ratio: float, cos_t: float, sin2: fl
     c, whose factors s^2 and c + 2 ratio keep every coefficient free of
     cancellation. Q^(-3/2) = sum z_n e^n, n z_n = -p (n + 1/2) z_{n-1} -
     ratio^2 (n + 1) z_{n-2}; f / (1 + e) is integrated term by term, as d
-    tau = de / (a4 (1 + e)). Returns ``_kernel_antiderivative``'s tuple with
-    n series terms and the tail bound as the error: (last term + rho * the one
+    tau = de / (a4 (1 + e)). Returns the sum, the tail bound as its error
+    and the n series terms, the bound being (last term + rho * the one
     before, lest one vanishing coefficient end the sum) * rho / (1 - rho),
     rho = e_end / SERIES_RADIUS; None if SERIES_TERMS terms leave the bound
     above SERIES_REL_TOL of the sum."""
@@ -134,7 +134,7 @@ def _kernel_series(a4: float, e_end: float, ratio: float, cos_t: float, sin2: fl
         total += term
         tail = (abs(term) + rho * abs(previous)) * bound
         if tail <= SERIES_REL_TOL * abs(total):
-            return total, abs(tail), 0, 0, n  # abs: a horizon of -0.0 gives rho = -0.0
+            return total, abs(tail), n  # abs: a horizon of -0.0 gives rho = -0.0
         previous = term
         z_prev, z = z, -(p * (n + 0.5) * z + q * (n + 1) * z_prev) / n
     return None
@@ -148,24 +148,23 @@ def _phase_kernel(a: float, b: float, theta0: float, total_time: float):
     the integrand there for the rest of the horizon; closed forms for a = 0
     and on-axis states (sin^2 theta0 subnormal); on the Python floats a, b,
     theta0 and T, the memo's key, with 4 a T formed as 4 (a T). A hit across
-    +-0.0 returns what a fresh call would. Returns K, its error estimate,
-    0 panels and 0 halvings, which the engines still report, and the
-    series terms. Raises NumericsError past the float range."""
+    +-0.0 returns what a fresh call would. Returns K, its error estimate
+    and the series terms. Raises NumericsError past the float range."""
     if a == 0.0:
-        return 0.0, 0.0, 0, 0, 0  # pure precession: the angle never leaves theta0
+        return 0.0, 0.0, 0  # pure precession: the angle never leaves theta0
     cos_t, sin_t = math.cos(theta0), math.sin(theta0)
     sin2 = sin_t * sin_t
     ratio, a4 = b / a, 4.0 * a
     if sin2 < sys.float_info.min:
         # cos(angle) = sign(g) leaves cos theta0 = +-1 for -cos theta0 at the knee
-        kernel, err, panels, halvings, terms = 0.0, 0.0, 0, 0, 0
+        kernel, err, terms = 0.0, 0.0, 0
         if ratio != 0.0 and cos_t / ratio > 0.0:
             kernel = 2.0 * cos_t * max(0.0, total_time - math.log1p(cos_t / ratio) / a4)
     else:
         four_a_t = 4.0 * (a * total_time)
         x_end = min(four_a_t, SATURATION_EXPONENT)
         e_end = math.expm1(x_end)
-        kernel, err, panels, halvings, terms = _kernel_series(
+        kernel, err, terms = _kernel_series(
             a4, e_end, ratio, cos_t, sin2
         ) or _kernel_antiderivative(a4, x_end, ratio, cos_t, sin2)
         if four_a_t > SATURATION_EXPONENT:
@@ -173,7 +172,7 @@ def _phase_kernel(a: float, b: float, theta0: float, total_time: float):
             kernel += saturated * (total_time - x_end / a4)
     if not math.isfinite(kernel):  # the integrand is at most 2: only T near the float range
         raise NumericsError(f"phase kernel over T = {total_time!r} is past the float range")
-    return kernel, err, panels, halvings, terms
+    return kernel, err, terms
 
 
 def _sweep(omega: float, total_time: float) -> float:

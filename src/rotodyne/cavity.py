@@ -21,10 +21,14 @@ A cavity sweep in ``scenarios`` relies on both: where numpy is not loaded
 and the grid is small it takes the float branch once per point, and its
 rows are those of the array branch bit for bit.
 
-Where the plain denominator leaves the float range (it overflows once
-the linewidth or the detuning passes about 1e154 rad/s for the density
-and 1e77 for the derivative), the same formula runs on the linewidth and
-the detuning divided by the larger of the two. Every value inside the
+One Lorentzian, ``_lorentzian``, takes the half width and the detuning:
+``dos`` and ``dos_derivative`` form them from the frequency, and the
+general family's rates (``rates._direct_sums``) pass detunings of their
+own, kept exact, to read every channel through it. Where the plain
+denominator leaves the float range (it overflows once the half width or
+the detuning passes about 1e154 rad/s for the density and 1e77 for the
+derivative), the same formula runs on the half width and the detuning
+divided by the larger of the two. Every value inside the
 plain form's range keeps its bits. Past it the result is finite, or
 rounds to 0 or infinity where the true value is past the float range;
 it is never NaN, and no OverflowError or numpy warning arises.
@@ -124,15 +128,14 @@ def _term(x, y, s, power: int, pow_):
     return -2.0 * x * y / s / s, pow_(total, 2)
 
 
-def _lorentzian(w, center, q, power: int, lib):
-    """The ``_term`` at ``power`` from the half width hw = omega_c / Q and
-    the detuning d = w - omega_c where its denominator is a positive finite
-    float, and from hw / s and d / s with s = max(hw, |d|) elsewhere. The
-    scaled denominator lies in [1, 2**power], so the value neither
-    overflows nor divides by zero; it rounds to 0 or to a signed infinity
-    only where the true value is past the float range."""
+def _lorentzian(hw, d, power: int, lib):
+    """The ``_term`` at ``power`` from the half width hw and the detuning d
+    where its denominator is a positive finite float, and from hw / s and
+    d / s with s = max(hw, |d|) elsewhere. The scaled denominator lies in
+    [1, 2**power], so the value neither overflows nor divides by zero; it
+    rounds to 0 or to a signed infinity only where the true value is past
+    the float range. ``lib`` is ``math`` for floats and numpy for arrays."""
     if lib is math:
-        hw, d = center / q, w - center
         try:
             num, den = _term(hw, d, 1.0, power, math.pow)
         except OverflowError:  # where numpy's float_power returns inf
@@ -143,7 +146,6 @@ def _lorentzian(w, center, q, power: int, lib):
         num, den = _term(hw / s, d / s, s, power, math.pow)
         return num / den
     with lib.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hw, d = center / q, w - center  # an unphysical w may overflow d
         num, den = _term(hw, d, 1.0, power, lib.float_power)
         fits = (den > 0.0) & (den < math.inf)
         if fits.all():
@@ -162,8 +164,10 @@ def dos(cavity: CavitySpec, frequency):
     """
     lib, w, center, q = _operands(cavity, frequency)
     if lib is math:
-        return _lorentzian(w, center, q, 1, math) if 0.0 < w < math.inf else 0.0
-    return lib.where((w > 0.0) & (w < math.inf), _lorentzian(w, center, q, 1, lib), 0.0)
+        return _lorentzian(center / q, w - center, 1, math) if 0.0 < w < math.inf else 0.0
+    with lib.errstate(over="ignore"):  # an unphysical w may overflow the detuning
+        density = _lorentzian(center / q, w - center, 1, lib)
+    return lib.where((w > 0.0) & (w < math.inf), density, 0.0)
 
 
 def dos_derivative(cavity: CavitySpec, frequency):
@@ -177,4 +181,4 @@ def dos_derivative(cavity: CavitySpec, frequency):
     inside = (w > 0.0) & (w < math.inf)
     if not (inside if lib is math else inside.all()):
         raise ValueError("dos_derivative requires strictly positive, finite frequency")
-    return _lorentzian(w, center, q, 2, lib)
+    return _lorentzian(center / q, w - center, 2, lib)

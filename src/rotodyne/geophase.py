@@ -157,7 +157,7 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
     wide = big_r + abs(g)
     to_cos, to_sin = (wide, u * sin2 / wide) if g >= 0.0 else (u * sin2 / wide, wide)
     cos_h1, sin_h1 = math.sqrt(to_cos / (2.0 * big_r)), math.sqrt(to_sin / (2.0 * big_r))
-    kernel, err, panels, halvings, terms = k._phase_kernel(p.a_coeff, p.b_coeff, theta0, total_time)
+    kernel, err, terms = k._phase_kernel(p.a_coeff, p.b_coeff, theta0, total_time)
 
     c0, s0 = math.cos(theta0 / 2.0), math.sin(theta0 / 2.0)
     cos_s, sin_s = math.cos(sweep), math.sin(sweep)
@@ -181,9 +181,9 @@ def gp_tong_closed_form(p: EvolutionParams, total_time: float) -> GPResult:
         diagnostics={
             "abserr": (omega / 2.0) * err,
             "endpoint_amplitude": amplitude,
-            "panels": panels,
-            "refinements": halvings,
-            "samples": 24 * panels,
+            "panels": 0,
+            "refinements": 0,
+            "samples": 0,
             "series_terms": terms,
         },
     )
@@ -206,7 +206,7 @@ def gp_exact_integral(
     omega, theta0, total_time = p.omega_eff, p.theta0, _real(total_time, "total_time")
     sweep = k._sweep(omega, total_time)
     n_cycles = sweep / math.tau if n_cycles is None else _real(n_cycles, "n_cycles")
-    kernel, err, panels, _, terms = k._phase_kernel(p.a_coeff, p.b_coeff, theta0, total_time)
+    kernel, err, terms = k._phase_kernel(p.a_coeff, p.b_coeff, theta0, total_time)
     unitary = -sweep * math.sin(theta0 / 2.0) ** 2
     nonunitary = 0.0 - (omega / 2.0) * kernel  # 0.0 - keeps a vanishing part at +0.0
     return GPResult(
@@ -217,7 +217,7 @@ def gp_exact_integral(
         nonunitary_part=nonunitary,
         diagnostics={
             "four_a_t": p.relaxation_exponent(total_time),
-            "panels": panels,
+            "panels": 0,
             "series_terms": terms,
             "abserr": (omega / 2.0) * err,
         },

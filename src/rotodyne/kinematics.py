@@ -103,15 +103,19 @@ class KinematicDerived(Record):
 def zeta_of(frequency: float, radius: float) -> float:
     """Recoil/velocity weight zeta(x) = x**2 R**2 / c**2 at frequency x.
 
-    Raises ValueError when a float zeta is past the float range.
+    Raises ValueError when zeta is not finite: its square, or the product
+    frequency * radius itself, past the float range.
     """
     try:
-        return (frequency * radius / SPEED_OF_LIGHT) ** 2
+        zeta = (frequency * radius / SPEED_OF_LIGHT) ** 2
     except OverflowError:
+        zeta = math.inf
+    if not zeta < math.inf:  # inf ** 2 raises nothing, and inf * 0 is NaN
         raise ValueError(
             f"zeta = (frequency * radius / c)**2 is past the float range "
             f"at frequency = {frequency:g} rad/s and radius = {radius:g} m"
-        ) from None
+        )
+    return zeta
 
 
 def derive_kinematics(traj: TrajectoryParams, atom: AtomParams) -> KinematicDerived:

@@ -8,7 +8,8 @@ Three rate engines share one structure:
     redshifted gap plus two rotational sidebands; the upward channel can
     only collect the ``omega - omega0_bar`` sideband. Every sifted
     frequency must be positive to contribute (no negative-frequency
-    density of states).
+    density of states). Every channel, here and in ``general_rates``,
+    reads the Lorentzian of ``cavity`` at its exact detuning.
 
 ``case1_rates`` (fast rotation, omega >> omega0_bar)
     First order in zeta(omega), co-moving frame. The carrier is expanded
@@ -30,7 +31,8 @@ precession frequency and the initial angle, which the phase engines and
 the closed form of ``dynamics`` read. The inertial part of the downward
 rate is the zero-rotation limit eta * dos(omega0) * omega0; the
 non-inertial part is the rest, which every family forms as a sum of its
-own terms, never as a difference of the two nearly equal rates.
+own terms, never as a difference of the two nearly equal rates, save
+the general family's past the float range of its terms' closed forms.
 Regime violations set warnings, they never raise.
 """
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record, _real, _store
-from .cavity import CavitySpec, _operands, dos, dos_derivative
+from .cavity import CavitySpec, _lorentzian, _operands, dos, dos_derivative
 from .constants import HBAR, VACUUM_PERMITTIVITY
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics, zeta_of
 
@@ -206,7 +208,7 @@ def lab_rates_general(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySp
 
 
 def _lab(traj, atom, cavity, kin, eta):
-    lab_down, lab_up, _, _ = _resonance_rates(traj, atom, cavity, kin, eta)
+    lab_down, lab_up, _ = _resonance_rates(traj, atom, cavity, kin, eta)
     return lab_down, None, None, lab_up, None
 
 
@@ -215,89 +217,55 @@ def general_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) 
     the static reference.
 
     Both lab-frame channels are multiplied by the Lorentz gamma of the
-    orbit. The inertial part of the downward channel is eta * dos(omega0)
-    * omega0; the carrier redshift, the recoil factor, both sidebands and
-    the frame factor all land in the non-inertial part, which is summed
-    from those terms (``_direct_sums``). The upward channel is entirely
-    non-inertial.
+    orbit, and every channel reads the Lorentzian at its exact detuning
+    (``_direct_sums``). The inertial part of the downward channel is eta *
+    dos(omega0) * omega0; the carrier redshift, the recoil factor, both
+    sidebands and the frame factor all land in the non-inertial part, which
+    is summed from those terms wherever their closed forms stay in the
+    float range, and is the remainder gamma_down - inertial past it. The
+    upward channel is entirely non-inertial.
     """
     return _rates(_general, traj, atom, cavity)
 
 
 def _general(traj, atom, cavity, kin, eta):
-    lab_down, lab_up, noninertial, direct = _resonance_rates(traj, atom, cavity, kin, eta)
+    lab_down, lab_up, noninertial = _resonance_rates(traj, atom, cavity, kin, eta)
     gamma = kin.lorentz_gamma
     gamma_down = gamma * lab_down
     gd_inertial = eta * dos(cavity, atom.omega0) * atom.omega0
-    gd_ni = _pick(direct, noninertial, lambda: gamma_down - gd_inertial)
+    gd_ni = _pick(noninertial, lambda: gamma_down - gd_inertial)
     return gamma_down, gd_inertial, gd_ni, gamma * lab_up, None
 
 
-# The frequencies and half widths (rad/s) up to which every product of
-# ``_direct_sums`` stays inside the float range; half widths must also
-# reach the lower bound.
+# The frequencies and half widths (rad/s) up to which every product of the
+# closed forms in ``_direct_sums`` stays inside the float range; half widths
+# must also reach the lower bound.
 _DIRECT_LO, _DIRECT_HI = 1e-30, 1e30
 
 
 def _resonance_rates(traj, atom, cavity, kin, eta):
-    """(lab_down, lab_up, noninertial, direct): the lab-frame rates, the
-    general family's gamma_down - inertial and where it was formed.
-
-    Where omega, omega0 and omega_c are at most _DIRECT_HI, the half width
-    lies in [_DIRECT_LO, _DIRECT_HI] and both sums are finite, lab_down and
-    noninertial are eta times ``_direct_sums``; elsewhere lab_down is the
-    same formula on ``dos`` at the rounded frequencies (``_dos_down``), and
-    ``direct``, a bool or a bool array per omega_c, is False. Float and
-    array ``omega_c`` run one sum, so the two give the same bits.
-    """
-    lab_up = eta * _sideband(traj, cavity, kin, kin.omega_minus)
+    """``_direct_sums`` on floats through ``math``, or on an array omega_c
+    through numpy with its warnings off: an entry past the float range is
+    either replaced (the non-inertial rate's NaN) or the rounding of a true
+    value past it. Float and array omega_c run one sum, so the two give the
+    same bits."""
     lib, omega0, center, q = _operands(cavity, atom.omega0)
-    hw = center / q
-    direct = traj.omega <= _DIRECT_HI and atom.omega0 <= _DIRECT_HI and (
-        (hw >= _DIRECT_LO) & (hw <= _DIRECT_HI) & (center <= _DIRECT_HI)
-    )
-    down = noninertial = None
-    if direct is not False:
-        if lib is math:
-            down, noninertial = _direct_sums(math.pow, hw, center, omega0, traj, kin)
-            down, noninertial = eta * down, eta * noninertial
-        else:
-            with lib.errstate(all="ignore"):  # entries out of range are replaced
-                down, noninertial = _direct_sums(lib.float_power, hw, center, omega0, traj, kin)
-                down, noninertial = eta * down, eta * noninertial
-        direct = direct & (abs(down) < math.inf) & (abs(noninertial) < math.inf)
-    down = _pick(direct, down, lambda: eta * _dos_down(traj, cavity, kin))
-    return down, lab_up, noninertial, direct
+    if lib is math:
+        return _direct_sums(math, center / q, center, omega0, eta, traj, kin)
+    with lib.errstate(all="ignore"):
+        return _direct_sums(lib, center / q, center, omega0, eta, traj, kin)
 
 
-def _pick(fits, value, other):
-    """``value`` where ``fits``, ``other()`` elsewhere: one of the two for a
-    bool, entry by entry for a bool array; ``other`` runs only if needed."""
+def _pick(value, other):
+    """``value`` where it is finite, ``other()`` elsewhere: entry by entry
+    for an array; ``other`` runs only if needed."""
+    fits = abs(value) < math.inf
     if fits is True or fits is not False and fits.all():
         return value
     if fits is False:
         return other()
     import numpy as np
     return np.where(fits, value, other())
-
-
-def _sideband(traj, cavity, kin, freq):
-    """A lab-frame sideband over eta at the rounded frequency ``freq``:
-    weight zeta(omega)/4 + zeta(freq)/5 times dos(freq) * freq, 0 where
-    freq <= 0 or with no orbit."""
-    if traj.omega <= 0.0 or freq <= 0.0:
-        return 0.0
-    weight = kin.zeta / 4.0 + zeta_of(freq, traj.radius) / 5.0
-    return weight * dos(cavity, freq) * freq
-
-
-def _dos_down(traj, cavity, kin):
-    """lab_down over eta from ``dos`` at the rounded omega0_bar and sidebands."""
-    obar = kin.omega0_bar
-    carrier = (1.0 - 0.4 * zeta_of(obar, traj.radius)) * dos(cavity, obar) * obar
-    return carrier + _sideband(traj, cavity, kin, kin.obar_plus) + _sideband(
-        traj, cavity, kin, kin.obar_minus
-    )
 
 
 def _two_sum(a, b):
@@ -308,57 +276,76 @@ def _two_sum(a, b):
     return total, (a - (total - b_part)) + (b - b_part)
 
 
-def _direct_sums(pow_, hw, center, omega0, traj, kin):
-    """(lab_down, gamma_down - inertial), both over eta, of the general
-    family, with f(w) = dos(w) * w = hw * w / (hw**2 + (w - omega_c)**2):
+def _detuning(base, base_err, step, shift):
+    """base + step + shift + base_err with base + step kept exactly, as a
+    float and its rounding error; at half scale, doubled, where base + step
+    overflows, since the sum itself lies in the float range."""
+    total, step_err = _two_sum(base, step)
+    value = ((total + shift) + base_err) + step_err
+    return _pick(value, lambda: 2.0 * _detuning(base / 2, base_err / 2, step / 2, shift / 2))
+
+
+def _direct_sums(lib, hw, center, omega0, eta, traj, kin):
+    """(lab_down, lab_up, gamma_down - inertial) of the general family: eta
+    times the sums below, with f(w) = dos(w) * w = hw * w / (hw**2 + (w -
+    omega_c)**2):
 
         lab_down = (1 - 2/5 zeta(omega0_bar)) f(omega0_bar)
                    + sum over w+- of (zeta / 4 + zeta(w) / 5) f(w)
+        lab_up = (zeta / 4 + zeta(w_lab) / 5) f(w_lab)
         gamma_down - inertial = (gamma - 1) lab_down + f(omega0_bar) - f(omega0)
                    + zeta / 4 (f(w+) + f(w-))
                    + (zeta(w+) f(w+) + zeta(w-) f(w-) - 2 zeta(omega0_bar) f(omega0_bar)) / 5
 
-    at the sidebands w+- = omega0_bar +- omega, a sideband only where it is
-    positive and omega > 0. Each f takes its detuning from omega0's, less
-    the redshift, never from the rounded omega0_bar: on a steep flank that
-    rounding alone moves f by up to Q ulp. f(omega0_bar) - f(omega0) is
-    formed from the redshift. With both sidebands the recoil terms are a
-    second difference of G(w) = w**2 f(w) = hw w**3 / D(d), D(d) = hw**2 +
-    d**2, at step omega, which cancels as (omega0_bar / omega)**2 in slow
-    rotation; it is formed as
+    at the sidebands w+- = omega0_bar +- omega and the lab lower sideband
+    w_lab = omega - omega0_bar, a sideband only where it is positive and
+    omega > 0. Every dos is ``cavity._lorentzian`` at the exact detuning,
+    taken from omega0's (or omega's) less the redshift, never from a rounded
+    frequency: on a steep flank that rounding alone moves f by up to Q ulp.
+    f(omega0_bar) - f(omega0) is formed from the redshift (``shift``). With
+    both sidebands the recoil terms are a second difference of G(w) = w**2
+    f(w) = hw w**3 / D(d), D(d) = hw**2 + d**2, at step omega, which cancels
+    as (omega0_bar / omega)**2 in slow rotation; it is formed as
 
         -2 omega**2 hw (2 d n + m (D(d) + omega**2)) / (D(d) D(d + omega) D(d - omega))
 
     with m = a d + b, n = a D(d) - 2 d m, a = 3 omega_c**2 - hw**2 and
     b = omega_c (omega_c**2 - 3 hw**2), where zeta(w) = zeta * (w / omega)**2
-    lets zeta stand for omega**2 (R / c)**2. ``pow_`` squares: libm's pow
-    on both paths, as ``cavity._term``."""
+    lets zeta stand for omega**2 (R / c)**2 (``recoil``). These two closed
+    forms stay in the float range only where omega, omega0 and omega_c are
+    at most _DIRECT_HI and the half width lies in [_DIRECT_LO, _DIRECT_HI];
+    elsewhere, and where they are not finite, the non-inertial rate is NaN
+    for the caller to replace. They square through libm's pow, as
+    ``cavity._term``, on both libraries."""
     omega, radius, zeta, redshift = traj.omega, traj.radius, kin.zeta, kin.redshift
-    obar, upper, lower = kin.omega0_bar, kin.obar_plus, kin.obar_minus
-    hw2 = hw * hw  # as cavity._term squares the half width
-    # the detunings of omega0, omega0_bar and the sidebands, each within an
-    # ulp or so of its own size: omega0 - omega_c and its sums with +-omega
-    # are kept exactly, as a float and its rounding error
+    obar, upper, lower, lab_lower = kin.omega0_bar, kin.obar_plus, kin.obar_minus, kin.omega_minus
+    # the detunings, each within an ulp or so of its own size: omega0 -
+    # omega_c and omega - omega_c, and their sums with the steps, are kept
+    # exactly, as a float and its rounding error
     d0, err = _two_sum(omega0, -center)
     d = (d0 - redshift) + err
-
-    def sideband_detuning(step):
-        total, step_err = _two_sum(d0, step)
-        return ((total - redshift) + err) + step_err
-
-    def dos_at(w, det):  # dos(w) at the detuning det, as ``cavity.dos`` forms it
-        return hw / (hw2 + pow_(det, 2)) if w > 0.0 else 0.0
-
-    d_up = d_lo = d
-    dos_bar, dos_up, dos_lo = dos_at(obar, d), 0.0, 0.0
+    dos_bar = _lorentzian(hw, d, 1, lib) if obar > 0.0 else 0.0
+    dos_up = dos_lo = up = 0.0
     if omega > 0.0:  # a sideband needs an orbit
-        d_up, d_lo = sideband_detuning(omega), sideband_detuning(-omega)
-        dos_up, dos_lo = dos_at(upper, d_up), dos_at(lower, d_lo)
+        d_up, d_lo = _detuning(d0, err, omega, -redshift), _detuning(d0, err, -omega, -redshift)
+        dos_up = _lorentzian(hw, d_up, 1, lib)
+        if lower > 0.0:
+            dos_lo = _lorentzian(hw, d_lo, 1, lib)
     z_bar, z_up, z_lo = (zeta_of(w, radius) for w in (obar, upper, lower))
-    # lab_down in ``_dos_down``'s operation order
+    if lab_lower > 0.0:
+        base, base_err = _two_sum(omega, -center)
+        dos_lab = _lorentzian(hw, _detuning(base, base_err, -omega0, redshift), 1, lib)
+        up = (zeta / 4.0 + zeta_of(lab_lower, radius) / 5.0) * dos_lab * lab_lower
     down = (1.0 - 0.4 * z_bar) * dos_bar * obar + (zeta / 4.0 + z_up / 5.0) * dos_up * upper
     if lower > 0.0:
         down += (zeta / 4.0 + z_lo / 5.0) * dos_lo * lower
+    closed = omega <= _DIRECT_HI and omega0 <= _DIRECT_HI and (
+        (hw >= _DIRECT_LO) & (hw <= _DIRECT_HI) & (center <= _DIRECT_HI)
+    )
+    if closed is False:
+        return eta * down, eta * up, math.nan
+    pow_ = math.pow if lib is math else lib.float_power
+    hw2 = hw * hw  # as cavity._term squares the half width
     f_bar, f_up, f_lo = dos_bar * obar, dos_up * upper, dos_lo * lower
     den = hw2 + pow_(d, 2)
     shift = -hw * redshift * (hw2 - d * (center + omega0) - center * redshift) / (
@@ -374,7 +361,9 @@ def _direct_sums(pow_, hw, center, omega0, traj, kin):
     else:
         recoil = (z_up * f_up - 2.0 * z_bar * f_bar) / 5.0
     noninertial = kin.gamma_minus_one * down + shift + zeta / 4.0 * (f_up + f_lo) + recoil
-    return down, noninertial
+    if closed is not True:
+        noninertial = lib.where(closed, noninertial, math.nan)
+    return eta * down, eta * up, eta * noninertial
 
 
 def case1_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:

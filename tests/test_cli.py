@@ -314,6 +314,19 @@ class TestBadInput:
             assert "omega0 = 1e+300" in err, err
 
     @pytest.mark.parametrize("command", ["rates", "gp"])
+    def test_general_zeta_whose_product_overflows_exits_1(self, capsys, tmp_path, command):
+        # a static emitter on a radius of 1e305 m: omega0_bar * R overflows to
+        # inf, whose square raises nothing; rates printed -inf with validity ok
+        data = dict(scenario_to_dict(preset("case1")), family="general")
+        data["trajectory"].update(omega_rad_per_s=0.0, radius_m=1e305)
+        cfg = tmp_path / "radius.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, [command, "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith("rotodyne: error: zeta = ") and err.count("\n") == 1, err
+        assert "radius = 1e+305 m" in err, err
+
+    @pytest.mark.parametrize("command", ["rates", "gp"])
     @pytest.mark.parametrize("family", ["case1", "case2", "general"])
     def test_rotation_whose_square_overflows_runs(self, capsys, tmp_path, command, family):
         # omega**2 is past the float range, but the acceleration omega**2 R =

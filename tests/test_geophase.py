@@ -618,7 +618,7 @@ class TestKernelMemo:
         gp_exact_integral(*key)  # stores the kernel of the key it forms from the fields
         kernel = _kernel._phase_kernel(*kernel_key(*twin))
         assert _kernel._phase_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
-        assert kernel[2] == kernel[4] == 0 and ratios == [float]
+        assert kernel[2] == 0 and ratios == [float]
         assert kernel_bits(kernel) == kernel_bits(
             _kernel._phase_kernel.__wrapped__(*kernel_key(*twin))
         )
@@ -796,8 +796,8 @@ class TestKernelSeries:
             scn = preset(name)
             p = EvolutionParams.from_rates(scenario_rates(scn), scn.atom.theta0, scn.atom.omega0)
             horizon = _horizon(scn, n)
-            kernel, _, panels, _, terms = _kernel._phase_kernel(*kernel_key(p, horizon))
-            assert terms > 0 and panels == 0
+            kernel, _, terms = _kernel._phase_kernel(*kernel_key(p, horizon))
+            assert terms > 0
             exact = Fraction(want)
             assert abs(Fraction(kernel) - exact) <= Fraction(1e-15) * abs(exact)
 
@@ -812,8 +812,8 @@ class TestKernelSeries:
             theta = rng.uniform(0.15, math.pi - 0.15)
             p = EvolutionParams(a, a * rng.uniform(-1.0, 1.0), 1.0, theta)
             horizon = cycles_time(p, n)
-            kernel, _, panels, _, terms = _kernel._phase_kernel(*kernel_key(p, horizon))
-            assert terms > 0 and panels == 0
+            kernel, _, terms = _kernel._phase_kernel(*kernel_key(p, horizon))
+            assert terms > 0
             panel = _kernel._kernel_antiderivative(
                 4.0 * a, p.relaxation_exponent(horizon), p.b_coeff / a,
                 math.cos(theta), math.sin(theta) ** 2,
@@ -840,10 +840,10 @@ class TestKernelSeries:
 
     def test_antiderivative_rounds_hard_draws_within_an_ulp(self):
         for *args, want in HARD_KERNELS:
-            kernel, err, *counts = _kernel._kernel_antiderivative(*args)
+            kernel, err, terms = _kernel._kernel_antiderivative(*args)
             exact = Fraction(want)
             assert abs(Fraction(kernel) - exact) <= Fraction(math.ulp(kernel)), args
-            assert counts == [0, 0, 0] and err == 0.5 * math.ulp(kernel)
+            assert terms == 0 and err == 0.5 * math.ulp(kernel)
 
     def test_series_gives_way_past_its_radius_and_budget(self):
         shape = (0.9, math.cos(1.0), math.sin(1.0) ** 2)
@@ -851,8 +851,8 @@ class TestKernelSeries:
         # inside the radius, but SERIES_TERMS terms do not reach the tolerance
         assert _kernel._kernel_series(1.0, math.expm1(0.34), *shape) is None
         p = EvolutionParams(0.25, 0.25 * 0.9, 10.0, 1.0)
-        assert _kernel._phase_kernel(*kernel_key(p, 0.3))[2:] == (0, 0, 38)
-        assert _kernel._phase_kernel(*kernel_key(p, 0.34))[2:] == (0, 0, 0)
+        assert _kernel._phase_kernel(*kernel_key(p, 0.3))[2] == 38
+        assert _kernel._phase_kernel(*kernel_key(p, 0.34))[2] == 0
 
     def test_series_joins_the_antiderivative_continuously(self):
         def kernel(p, horizon):
@@ -881,7 +881,7 @@ class TestKernelSeries:
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if takes_series(mid, shape) else (lo, mid)
-            assert kernel(p, lo)[4] > 0 == kernel(p, hi)[4], case
+            assert kernel(p, lo)[2] > 0 == kernel(p, hi)[2], case
             assert abs(kernel(p, hi)[0] - kernel(p, lo)[0]) <= series_tolerance(hi, *shape), case
 
 
@@ -1212,8 +1212,8 @@ class TestEngineContract:
                 engine(p, horizon)
 
     def test_kernel_past_the_float_range_raises(self):
-        # T within a factor of 2 of the float maximum, 4 a T = 6 on the panels:
-        # each panel's share of the kernel is finite, their sum is not
+        # T within a factor of 2 of the float maximum, 4 a T = 6 past the
+        # series: the decimal antiderivative holds K, which rounds to inf
         p = EvolutionParams(1e-308, 1e-308, 1.0, 0.45)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -115,6 +115,14 @@ class TestZetaRange:
         with pytest.raises(ValueError, match="frequency = 1e\\+300 rad/s and radius = 1e-06 m"):
             zeta_of(1.0e300, 1.0e-6)
 
+    @pytest.mark.parametrize("radius", [1.0e305, 0.0], ids=["product-overflows", "nan"])
+    def test_zeta_not_finite_raises(self, radius):
+        # the product overflows to inf, whose square raises nothing; or an
+        # infinite frequency meets a point orbit and gives NaN
+        frequency = 1.0e7 if radius else math.inf
+        with pytest.raises(ValueError, match="past the float range at frequency"):
+            zeta_of(frequency, radius)
+
     def test_largest_finite_zeta_is_returned(self):
         assert zeta_of(1.0e154, SPEED_OF_LIGHT) == pytest.approx(1.0e308, rel=1e-15)
 

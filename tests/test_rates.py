@@ -205,17 +205,51 @@ class TestArrayCavity:
 
     def test_general_noninertial_rate_past_its_direct_range_is_the_remainder(self):
         # a half width or a frequency past 1e30 rad/s, or a half width below
-        # 1e-30, would leave the float range inside the direct sum
-        traj, atom = SLOW["traj"], SLOW["atom"]
-        for q_factor, centers in ((1.0e7, [1.01e7, 1e29, 2e30, 1e160, 1e300]), (1e38, [1.01e7, 1e9])):
+        # 1e-30, would leave the float range inside the closed forms of the
+        # non-inertial rate. gamma_down reads every Lorentzian at its exact
+        # detuning there too: it read dos at the rounded frequencies, 2.2e-3
+        # off at Q = 1e38 and 1e40, and 2.8e-14 at omega = 1e31
+        atom, slow, fast = SLOW["atom"], SLOW["traj"], TrajectoryParams(1e-27, 1e31)
+        cases = (
+            (slow, 1.0e7, [1.01e7, 1e29, 2e30, 1e160, 1e300]),
+            (slow, 1e38, [1.01e7, 1e9]),
+            (slow, 1e40, [1.01e7, 1e9]),
+            (fast, 1.0e7, [1.01e7, 1e9]),
+        )
+        for traj, q_factor, centers in cases:
             sweep = CavitySpec(np.array(centers), q_factor, 1.0e-3)
             swept = general_rates(traj, atom, sweep)
             for i, center in enumerate(centers):
-                point = general_rates(traj, atom, CavitySpec(center, q_factor, 1.0e-3))
-                ni = point.gamma_down_ni
-                assert math.isfinite(ni) and swept.gamma_down_ni[i] == ni, (center, q_factor)
+                cavity = CavitySpec(center, q_factor, 1.0e-3)
+                point = general_rates(traj, atom, cavity)
+                ni, where = point.gamma_down_ni, (traj.omega, center, q_factor)
+                assert math.isfinite(ni) and swept.gamma_down_ni[i] == ni, where
+                assert swept.gamma_down[i] == point.gamma_down, where
                 remainder = point.gamma_down - point.gamma_down_inertial
-                assert (ni == remainder) is (center > 1e30 or center / q_factor < 1e-30)
+                past = traj.omega > 1e30 or center > 1e30 or center / q_factor < 1e-30
+                assert (ni == remainder) is past, where
+                if q_factor > 1e30 or traj.omega > 1e30:
+                    exact = exact_rates(traj, atom, cavity, "general")["gamma_down"]
+                    assert abs(Decimal(point.gamma_down) - exact) <= Decimal(1e-15) * exact, where
+
+    def test_general_rates_where_a_detunings_two_sum_overflows(self):
+        # near the float maximum omega - omega_c less omega0 (first) or
+        # omega0 - omega_c plus omega (second) overflows, though the detuning
+        # does not: its two-sum alone gives NaN, so it is taken at half scale.
+        # The second's exact rates are subnormal, and its float ones 0
+        for omega, omega0, center, rim in ((5e307, 1e308, 1.5e308, 0.9), (1e308, 1.7e308, 1.0, 0.99)):
+            traj = TrajectoryParams(rim * SPEED_OF_LIGHT / omega, omega)
+            atom = AtomParams(omega0, DEFAULT_DIPOLE, 1.0)
+            cavity = CavitySpec(center, 1.0, 1.0e-6)
+            point = general_rates(traj, atom, cavity)
+            swept = general_rates(traj, atom, cavity._replace(omega_c=np.array([center])))
+            for name in RATE_FIELDS:
+                value = getattr(point, name)
+                assert math.isfinite(value), (name, point)
+                assert np.broadcast_to(getattr(swept, name), (1,))[0] == value, name
+            exact = exact_rates(traj, atom, cavity, "general")["gamma_up"]
+            if exact > 1e-300:
+                assert abs(Decimal(point.gamma_up) - exact) <= Decimal(1e-14) * exact, point
 
 
 class TestRegimes:
@@ -262,12 +296,16 @@ RATE_FIELDS = ("gamma_down", "gamma_up", "gamma_down_inertial", "gamma_down_ni")
 # and the non-inertial rate is a sum of terms: general's gamma_down moved
 # from 2.679200842930436e-14 to the exact 2.679200842930446e-14, and its
 # gamma_down_ni from 1.854280184334216e-14 to 1.8542801843342255e-14
-# (exact 1.854280184334226e-14)
+# (exact 1.854280184334226e-14). On case1 the upward rate reads the
+# Lorentzian at the exact detuning of the lab lower sideband, not at its
+# rounded frequency: general's gamma_up moved from 6.378347993278211e-20 to
+# 6.378347993278437e-20 (exact 6.3783479932784354e-20), and the lab one from
+# 6.378347992391101e-20 to 6.378347992391327e-20
 FROZEN_REPRS = {
     ("case1", "case1_rates"): "RateSet(gamma_down=1.0223556282804161e-10, gamma_up=6.389696092650071e-20, gamma_down_inertial=1.6367732673045388e-17, gamma_down_ni=1.0223554646030894e-10, warnings=())",
     ("case1", "case2_rates"): "RateSet(gamma_down=1.0241749666903988e-10, gamma_up=0.0, gamma_down_inertial=1.6367732673045388e-17, gamma_down_ni=1.0241748030130721e-10, warnings=('slow-rotation regime strained: omega > omega0_bar / 10',))",
-    ("case1", "general_rates"): "RateSet(gamma_down=1.0241749667693935e-10, gamma_up=6.378347993278211e-20, gamma_down_inertial=1.6367732673045388e-17, gamma_down_ni=1.0241748030920668e-10, warnings=())",
-    ("case1", "lab_rates_general"): "RateSet(gamma_down=1.0241749666269498e-10, gamma_up=6.378347992391101e-20, gamma_down_inertial=None, gamma_down_ni=None, warnings=())",
+    ("case1", "general_rates"): "RateSet(gamma_down=1.0241749667693935e-10, gamma_up=6.378347993278437e-20, gamma_down_inertial=1.6367732673045388e-17, gamma_down_ni=1.0241748030920668e-10, warnings=())",
+    ("case1", "lab_rates_general"): "RateSet(gamma_down=1.0241749666269498e-10, gamma_up=6.378347992391327e-20, gamma_down_inertial=None, gamma_down_ni=None, warnings=())",
     ("case2", "case1_rates"): "RateSet(gamma_down=8.253296007728828e-15, gamma_up=0.0, gamma_down_inertial=8.2492065859622e-15, gamma_down_ni=4.089421766627555e-18, warnings=('fast-rotation regime strained: omega < 10 * omega0_bar',))",
     ("case2", "case2_rates"): "RateSet(gamma_down=2.6792008429304463e-14, gamma_up=0.0, gamma_down_inertial=8.2492065859622e-15, gamma_down_ni=1.854280184334226e-14, warnings=())",
     ("case2", "general_rates"): "RateSet(gamma_down=2.679200842930446e-14, gamma_up=0.0, gamma_down_inertial=8.2492065859622e-15, gamma_down_ni=1.8542801843342255e-14, warnings=())",
@@ -377,35 +415,59 @@ class TestGeneralRatesExact:
 
     def test_noninertial_rate_within_1e_12_on_200_seeded_scenarios(self):
         # the remainder gamma_down - inertial it replaced missed 1e-12 on 171
-        # of these points, by up to 1.7 (a wrong sign)
-        errors = []
-        for traj, atom, cavity in seeded_general_points(1601, 200):
-            got = general_rates(traj, atom, cavity).gamma_down_ni
-            exact = exact_rates(traj, atom, cavity, "general")["gamma_down_ni"]
-            errors.append((float(abs(Decimal(got) - exact) / abs(exact)), traj, atom, cavity))
+        # of the first 200 points, by up to 1.7 (a wrong sign); gamma_up read
+        # dos at the rounded lab lower sideband and missed it by up to 2.3e-10
+        # on the last 100, where omega_c sits on that sideband
+        worst = dict.fromkeys(("gamma_down_ni", "gamma_up"), (0.0,))
+        points = [*seeded_general_points(1601, 200), *seeded_general_points(1602, 100, True)]
+        for traj, atom, cavity in points:
+            got = general_rates(traj, atom, cavity)
+            exact = exact_rates(traj, atom, cavity, "general")
             swept = general_rates(traj, atom, cavity._replace(omega_c=np.array([cavity.omega_c])))
-            assert struct.pack("<d", swept.gamma_down_ni[0]) == struct.pack("<d", got)
-        worst = max(errors, key=lambda error: error[0])
-        assert worst[0] <= 1e-12, worst
+            for key in worst:
+                value = getattr(got, key)
+                gap = abs(Decimal(value) - exact[key])
+                error = float(gap / abs(exact[key])) if exact[key] else math.inf if gap else 0.0
+                worst[key] = max(worst[key], (error, traj, atom, cavity), key=lambda e: e[0])
+                swept_value = np.broadcast_to(getattr(swept, key), (1,))[0]
+                assert struct.pack("<d", swept_value) == struct.pack("<d", value), key
+        for key, error in worst.items():
+            assert error[0] <= 1e-12, (key, error)
+
+    @pytest.mark.xfail(strict=True, reason="the recoil closed form loses digits far above the gap")
+    def test_noninertial_rate_within_1e_12_far_above_the_gap(self):
+        # case2's orbit with omega_c = 1e5 omega0 at Q = 1e7: in the recoil
+        # closed form 2 d n and m (D(d) + omega**2) cancel to about omega0 /
+        # omega_c of their size, 6.1e-11 off here (5.1e-14 at 1e3 omega0,
+        # 0.24 at 1e15 omega0), all with validity ok
+        scenario = preset("case2")
+        traj, atom = scenario.trajectory, scenario.atom
+        cavity = CavitySpec(1e5 * atom.omega0, 1.0e7, scenario.cavity.volume)
+        got = general_rates(traj, atom, cavity).gamma_down_ni
+        exact = exact_rates(traj, atom, cavity, "general")["gamma_down_ni"]
+        assert abs(Decimal(got) - exact) <= Decimal(1e-12) * abs(exact), got
 
 
-def seeded_general_points(seed: int, count: int):
+def seeded_general_points(seed: int, count: int, lab_lower: bool = False):
     """(trajectory, atom, cavity) of ``count`` general-family points: omega0
     from 1e6 to 1e8 rad/s; a slow or a fast orbit in turn (omega / omega0
     from 1e-3 to 0.3, or 3 to 100) at a squared rim speed zeta from 1e-16 to
     1e-3; Q from 1e2 to 1e7; and omega_c in turn within five linewidths of
     omega0, within five of the upper sideband omega0_bar + omega, and 2 to 30
-    times above or below omega0."""
+    times above or below omega0. With ``lab_lower`` every orbit is fast and
+    omega_c lies within five linewidths of the lab lower sideband omega -
+    omega0_bar, the upward channel's."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         omega0 = 10.0 ** rng.uniform(6.0, 8.0)
-        slow = k % 2 == 0
+        slow = k % 2 == 0 and not lab_lower
         omega = omega0 * 10.0 ** (rng.uniform(-3.0, -0.5) if slow else rng.uniform(0.5, 2.0))
         zeta = 10.0 ** rng.uniform(-16.0, -3.0)
         q_factor = 10.0 ** rng.uniform(2.0, 7.0)
         traj = TrajectoryParams(math.sqrt(zeta) * SPEED_OF_LIGHT / omega, omega)
         atom = AtomParams(omega0, DEFAULT_DIPOLE, 1.0)
-        line = (omega0, derive_kinematics(traj, atom).obar_plus, None)[k % 3]
+        kin = derive_kinematics(traj, atom)
+        line = kin.omega_minus if lab_lower else (omega0, kin.obar_plus, None)[k % 3]
         if line is None:
             omega_c = omega0 * 10.0 ** (rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.5))
         else:
