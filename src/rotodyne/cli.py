@@ -14,14 +14,24 @@ in that directory under the name ``scenarios`` gives it, as for
 ``--out`` it is refused before any grid or table is built. A relative
 ``--out`` is resolved against the ROTODYNE_OUT environment variable when
 set.
+
+Parsing: ``main`` reads a plain command line straight from the table. A
+plain command line is the command first, then distinct options of that
+command, each spelled as the table spells it and each value a separate
+argument that does not start with ``-``, inside ``choices`` where the
+option has them and accepted by its ``type``; ``--plot`` takes no value,
+and ``--scenario`` and ``--config`` do not come together. Anything else
+(``-h``, an abbreviation, ``--opt=value``, ``-n5``, a repeated option, a
+value starting with ``-``, a usage error) goes to the argparse parser,
+imported only then, so its help, messages and exit codes are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from ._scenario import (
     ENGINES, Scenario, _csv_cell, _json_text, load_scenario, preset, preset_names, scenario_gp,
@@ -30,14 +40,6 @@ from ._scenario import (
 from .errors import NumericsError
 
 __all__ = ["main"]
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _resolve_out(raw: str) -> Path:
@@ -194,7 +196,13 @@ _TABLE_OPTIONS = (
                        help="also write an SVG panel next to the table (requires --out)")),
 )
 
-# command -> (handler, help, whether it takes --scenario or --config, its
+# the scenario options, one or the other
+_SCENARIO = (
+    (("--scenario",), dict(help="built-in preset name or scenario JSON path (default: case1)")),
+    (("--config",), dict(help="scenario JSON file")),
+)
+
+# command -> (handler, help, whether it takes the _SCENARIO options, its
 # other options as (flags, add_argument keywords) in --help order). Only
 # the _cmd_* handlers sit here, and they look library functions up when
 # they run, so a wrapper set on a module attribute still sees each call.
@@ -223,12 +231,23 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every command."""
     return _parser(_COMMANDS)
 
 
-def _parser(names) -> argparse.ArgumentParser:
-    """The parser of the commands ``names``; its usage names every command."""
+def _parser(names):
+    """The argparse parser of the commands ``names``; its usage names every
+    command."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse with usage errors mapped to exit code 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="rotodyne",
         description=(
@@ -244,22 +263,56 @@ def _parser(names) -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         if takes_scenario:
             group = command.add_mutually_exclusive_group()
-            group.add_argument(
-                "--scenario",
-                help="built-in preset name or scenario JSON path (default: case1)",
-            )
-            group.add_argument("--config", help="scenario JSON file")
+            for flags, keywords in _SCENARIO:
+                group.add_argument(*flags, **keywords)
         for flags, keywords in options:
             command.add_argument(*flags, **keywords)
         command.set_defaults(func=handler)
     return parser
 
 
+def _read_plain(argv):
+    """The namespace argparse builds from a plain command line (see the
+    module docstring), read from ``_COMMANDS`` alone; None for any other
+    command line."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        return None
+    handler, _, takes_scenario, options = _COMMANDS[command]
+    values, by_flag = {"command": command, "func": handler}, {}
+    for flags, keywords in (*_SCENARIO, *options) if takes_scenario else options:
+        dest = next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
+        values[dest] = keywords.get("default", False if "action" in keywords else None)
+        by_flag.update(dict.fromkeys(flags, (dest, keywords)))
+    given = set()
+    rest = iter(argv[1:])
+    for flag in rest:
+        dest, keywords = by_flag.get(flag, (None, None))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        if "action" in keywords:  # --plot, which takes no value
+            values[dest] = True
+            continue
+        value = next(rest, "-")
+        if value.startswith("-") or value not in keywords.get("choices", (value,)):
+            return None
+        try:  # argparse's own test of a typed value
+            values[dest] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    if {"scenario", "config"} <= given:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command named first needs its own subparser alone
-    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
-    args = _parser(names).parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:
+        # a command named first needs its own subparser alone
+        names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+        args = _parser(names).parse_args(argv)
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

@@ -33,7 +33,8 @@ rate is the zero-rotation limit eta * dos(omega0) * omega0; the
 non-inertial part is the rest, which every family forms as a sum of its
 own terms, never as a difference of the two nearly equal rates, save
 the general family's past the float range of its terms' closed forms.
-Regime violations set warnings, they never raise.
+Regime violations set warnings, they never raise; a rate that is not
+finite raises NumericsError.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import math
 from ._record import Record, _real, _store
 from .cavity import CavitySpec, _lorentzian, _operands, dos, dos_derivative
 from .constants import HBAR, VACUUM_PERMITTIVITY
+from .errors import NumericsError
 from .kinematics import AtomParams, KinematicDerived, TrajectoryParams, derive_kinematics, zeta_of
 
 __all__ = [
@@ -190,9 +192,18 @@ def _assemble(kin: KinematicDerived, rates: tuple) -> RateSet:
 
 
 def _rates(formula, traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
-    """The RateSet of ``formula`` after the shared set-up."""
+    """The RateSet of ``formula`` after the shared set-up. Raises
+    NumericsError naming the first rate that is not finite, at its first
+    such entry for an array."""
     kin, eta = _setup(traj, atom, cavity)
-    return _assemble(kin, formula(traj, atom, cavity, kin, eta))
+    rates = formula(traj, atom, cavity, kin, eta)
+    names = ("gamma_down", "gamma_down_inertial", "gamma_down_ni", "gamma_up")
+    for name, value in zip(names, rates):
+        fits = value is None or abs(value) < math.inf  # the test of ``_pick``
+        if fits is not True and (fits is False or not fits.all()):
+            bad = value if fits is False else value[~fits][0]
+            raise NumericsError(f"{name} = {bad} is not finite")
+    return _assemble(kin, rates)
 
 
 def lab_rates_general(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:

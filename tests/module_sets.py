@@ -8,17 +8,22 @@ rotodyne`` loads no layer and neither numpy nor scipy, then runs the
 commands of LOAD_STEPS in order through ``rotodyne.cli.main`` (the table and
 figure commands write under OUTDIR) and, after each step, checks the exit
 codes and that the step's modules are still unloaded; ``rotodyne.dynamics``
-is among them at every step. Reading a private or dunder name from the
+is among them at every step, and so are ``argparse`` and ``gettext`` at
+every step but the last: each command line before it is plain (see
+``rotodyne.cli``). The last step runs the other spellings of FALLBACK,
+which the parser reads: they must print what their plain spellings
+printed, and load both. Reading a private or dunder name from the
 package right after ``import rotodyne`` must load nothing more. After the
 last step, ``from rotodyne import _kernel`` must load no module but the
 kernel and ``errors``, nor ``dynamics``. Then every input value type
 is built from Python ints, and ``dos``, ``gp_quasi_cycle`` and
 ``scenario_gp`` (with each engine) run at int inputs: they must load
-neither numpy nor ``numbers``, which the last step's ``decimal`` already
-imported and which is set aside for them. It ends with the record check:
-a record is no dataclass until its caller loads ``dataclasses``. It prints
-its report as one JSON line, with the stdout of each command of
-TABLE_COMMANDS and the sorted ``rotodyne.*`` modules loaded after each
+neither numpy nor ``numbers``, which the step past the kernel's series
+imported with ``decimal`` and which is set aside for them. It ends with
+the record check: a record is no dataclass until its caller loads
+``dataclasses``. It prints its report as one JSON line, with the stdout of
+each command of TABLE_COMMANDS and of FALLBACK and the sorted
+``rotodyne.*`` modules loaded after each
 step, and exits 1, with the problems on stderr, when any check
 fails; a step that loaded a module of its list is reported with the
 package modules loaded after it.
@@ -45,6 +50,9 @@ NEVER_LOADED = [
 ]
 # what the phase kernel's antiderivative loads, past its series
 PAST_SERIES = ["decimal", "numbers"]
+# the command-line parser, which only a command line that is not plain (help,
+# a usage error or another spelling) loads
+PARSER = ["argparse", "gettext"]
 # numpy, which only a grid of more than 20000 points imports, and scipy,
 # which only the tests use
 NUMPY = ["numpy", "scipy"]
@@ -101,6 +109,18 @@ def _tables(command, plotted):
     return [c for c in TABLE_COMMANDS if c[0] == command and ("--plot" in c) == plotted]
 
 
+# other spellings of plain command lines, each beside its plain spelling: an
+# abbreviation, an ``=`` form and a value joined to its short option; the
+# parser reads them, with the exit code and stdout of the plain spelling
+FALLBACK = [
+    (
+        ["gp", "--scen", "case2", "--eng", "tong", "-n", "1000"],
+        ["gp", "--scenario", "case2", "--engine", "tong", "-n", "1000"],
+    ),
+    (["rates", "--format=json"], ["rates", "--format", "json"]),
+    (["gp", "-n5"], ["gp", "-n", "5"]),
+]
+
 # what only gp with a numeric engine loads: the phase kernel
 KERNEL = ["rotodyne._kernel"]
 # what bad input, presets and rates load none of besides: the tables, the
@@ -114,37 +134,43 @@ LOAD_STEPS = [
         1,
         [["gp", "-n", "0"], ["rates", "--scenario", "no-such-preset"]]
         + [["sweep-cavity", "--grid", "1e7:2e7"], *PLOT_WITHOUT_OUT],
-        [*SCALAR, *NUMPY, *UNUSED, *NEVER_LOADED],
+        [*SCALAR, *NUMPY, *UNUSED, *NEVER_LOADED, *PARSER],
     ),
     (
         0,
         [["presets"], ["rates"], ["rates", "--scenario", "case1"], ["rates", "--scenario", "case2"]],
-        [*SCALAR, *NUMPY, *UNUSED, *NEVER_LOADED],
+        [*SCALAR, *NUMPY, *UNUSED, *NEVER_LOADED, *PARSER],
     ),
     (
         0,
-        [["presets", "--format", "json"], *_tables("sweep-cavity", False)],
-        ["rotodyne.svgplot", "rotodyne.geophase", *KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED],
+        [["presets", "--format", "json"], ["rates", "--format", "json"]]
+        + _tables("sweep-cavity", False),
+        ["rotodyne.svgplot", "rotodyne.geophase", *KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED, *PARSER],
     ),
     (
         0,
-        [["gp", "--scenario", "case1"], *_gp(("case1", "case2", "quasi-cycle"))]
+        [["gp", "--scenario", "case1"], ["gp", "-n", "5"], *_gp(("case1", "case2", "quasi-cycle"))]
         + _tables("gp-vs-n", False),
-        ["rotodyne.svgplot", *KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED],
+        ["rotodyne.svgplot", *KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED, *PARSER],
     ),
     (
         0,
         [*_tables("sweep-cavity", True), *_tables("gp-vs-n", True), *_tables("figure1", False)],
-        [*KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED],
+        [*KERNEL, *NUMPY, *UNUSED, *NEVER_LOADED, *PARSER],
     ),
     (
         0,
         _gp(PANEL_ENGINES) + [["rates", "--config", CONFIG], ["gp", "--config", CONFIG]],
-        [*NUMPY, *NEVER_LOADED],
+        [*NUMPY, *NEVER_LOADED, *PARSER],
     ),
     (
         0,
         [["gp", "--scenario", "case2", "--engine", e, "-n", str(PANEL_CYCLES)] for e in PANEL_ENGINES],
+        [*NUMPY, *(m for m in NEVER_LOADED if m not in PAST_SERIES), *PARSER],
+    ),
+    (
+        0,
+        [other for other, _ in FALLBACK],
         [*NUMPY, *(m for m in NEVER_LOADED if m not in PAST_SERIES)],
     ),
 ]
@@ -154,7 +180,8 @@ def run(out: str) -> dict:
     """The layers and the numpy modules ``import rotodyne`` loads; each
     step's exit codes and the modules of its list that are loaded after it;
     the sorted ``rotodyne.*`` modules loaded after each step; the stdout of
-    each table command, by its argv joined with spaces;
+    each table command and of each spelling of FALLBACK, by its argv joined
+    with spaces; which of PARSER are loaded after the last step;
     whether ``dynamics`` is loaded after the last step; what the kernel's
     import loads; which of numpy and ``numbers`` the int inputs load; and
     the record check, whether
@@ -186,13 +213,14 @@ def run(out: str) -> dict:
             text = io.StringIO()
             with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(main([arg.format(out=out) for arg in argv]))
-            if argv in TABLE_COMMANDS:
+            if argv in TABLE_COMMANDS or any(argv in pair for pair in FALLBACK):
                 stdout[" ".join(argv)] = text.getvalue()
         runs.append([codes, [m for m in absent if m in sys.modules]])
         modules.append(sorted(m for m in sys.modules if m.startswith("rotodyne.")))
+    parser = [m for m in PARSER if m in sys.modules]
 
     # a private module read by name is imported alone: the kernel, which the
-    # last step loaded, is unloaded first so that its import shows what it adds
+    # steps loaded, is unloaded first so that its import shows what it adds
     del sys.modules["rotodyne._kernel"], rotodyne._kernel
     loaded = set(sys.modules)
     from rotodyne import _kernel  # noqa: F401 (what it loads is checked)
@@ -205,8 +233,8 @@ def run(out: str) -> dict:
     from rotodyne.kinematics import AtomParams, TrajectoryParams
     from rotodyne.rates import EvolutionParams
 
-    # the last step's kernel past its series loaded ``decimal`` and with it
-    # ``numbers``, which is set aside so that only a fresh import shows
+    # the kernel past its series loaded ``decimal`` and with it ``numbers``,
+    # which is set aside so that only a fresh import shows
     numbers = sys.modules.pop("numbers", None)
     cavity = CavitySpec(5_000_000_000, 10**7, 1)
     dos(cavity, 10**7)
@@ -231,6 +259,7 @@ def run(out: str) -> dict:
         "runs": runs,
         "modules": modules,
         "stdout": stdout,
+        "parser": parser,
         "dynamics": dynamics,
         "kernel": kernel,
         "int_inputs": int_inputs,
@@ -253,6 +282,11 @@ def problems(report: dict) -> list:
             found.append(f"exit codes {got}, want {code} each, of {argvs}")
         if loaded:
             found.append(f"{loaded} loaded by the end of {argvs}, with {modules}")
+    if report["parser"] != PARSER:
+        found.append(f"of {PARSER}, only {report['parser']} loaded after the last step")
+    for other, plain in FALLBACK:
+        if report["stdout"][" ".join(other)] != report["stdout"][" ".join(plain)]:
+            found.append(f"{other} printed other than {plain}")
     if report["dynamics"]:
         found.append("rotodyne.dynamics loaded by a command")
     if not set(report["kernel"]) <= {"rotodyne._kernel", "rotodyne.errors"}:

@@ -384,7 +384,9 @@ def test_c14_each_command_loads_only_the_layers_it_calls(module_report):
     quasi-cycle engines and the phase tables load no ``_kernel``, which
     ``tong`` loads; no command loads ``dynamics``, whose generator record
     lives in ``rates``, nor ``dataclasses``, ``inspect``, ``typing``,
-    ``csv`` or ``numbers``. A
+    ``csv`` or ``numbers``; no plain command line loads ``argparse`` or
+    ``gettext``, and the other spellings of FALLBACK load the parser and
+    print what their plain spellings print. A
     private or dunder name read from the package loads no layer, ``from
     rotodyne import _kernel`` loads the kernel alone, and the value types
     built from ints, with ``dos``, ``gp_quasi_cycle`` and ``scenario_gp`` at

@@ -181,6 +181,87 @@ class TestSurface:
         assert readme_synopsis() == want
 
 
+# values an option's argument may take, by the kind of option: what the plain
+# reader takes and what it leaves to argparse (whose int() refuses more than
+# 4300 digits, and which reads "-1" as a value); the edge values are split
+# between the two for int and text options, and all left for choices
+EDGE_VALUES = ["", "\u0663", "\u00b2", "007", "-1", "1e3"]
+PLAIN_VALUES = {
+    "int": ["0", "5", "007", "\u0663", " 5", "+5", "1_000", "99999999999999999999"],
+    "text": ["x", "case2", "a=b", "", "\u0663", "\u00b2", "007", "1e3"],
+}
+OTHER_VALUES = {
+    "int": ["", "\u00b2", "-1", "1e3", "x", "1" * 5000],
+    "text": ["-1", "-x", "--out"],
+}
+
+
+def option_table(command):
+    """The (flags, keywords) of ``command``'s options, scenario pair first."""
+    _, _, takes_scenario, options = cli._COMMANDS[command]
+    return [*(cli._SCENARIO if takes_scenario else ()), *options]
+
+
+def option_values(keywords):
+    """(values the plain reader takes, values it leaves to argparse) for an
+    option with these add_argument keywords; None for a flag."""
+    if keywords.get("action") == "store_true":
+        return None
+    if "choices" in keywords:
+        return list(keywords["choices"]), ["magic", *EDGE_VALUES]
+    kind = "int" if keywords.get("type") is int else "text"
+    return PLAIN_VALUES[kind], OTHER_VALUES[kind]
+
+
+def plain_read_corpus():
+    """(argv, whether the plain reader reads it) over every command of the
+    table: each option alone with every value, all options at once in both
+    orders, and the other spellings argparse alone reads."""
+    corpus = [([], False), (["frobnicate"], False), (["-h"], False), (["--help"], False)]
+    for command in cli._COMMANDS:
+        table = option_table(command)
+        corpus += [([command], True), ([command, "-h"], False), ([command, "--help"], False)]
+        corpus += [([command, extra], False) for extra in ("extra", "--", "--nope")]
+        corpus += [(["--format", "csv", command], False)]
+        full = []
+        for flags, keywords in table:
+            values = option_values(keywords)
+            long = flags[-1]
+            if values is None:
+                corpus += [([command, long], True), ([command, long, long], False)]
+                corpus += [([command, long, "x"], False), ([command, long[:-1]], False)]
+                corpus += [([command, f"{long}=x"], False)]
+                full.append([long])
+                continue
+            plain, other = values
+            for flag in flags:
+                corpus += [([command, flag, value], True) for value in plain]
+                corpus += [([command, flag, value], False) for value in other]
+                corpus += [([command, flag], False), ([command, *[flag, plain[0]] * 2], False)]
+            joined = (f"{long}={plain[0]}", flags[0] + plain[0])  # --opt=value, -n5
+            corpus += [([command, long[:-1], plain[0]], False)]
+            corpus += [([command, other], False) for other in joined]
+            if long != "--config":  # the scenario pair is exclusive
+                full.append([long, plain[0]])
+        corpus += [([command, *sum(full, [])], True), ([command, *sum(full[::-1], [])], True)]
+        if table[0][0] == ("--scenario",):
+            corpus += [([command, "--scenario", "case1", "--config", "x"], False)]
+            corpus += [([command, "--config", "x", "--scenario", "case1"], False)]
+    return corpus
+
+
+class TestPlainReader:
+    def test_reads_what_argparse_reads_or_declines(self):
+        parser = cli.build_parser()
+        corpus = plain_read_corpus()
+        assert len(corpus) > 400
+        for argv, plain in corpus:
+            got = cli._read_plain(argv)
+            assert (got is not None) == plain, argv
+            if plain:
+                assert vars(got) == vars(parser.parse_args(argv)), argv
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -480,6 +561,21 @@ class TestNumericsExit:
         code, _, err = run(capsys, ["gp", "--scenario", "case1", "-n", "10"])
         assert code == 2
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("argv", [["rates"], ["gp"], ["gp", "--engine", "tong"]])
+    def test_rate_past_the_float_range_exits_2(self, capsys, tmp_path, argv):
+        # the Lorentzian's peak Q / omega_c is past the float range: rates
+        # printed inf and nan with validity ok, gp (quasi-cycle) printed
+        # total_rad nan, both exiting 0, and gp --engine tong exited 1
+        data = dict(scenario_to_dict(preset("case2")), family="general")
+        data["atom"].update(omega0_rad_per_s=8.0e-191, theta0_rad=1.0)
+        data["trajectory"].update(radius_m=1e-6, omega_rad_per_s=1e-192)
+        data["cavity"].update(omega_c_rad_per_s=8.0e-191, q_factor=2.6e121, volume_m3=1e-6)
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == "rotodyne: numerical failure: gamma_down = inf is not finite\n"
 
 
 class TestPresetsCommand:

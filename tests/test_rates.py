@@ -16,6 +16,7 @@ from rotodyne import (
     DEFAULT_DIPOLE,
     AtomParams,
     CavitySpec,
+    NumericsError,
     TrajectoryParams,
     case1_rates,
     case2_rates,
@@ -357,6 +358,30 @@ class TestLorentzianOverflow:
             values = [getattr(rs, f) for f in RATE_FIELDS if getattr(rs, f) is not None]
             assert all(type(v) is float and math.isfinite(v) for v in values), rs
             assert 0.0 <= rs.gamma_down < 1e-150
+
+
+class TestNonFiniteRates:
+    # omega0 = omega_c = 8e-191 rad/s at Q = 2.6e121: the Lorentzian's peak
+    # Q / omega_c is past the float range. The rates were inf and nan, and
+    # the CLI printed them with validity ok
+    TINY = dict(
+        traj=TrajectoryParams(radius=1e-6, omega=1e-192),
+        atom=AtomParams(omega0=8.0e-191, dipole=DEFAULT_DIPOLE, theta0=1.0),
+        cavity=CavitySpec(omega_c=8.0e-191, q_factor=2.6e121, volume=1e-6),
+    )
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_a_rate_past_the_float_range_raises_naming_it(self, engine):
+        with pytest.raises(NumericsError, match=r"^gamma_down = (inf|nan) is not finite$"):
+            engine(**self.TINY)
+
+    def test_an_array_raises_at_its_first_entry_past_the_float_range(self):
+        cavity = self.TINY["cavity"]._replace(omega_c=np.array([7e-191, 8e-191, 9e-191]))
+        with pytest.raises(NumericsError, match=r"^gamma_down = inf is not finite$"):
+            lab_rates_general(self.TINY["traj"], self.TINY["atom"], cavity)
+        finite = cavity._replace(omega_c=np.array([7e-191, 9e-191]))
+        rates = lab_rates_general(self.TINY["traj"], self.TINY["atom"], finite)
+        assert np.isfinite(rates.gamma_down).all()
 
 
 # the worst relative error each ``general`` rate may have against the exact
