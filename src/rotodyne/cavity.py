@@ -23,8 +23,9 @@ rows are those of the array branch bit for bit.
 
 One Lorentzian, ``_lorentzian``, takes the half width and the detuning:
 ``dos`` and ``dos_derivative`` form them from the frequency, and the
-general family's rates (``rates._direct_sums``) pass detunings of their
-own, kept exact, to read every channel through it. Where the plain
+general family's rates (``rates._direct_sums``) pass a half width and
+detunings of their own, scaled by a power of two and kept exact, to read
+every channel through it. Where the plain
 denominator leaves the float range (it overflows once the half width or
 the detuning passes about 1e154 rad/s for the density and 1e77 for the
 derivative), the same formula runs on the half width and the detuning

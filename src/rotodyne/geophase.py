@@ -42,7 +42,7 @@ import math
 
 from ._record import Factory, Record, _cycles, _real
 from .errors import NumericsError
-from .rates import RateSet, _dissipator_pair, case1_rates, case2_rates
+from .rates import RateSet, _dissipator_pair, _require_finite, case1_rates, case2_rates
 
 __all__ = [
     "GPResult",
@@ -244,7 +244,8 @@ def _quasi_cycle_result(
     A cycle count that is not whole is evaluated but warned: the formula
     holds on closed loops only. Raises ValueError unless 0 < n < inf,
     0 < omega0 < inf and 0 <= theta <= pi, and where 2 pi^2 n^2 / omega0 is
-    past the float range."""
+    past the float range; NumericsError where the total or a part is not
+    finite."""
     n = _cycles(n, "n")
     if not 0.0 < n < math.inf:
         raise ValueError(f"n must be positive and finite, got {n}")
@@ -264,6 +265,8 @@ def _quasi_cycle_result(
     inertial, noninertial = parts if len(parts) == 2 else (None, None)
     nonunitary = parts[0] if noninertial is None else inertial + noninertial
     unitary = -(math.tau * n) * math.sin(theta / 2.0) ** 2
+    total = unitary + nonunitary
+    _require_finite(("total", "inertial_part", "noninertial_part"), (total, inertial, noninertial))
     expansion = math.pi * n * a_coeff / omega0
     if expansion >= 0.1:
         warnings = (
@@ -277,7 +280,7 @@ def _quasi_cycle_result(
     return GPResult(
         engine=engine,
         n_cycles=float(n),
-        total=unitary + nonunitary,
+        total=total,
         unitary_part=unitary,
         nonunitary_part=nonunitary,
         inertial_part=inertial,

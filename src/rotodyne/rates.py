@@ -31,8 +31,7 @@ precession frequency and the initial angle, which the phase engines and
 the closed form of ``dynamics`` read. The inertial part of the downward
 rate is the zero-rotation limit eta * dos(omega0) * omega0; the
 non-inertial part is the rest, which every family forms as a sum of its
-own terms, never as a difference of the two nearly equal rates, save
-the general family's past the float range of its terms' closed forms.
+own terms, never as a difference of the two nearly equal rates.
 Regime violations set warnings, they never raise; a rate that is not
 finite raises NumericsError.
 """
@@ -191,19 +190,38 @@ def _assemble(kin: KinematicDerived, rates: tuple) -> RateSet:
     return RateSet(down, up, inertial, noninertial, warnings)
 
 
-def _rates(formula, traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
-    """The RateSet of ``formula`` after the shared set-up. Raises
-    NumericsError naming the first rate that is not finite, at its first
-    such entry for an array."""
-    kin, eta = _setup(traj, atom, cavity)
-    rates = formula(traj, atom, cavity, kin, eta)
-    names = ("gamma_down", "gamma_down_inertial", "gamma_down_ni", "gamma_up")
-    for name, value in zip(names, rates):
-        fits = value is None or abs(value) < math.inf  # the test of ``_pick``
+def _require_finite(names, values) -> None:
+    """Raise NumericsError naming the first value that is not finite, a
+    float or an array (at its first such entry); None passes. The one check
+    of every rate and quasi-cycle phase."""
+    for name, value in zip(names, values):
+        fits = value is None or abs(value) < math.inf
         if fits is not True and (fits is False or not fits.all()):
             bad = value if fits is False else value[~fits][0]
             raise NumericsError(f"{name} = {bad} is not finite")
-    return _assemble(kin, rates)
+
+
+def _evaluate(formula, traj, atom, cavity, kin, eta) -> tuple:
+    """The rates of ``formula`` after the set-up (kin, eta), on an array
+    omega_c with numpy's warnings off: ``_require_finite`` checks them."""
+    try:
+        if type(cavity.omega_c) is float:
+            rates = formula(traj, atom, cavity, kin, eta)
+        else:
+            import numpy as np
+            with np.errstate(all="ignore"):
+                rates = formula(traj, atom, cavity, kin, eta)
+    except ZeroDivisionError:  # a float division, where numpy divides to nan
+        hw = cavity.linewidth
+        raise NumericsError(f"half width {hw} rad/s is past the float range of omega0") from None
+    _require_finite(("gamma_down", "gamma_down_inertial", "gamma_down_ni", "gamma_up"), rates)
+    return rates
+
+
+def _rates(formula, traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
+    """The RateSet of ``formula`` after the shared set-up (``_evaluate``)."""
+    kin, eta = _setup(traj, atom, cavity)
+    return _assemble(kin, _evaluate(formula, traj, atom, cavity, kin, eta))
 
 
 def lab_rates_general(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
@@ -211,16 +229,17 @@ def lab_rates_general(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySp
 
     Each sideband enters with weight zeta(omega)/4 + zeta(w_sifted)/5 and
     only if its sifted frequency is positive; the carrier enters with the
-    recoil factor 1 - (2/5) zeta(omega0_bar). Sidebands exist only for
-    omega > 0: a non-rotating emitter at fixed radius keeps the carrier
-    term alone, recoil factor included.
+    recoil factor 1 - (2/5) zeta(omega0_bar), and a factor that is not
+    positive is warned. Sidebands exist only for omega > 0: a non-rotating
+    emitter at fixed radius keeps the carrier term alone, recoil factor
+    included.
     """
     return _rates(_lab, traj, atom, cavity)
 
 
 def _lab(traj, atom, cavity, kin, eta):
-    lab_down, lab_up, _ = _resonance_rates(traj, atom, cavity, kin, eta)
-    return lab_down, None, None, lab_up, None
+    lab_down, lab_up, _, _, regime = _direct_sums(traj, atom, cavity, kin, eta)
+    return lab_down, None, None, lab_up, regime
 
 
 def general_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:
@@ -231,52 +250,18 @@ def general_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) 
     orbit, and every channel reads the Lorentzian at its exact detuning
     (``_direct_sums``). The inertial part of the downward channel is eta *
     dos(omega0) * omega0; the carrier redshift, the recoil factor, both
-    sidebands and the frame factor all land in the non-inertial part, which
-    is summed from those terms wherever their closed forms stay in the
-    float range, and is the remainder gamma_down - inertial past it. The
-    upward channel is entirely non-inertial.
+    sidebands and the frame factor all land in the non-inertial part,
+    which is summed from those terms over the whole float range. The
+    upward channel is entirely non-inertial. A carrier recoil factor 1 -
+    (2/5) zeta(omega0_bar) that is not positive is warned.
     """
     return _rates(_general, traj, atom, cavity)
 
 
 def _general(traj, atom, cavity, kin, eta):
-    lab_down, lab_up, noninertial = _resonance_rates(traj, atom, cavity, kin, eta)
+    lab_down, lab_up, inertial, noninertial, regime = _direct_sums(traj, atom, cavity, kin, eta)
     gamma = kin.lorentz_gamma
-    gamma_down = gamma * lab_down
-    gd_inertial = eta * dos(cavity, atom.omega0) * atom.omega0
-    gd_ni = _pick(noninertial, lambda: gamma_down - gd_inertial)
-    return gamma_down, gd_inertial, gd_ni, gamma * lab_up, None
-
-
-# The frequencies and half widths (rad/s) up to which every product of the
-# closed forms in ``_direct_sums`` stays inside the float range; half widths
-# must also reach the lower bound.
-_DIRECT_LO, _DIRECT_HI = 1e-30, 1e30
-
-
-def _resonance_rates(traj, atom, cavity, kin, eta):
-    """``_direct_sums`` on floats through ``math``, or on an array omega_c
-    through numpy with its warnings off: an entry past the float range is
-    either replaced (the non-inertial rate's NaN) or the rounding of a true
-    value past it. Float and array omega_c run one sum, so the two give the
-    same bits."""
-    lib, omega0, center, q = _operands(cavity, atom.omega0)
-    if lib is math:
-        return _direct_sums(math, center / q, center, omega0, eta, traj, kin)
-    with lib.errstate(all="ignore"):
-        return _direct_sums(lib, center / q, center, omega0, eta, traj, kin)
-
-
-def _pick(value, other):
-    """``value`` where it is finite, ``other()`` elsewhere: entry by entry
-    for an array; ``other`` runs only if needed."""
-    fits = abs(value) < math.inf
-    if fits is True or fits is not False and fits.all():
-        return value
-    if fits is False:
-        return other()
-    import numpy as np
-    return np.where(fits, value, other())
+    return gamma * lab_down, inertial, noninertial, gamma * lab_up, regime
 
 
 def _two_sum(a, b):
@@ -288,93 +273,100 @@ def _two_sum(a, b):
 
 
 def _detuning(base, base_err, step, shift):
-    """base + step + shift + base_err with base + step kept exactly, as a
-    float and its rounding error; at half scale, doubled, where base + step
-    overflows, since the sum itself lies in the float range."""
+    """base + step + shift + base_err with base + step kept exactly."""
     total, step_err = _two_sum(base, step)
-    value = ((total + shift) + base_err) + step_err
-    return _pick(value, lambda: 2.0 * _detuning(base / 2, base_err / 2, step / 2, shift / 2))
+    return ((total + shift) + base_err) + step_err
 
 
-def _direct_sums(lib, hw, center, omega0, eta, traj, kin):
-    """(lab_down, lab_up, gamma_down - inertial) of the general family: eta
-    times the sums below, with f(w) = dos(w) * w = hw * w / (hw**2 + (w -
-    omega_c)**2):
+def _direct_sums(traj, atom, cavity, kin, eta):
+    """(lab_down, lab_up, inertial, gamma_down - inertial, regime) of the
+    general family: eta times the sums below, with f(w) = dos(w) * w = w
+    L(w - omega_c), L(d) = hw / D(d) and D(d) = hw**2 + d**2:
 
         lab_down = (1 - 2/5 zeta(omega0_bar)) f(omega0_bar)
                    + sum over w+- of (zeta / 4 + zeta(w) / 5) f(w)
-        lab_up = (zeta / 4 + zeta(w_lab) / 5) f(w_lab)
+        lab_up = (zeta / 4 + zeta(w_lab) / 5) f(w_lab),  inertial = f(omega0)
         gamma_down - inertial = (gamma - 1) lab_down + f(omega0_bar) - f(omega0)
                    + zeta / 4 (f(w+) + f(w-))
                    + (zeta(w+) f(w+) + zeta(w-) f(w-) - 2 zeta(omega0_bar) f(omega0_bar)) / 5
 
     at the sidebands w+- = omega0_bar +- omega and the lab lower sideband
-    w_lab = omega - omega0_bar, a sideband only where it is positive and
-    omega > 0. Every dos is ``cavity._lorentzian`` at the exact detuning,
-    taken from omega0's (or omega's) less the redshift, never from a rounded
-    frequency: on a steep flank that rounding alone moves f by up to Q ulp.
-    f(omega0_bar) - f(omega0) is formed from the redshift (``shift``). With
-    both sidebands the recoil terms are a second difference of G(w) = w**2
-    f(w) = hw w**3 / D(d), D(d) = hw**2 + d**2, at step omega, which cancels
-    as (omega0_bar / omega)**2 in slow rotation; it is formed as
+    w_lab = omega - omega0_bar, each only where it is positive and omega >
+    0. The regime warning is a carrier recoil factor that is not positive.
 
-        -2 omega**2 hw (2 d n + m (D(d) + omega**2)) / (D(d) D(d + omega) D(d - omega))
+    Each f, and so each rate, has degree 0 in frequency. So every
+    frequency (not the zeta) is first multiplied by one exact power of two
+    per point, which brings the larger of omega0 and omega_c into [1/2, 1)
+    (an omega past 2**1000 times that scale sets it instead) and moves no
+    bit inside the float range save libm pow's rounding; the sidebands are
+    formed after it. Every L is ``cavity._lorentzian`` at the exact
+    detuning, taken from omega0's (or omega's) less the redshift r, never
+    from a rounded frequency: on a steep flank that rounding alone moves f
+    by up to Q ulp. With d0 = omega0 - omega_c, d = d0 - r and c = omega_c,
 
-    with m = a d + b, n = a D(d) - 2 d m, a = 3 omega_c**2 - hw**2 and
-    b = omega_c (omega_c**2 - 3 hw**2), where zeta(w) = zeta * (w / omega)**2
-    lets zeta stand for omega**2 (R / c)**2 (``recoil``). These two closed
-    forms stay in the float range only where omega, omega0 and omega_c are
-    at most _DIRECT_HI and the half width lies in [_DIRECT_LO, _DIRECT_HI];
-    elsewhere, and where they are not finite, the non-inertial rate is NaN
-    for the caller to replace. They square through libm's pow, as
-    ``cavity._term``, on both libraries."""
-    omega, radius, zeta, redshift = traj.omega, traj.radius, kin.zeta, kin.redshift
-    obar, upper, lower, lab_lower = kin.omega0_bar, kin.obar_plus, kin.obar_minus, kin.omega_minus
+        f(omega0_bar) - f(omega0) = r L(d) (omega0 (d0 + d) L(d0) / hw - 1),
+
+    and with both sidebands the recoil terms, a second difference of G(w) =
+    w**2 f(w) at step omega that cancels as (omega0_bar / omega)**2 in slow
+    rotation, are
+
+        zeta / 5 * 2 L(d) L(d + omega) / hw * N L(d - omega) / hw,
+        N = omega0_bar (3 c**2 d**2 + 3 hw**4 - hw**2 (c**2 + 8 c d + d**2))
+            + omega**2 (hw**2 (3 c + d) - c**2 (c + 3 d)),
+
+    where zeta(w) = zeta * (w / omega)**2 lets zeta stand for omega**2 (R /
+    c)**2. Neither cancels at its leading order, above, below or at the
+    gap, and no product of denominators can underflow: each divides by the
+    half width alone."""
+    lib, _, center, q = _operands(cavity, atom.omega0)
+    omega, radius, zeta, lower = traj.omega, traj.radius, kin.zeta, kin.obar_minus
+    # a scale set by a far faster orbit would round omega_c and hw to 0
+    if lib is math:
+        exponent = -math.frexp(max(atom.omega0, center, math.ldexp(omega, -1000)))[1]
+    else:
+        exponent = -lib.frexp(lib.maximum(max(atom.omega0, math.ldexp(omega, -1000)), center))[1]
+    w0, om, c, r, wbar = (
+        lib.ldexp(x, exponent) for x in (atom.omega0, omega, center, kin.redshift, kin.omega0_bar)
+    )
+    hw = c / q
     # the detunings, each within an ulp or so of its own size: omega0 -
     # omega_c and omega - omega_c, and their sums with the steps, are kept
     # exactly, as a float and its rounding error
-    d0, err = _two_sum(omega0, -center)
-    d = (d0 - redshift) + err
-    dos_bar = _lorentzian(hw, d, 1, lib) if obar > 0.0 else 0.0
+    d0, err = _two_sum(w0, -c)
+    d = (d0 - r) + err
+    dos0 = _lorentzian(hw, d0, 1, lib)
+    dos_bar = _lorentzian(hw, d, 1, lib) if kin.omega0_bar > 0.0 else 0.0
+    upper, low = wbar + om, wbar - om
     dos_up = dos_lo = up = 0.0
     if omega > 0.0:  # a sideband needs an orbit
-        d_up, d_lo = _detuning(d0, err, omega, -redshift), _detuning(d0, err, -omega, -redshift)
+        d_up, d_lo = _detuning(d0, err, om, -r), _detuning(d0, err, -om, -r)
         dos_up = _lorentzian(hw, d_up, 1, lib)
         if lower > 0.0:
             dos_lo = _lorentzian(hw, d_lo, 1, lib)
-    z_bar, z_up, z_lo = (zeta_of(w, radius) for w in (obar, upper, lower))
-    if lab_lower > 0.0:
-        base, base_err = _two_sum(omega, -center)
-        dos_lab = _lorentzian(hw, _detuning(base, base_err, -omega0, redshift), 1, lib)
-        up = (zeta / 4.0 + zeta_of(lab_lower, radius) / 5.0) * dos_lab * lab_lower
-    down = (1.0 - 0.4 * z_bar) * dos_bar * obar + (zeta / 4.0 + z_up / 5.0) * dos_up * upper
+    z_bar, z_up, z_lo = (zeta_of(w, radius) for w in (kin.omega0_bar, kin.obar_plus, lower))
+    if kin.omega_minus > 0.0:
+        base, base_err = _two_sum(om, -c)
+        dos_lab = _lorentzian(hw, _detuning(base, base_err, -w0, r), 1, lib)
+        up = (zeta / 4.0 + zeta_of(kin.omega_minus, radius) / 5.0) * dos_lab * (om - wbar)
+    carrier = 1.0 - 0.4 * z_bar
+    down = carrier * dos_bar * wbar + (zeta / 4.0 + z_up / 5.0) * dos_up * upper
     if lower > 0.0:
-        down += (zeta / 4.0 + z_lo / 5.0) * dos_lo * lower
-    closed = omega <= _DIRECT_HI and omega0 <= _DIRECT_HI and (
-        (hw >= _DIRECT_LO) & (hw <= _DIRECT_HI) & (center <= _DIRECT_HI)
-    )
-    if closed is False:
-        return eta * down, eta * up, math.nan
-    pow_ = math.pow if lib is math else lib.float_power
-    hw2 = hw * hw  # as cavity._term squares the half width
-    f_bar, f_up, f_lo = dos_bar * obar, dos_up * upper, dos_lo * lower
-    den = hw2 + pow_(d, 2)
-    shift = -hw * redshift * (hw2 - d * (center + omega0) - center * redshift) / (
-        den * (hw2 + pow_(d0, 2))
-    )
+        down += (zeta / 4.0 + z_lo / 5.0) * dos_lo * low
+    f_bar, f_up, f_lo = dos_bar * wbar, dos_up * upper, dos_lo * low
+    shift = r * dos_bar * (w0 * ((d0 + d) * dos0 / hw) - 1.0)
     if omega > 0.0 and lower > 0.0:
-        a = 3.0 * pow_(center, 2) - hw2
-        m = a * d + center * (pow_(center, 2) - 3.0 * hw2)
-        n = a * den - 2.0 * d * m
-        recoil = zeta / 5.0 * (-2.0 * hw * (2.0 * d * n + m * (den + pow_(omega, 2)))) / (
-            den * (hw2 + pow_(d_up, 2)) * (hw2 + pow_(d_lo, 2))
+        h2, c2 = hw * hw, c * c
+        n = wbar * (3.0 * c2 * (d * d) + 3.0 * (h2 * h2) - h2 * (c2 + 8.0 * c * d + d * d)) + (
+            om * om * (h2 * (3.0 * c + d) - c2 * (c + 3.0 * d))
         )
+        recoil = zeta / 5.0 * (2.0 * dos_bar * (dos_up / hw) * (n * dos_lo / hw))
     else:
         recoil = (z_up * f_up - 2.0 * z_bar * f_bar) / 5.0
     noninertial = kin.gamma_minus_one * down + shift + zeta / 4.0 * (f_up + f_lo) + recoil
-    if closed is not True:
-        noninertial = lib.where(closed, noninertial, math.nan)
-    return eta * down, eta * up, eta * noninertial
+    regime = None
+    if carrier <= 0.0:
+        regime = f"carrier recoil factor 1 - 0.4 zeta(omega0_bar) = {carrier:.3e} is not positive"
+    return eta * down, eta * up, eta * dos0 * w0, eta * noninertial, regime
 
 
 def case1_rates(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> RateSet:

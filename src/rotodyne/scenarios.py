@@ -29,7 +29,7 @@ from ._scenario import (  # noqa: F401 (the core's public names, re-exported)
 from ._version import __version__
 from .cavity import CavitySpec
 from .kinematics import derive_kinematics
-from .rates import _assemble, _setup
+from .rates import _assemble, _evaluate, _setup
 
 __all__ = [
     "DEFAULT_DIPOLE",
@@ -229,7 +229,9 @@ def _sweep_rows(scenario: Scenario, grid: Sequence[float], arrays: bool) -> tupl
     """Sweep rows of the family formula after one set-up, run once on the
     grid as an array (``arrays``) or once per float point with its own
     ``CavitySpec``. The grid is checked first, so a bad grid point is
-    reported before a bad set-up; warnings never depend on ``omega_c``."""
+    reported before a bad set-up; a rate that is not finite raises
+    NumericsError (``rates._evaluate``); warnings never depend on
+    ``omega_c``."""
     traj, atom, cavity = scenario.trajectory, scenario.atom, scenario.cavity
     if arrays:
         import numpy as np
@@ -238,7 +240,7 @@ def _sweep_rows(scenario: Scenario, grid: Sequence[float], arrays: bool) -> tupl
         cavities = [CavitySpec(w, cavity.q_factor, cavity.volume) for w in grid]
     kin, eta = _setup(traj, atom, cavity)
     formula = _FAMILIES[scenario.family].formula
-    rates = [formula(traj, atom, c, kin, eta) for c in cavities]
+    rates = [_evaluate(formula, traj, atom, c, kin, eta) for c in cavities]
     validity = _assemble(kin, rates[0]).validity
     if arrays:
         columns = np.broadcast_arrays(cavities[0].omega_c, *rates[0][:4])

@@ -13,9 +13,10 @@ functional over an open azimuth sweep: the unitary part of both.
 ``elementary_kernel`` is the non-unitary kernel from its elementary
 antiderivative, in stdlib floats: the reference for the relaxed tail.
 
-``exact_general_rates`` is the ``general`` family's rates in 60-digit
-``decimal`` arithmetic on the exact values of the float inputs, and
-``exact_rates`` the same for any family.
+``exact_general_rates`` is the ``general`` family's rates in ``decimal``
+arithmetic on the exact values of the float inputs, at a precision
+derived from those inputs and confirmed by a second pass 20 digits
+higher, and ``exact_rates`` the same for any family.
 
 ``closed_form_bloch`` is the closed-form state of
 ``rotodyne.dynamics.closed_form_rho`` as Bloch components over an array of
@@ -27,6 +28,7 @@ that a 2x2 matrix is a state.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass
 
@@ -282,17 +284,49 @@ def elementary_kernel(p: EvolutionParams, total_time: float) -> float:
     return total / (4.0 * p.a_coeff)
 
 
+def oracle_digits(traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec) -> int:
+    """The working precision of the rate transcriptions: 60 digits plus the
+    ones their inputs can cancel, log10 Q for a detuning resolved within
+    the half width, -log10 zeta for 1 - zeta and |log10(omega_c / omega0)|
+    for a cavity far from the gap, each where it is positive. zeta is read
+    from the logarithms, so one that underflows in floats counts too."""
+    digits = 60.0 + max(math.log10(cavity.q_factor), 0.0)
+    digits += abs(math.log10(cavity.omega_c) - math.log10(atom.omega0))
+    if traj.omega and traj.radius:
+        log_zeta = 2.0 * (math.log10(traj.omega) + math.log10(traj.radius) - math.log10(SPEED_OF_LIGHT))
+        digits += max(-log_zeta, 0.0)
+    return math.ceil(digits)
+
+
+def _agreed(transcription, traj, atom, cavity) -> dict[str, decimal.Decimal]:
+    """``transcription`` at ``oracle_digits`` and 20 digits above: the
+    second pass, once each of its values agrees with the first to 20
+    digits (a rate that is 0 in one pass must be 0 in both)."""
+    digits = oracle_digits(traj, atom, cavity)
+    first = transcription(traj, atom, cavity, digits)
+    second = transcription(traj, atom, cavity, digits + 20)
+    for key, value in second.items():
+        gap = abs(first[key] - value)
+        assert gap <= abs(value).scaleb(-20), (key, digits, first[key], value)
+    return second
+
+
 def exact_general_rates(
     traj: TrajectoryParams, atom: AtomParams, cavity: CavitySpec
 ) -> dict[str, decimal.Decimal]:
     """``general_rates`` by field name, a transcription of ``rates._lab`` and
-    ``rates._general`` in 60-digit ``decimal`` on the exact values of the
-    float inputs (the constants 1/4, 1/5 and 2/5 exact). Eta is the float
-    ``vacuum_coupling`` returns: a common factor of every rate, so that no
-    digit of pi is needed. The non-inertial rate is the difference of the
-    two 60-digit rates, which the package sums term by term instead."""
+    ``rates._general`` in ``decimal`` on the exact values of the float
+    inputs (the constants 1/4, 1/5 and 2/5 exact), at ``oracle_digits``
+    (``_agreed``). Eta is the float ``vacuum_coupling`` returns: a common
+    factor of every rate, so that no digit of pi is needed. The
+    non-inertial rate is the difference of the two rates, which the
+    package sums term by term instead."""
+    return _agreed(_general_transcription, traj, atom, cavity)
+
+
+def _general_transcription(traj, atom, cavity, digits):
     with decimal.localcontext() as context:
-        context.prec = 60
+        context.prec = digits
         dec = decimal.Decimal
         radius, omega, omega0 = dec(traj.radius), dec(traj.omega), dec(atom.omega0)
         center, light = dec(cavity.omega_c), dec(SPEED_OF_LIGHT)
@@ -333,14 +367,19 @@ def exact_rates(
 ) -> dict[str, decimal.Decimal]:
     """The rates of ``family`` by field name: ``exact_general_rates`` for
     ``general``, and for ``case1`` and ``case2`` a transcription of
-    ``rates._case1`` and ``rates._case2`` made the same way (60 digits, the
-    exact values of the float inputs, the constants 9/10, 9/20, 1/4, 2/5 and
-    1/2 exact, eta the float ``vacuum_coupling`` returns). Each
-    non-inertial rate is the package's sum of terms, not a difference."""
+    ``rates._case1`` and ``rates._case2`` made the same way (``_agreed``
+    digits, the exact values of the float inputs, the constants 9/10, 9/20,
+    1/4, 2/5 and 1/2 exact, eta the float ``vacuum_coupling`` returns).
+    Each non-inertial rate is the package's sum of terms, not a
+    difference."""
     if family == "general":
         return exact_general_rates(traj, atom, cavity)
+    return _agreed(functools.partial(_case_transcription, family), traj, atom, cavity)
+
+
+def _case_transcription(family, traj, atom, cavity, digits):
     with decimal.localcontext() as context:
-        context.prec = 60
+        context.prec = digits
         dec = decimal.Decimal
         radius, omega, omega0 = dec(traj.radius), dec(traj.omega), dec(atom.omega0)
         center, light = dec(cavity.omega_c), dec(SPEED_OF_LIGHT)

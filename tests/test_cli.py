@@ -9,6 +9,7 @@ domain errors return 1; numerical failures return 2.
 import json
 import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,15 @@ from rotodyne import (
     ENGINES,
     NumericsError,
     derive_kinematics,
+    load_scenario,
     preset,
     scenario_gp,
     scenario_rates,
     scenario_to_dict,
 )
 from rotodyne.cli import main
+
+from oracles import exact_rates
 
 SWEEP_HEADER = (
     "omega_c_rad_per_s,gamma_down_total_per_s,gamma_down_inertial_per_s,"
@@ -564,18 +568,63 @@ class TestNumericsExit:
 
     @pytest.mark.parametrize("argv", [["rates"], ["gp"], ["gp", "--engine", "tong"]])
     def test_rate_past_the_float_range_exits_2(self, capsys, tmp_path, argv):
-        # the Lorentzian's peak Q / omega_c is past the float range: rates
-        # printed inf and nan with validity ok, gp (quasi-cycle) printed
-        # total_rad nan, both exiting 0, and gp --engine tong exited 1
-        data = dict(scenario_to_dict(preset("case2")), family="general")
-        data["atom"].update(omega0_rad_per_s=8.0e-191, theta0_rad=1.0)
-        data["trajectory"].update(radius_m=1e-6, omega_rad_per_s=1e-192)
-        data["cavity"].update(omega_c_rad_per_s=8.0e-191, q_factor=2.6e121, volume_m3=1e-6)
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps(data))
-        code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+        # case2's rates read the Lorentzian's peak Q / omega_c, past the float
+        # range at the TINY config; at Q = 1e300 and V = 1e-30 m^3 even the
+        # general family's true gamma_down is. Such rates printed inf and nan
+        # with validity ok, gp (quasi-cycle) printed total_rad nan, both
+        # exiting 0, and gp --engine tong exited 1
+        huge = dict(omega0_rad_per_s=1e-5, omega_c_rad_per_s=1e-5, q_factor=1e300, volume_m3=1e-30)
+        for family, edits, bad in (("case2", {}, "nan"), ("general", huge, "inf")):
+            cfg = tiny_config(tmp_path, family, **edits)
+            code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+            assert (code, out) == (2, ""), family
+            assert err == f"rotodyne: numerical failure: gamma_down = {bad} is not finite\n"
+
+
+def tiny_config(tmp_path, family, **edits):
+    """A config file: omega0 = omega_c = 8e-191 rad/s at Q = 2.6e121, whose
+    half width is subnormal and whose Lorentzian peak Q / omega_c is past
+    the float range, in ``family``, with the ``edits`` to its atom and
+    cavity fields."""
+    data = dict(scenario_to_dict(preset("case2")), family=family, name="tiny")
+    data["atom"].update(omega0_rad_per_s=8.0e-191, theta0_rad=1.0)
+    data["trajectory"].update(radius_m=1e-6, omega_rad_per_s=1e-192)
+    data["cavity"].update(omega_c_rad_per_s=8.0e-191, q_factor=2.6e121, volume_m3=1e-6)
+    for key, value in edits.items():
+        data["atom" if key in data["atom"] else "cavity"][key] = value
+    cfg = tmp_path / f"tiny-{family}.json"
+    cfg.write_text(json.dumps(data))
+    return cfg
+
+
+class TestTinyLinewidth:
+    def test_general_family_prints_finite_rates_and_rows(self, capsys, tmp_path):
+        # the general rates are about eta Q = 2.1e113 at omega_c = omega0:
+        # rates and sweep-cavity printed inf, nan and, at 7.9e-191 and
+        # 8.1e-191, gamma_down_noninertial 3.28e-142 (exact about 2e-506)
+        cfg = tiny_config(tmp_path, "general")
+        scenario = load_scenario(str(cfg))
+        traj, atom, cavity = scenario.trajectory, scenario.atom, scenario.cavity
+        code, out, _ = run(capsys, ["rates", "--config", str(cfg)])
+        assert code == 0 and "nan" not in out and "inf" not in out, out
+        exact = exact_rates(traj, atom, cavity, "general")["gamma_down"]
+        gamma_down = float(parse_kv(out)[1]["gamma_down_per_s"])
+        assert abs(Decimal(gamma_down) - exact) <= Decimal(1e-12) * exact, gamma_down
+        code, out, _ = run(capsys, ["sweep-cavity", "--config", str(cfg), "--grid", "7.9e-191:8.1e-191:3"])
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and len(rows) >= 3, out
+        for row in rows:
+            center, down, _, noninertial = map(float, row[:4])
+            assert all(math.isfinite(float(cell)) for cell in row[:5]), row
+            exact = exact_rates(traj, atom, cavity._replace(omega_c=center), "general")
+            assert abs(Decimal(down) - exact["gamma_down"]) <= Decimal(1e-12) * exact["gamma_down"], row
+            if center in (7.9e-191, 8.1e-191):
+                assert abs(exact["gamma_down_ni"]) < 1e-300 and noninertial == 0.0, row
+        assert {7.9e-191, 8.0e-191, 8.1e-191} <= {float(row[0]) for row in rows}
+        # the quasi-cycle phase of the default n is past the float range
+        code, out, err = run(capsys, ["gp", "--config", str(cfg)])
         assert (code, out) == (2, "")
-        assert err == "rotodyne: numerical failure: gamma_down = inf is not finite\n"
+        assert err == "rotodyne: numerical failure: total = -inf is not finite\n"
 
 
 class TestPresetsCommand:

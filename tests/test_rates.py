@@ -3,6 +3,7 @@
 import functools
 import math
 import struct
+import sys
 from dataclasses import fields, replace
 from decimal import Decimal
 
@@ -204,10 +205,13 @@ class TestArrayCavity:
                         else:
                             assert got == want, name
 
-    def test_general_noninertial_rate_past_its_direct_range_is_the_remainder(self):
+    def test_general_rates_are_formed_directly_over_the_float_range(self):
         # a half width or a frequency past 1e30 rad/s, or a half width below
-        # 1e-30, would leave the float range inside the closed forms of the
-        # non-inertial rate. gamma_down reads every Lorentzian at its exact
+        # 1e-30, left the float range inside the closed forms of the
+        # non-inertial rate, which fell back to the remainder gamma_down -
+        # inertial there: 6.5e5 off at omega_c = 1e29, 1e-3 at 1e160 and Q =
+        # 1e40, 2.4e-9 at omega = 1e31. Every frequency is now scaled by a
+        # power of two first. gamma_down reads every Lorentzian at its exact
         # detuning there too: it read dos at the rounded frequencies, 2.2e-3
         # off at Q = 1e38 and 1e40, and 2.8e-14 at omega = 1e31
         atom, slow, fast = SLOW["atom"], SLOW["traj"], TrajectoryParams(1e-27, 1e31)
@@ -218,26 +222,18 @@ class TestArrayCavity:
             (fast, 1.0e7, [1.01e7, 1e9]),
         )
         for traj, q_factor, centers in cases:
-            sweep = CavitySpec(np.array(centers), q_factor, 1.0e-3)
-            swept = general_rates(traj, atom, sweep)
-            for i, center in enumerate(centers):
+            assert_direct_and_exact(traj, atom, CavitySpec(np.array(centers), q_factor, 1.0e-3))
+            for center in centers if q_factor > 1e30 or traj.omega > 1e30 else ():
                 cavity = CavitySpec(center, q_factor, 1.0e-3)
                 point = general_rates(traj, atom, cavity)
-                ni, where = point.gamma_down_ni, (traj.omega, center, q_factor)
-                assert math.isfinite(ni) and swept.gamma_down_ni[i] == ni, where
-                assert swept.gamma_down[i] == point.gamma_down, where
-                remainder = point.gamma_down - point.gamma_down_inertial
-                past = traj.omega > 1e30 or center > 1e30 or center / q_factor < 1e-30
-                assert (ni == remainder) is past, where
-                if q_factor > 1e30 or traj.omega > 1e30:
-                    exact = exact_rates(traj, atom, cavity, "general")["gamma_down"]
-                    assert abs(Decimal(point.gamma_down) - exact) <= Decimal(1e-15) * exact, where
+                exact = exact_rates(traj, atom, cavity, "general")["gamma_down"]
+                assert abs(Decimal(point.gamma_down) - exact) <= Decimal(1e-15) * exact, cavity
 
     def test_general_rates_where_a_detunings_two_sum_overflows(self):
         # near the float maximum omega - omega_c less omega0 (first) or
         # omega0 - omega_c plus omega (second) overflows, though the detuning
-        # does not: its two-sum alone gives NaN, so it is taken at half scale.
-        # The second's exact rates are subnormal, and its float ones 0
+        # does not: its two-sum alone gives NaN, and the power-of-two scale
+        # keeps it in range. The second's exact rates are subnormal
         for omega, omega0, center, rim in ((5e307, 1e308, 1.5e308, 0.9), (1e308, 1.7e308, 1.0, 0.99)):
             traj = TrajectoryParams(rim * SPEED_OF_LIGHT / omega, omega)
             atom = AtomParams(omega0, DEFAULT_DIPOLE, 1.0)
@@ -362,26 +358,76 @@ class TestLorentzianOverflow:
 
 class TestNonFiniteRates:
     # omega0 = omega_c = 8e-191 rad/s at Q = 2.6e121: the Lorentzian's peak
-    # Q / omega_c is past the float range. The rates were inf and nan, and
-    # the CLI printed them with validity ok
+    # Q / omega_c is past the float range. The case families read it there
+    # and their rates are inf and nan; the general family's are finite
+    # (TestTinyLinewidth). At Q = 1e300 and V = 1e-30 m^3 even the true
+    # gamma_down, about eta Q, is past the float range. The CLI printed such
+    # rates with validity ok
     TINY = dict(
         traj=TrajectoryParams(radius=1e-6, omega=1e-192),
         atom=AtomParams(omega0=8.0e-191, dipole=DEFAULT_DIPOLE, theta0=1.0),
         cavity=CavitySpec(omega_c=8.0e-191, q_factor=2.6e121, volume=1e-6),
     )
+    HUGE = dict(
+        traj=TrajectoryParams(radius=1e-6, omega=1e-192),
+        atom=AtomParams(omega0=1e-5, dipole=DEFAULT_DIPOLE, theta0=1.0),
+        cavity=CavitySpec(omega_c=1e-5, q_factor=1e300, volume=1e-30),
+    )
 
     @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
     def test_a_rate_past_the_float_range_raises_naming_it(self, engine):
-        with pytest.raises(NumericsError, match=r"^gamma_down = (inf|nan) is not finite$"):
-            engine(**self.TINY)
+        for config in (self.TINY, self.HUGE) if engine in (case1_rates, case2_rates) else (self.HUGE,):
+            with pytest.raises(NumericsError, match=r"^gamma_down = (inf|nan) is not finite$"):
+                engine(**config)
 
     def test_an_array_raises_at_its_first_entry_past_the_float_range(self):
-        cavity = self.TINY["cavity"]._replace(omega_c=np.array([7e-191, 8e-191, 9e-191]))
-        with pytest.raises(NumericsError, match=r"^gamma_down = inf is not finite$"):
-            lab_rates_general(self.TINY["traj"], self.TINY["atom"], cavity)
-        finite = cavity._replace(omega_c=np.array([7e-191, 9e-191]))
-        rates = lab_rates_general(self.TINY["traj"], self.TINY["atom"], finite)
-        assert np.isfinite(rates.gamma_down).all()
+        # case2's formula on an array warned (invalid value in multiply)
+        # before it raised, and a RuntimeWarning filter raised that instead
+        for engine, config, bad in ((case2_rates, self.TINY, "nan"), (lab_rates_general, self.HUGE, "inf")):
+            center = config["cavity"].omega_c
+            cavity = config["cavity"]._replace(omega_c=np.array([0.9, 1.0, 1.1]) * center)
+            with pytest.raises(NumericsError, match=rf"^gamma_down = {bad} is not finite$"):
+                engine(config["traj"], config["atom"], cavity)
+            finite = cavity._replace(omega_c=np.array([0.9, 1.1]) * center)
+            rates = engine(config["traj"], config["atom"], finite)
+            assert np.isfinite(rates.gamma_down).all()
+
+    def test_a_half_width_scaled_to_0_raises(self):
+        # the scale that brings omega0 = 1e10 into [1/2, 1) rounds the half
+        # width 1e-320 to 0; the float path divided by it (ZeroDivisionError)
+        atom, traj = self.HUGE["atom"]._replace(omega0=1e10), self.HUGE["traj"]
+        cavity = CavitySpec(omega_c=1e-313, q_factor=1e7, volume=1e-6)
+        with pytest.raises(NumericsError, match=r"^half width 1e-320 rad/s is past the float range"):
+            general_rates(traj, atom, cavity)
+        with pytest.raises(NumericsError, match=r"^gamma_down_ni = nan is not finite$"):
+            general_rates(traj, atom, cavity._replace(omega_c=np.array([1e-313])))
+
+
+class TestTinyLinewidth:
+    def test_general_rates_at_a_subnormal_half_width(self):
+        # the half width 8e-191 / 2.6e121 is subnormal and the Lorentzian's
+        # peak past the float range, but the general rates are not: gamma_down
+        # at omega_c = omega0 is about eta Q = 2.1e113. It was inf, and the
+        # remainder gamma_down_ni printed 3.28e-142 at 7.9e-191 and 8.1e-191,
+        # where the exact value is about 2e-506
+        tiny = TestNonFiniteRates.TINY
+        traj, atom = tiny["traj"], tiny["atom"]
+        sweep = tiny["cavity"]._replace(omega_c=np.array([7.9e-191, 8.0e-191, 8.1e-191]))
+        swept = general_rates(traj, atom, sweep)
+        for i, center in enumerate(sweep.omega_c.tolist()):
+            cavity = sweep._replace(omega_c=center)
+            point, exact = general_rates(traj, atom, cavity), exact_rates(traj, atom, cavity, "general")
+            for name in RATE_FIELDS:
+                value = getattr(point, name)
+                assert math.isfinite(value), (name, center)
+                assert np.broadcast_to(getattr(swept, name), (3,))[i] == value, (name, center)
+            gap = abs(Decimal(point.gamma_down) - exact["gamma_down"])
+            assert gap <= Decimal(1e-12) * exact["gamma_down"], (center, point)
+            if center != atom.omega0:
+                assert abs(exact["gamma_down_ni"]) < SMALLEST_NORMAL
+                assert point.gamma_down_ni == 0.0, (center, point)
+        exact = exact_rates(traj, atom, tiny["cavity"], "general")["gamma_down"]
+        assert f"{exact:.5e}" == "2.12356e+113"
 
 
 # the worst relative error each ``general`` rate may have against the exact
@@ -459,18 +505,23 @@ class TestGeneralRatesExact:
         for key, error in worst.items():
             assert error[0] <= 1e-12, (key, error)
 
-    @pytest.mark.xfail(strict=True, reason="the recoil closed form loses digits far above the gap")
     def test_noninertial_rate_within_1e_12_far_above_the_gap(self):
         # case2's orbit with omega_c = 1e5 omega0 at Q = 1e7: in the recoil
-        # closed form 2 d n and m (D(d) + omega**2) cancel to about omega0 /
-        # omega_c of their size, 6.1e-11 off here (5.1e-14 at 1e3 omega0,
-        # 0.24 at 1e15 omega0), all with validity ok
+        # closed form it replaced, 2 d n and m (D(d) + omega**2) cancelled to
+        # about omega0 / omega_c of their size, 6.1e-11 off here (5.1e-14 at
+        # 1e3 omega0, 0.24 at 1e15 omega0), all with validity ok
         scenario = preset("case2")
         traj, atom = scenario.trajectory, scenario.atom
         cavity = CavitySpec(1e5 * atom.omega0, 1.0e7, scenario.cavity.volume)
         got = general_rates(traj, atom, cavity).gamma_down_ni
         exact = exact_rates(traj, atom, cavity, "general")["gamma_down_ni"]
         assert abs(Decimal(got) - exact) <= Decimal(1e-12) * abs(exact), got
+
+    def test_rates_within_1e_12_on_far_detuned_scenarios(self):
+        # omega_c from 1e-12 to 1e15 times omega0: on case2's orbit the recoil
+        # bracket above was 1.8e-6 off at 1e10 omega0 and 0.23 to 0.31 at 1e15
+        for traj, atom, sweep in far_detuned_sweeps(4601, 40):
+            assert_direct_and_exact(traj, atom, sweep)
 
 
 def seeded_general_points(seed: int, count: int, lab_lower: bool = False):
@@ -498,3 +549,39 @@ def seeded_general_points(seed: int, count: int, lab_lower: bool = False):
         else:
             omega_c = line * (1.0 + rng.uniform(-5.0, 5.0) / q_factor)
         yield traj, atom, CavitySpec(omega_c, q_factor, 1.0e-6)
+
+
+def far_detuned_sweeps(seed: int, count: int):
+    """(trajectory, atom, cavity) of ``count`` general-family sweeps: case1's
+    and case2's orbit and gap in turn, Q from 1e2 to 1e7, and five omega_c
+    as one array, each from 1e-12 to 1e15 times omega0."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        scenario = preset(("case1", "case2")[k % 2])
+        centers = scenario.atom.omega0 * 10.0 ** rng.uniform(-12.0, 15.0, 5)
+        cavity = CavitySpec(centers, 10.0 ** rng.uniform(2.0, 7.0), scenario.cavity.volume)
+        yield scenario.trajectory, scenario.atom, cavity
+
+
+SMALLEST_NORMAL = sys.float_info.min
+
+
+def assert_direct_and_exact(traj, atom, sweep):
+    """Each general rate at each omega_c of the array cavity ``sweep`` is
+    finite, has the bits of a float call at that omega_c, and lies within
+    1e-12 of ``exact_rates`` where the exact value is a normal float;
+    where it is not, the rate is below the smallest normal float too."""
+    swept = general_rates(traj, atom, sweep)
+    for i, center in enumerate(sweep.omega_c.tolist()):
+        cavity = sweep._replace(omega_c=center)
+        point = general_rates(traj, atom, cavity)
+        exact = exact_rates(traj, atom, cavity, "general")
+        for name in RATE_FIELDS:
+            value, where = getattr(point, name), (name, traj, atom, cavity)
+            assert type(value) is float and math.isfinite(value), where
+            entry = np.broadcast_to(getattr(swept, name), sweep.omega_c.shape)[i]
+            assert struct.pack("<d", entry) == struct.pack("<d", value), where
+            if abs(exact[name]) >= SMALLEST_NORMAL:
+                assert abs(Decimal(value) - exact[name]) <= Decimal(1e-12) * abs(exact[name]), where
+            else:
+                assert abs(value) < SMALLEST_NORMAL, where
