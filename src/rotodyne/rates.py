@@ -193,7 +193,11 @@ def _assemble(kin: KinematicDerived, rates: tuple) -> RateSet:
 def _require_finite(names, values) -> None:
     """Raise NumericsError naming the first value that is not finite, a
     float or an array (at its first such entry); None passes. The one check
-    of every rate and quasi-cycle phase."""
+    of every rate and quasi-cycle phase. Values that start with a float are
+    floats and None, which pass in one C-level test where their sum is
+    finite."""
+    if type(values[0]) is float and math.isfinite(sum(filter(None, values))):
+        return
     for name, value in zip(names, values):
         fits = value is None or abs(value) < math.inf
         if fits is not True and (fits is False or not fits.all()):
@@ -214,7 +218,7 @@ def _evaluate(formula, traj, atom, cavity, kin, eta) -> tuple:
     except ZeroDivisionError:  # a float division, where numpy divides to nan
         hw = cavity.linewidth
         raise NumericsError(f"half width {hw} rad/s is past the float range of omega0") from None
-    _require_finite(("gamma_down", "gamma_down_inertial", "gamma_down_ni", "gamma_up"), rates)
+    _require_finite(("gamma_down", "gamma_down_inertial", "gamma_down_ni", "gamma_up"), rates[:4])
     return rates
 
 

@@ -228,14 +228,17 @@ def sweep_cavity(scenario: Scenario, grid: Sequence[float] | None = None) -> Swe
 def _sweep_rows(scenario: Scenario, grid: Sequence[float], arrays: bool) -> tuple[tuple, ...]:
     """Sweep rows of the family formula after one set-up, run once on the
     grid as an array (``arrays``) or once per float point with its own
-    ``CavitySpec``. The grid is checked first, so a bad grid point is
-    reported before a bad set-up; a rate that is not finite raises
-    NumericsError (``rates._evaluate``); warnings never depend on
-    ``omega_c``."""
+    ``CavitySpec``. The array path reads a grid of Python floats into numpy
+    in one pass and any other grid point by point (``_real``). The grid is
+    checked first, so a bad grid point is reported before a bad set-up; a
+    rate that is not finite raises NumericsError (``rates._evaluate``);
+    warnings never depend on ``omega_c``."""
     traj, atom, cavity = scenario.trajectory, scenario.atom, scenario.cavity
     if arrays:
         import numpy as np
-        cavities = [cavity._replace(omega_c=np.array([_real(w, "omega_c") for w in grid]))]
+        if set(map(type, grid)) != {float}:
+            grid = [_real(w, "omega_c") for w in grid]
+        cavities = [cavity._replace(omega_c=np.array(grid, dtype=float))]
     else:
         cavities = [CavitySpec(w, cavity.q_factor, cavity.volume) for w in grid]
     kin, eta = _setup(traj, atom, cavity)

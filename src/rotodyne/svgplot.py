@@ -9,17 +9,27 @@ the polyline instead of distorting it.
 The module is plain Python on floats and loads no numpy: a chart takes
 any sequences of real numbers, numpy arrays included, and maps each
 value through libm's ``log10`` and float arithmetic in one order, so a
-chart's bytes do not depend on the type of its input. An axis that spans
-less than two decades takes its five ticks from ``scenarios``' grid cells
-(``_linspace``), the one thing this module imports from the package: no
-table command loads it without ``--plot``.
+chart's bytes do not depend on the type of its input. Each value is read
+as ``_record._real`` reads a number: text, a bool, a complex or an int
+past the float range is a ValueError naming the series. An axis that
+spans less than two decades takes its five ticks from ``scenarios``' grid
+cells (``_linspace``); that and ``_real`` are all this module imports
+from the package, and no table command loads it without ``--plot``.
+
+Series that share one x sequence (a sweep's frequency column) share its
+work: each drawable x is mapped and written once per chart. Each series'
+polylines and markers are cut from those written x, with a ``%.2f`` field
+for each y, and one ``%`` writes every y of the series, so a drawn point
+costs one ``log10`` and one ``%.2f``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, groupby
+from itertools import compress, groupby
 from pathlib import Path
+
+from ._record import _real
 
 __all__ = ["line_chart"]
 
@@ -80,11 +90,28 @@ class _Axis:
 
 
 def _floats(values, label: str) -> tuple[float, ...]:
-    """The values of a 1-d sequence as floats; ValueError for a nested one."""
-    try:
+    """The values of a 1-d sequence as floats, read as ``_record._real``
+    reads a number: text, a bool, a complex or an int past the float range
+    is a ValueError naming the series, and so is a nested sequence. A
+    sequence of floats, or a numpy array of floats or ints, converts in one
+    pass; any other sequence is read value by value."""
+    dtype = getattr(values, "dtype", None)  # a numpy array's, without numpy
+    if getattr(dtype, "kind", None) in ("f", "i", "u") and values.ndim == 1:
         return tuple(map(float, values))
+    try:
+        values = tuple(values)
     except TypeError:
         raise ValueError(f"series {label!r} needs matching 1-d x and y") from None
+    if set(map(type, values)) == {float}:
+        return values
+    return tuple(_value(v, label) for v in values)
+
+
+def _value(value, label: str) -> float:
+    """One value of a series as a float (``_floats``)."""
+    if hasattr(value, "__iter__") and not isinstance(value, str):
+        raise ValueError(f"series {label!r} needs matching 1-d x and y")
+    return _real(value, f"series {label!r} value")
 
 
 def _line(x1, y1, x2, y2, stroke: str, width: int, dash: str = "") -> str:
@@ -131,17 +158,19 @@ def line_chart(
         ys = _floats(ys, label)
         if len(xs_floats) != len(ys):
             raise ValueError(f"series {label!r} needs matching 1-d x and y")
-        # a point is drawable where both coordinates are positive and finite
-        mask = [ok and 0.0 < y < inf for ok, y in zip(x_ok, ys)]
-        prepared.append((label, xs_floats, x_ok, ys, mask))
+        # a point is drawable (True) where both coordinates are positive and
+        # finite; False marks a drawable x whose y is not, None an x that is
+        # not drawable
+        mask = [0.0 < y < inf if ok else None for ok, y in zip(x_ok, ys)]
+        # the drawable y, picked once for the extents and the pixels
+        prepared.append((label, xs_floats, x_ok, mask, list(compress(ys, mask))))
 
     # the axis extents: the least and the greatest drawable coordinate of
     # each series that has a drawable point
     extents = [
-        (min(compress(xs, mask)), max(compress(xs, mask)),
-         min(compress(ys, mask)), max(compress(ys, mask)))
-        for _, xs, _, ys, mask in prepared
-        if any(mask)
+        (min(compress(xs, mask)), max(compress(xs, mask)), min(drawn_ys), max(drawn_ys))
+        for _, xs, _, mask, drawn_ys in prepared
+        if drawn_ys
     ]
     if not extents:
         raise ValueError("no drawable points in any series")
@@ -184,34 +213,31 @@ def line_chart(
             parts.append(_text(x + 3, box_y0 + 12, 10, str(label), anchor, fill))
 
     mapped_xs = None
-    for idx, (_, xs, x_ok, ys, mask) in enumerate(prepared):
+    for idx, (_, xs, x_ok, mask, drawn_ys) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
         if xs is not mapped_xs:
+            # each drawable x is mapped and written once per chart
             mapped_xs, x_px = xs, x_axis.pixels(compress(xs, x_ok))
-        # x_px holds the points whose x is drawable; the mask at those
-        # points picks the ones whose y is drawable too
-        y_px = y_axis.pixels(compress(ys, mask))
-        coords = list(chain.from_iterable(zip(compress(x_px, compress(mask, x_ok)), y_px)))
-        # split the trace wherever points are not drawable: one run per
-        # stretch of consecutive drawable points
-        first = 0
+            x_text = ("%.2f " * len(x_px) % tuple(x_px)).split()
+        # split the trace wherever points are not drawable: one element per
+        # stretch of consecutive drawable points, cut from the written x
+        # (x_at counts the drawable x before the stretch) with each y left
+        # as a field; one % then writes every y of the series
+        elements, x_at = [], 0
         for drawable, run in groupby(mask):
             count = len(list(run))
-            if not drawable:
-                continue
-            run = coords[2 * first : 2 * (first + count)]
-            first += count
-            if count >= 2:
-                pts = " ".join(["%.2f,%.2f"] * count) % tuple(run)
-                parts.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            if drawable and count >= 2:
+                pts = ",%.2f ".join(x_text[x_at : x_at + count])
+                elements.append(
+                    f'<polyline points="{pts},%.2f" fill="none" stroke="{color}" '
                     'stroke-width="1.6"/>'
                 )
-            else:
-                parts.append(
-                    f'<circle cx="{_fmt(run[0])}" cy="{_fmt(run[1])}" '
-                    f'r="2.2" fill="{color}"/>'
-                )
+            elif drawable:
+                elements.append(f'<circle cx="{x_text[x_at]}" cy="%.2f" r="2.2" fill="{color}"/>')
+            if drawable is not None:
+                x_at += count
+        if elements:
+            parts.append("\n".join(elements) % tuple(y_axis.pixels(drawn_ys)))
 
     lx = box_x1 - 188
     for idx, (label, *_) in enumerate(prepared):

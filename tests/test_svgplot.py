@@ -58,6 +58,36 @@ def drawn_runs(svg):
     return runs
 
 
+UNDRAWABLE = (0.0, -0.0, -3.0, math.nan, math.inf, -math.inf)
+
+
+def random_series(rng):
+    """One to five (label, x, y) series of 1 to 12 points, log-uniform over
+    many decades, some sharing an earlier series' x array (the same object)
+    and some with undrawable values (0, negative, NaN, +-inf) put into x
+    or y. The first series' first two points stay drawable, so that both
+    axes span a range of drawable values."""
+
+    def values(n, first):
+        v = 10.0 ** rng.uniform(-20.0, 20.0) * 10.0 ** rng.uniform(0.0, 6.0, n)
+        if rng.random() < 0.6:
+            hit = rng.random(n) < rng.choice([0.15, 0.4])
+            hit[:2] &= not first
+            v[hit] = rng.choice(UNDRAWABLE, hit.sum())
+        return v
+
+    series, xs_made = [], []
+    for k in range(rng.integers(1, 6)):
+        first = k == 0
+        if xs_made and rng.random() < 0.5:
+            xs = xs_made[rng.integers(len(xs_made))]
+        else:
+            xs = values(rng.integers(2, 13) if first else rng.choice([1, 2, 3, 5, 12]), first)
+            xs_made.append(xs)
+        series.append((f"s{k}", xs, values(len(xs), first)))
+    return series
+
+
 class TestRuns:
     def test_log_axes_split_runs_at_undrawable_points(self, tmp_path):
         xs = np.geomspace(1.0, 1e4, 12)
@@ -82,17 +112,33 @@ class TestRuns:
         other = np.geomspace(2.0, 5e3, 8)
         ya, yb = np.geomspace(1.0, 9.0, 8), np.geomspace(5.0, 0.5, 8)
         ya[3], yb[[0, 4]] = 0.0, (math.inf, -2.0)
-        series = [("a", xs, ya), ("b", xs, yb), ("c", other, ya), ("d", xs, yb)]
-        svg = chart(tmp_path, series)
-        masks = [np.isfinite(x) & (x > 0.0) & np.isfinite(y) & (y > 0.0) for _, x, y in series]
-        px = axis_map(np.concatenate([x[m] for (_, x, _), m in zip(series, masks)]),
-                      MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-        py = axis_map(np.concatenate([y[m] for (_, _, y), m in zip(series, masks)]),
-                      HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
-        want = []
-        for (_, x, y), m in zip(series, masks):
-            want += expected_runs(x, y, m, px, py)
-        assert drawn_runs(svg) == want
+        draws = [[("a", xs, ya), ("b", xs, yb), ("c", other, ya), ("d", xs, yb)]]
+        rng = np.random.default_rng(4711)
+        draws += [random_series(rng) for _ in range(200)]
+        kinds = dict.fromkeys(["shared x", "distinct x", "one-point run", "one-point series",
+                               "fully drawable", "x undrawable", "y undrawable"], 0)
+        for series in draws:
+            svg = chart(tmp_path, series)
+            masks = [np.isfinite(x) & (x > 0.0) & np.isfinite(y) & (y > 0.0) for _, x, y in series]
+            px = axis_map(np.concatenate([x[m] for (_, x, _), m in zip(series, masks)]),
+                          MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+            py = axis_map(np.concatenate([y[m] for (_, _, y), m in zip(series, masks)]),
+                          HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+            want = []
+            for (_, x, y), m in zip(series, masks):
+                runs = expected_runs(x, y, m, px, py)
+                want += runs
+                kinds["one-point run"] += any(len(run) == 1 for run in runs)
+                kinds["one-point series"] += len(x) == 1
+                kinds["fully drawable"] += bool(m.all())
+                kinds["x undrawable"] += not (np.isfinite(x) & (x > 0.0)).all()
+                kinds["y undrawable"] += not (np.isfinite(y) & (y > 0.0)).all()
+            distinct = len({id(x) for _, x, _ in series})
+            kinds["shared x"] += distinct < len(series)
+            kinds["distinct x"] += distinct > 1
+            assert drawn_runs(svg) == want
+        # every kind of draw the corpus is for occurs many times
+        assert min(kinds.values()) >= 20, kinds
 
     def test_undrawable_series_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no drawable points"):
@@ -103,6 +149,24 @@ class TestRuns:
     def test_nested_series_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^series 'a' needs matching 1-d x and y$"):
             chart(tmp_path, [("a", [[1.0, 2.0]], [[1.0, 2.0]])])
+
+    @pytest.mark.parametrize(
+        "bad", ["2.5", True, 10**400, 1j], ids=["text", "bool", "int-past-float-range", "complex"]
+    )
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_a_value_that_is_no_real_number_is_rejected(self, tmp_path, bad, axis):
+        # as rotodyne._record._real refuses it elsewhere, naming the series
+        good, values = [1.0, 2.0, 3.0], [1.0, bad, 3.0]
+        series = [("a", values, good) if axis == "x" else ("a", good, values)]
+        with pytest.raises(ValueError, match=r"^series 'a' value must be a number, got "):
+            chart(tmp_path, series)
+
+    def test_floats_ints_and_numpy_arrays_draw_alike(self, tmp_path):
+        xs, ys = [1.0, 10.0, 100.0], [2.0, 20.0, 200.0]
+        svg = chart(tmp_path, [("a", tuple(xs), ys)])
+        for x in ([1, 10, 100], np.array([1, 10, 100]), np.array(xs, dtype=np.float32),
+                  np.array(xs, dtype=object), [np.float64(v) for v in xs]):
+            assert chart(tmp_path, [("a", x, np.array(ys))]) == svg
 
     def test_one_point_spans_a_padded_axis(self, tmp_path):
         # gp-vs-n at n_max = 1 has one cycle count: each axis spans a
